@@ -32,7 +32,6 @@ from .fock import (
     coherent_required_cutoff,
     coherent_state,
     evolve,
-    expectation,
     ladder_operators,
     mean_photon_number,
     number_operator,
@@ -79,7 +78,6 @@ from .collision import (
     free_energy_bound,
     harmonic_constraint_ratio,
     harmonic_energy_bound,
-    harmonic_trajectories,
     mismatch_norm,
     optimal_wavepacket,
     phase_integral_free,

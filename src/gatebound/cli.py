@@ -6,7 +6,8 @@ quantity) and ``report.json`` (stable key order) into the output directory;
 criteria and writes ``verification.csv``.  Outputs are written to a
 temporary name and renamed, so no partial artifact is ever visible.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure.  Any other
+exception is a bug in the package and propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -28,23 +29,16 @@ import numpy as np
 from . import collision, gate, heuristic, pulses
 from ._svg import line_plot
 from .envelopes import ENVELOPES
-from .errors import (
-    CutoffError,
-    DegenerateConfigError,
-    DimensionMismatchError,
-    IntegrationError,
-    NumericalInconsistencyError,
-    SamplingError,
-    UncertaintyError,
-)
+from .errors import IntegrationError, NumericalInconsistencyError
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 2, 3
 HBAR_SI = 1.054571817e-34  # J*s
 
-VALIDATION_ERRORS = (ValueError, CutoffError, DimensionMismatchError, UncertaintyError,
-                     KeyError, TypeError)
-NUMERICAL_ERRORS = (IntegrationError, NumericalInconsistencyError, SamplingError,
-                    DegenerateConfigError, IndexError, ArithmeticError)
+# CutoffError, DimensionMismatchError, UncertaintyError and
+# DegenerateConfigError subclass ValueError; SamplingError subclasses
+# NumericalInconsistencyError.
+VALIDATION_ERRORS = (ValueError,)
+NUMERICAL_ERRORS = (IntegrationError, NumericalInconsistencyError)
 
 
 class CliValidationError(Exception):
@@ -60,9 +54,9 @@ class UnitContext:
     def energy_unit(self) -> str:
         return "hbar_rad_per_s" if self.natural else "J"
 
-    @property
-    def mech_unit(self) -> str:
-        return "nat" if self.natural else "si"
+    def unit(self, si: str) -> str:
+        """Label of a mechanical unit: ``si`` in SI, ``nat`` in natural units."""
+        return "nat" if self.natural else si
 
 
 def make_units(name: str) -> UnitContext:
@@ -77,17 +71,23 @@ def make_units(name: str) -> UnitContext:
 # parameter parsing
 # ---------------------------------------------------------------------------
 
+def _nonempty(values: list, text) -> list:
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
+
+
 def parse_int_list(text: str) -> list[int]:
     """'1..6' or '1,2,5'."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()], text)
 
 
 def parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([float(tok) for tok in text.split(",") if tok.strip()], text)
 
 
 def parse_complex(text: str) -> complex:
@@ -111,144 +111,138 @@ class Command:
     params: tuple[Param, ...]
     run: Callable
     columns_doc: str
-    plot: tuple[str, str, bool, bool] | None = None  # xkey, ykey, logx, logy
+    plot: tuple[str, str, bool, bool]  # xkey, ykey, logx, logy
 
 
-def _merge_params(command: Command, cli_values: dict, config_params: dict) -> dict:
-    merged = {}
+def _number(kind: Callable, raw):
+    """A JSON or sweep-axis number as ``kind``.
+
+    An int parameter takes only integral values.  A str parameter (a
+    complex amplitude) keeps the number as it is.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"expected a number, got {raw!r}")
+    if kind is float:
+        return float(raw)
+    if kind is int:
+        if isinstance(raw, float) and not raw.is_integer():
+            raise ValueError(f"expected an integer, got {raw!r}")
+        return int(raw)
+    return raw
+
+
+def _coerce(param: Param, raw):
+    """``raw`` as ``param``'s type, for a value that no typed flag parsed:
+    a config-file param, a ``--param key=value`` or a sweep-axis value."""
+    try:
+        if isinstance(raw, str):
+            return param.kind(raw)
+        if param.kind is parse_int_list:
+            if not isinstance(raw, list):
+                raise ValueError(f"expected a list, got {raw!r}")
+            return _nonempty([_number(int, item) for item in raw], raw)
+        return _number(param.kind, raw)
+    except ValueError as exc:
+        raise CliValidationError(f"parameter {param.name!r}: {exc}") from None
+
+
+def _merge_params(command: Command, flags: dict, loose: dict) -> dict:
+    """Typed flag values override ``loose`` ones (config, --param, sweep axis)."""
     known = {p.name for p in command.params}
-    for source in (config_params, cli_values):
-        for key in source:
-            if key not in known:
-                raise CliValidationError(
-                    f"unknown parameter {key!r} for command {command.name!r}")
+    for key in loose:
+        if key not in known:
+            raise CliValidationError(
+                f"unknown parameter {key!r} for command {command.name!r}")
+    merged = {}
     for p in command.params:
-        raw = cli_values.get(p.name)
-        if raw is None and p.name in config_params:
-            raw = config_params[p.name]
-            if isinstance(raw, str):
-                raw = p.kind(raw)
-            elif p.kind is float and isinstance(raw, (int, float)):
-                raw = float(raw)
-        if raw is None:
+        value = flags.get(p.name)
+        if value is None and loose.get(p.name) is not None:
+            value = _coerce(p, loose[p.name])
+        if value is None:
             if p.required:
                 raise CliValidationError(f"missing required parameter --{p.name} for {command.name!r}")
-            raw = p.default
-        if raw is not None and p.choices and raw not in p.choices:
+            value = p.default
+        if value is not None and p.choices and value not in p.choices:
             raise CliValidationError(f"--{p.name} must be one of {p.choices}")
-        merged[p.name] = raw
+        merged[p.name] = value
     return merged
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (columns, rows, extra)
-# columns: list of (row key, csv header with unit); rows: list of dicts
+# command implementations: each returns (table, extra)
+# table: one list of (row key, csv header with unit, value) cells per row
 # ---------------------------------------------------------------------------
 
 def cmd_counterexample(params, ctx: UnitContext, seed: int):
-    columns = [
-        ("n", "n"),
-        ("g", "g_rad_per_s"),
-        ("duration", "duration_s"),
-        ("p", "failure_probability"),
-        ("phase_residual", "phase_residual_hbar"),
-        ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq"),
-        ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq"),
-        # control energy reported relative to the H0 ground state (the zero
-        # of energy is otherwise ambiguous)
-        ("energy_above_ground", f"control_energy_above_ground_{ctx.energy_unit}"),
-    ]
-    rows = []
+    table = []
     for n in params["n"]:
         outcome = gate.counterexample_always_on(n, params["g"], params["cutoff"], params["omega"])
-        rows.append({
-            "n": n,
-            "g": params["g"],
-            "duration": math.pi / (params["g"] * n),
-            "p": outcome.failure_probability,
-            "phase_residual": outcome.phase_residual,
-            "sw_start": outcome.switch_residual_start,
-            "sw_end": outcome.switch_residual_end,
-            "energy_above_ground": ctx.hbar * params["omega"] * n,
-        })
-    return columns, rows, {}
+        table.append([
+            ("n", "n", n),
+            ("g", "g_rad_per_s", params["g"]),
+            ("duration", "duration_s", math.pi / (params["g"] * n)),
+            ("p", "failure_probability", outcome.failure_probability),
+            ("phase_residual", "phase_residual_hbar", outcome.phase_residual),
+            ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq", outcome.switch_residual_start),
+            ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq", outcome.switch_residual_end),
+            # control energy reported relative to the H0 ground state (the zero
+            # of energy is otherwise ambiguous)
+            ("energy_above_ground", f"control_energy_above_ground_{ctx.energy_unit}",
+             ctx.hbar * params["omega"] * n),
+        ])
+    return table, {}
 
 
 def cmd_gate_sim(params, ctx: UnitContext, seed: int):
-    alpha = parse_complex(str(params["alpha"])) if not isinstance(params["alpha"], complex) else params["alpha"]
+    alpha = parse_complex(str(params["alpha"]))
     envelope = ENVELOPES[params["envelope"]](params["duration"])
     drive = gate.pi_phase_drive(envelope, alpha)
     scenario = gate.coherent_drive_scenario(alpha, drive, omega=params["omega"])
     exact = gate.failure_probability_exact(scenario, params["tol"])
     oracle = gate.displacement_oracle(alpha, drive)
     p_hat = gate.failure_probability_perturbative(scenario, params["quad_tol"])
-    columns = [
-        ("alpha_abs", "alpha_abs"),
-        ("alpha_sq", "alpha_sq"),
-        ("p_exact", "p_exact"),
-        ("p_oracle", "p_oracle"),
-        ("p_perturbative", "p_perturbative"),
-        ("p_times_alpha_sq", "p_times_alpha_sq"),
-        ("phase_residual", "phase_residual_hbar"),
-        ("oracle_diff", "oracle_abs_diff"),
-        ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq"),
-        ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq"),
+    row = [
+        ("alpha_abs", "alpha_abs", abs(alpha)),
+        ("alpha_sq", "alpha_sq", abs(alpha) ** 2),
+        ("p_exact", "p_exact", exact.failure_probability),
+        ("p_oracle", "p_oracle", oracle.failure_probability),
+        ("p_perturbative", "p_perturbative", p_hat),
+        ("p_times_alpha_sq", "p_times_alpha_sq", exact.failure_probability * abs(alpha) ** 2),
+        ("phase_residual", "phase_residual_hbar", exact.phase_residual),
+        ("oracle_diff", "oracle_abs_diff",
+         abs(exact.failure_probability - oracle.failure_probability)),
+        ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq", exact.switch_residual_start),
+        ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq", exact.switch_residual_end),
     ]
-    row = {
-        "alpha_abs": abs(alpha),
-        "alpha_sq": abs(alpha) ** 2,
-        "p_exact": exact.failure_probability,
-        "p_oracle": oracle.failure_probability,
-        "p_perturbative": p_hat,
-        "p_times_alpha_sq": exact.failure_probability * abs(alpha) ** 2,
-        "phase_residual": exact.phase_residual,
-        "oracle_diff": abs(exact.failure_probability - oracle.failure_probability),
-        "sw_start": exact.switch_residual_start,
-        "sw_end": exact.switch_residual_end,
-    }
     extra = {"inner": [exact.inner.real, exact.inner.imag], "cutoff": scenario.control.cutoff}
-    return columns, [row], extra
+    return [row], extra
 
 
-def _report_columns(ctx: UnitContext):
+def _report_cells(report, ctx: UnitContext):
     return [
-        ("phase", "phase_rad"),
-        ("error", "error_dimensionless"),
-        ("photon_number", "photon_number"),
-        ("mean_omega", "mean_omega_rad_per_s"),
-        ("energy", f"energy_{ctx.energy_unit}"),
-        ("bound", f"bound_{ctx.energy_unit}"),
-        ("ratio", "energy_over_bound"),
-        ("satisfied", "satisfied"),
+        ("phase", "phase_rad", report.phase),
+        ("error", "error_dimensionless", report.error),
+        ("photon_number", "photon_number", report.photon_number),
+        ("mean_omega", "mean_omega_rad_per_s", report.mean_omega),
+        ("energy", f"energy_{ctx.energy_unit}", report.energy),
+        ("bound", f"bound_{ctx.energy_unit}", report.bound),
+        ("ratio", "energy_over_bound", report.ratio),
+        ("satisfied", "satisfied", report.satisfied),
     ]
-
-
-def _report_row(report) -> dict:
-    return {
-        "phase": report.phase,
-        "error": report.error,
-        "photon_number": report.photon_number,
-        "mean_omega": report.mean_omega,
-        "energy": report.energy,
-        "bound": report.bound,
-        "ratio": report.ratio,
-        "satisfied": report.satisfied,
-    }
 
 
 def cmd_pulse_bound(params, ctx: UnitContext, seed: int):
     epsilon = params["epsilon"]
-    columns = [("kind", "construction")] + _report_columns(ctx)
     eq = pulses.single_mode_equality_pulse(epsilon, params["omega"])
     eq_report = pulses.energy_bound_check(eq, epsilon, ctx.hbar)
     best = pulses.adversarial_pulse_search(
         epsilon, params["n_modes"], params["budget"], seed, hbar=ctx.hbar)
-    rows = [
-        {"kind": "single-mode-equality", **_report_row(eq_report)},
-        {"kind": "adversarial-best", **_report_row(best)},
+    table = [
+        [("kind", "construction", "single-mode-equality"), *_report_cells(eq_report, ctx)],
+        [("kind", "construction", "adversarial-best"), *_report_cells(best, ctx)],
     ]
     extra = {"reports": [eq_report.to_dict(), best.to_dict()]}
-    return columns, rows, extra
+    return table, extra
 
 
 def cmd_squeeze_opt(params, ctx: UnitContext, seed: int):
@@ -256,22 +250,14 @@ def cmd_squeeze_opt(params, ctx: UnitContext, seed: int):
     omega = params["omega"]
     r_star, e_min = pulses.optimize_squeezing(epsilon, omega, ctx.hbar)
     r_num, e_num = pulses.squeezing_optimum_numeric(epsilon, omega, ctx.hbar)
-    columns = [
-        ("epsilon", "epsilon"),
-        ("omega", "omega_rad_per_s"),
-        ("r_star", "r_star"),
-        ("e_min", f"e_min_{ctx.energy_unit}"),
-        ("e_min_over_hw", "e_min_over_hbar_omega"),
-        ("numeric_rel_diff", "numeric_rel_diff"),
+    row = [
+        ("epsilon", "epsilon", epsilon),
+        ("omega", "omega_rad_per_s", omega),
+        ("r_star", "r_star", r_star),
+        ("e_min", f"e_min_{ctx.energy_unit}", e_min),
+        ("e_min_over_hw", "e_min_over_hbar_omega", e_min / (ctx.hbar * omega)),
+        ("numeric_rel_diff", "numeric_rel_diff", abs(e_num - e_min) / e_min),
     ]
-    row = {
-        "epsilon": epsilon,
-        "omega": omega,
-        "r_star": r_star,
-        "e_min": e_min,
-        "e_min_over_hw": e_min / (ctx.hbar * omega),
-        "numeric_rel_diff": abs(e_num - e_min) / e_min,
-    }
     extra: dict[str, Any] = {
         "r_numeric": r_num,
         # the energy expression counts the squeezed-mode quanta as e^{2r};
@@ -281,14 +267,12 @@ def cmd_squeeze_opt(params, ctx: UnitContext, seed: int):
     }
     if params["gate_time"] is not None:
         lw = pulses.linewidth_combined_bound(params["gate_time"], epsilon, ctx.hbar)
-        columns += [
-            ("omega_min", "linewidth_omega_min_rad_per_s"),
-            ("combined_bound", f"combined_bound_{ctx.energy_unit}"),
-            ("combined_bound_quoted", f"combined_bound_quoted_{ctx.energy_unit}"),
+        row += [
+            ("omega_min", "linewidth_omega_min_rad_per_s", lw.omega_min),
+            ("combined_bound", f"combined_bound_{ctx.energy_unit}", lw.bound),
+            ("combined_bound_quoted", f"combined_bound_quoted_{ctx.energy_unit}", lw.bound_quoted),
         ]
-        row.update(omega_min=lw.omega_min, combined_bound=lw.bound,
-                   combined_bound_quoted=lw.bound_quoted)
-    return columns, [row], extra
+    return [row], extra
 
 
 def cmd_nonlinear_bound(params, ctx: UnitContext, seed: int):
@@ -301,17 +285,13 @@ def cmd_nonlinear_bound(params, ctx: UnitContext, seed: int):
     report = pulses.nonlinear_bound_check(reduction, alphas, epsilon, ctx.hbar)
     linear = pulses.nonlinear_reduce(1, envelope, window, modes)
     linear_report = pulses.nonlinear_bound_check(linear, alphas, epsilon, ctx.hbar)
-    columns = [
-        ("p_power", "p_power"),
-        ("coeff_abs", "effective_coefficient_abs"),
-    ] + _report_columns(ctx) + [("bound_over_linear", "bound_over_linear")]
-    row = {
-        "p_power": params["p_power"],
-        "coeff_abs": abs(reduction.coefficients[0][1]),
-        **_report_row(report),
-        "bound_over_linear": report.bound / linear_report.bound,
-    }
-    return columns, [row], {"linear_report": linear_report.to_dict()}
+    row = [
+        ("p_power", "p_power", params["p_power"]),
+        ("coeff_abs", "effective_coefficient_abs", abs(reduction.coefficients[0][1])),
+        *_report_cells(report, ctx),
+        ("bound_over_linear", "bound_over_linear", report.bound / linear_report.bound),
+    ]
+    return [row], {"linear_report": linear_report.to_dict()}
 
 
 def cmd_collision_free(params, ctx: UnitContext, seed: int):
@@ -321,21 +301,16 @@ def cmd_collision_free(params, ctx: UnitContext, seed: int):
         potential=pot, hbar=ctx.hbar)
     cfg = collision.calibrated(cfg)
     report = collision.free_energy_bound(cfg, params["epsilon"])
-    columns = [
-        ("m", f"mass_{'kg' if not ctx.natural else 'nat'}"),
-        ("v", f"speed_{'m_per_s' if not ctx.natural else 'nat'}"),
-        ("b", f"impact_parameter_{'m' if not ctx.natural else 'nat'}"),
-        ("duration", "duration_s"),
-        ("n", "power_law_n"),
-        ("coupling", "calibrated_coupling"),
-    ] + _report_columns(ctx)
-    row = {
-        "m": params["m"], "v": params["v"], "b": params["b"],
-        "duration": params["duration"], "n": params["n"],
-        "coupling": cfg.potential.coupling,
-        **_report_row(report),
-    }
-    return columns, [row], {"report": report.to_dict()}
+    row = [
+        ("m", f"mass_{ctx.unit('kg')}", params["m"]),
+        ("v", f"speed_{ctx.unit('m_per_s')}", params["v"]),
+        ("b", f"impact_parameter_{ctx.unit('m')}", params["b"]),
+        ("duration", "duration_s", params["duration"]),
+        ("n", "power_law_n", params["n"]),
+        ("coupling", "calibrated_coupling", cfg.potential.coupling),
+        *_report_cells(report, ctx),
+    ]
+    return [row], {"report": report.to_dict()}
 
 
 def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
@@ -348,26 +323,18 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
     report = collision.harmonic_energy_bound(cfg, params["epsilon"])
     probe = collision.squeezing_consistency_probe(cfg, params["epsilon"])
     ratio = collision.harmonic_constraint_ratio(cfg)
-    columns = [
-        ("m", f"mass_{'kg' if not ctx.natural else 'nat'}"),
-        ("omega", "trap_omega_rad_per_s"),
-        ("amplitude", f"amplitude_{'m' if not ctx.natural else 'nat'}"),
-        ("gap", f"gap_{'m' if not ctx.natural else 'nat'}"),
-        ("squeeze_r", "squeeze_r"),
-        ("coupling", "calibrated_coupling"),
-        ("sin_cos_ratio", "sin_over_cos_integral"),
-        ("gap_times_ratio", "gap_times_constraint_ratio"),
-        ("second_order_flag", "second_order_flag"),
-    ] + _report_columns(ctx)
-    row = {
-        "m": params["m"], "omega": params["omega"], "amplitude": params["amplitude"],
-        "gap": params["gap"], "squeeze_r": params["squeeze_r"],
-        "coupling": cfg.potential.coupling,
-        "sin_cos_ratio": abs(hv.sin_integral) / abs(hv.cos_integral),
-        "gap_times_ratio": cfg.b * ratio,
-        "second_order_flag": probe.flagged,
-        **_report_row(report),
-    }
+    row = [
+        ("m", f"mass_{ctx.unit('kg')}", params["m"]),
+        ("omega", "trap_omega_rad_per_s", params["omega"]),
+        ("amplitude", f"amplitude_{ctx.unit('m')}", params["amplitude"]),
+        ("gap", f"gap_{ctx.unit('m')}", params["gap"]),
+        ("squeeze_r", "squeeze_r", params["squeeze_r"]),
+        ("coupling", "calibrated_coupling", cfg.potential.coupling),
+        ("sin_cos_ratio", "sin_over_cos_integral", abs(hv.sin_integral) / abs(hv.cos_integral)),
+        ("gap_times_ratio", "gap_times_constraint_ratio", cfg.b * ratio),
+        ("second_order_flag", "second_order_flag", probe.flagged),
+        *_report_cells(report, ctx),
+    ]
     extra = {
         "report": report.to_dict(),
         "probe": {
@@ -377,7 +344,7 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
             "flagged": probe.flagged,
         },
     }
-    return columns, [row], extra
+    return [row], extra
 
 
 def cmd_return_mismatch(params, ctx: UnitContext, seed: int):
@@ -393,23 +360,16 @@ def cmd_return_mismatch(params, ctx: UnitContext, seed: int):
     half = collision.classical_return_mismatch(half_cfg)
     norm_full = collision.mismatch_norm(full, cfg)
     norm_half = collision.mismatch_norm(half, half_cfg)
-    columns = [
-        ("coupling", "calibrated_coupling"),
-        ("dx_return", f"dx_return_{'m' if not ctx.natural else 'nat'}"),
-        ("dp_return", f"dp_return_{'kg_m_per_s' if not ctx.natural else 'nat'}"),
-        ("norm", "phase_space_mismatch"),
-        ("halving_ratio", "mismatch_ratio_full_over_half"),
-        ("dx_halving_ratio", "dx_ratio_full_over_half"),
+    row = [
+        ("coupling", "calibrated_coupling", cfg.potential.coupling),
+        ("dx_return", f"dx_return_{ctx.unit('m')}", full.dx),
+        ("dp_return", f"dp_return_{ctx.unit('kg_m_per_s')}", full.dp),
+        ("norm", "phase_space_mismatch", norm_full),
+        ("halving_ratio", "mismatch_ratio_full_over_half", norm_full / norm_half),
+        ("dx_halving_ratio", "dx_ratio_full_over_half",
+         full.dx / half.dx if half.dx != 0 else math.inf),
     ]
-    row = {
-        "coupling": cfg.potential.coupling,
-        "dx_return": full.dx,
-        "dp_return": full.dp,
-        "norm": norm_full,
-        "halving_ratio": norm_full / norm_half,
-        "dx_halving_ratio": full.dx / half.dx if half.dx != 0 else math.inf,
-    }
-    return columns, [row], {"half": {"dx": half.dx, "dp": half.dp}}
+    return [row], {"half": {"dx": half.dx, "dp": half.dp}}
 
 
 def cmd_heuristic(params, ctx: UnitContext, seed: int):
@@ -418,20 +378,14 @@ def cmd_heuristic(params, ctx: UnitContext, seed: int):
         epsilon=params["epsilon"], dx=params["dx"], dp=params["dp"], hbar=ctx.hbar)
     delta = heuristic.displacement_estimates(cfg)
     report = heuristic.heuristic_energy_bound(cfg)
-    columns = [
-        ("delta_x", f"delta_x_{'m' if not ctx.natural else 'nat'}"),
-        ("delta_p", f"delta_p_{'kg_m_per_s' if not ctx.natural else 'nat'}"),
-        ("misoverlap", "misoverlap"),
-        ("misoverlap_optimal", "misoverlap_optimal"),
-    ] + _report_columns(ctx)
-    row = {
-        "delta_x": delta.delta_x,
-        "delta_p": delta.delta_p,
-        "misoverlap": heuristic.misoverlap(cfg),
-        "misoverlap_optimal": heuristic.misoverlap_optimal(cfg),
-        **_report_row(report),
-    }
-    return columns, [row], {"report": report.to_dict()}
+    row = [
+        ("delta_x", f"delta_x_{ctx.unit('m')}", delta.delta_x),
+        ("delta_p", f"delta_p_{ctx.unit('kg_m_per_s')}", delta.delta_p),
+        ("misoverlap", "misoverlap", heuristic.misoverlap(cfg)),
+        ("misoverlap_optimal", "misoverlap_optimal", heuristic.misoverlap_optimal(cfg)),
+        *_report_cells(report, ctx),
+    ]
+    return [row], {"report": report.to_dict()}
 
 
 COMMANDS: dict[str, Command] = {}
@@ -560,7 +514,7 @@ _register(Command(
     ),
     cmd_heuristic,
     "columns: delta_x, delta_p, misoverlap, misoverlap_optimal, energy, bound, ratio, satisfied",
-    plot=("duration", "bound", False, True),
+    plot=("delta_x", "bound", False, True),
 ))
 
 
@@ -578,6 +532,17 @@ def _csv_value(v) -> str:
     if v is None:
         return ""
     return str(v)
+
+
+def _columns_and_rows(table):
+    """CSV columns ``(key, label)`` and report rows ``{key: value}`` of a cell table.
+
+    The header comes from the widest row, so a sweep's failed points (axis
+    and status cells only) leave the remaining CSV cells empty.
+    """
+    columns = [(key, label) for key, label, _ in max(table, key=len)]
+    rows = [{key: value for key, _, value in cells} for cells in table]
+    return columns, rows
 
 
 def rows_to_csv_bytes(columns, rows) -> bytes:
@@ -612,20 +577,30 @@ def report_json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2, cls=_JsonEncoder) + "\n").encode("utf-8")
 
 
-def write_plot(path: Path, command: Command, columns, rows) -> bool:
-    if command.plot is None or not rows:
-        return False
-    xkey, ykey, logx, logy = command.plot
-    keys = {key for key, _ in columns}
-    if xkey not in keys or ykey not in keys:
-        return False
-    labels = dict(columns)
-    xs = [row.get(xkey) for row in rows]
-    ys = [row.get(ykey) for row in rows]
-    svg = line_plot(xs, ys, labels[xkey], labels[ykey],
-                    f"gatebound {command.name}", logx, logy)
-    atomic_write(path, svg.encode("utf-8"))
-    return True
+def write_artifacts(out_dir: Path, table, report: dict, *, plot=None,
+                    csv_name: str = "result.csv", header_in_report: bool = True) -> None:
+    """Write the CSV of ``table``, ``report.json`` and, if asked, ``plot.svg``.
+
+    ``report`` gets the table's rows (and, with ``header_in_report``, the CSV
+    header as ``columns``).  ``plot`` is ``(xkey, ykey, logx, logy, title)``;
+    it plots every row whose ``_status`` is ok or absent.
+    """
+    columns, rows = _columns_and_rows(table)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write(out_dir / csv_name, rows_to_csv_bytes(columns, rows))
+    report = dict(report, rows=rows)
+    if header_in_report:
+        report["columns"] = [label for _, label in columns]
+    atomic_write(out_dir / "report.json", report_json_bytes(report))
+    if plot is not None:
+        xkey, ykey, logx, logy, title = plot
+        ok = [row for row in rows if row.get("_status", "ok") == "ok"]
+        labels = dict(columns)
+        # a sweep whose every point failed has no columns to label: its plot says so
+        xlabel, ylabel = (labels[xkey], labels[ykey]) if ok else (xkey, ykey)
+        svg = line_plot([row[xkey] for row in ok], [row[ykey] for row in ok],
+                        xlabel, ylabel, title, logx, logy)
+        atomic_write(out_dir / "plot.svg", svg.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -638,49 +613,41 @@ def derived_seed(master: int, index: int) -> int:
 
 def run_sweep(command_name: str, base_params: dict, axis: str, values: list,
               parallelism: int, seed: int, ctx: UnitContext):
-    """Run a command across axis values; rows ordered by the values list."""
+    """Run a command across axis values.
+
+    Returns the cell table, rows ordered by the values list, and whether
+    any point failed.  Every point's parameters are checked before the
+    first point runs.
+    """
     command = COMMANDS[command_name]
-    kinds = {p.name: p.kind for p in command.params}
-    if axis not in kinds:
+    param = next((p for p in command.params if p.name == axis), None)
+    if param is None:
         raise CliValidationError(f"axis {axis!r} is not a parameter of {command_name!r}")
+    points = [
+        _merge_params(command, {}, {
+            **base_params, axis: [value] if param.kind is parse_int_list else value})
+        for value in values
+    ]
 
-    def run_point(index_value):
-        index, value = index_value
-        point = dict(base_params)
-        point[axis] = int(value) if kinds[axis] is int else value
+    def run_point(index):
         try:
-            merged = _merge_params(command, point, {})
-            columns, rows, _ = command.run(merged, ctx, derived_seed(seed, index))
-            return index, columns, rows, None
+            table, _ = command.run(points[index], ctx, derived_seed(seed, index))
+            return table, "ok"
         except NUMERICAL_ERRORS + VALIDATION_ERRORS as exc:  # keep other points alive
-            return index, None, None, type(exc).__name__
+            return [[]], f"error:{type(exc).__name__}"
 
-    tasks = list(enumerate(values))
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run_point, tasks))
+            results = list(pool.map(run_point, range(len(values))))
     else:
-        results = [run_point(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+        results = [run_point(index) for index in range(len(values))]
 
-    point_columns = None
-    for _, columns, _, err in results:
-        if err is None:
-            point_columns = columns
-            break
-    if point_columns is None:
-        point_columns = []
-    out_columns = [("_axis", f"{axis}_value"), ("_status", "status")] + list(point_columns)
-    out_rows = []
-    any_failed = False
-    for index, columns, rows, err in results:
-        if err is not None:
-            any_failed = True
-            out_rows.append({"_axis": values[index], "_status": f"error:{err}"})
-        else:
-            for row in rows:
-                out_rows.append({"_axis": values[index], "_status": "ok", **row})
-    return out_columns, out_rows, any_failed
+    table = [
+        [("_axis", f"{axis}_value", value), ("_status", "status", status), *cells]
+        for value, (point_table, status) in zip(values, results)
+        for cells in point_table
+    ]
+    return table, any(status != "ok" for _, status in results)
 
 
 def sweep_rows_csv_bytes(command_name: str, base_params: dict, axis: str,
@@ -688,8 +655,8 @@ def sweep_rows_csv_bytes(command_name: str, base_params: dict, axis: str,
                          units: str = "natural") -> bytes:
     """CSV bytes of a sweep; used to assert parallelism-independence."""
     ctx = make_units(units)
-    columns, rows, _ = run_sweep(command_name, base_params, axis, values, parallelism, seed, ctx)
-    return rows_to_csv_bytes(columns, rows)
+    table, _ = run_sweep(command_name, base_params, axis, values, parallelism, seed, ctx)
+    return rows_to_csv_bytes(*_columns_and_rows(table))
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd.name, help=cmd.help, description=f"{cmd.help}. {cmd.columns_doc}")
         add_common(p)
         for param in cmd.params:
-            flag = "--" + param.name.replace("_", "-")
-            if param.kind in (parse_int_list, parse_float_list):
-                p.add_argument(flag, type=param.kind, default=None, help=param.help)
-            else:
-                p.add_argument(flag, type=param.kind, default=None, help=param.help)
+            p.add_argument("--" + param.name.replace("_", "-"), type=param.kind,
+                           default=None, help=param.help)
 
     p = sub.add_parser("run", help="run the command named in a JSON config file")
     add_common(p)
@@ -753,56 +717,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_TYPES = {"command": str, "axis": str, "values": list, "params": dict}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise CliValidationError(f"cannot read config file: {exc}") from None
     if not isinstance(cfg, dict):
         raise CliValidationError("config file must contain a JSON object")
+    for key, kind in _CONFIG_TYPES.items():
+        if key in cfg and not isinstance(cfg[key], kind):
+            raise CliValidationError(f"config entry {key!r} must be a JSON {kind.__name__}")
     return cfg
-
-
-def _collect_cli_params(command: Command, args: argparse.Namespace) -> dict:
-    return {p.name: getattr(args, p.name, None) for p in command.params}
-
-
-def _run_single(command: Command, params: dict, args, ctx: UnitContext) -> int:
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    columns, rows, extra = command.run(params, ctx, args.seed)
-    atomic_write(out_dir / "result.csv", rows_to_csv_bytes(columns, rows))
-    payload = {
-        "command": command.name,
-        "params": {k: (str(v) if isinstance(v, complex) else v) for k, v in params.items()},
-        "seed": args.seed,
-        "units": "natural" if ctx.natural else "si",
-        "columns": [label for _, label in columns],
-        "rows": rows,
-        "extra": extra,
-    }
-    atomic_write(out_dir / "report.json", report_json_bytes(payload))
-    if args.plot:
-        write_plot(out_dir / "plot.svg", command, columns, rows)
-    return EXIT_OK
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     ctx = make_units(config.get("units", args.units) if args.units == "natural" else args.units)
+    meta = {"seed": args.seed, "units": "natural" if ctx.natural else "si"}
+    out_dir = Path(args.output)
 
-    name = args.command
-    if name == "run":
-        name = config.get("command")
-        if not name or name not in COMMANDS:
-            raise CliValidationError("config file must name a valid 'command' for `run`")
-        command = COMMANDS[name]
-        params = _merge_params(command, {}, config.get("params", {}))
-        return _run_single(command, params, args, ctx)
-
-    if name == "sweep":
+    if args.command == "sweep":
         base_name = args.base_command or config.get("command")
-        if not base_name or base_name not in COMMANDS:
+        if base_name not in COMMANDS:
             raise CliValidationError("sweep needs --command naming a valid base command")
         axis = args.axis or config.get("axis")
         values = args.values if args.values is not None else config.get("values")
@@ -815,75 +757,46 @@ def _dispatch(args: argparse.Namespace) -> int:
                 raise CliValidationError(f"--param expects key=value, got {item!r}")
             key, val = item.split("=", 1)
             base_params[key] = val
-        base_command = COMMANDS[base_name]
-        kinds = {p.name: p.kind for p in base_command.params}
-        for key in list(base_params):
-            if key in kinds and isinstance(base_params[key], str):
-                base_params[key] = kinds[key](base_params[key])
-        columns, rows, any_failed = run_sweep(
+        table, any_failed = run_sweep(
             base_name, base_params, axis, values, parallelism, args.seed, ctx)
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write(out_dir / "result.csv", rows_to_csv_bytes(columns, rows))
-        payload = {
-            "command": "sweep",
-            "base_command": base_name,
-            "axis": axis,
-            "values": values,
-            "parallelism": parallelism,
-            "seed": args.seed,
-            "units": "natural" if ctx.natural else "si",
-            "columns": [label for _, label in columns],
-            "rows": rows,
-        }
-        atomic_write(out_dir / "report.json", report_json_bytes(payload))
-        if args.plot and rows:
-            base = COMMANDS[base_name]
-            if base.plot is not None:
-                _, ykey, _, logy = base.plot
-                ok_rows = [r for r in rows if r.get("_status") == "ok" and ykey in r]
-                labels = dict(columns)
-                svg = line_plot(
-                    [r["_axis"] for r in ok_rows], [r[ykey] for r in ok_rows],
-                    labels["_axis"], labels.get(ykey, ykey),
-                    f"gatebound sweep {base_name}", True, logy)
-                atomic_write(out_dir / "plot.svg", svg.encode("utf-8"))
+        _, ykey, _, logy = COMMANDS[base_name].plot
+        report = {"command": "sweep", "base_command": base_name, "axis": axis,
+                  "values": values, "parallelism": parallelism, **meta}
+        write_artifacts(out_dir, table, report, plot=(
+            "_axis", ykey, True, logy, f"gatebound sweep {base_name}") if args.plot else None)
         return EXIT_NUMERICAL if any_failed else EXIT_OK
 
-    if name == "verify-all":
+    if args.command == "verify-all":
         from .verify import run_criteria
 
-        numbers = args.criteria
-        results = run_criteria(numbers, args.tolerance_scale)
+        results = run_criteria(args.criteria, args.tolerance_scale)
         # wall times go to stdout only: artifacts must be byte-deterministic
-        columns = [
-            ("criterion", "criterion"),
-            ("value", "value"),
-            ("tolerance", "tolerance"),
-            ("passed", "passed"),
-            ("detail", "detail"),
-        ]
-        rows = [{
-            "criterion": r.criterion, "value": r.value, "tolerance": r.tolerance,
-            "passed": r.passed, "detail": r.detail,
-        } for r in results]
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write(out_dir / "verification.csv", rows_to_csv_bytes(columns, rows))
-        payload = {
-            "command": "verify-all",
-            "tolerance_scale": args.tolerance_scale,
-            "rows": rows,
-            "all_passed": all(r.passed for r in results),
-        }
-        atomic_write(out_dir / "report.json", report_json_bytes(payload))
+        table = [[
+            ("criterion", "criterion", r.criterion),
+            ("value", "value", r.value),
+            ("tolerance", "tolerance", r.tolerance),
+            ("passed", "passed", r.passed),
+            ("detail", "detail", r.detail),
+        ] for r in results]
+        all_passed = all(r.passed for r in results)
+        report = {"command": "verify-all", "tolerance_scale": args.tolerance_scale,
+                  "all_passed": all_passed}
+        write_artifacts(out_dir, table, report, csv_name="verification.csv",
+                        header_in_report=False)
         for r in results:
             print(r.line())
-        return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
+        return EXIT_OK if all_passed else EXIT_NUMERICAL
 
+    name = config.get("command") if args.command == "run" else args.command
+    if name not in COMMANDS:
+        raise CliValidationError("config file must name a valid 'command' for `run`")
     command = COMMANDS[name]
-    params = _merge_params(command, _collect_cli_params(command, args), config.get("params", {}))
-    return _run_single(command, params, args, ctx)
+    params = _merge_params(command, vars(args), config.get("params", {}))
+    table, extra = command.run(params, ctx, args.seed)
+    report = {"command": name, "params": params, **meta, "extra": extra}
+    write_artifacts(out_dir, table, report, plot=(
+        *command.plot, f"gatebound {name}") if args.plot else None)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

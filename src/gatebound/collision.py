@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import (
@@ -300,29 +299,6 @@ class HarmonicCollisionConfig:
     def rho(self, t: float) -> float:
         # grouped as 2A(1 + cos) + b so the closest approach returns b exactly
         return 2.0 * self.A * (1.0 + math.cos(self.omega * t)) + self.b
-
-
-@dataclass(frozen=True)
-class HarmonicTrajectory:
-    """Separation history over one trap period."""
-
-    A: float
-    b: float
-    omega: float
-
-    @property
-    def period(self) -> float:
-        return 2.0 * PI / self.omega
-
-    def rho(self, t):
-        return 2.0 * self.A * (1.0 + np.cos(self.omega * np.asarray(t))) + self.b
-
-    def __call__(self, t):
-        return self.rho(t)
-
-
-def harmonic_trajectories(cfg: HarmonicCollisionConfig) -> HarmonicTrajectory:
-    return HarmonicTrajectory(cfg.A, cfg.b, cfg.omega)
 
 
 def _harmonic_quad_points(cfg: HarmonicCollisionConfig) -> list[float]:

@@ -77,9 +77,6 @@ class OperatorMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.cutoff, self.entries.conj().T, hermitian=self.hermitian)
-
 
 HamiltonianLike = Union[OperatorMatrix, np.ndarray, Callable[[float], Union[OperatorMatrix, np.ndarray]]]
 
@@ -220,12 +217,6 @@ def overlap(lhs: ControlState, rhs: ControlState) -> complex:
     if lhs.cutoff != rhs.cutoff:
         raise DimensionMismatchError(f"cutoffs differ: {lhs.cutoff} vs {rhs.cutoff}")
     return complex(np.vdot(lhs.amplitudes, rhs.amplitudes))
-
-
-def expectation(state: ControlState, op: OperatorMatrix) -> complex:
-    if state.cutoff != op.cutoff:
-        raise DimensionMismatchError(f"cutoffs differ: {state.cutoff} vs {op.cutoff}")
-    return complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
 
 
 def mean_photon_number(state: ControlState) -> float:

@@ -288,6 +288,8 @@ def counterexample_scenario(n: int, g: float, cutoff: int | None = None,
         raise ValueError("g must be positive")
     if cutoff is None:
         cutoff = n + 2
+    if cutoff <= n:
+        raise ValueError(f"cutoff={cutoff} must exceed n={n}")
     control = number_state(n, cutoff)
     h0 = oscillator_hamiltonian(omega, cutoff)
     v = OperatorMatrix(cutoff, g * number_operator(cutoff).entries, hermitian=True)

@@ -57,13 +57,13 @@ def _result(name, parts, tolerance, detail, t0) -> CriterionResult:
         tolerance=tolerance,
         passed=value <= tolerance,
         detail=detail,
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
     )
 
 
 def criterion_1(scale: float = 1.0) -> CriterionResult:
     """Always-on counterexample reaches p < 1e-10 for n = 1..6 at T = pi/(g n)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ps = [gate.counterexample_always_on(n, 1.0, cutoff=n + 2).failure_probability
           for n in range(1, 7)]
     return _result("criterion-1-counterexample", ps, 1e-10 * scale,
@@ -72,7 +72,7 @@ def criterion_1(scale: float = 1.0) -> CriterionResult:
 
 def criterion_2(scale: float = 1.0) -> CriterionResult:
     """Perturbative estimate tracks the exact p; exact p tracks the oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     targets = [(0.1, 0.3), (0.03, 0.1), (0.01, 0.05)]
     parts, details = [], []
     for p_target, allowed in targets:
@@ -93,7 +93,7 @@ def criterion_2(scale: float = 1.0) -> CriterionResult:
 
 def criterion_3(scale: float = 1.0) -> CriterionResult:
     """p_exact * |alpha|^2 stays constant within 20% across alpha = 4, 8, 16."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     products = []
     for alpha in (4.0, 8.0, 16.0):
         drive = gate.pi_phase_drive(raised_cosine(1.0), alpha)
@@ -108,7 +108,7 @@ def criterion_3(scale: float = 1.0) -> CriterionResult:
 
 def criterion_4(scale: float = 1.0) -> CriterionResult:
     """Photon-number bound: value, universality over random pulses, tightness."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     epsilon = 0.01
     mpn = pulses.min_photon_number(epsilon)
     part_value = abs(mpn - 246.74011002723395) / 0.01
@@ -136,7 +136,7 @@ def criterion_4(scale: float = 1.0) -> CriterionResult:
 
 def criterion_5(scale: float = 1.0) -> CriterionResult:
     """p = 1 reduction identical to the linear path; p = 2 bound exactly 4x."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     omega, g, window, epsilon = 1.3, 0.4 + 0.1j, (0.0, 1.0), 0.05
     alpha = 2.0 - 0.5j
     linear = pulses.PulseSpec(((omega, g, alpha),), window)
@@ -167,7 +167,7 @@ def criterion_5(scale: float = 1.0) -> CriterionResult:
 
 def criterion_6(scale: float = 1.0) -> CriterionResult:
     """Squeezing optimum at eps = 1e-4: r* and E_min, numeric vs closed form."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     epsilon = 1e-4
     r_star, e_min = pulses.optimize_squeezing(epsilon, omega=1.0)
     _, e_num = pulses.squeezing_optimum_numeric(epsilon, omega=1.0)
@@ -185,7 +185,7 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
 
 def criterion_7(scale: float = 1.0) -> CriterionResult:
     """Free-collision chain: log-derivative, optimal wavepacket, 27-point grid."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_logderiv = 0.0
     for n in (1.5, 2.0, 3.0, 4.0, 6.0):
         analytic, numeric = collision.powerlaw_log_derivative_pair(n, 2.0)
@@ -226,7 +226,7 @@ def criterion_7(scale: float = 1.0) -> CriterionResult:
 
 def criterion_8(scale: float = 1.0) -> CriterionResult:
     """Harmonic chain: dipole limit, sin-symmetry, return-mismatch linearity."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     pot = collision.PotentialLaw.power_law(3.0)
     cfg = collision.HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0, potential=pot)
     cfg = collision.calibrated_harmonic(cfg)
@@ -260,7 +260,7 @@ def criterion_8(scale: float = 1.0) -> CriterionResult:
 
 def criterion_9(scale: float = 1.0) -> CriterionResult:
     """Heuristic estimate: optimal mis-overlap, equality case, collision cross-check."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = heuristic.HeuristicConfig(m=1.3, L=0.9, T=1.7, epsilon=0.2)
     mis = heuristic.misoverlap(cfg)
     mis_closed = heuristic.misoverlap_optimal(cfg)
@@ -288,7 +288,7 @@ def criterion_9(scale: float = 1.0) -> CriterionResult:
 
 def criterion_10(scale: float = 1.0) -> CriterionResult:
     """Sweep artifacts are byte-identical regardless of parallelism."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     from .cli import sweep_rows_csv_bytes
 
     base = {"epsilon": 0.01, "omega": 1.0}

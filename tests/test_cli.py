@@ -4,9 +4,11 @@ import math
 import subprocess
 import sys
 
+import dataclasses
+
 import pytest
 
-from gatebound.cli import main, sweep_rows_csv_bytes
+from gatebound.cli import COMMANDS, main, sweep_rows_csv_bytes
 
 
 def read_csv(path):
@@ -153,10 +155,198 @@ def test_verify_all_tightened_tolerance_fails_controlled(tmp_path):
     assert rows[0]["passed"] == "false"
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gatebound.cli", "squeeze-opt", "--epsilon", "0.01",
-         "--output", "/tmp/gatebound-entry-test"],
+         "--output", str(tmp_path / "run")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+REPORT_COLUMNS = [
+    ("phase", "phase_rad"),
+    ("error", "error_dimensionless"),
+    ("photon_number", "photon_number"),
+    ("mean_omega", "mean_omega_rad_per_s"),
+    ("energy", "energy_hbar_rad_per_s"),
+    ("bound", "bound_hbar_rad_per_s"),
+    ("ratio", "energy_over_bound"),
+    ("satisfied", "satisfied"),
+]
+
+# per command: small fast arguments and the (row key, CSV label) of every column
+TABLE_CASES = {
+    "counterexample": (["--n", "1,2"], [
+        ("n", "n"),
+        ("g", "g_rad_per_s"),
+        ("duration", "duration_s"),
+        ("p", "failure_probability"),
+        ("phase_residual", "phase_residual_hbar"),
+        ("sw_start", "switch_residual_start_hbar_rad_per_s_sq"),
+        ("sw_end", "switch_residual_end_hbar_rad_per_s_sq"),
+        ("energy_above_ground", "control_energy_above_ground_hbar_rad_per_s"),
+    ]),
+    "gate-sim": (["--alpha", "2"], [
+        ("alpha_abs", "alpha_abs"),
+        ("alpha_sq", "alpha_sq"),
+        ("p_exact", "p_exact"),
+        ("p_oracle", "p_oracle"),
+        ("p_perturbative", "p_perturbative"),
+        ("p_times_alpha_sq", "p_times_alpha_sq"),
+        ("phase_residual", "phase_residual_hbar"),
+        ("oracle_diff", "oracle_abs_diff"),
+        ("sw_start", "switch_residual_start_hbar_rad_per_s_sq"),
+        ("sw_end", "switch_residual_end_hbar_rad_per_s_sq"),
+    ]),
+    "pulse-bound": (["--epsilon", "0.05", "--budget", "20"], [
+        ("kind", "construction"),
+        *REPORT_COLUMNS,
+    ]),
+    "squeeze-opt": (["--epsilon", "1e-3", "--gate-time", "1.0"], [
+        ("epsilon", "epsilon"),
+        ("omega", "omega_rad_per_s"),
+        ("r_star", "r_star"),
+        ("e_min", "e_min_hbar_rad_per_s"),
+        ("e_min_over_hw", "e_min_over_hbar_omega"),
+        ("numeric_rel_diff", "numeric_rel_diff"),
+        ("omega_min", "linewidth_omega_min_rad_per_s"),
+        ("combined_bound", "combined_bound_hbar_rad_per_s"),
+        ("combined_bound_quoted", "combined_bound_quoted_hbar_rad_per_s"),
+    ]),
+    "nonlinear-bound": (["--p-power", "2", "--epsilon", "0.1"], [
+        ("p_power", "p_power"),
+        ("coeff_abs", "effective_coefficient_abs"),
+        *REPORT_COLUMNS,
+        ("bound_over_linear", "bound_over_linear"),
+    ]),
+    "collision-free": (["--m", "40", "--v", "2", "--b", "4", "--duration", "8",
+                        "--epsilon", "0.5"], [
+        ("m", "mass_nat"),
+        ("v", "speed_nat"),
+        ("b", "impact_parameter_nat"),
+        ("duration", "duration_s"),
+        ("n", "power_law_n"),
+        ("coupling", "calibrated_coupling"),
+        *REPORT_COLUMNS,
+    ]),
+    "collision-harmonic": (["--m", "1", "--omega", "1", "--amplitude", "100", "--gap", "30",
+                            "--epsilon", "0.1"], [
+        ("m", "mass_nat"),
+        ("omega", "trap_omega_rad_per_s"),
+        ("amplitude", "amplitude_nat"),
+        ("gap", "gap_nat"),
+        ("squeeze_r", "squeeze_r"),
+        ("coupling", "calibrated_coupling"),
+        ("sin_cos_ratio", "sin_over_cos_integral"),
+        ("gap_times_ratio", "gap_times_constraint_ratio"),
+        ("second_order_flag", "second_order_flag"),
+        *REPORT_COLUMNS,
+    ]),
+    "return-mismatch": (["--m", "1", "--omega", "1", "--amplitude", "100", "--gap", "30"], [
+        ("coupling", "calibrated_coupling"),
+        ("dx_return", "dx_return_nat"),
+        ("dp_return", "dp_return_nat"),
+        ("norm", "phase_space_mismatch"),
+        ("halving_ratio", "mismatch_ratio_full_over_half"),
+        ("dx_halving_ratio", "dx_ratio_full_over_half"),
+    ]),
+    "heuristic": (["--m", "1", "--length", "1", "--duration", "1", "--epsilon", "0.1"], [
+        ("delta_x", "delta_x_nat"),
+        ("delta_p", "delta_p_nat"),
+        ("misoverlap", "misoverlap"),
+        ("misoverlap_optimal", "misoverlap_optimal"),
+        *REPORT_COLUMNS,
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_table_columns_and_plot(tmp_path, name):
+    args, columns = TABLE_CASES[name]
+    out = tmp_path / "run"
+    assert main([name, *args, "--plot", "--output", str(out)]) == 0
+    with open(out / "result.csv", newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    assert header == [label for _, label in columns]
+    report = json.loads((out / "report.json").read_text())
+    assert report["columns"] == header
+    for row in report["rows"]:
+        assert sorted(row) == sorted(key for key, _ in columns)
+    assert (out / "plot.svg").read_text().startswith("<svg")
+
+
+def _write_config(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_bad_parameter_values_exit_2(tmp_path, capsys):
+    n_not_list = _write_config(tmp_path, {"command": "counterexample", "params": {"n": 5}})
+    assert main(["run", "--config", n_not_list, "--output", str(tmp_path / "a")]) == 2
+    assert "'n'" in capsys.readouterr().err
+    budget_float = _write_config(
+        tmp_path, {"command": "pulse-bound", "params": {"epsilon": 0.05, "budget": 2.5}})
+    assert main(["run", "--config", budget_float, "--output", str(tmp_path / "b")]) == 2
+    assert "'budget'" in capsys.readouterr().err
+    assert main(["counterexample", "--n", "5", "--cutoff", "3",
+                 "--output", str(tmp_path / "c")]) == 2
+
+
+def _raise_key_error(params, ctx, seed):
+    raise KeyError("bug")
+
+
+def test_bug_inside_a_command_propagates(tmp_path, monkeypatch):
+    monkeypatch.setitem(COMMANDS, "squeeze-opt",
+                        dataclasses.replace(COMMANDS["squeeze-opt"], run=_raise_key_error))
+    with pytest.raises(KeyError):
+        main(["squeeze-opt", "--epsilon", "0.01", "--output", str(tmp_path / "a")])
+    out = tmp_path / "sweep"
+    with pytest.raises(KeyError):
+        main(["sweep", "--command", "squeeze-opt", "--axis", "epsilon",
+              "--values", "0.1,0.01", "--output", str(out)])
+    assert not (out / "result.csv").exists()
+
+
+def test_sweep_int_axis_rejects_fractional_values(tmp_path, capsys, monkeypatch):
+    command = COMMANDS["counterexample"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return command.run(*args)
+
+    monkeypatch.setitem(COMMANDS, "counterexample", dataclasses.replace(command, run=counted))
+    out = tmp_path / "run"
+    rc = main(["sweep", "--command", "counterexample", "--axis", "cutoff",
+               "--values", "2.7,3.2", "--param", "n=1", "--output", str(out)])
+    assert rc == 2
+    assert "'cutoff'" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_sweep_list_axis_runs_one_value_per_point(tmp_path):
+    out = tmp_path / "run"
+    assert main(["sweep", "--command", "counterexample", "--axis", "n",
+                 "--values", "1,2", "--output", str(out)]) == 0
+    rows = read_csv(out / "result.csv")
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    assert [row["n"] for row in rows] == ["1", "2"]
+
+
+def test_verify_all_empty_criteria_exits_2(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as err:
+        main(["verify-all", "--criteria", "", "--output", str(out)])
+    assert err.value.code == 2
+    assert not (out / "verification.csv").exists()
+
+
+def test_malformed_config_exits_2(tmp_path):
+    params_list = _write_config(tmp_path, {"command": "squeeze-opt", "params": ["epsilon"]})
+    assert main(["run", "--config", params_list, "--output", str(tmp_path / "a")]) == 2
+    assert main(["run", "--config", str(tmp_path / "missing.json"),
+                 "--output", str(tmp_path / "b")]) == 2

@@ -18,7 +18,6 @@ from gatebound import (
     free_energy_bound,
     harmonic_constraint_ratio,
     harmonic_energy_bound,
-    harmonic_trajectories,
     mismatch_norm,
     optimal_wavepacket,
     phase_integral_free,
@@ -219,18 +218,16 @@ def harmonic_cfg(m=1.0, omega=1.0, A=100.0, b=30.0, C=1.0, r=0.0):
 
 def test_trajectory_endpoints_exact():
     cfg = harmonic_cfg(A=1.0, b=0.3)
-    traj = harmonic_trajectories(cfg)
-    assert traj.rho(0.0) == 4.0 * cfg.A + cfg.b
-    assert traj.rho(traj.period / 2.0) == cfg.b
-    assert traj.rho(traj.period) == pytest.approx(4.0 * cfg.A + cfg.b, rel=1e-15)
+    assert cfg.rho(0.0) == 4.0 * cfg.A + cfg.b
+    assert cfg.rho(cfg.period / 2.0) == cfg.b
+    assert cfg.rho(cfg.period) == pytest.approx(4.0 * cfg.A + cfg.b, rel=1e-15)
 
 
 def test_trajectory_even_about_closest_approach():
     cfg = harmonic_cfg()
-    traj = harmonic_trajectories(cfg)
-    mid = traj.period / 2.0
+    mid = cfg.period / 2.0
     for dt in (0.1, 0.5, 1.2):
-        assert traj.rho(mid - dt) == pytest.approx(traj.rho(mid + dt), rel=1e-12)
+        assert cfg.rho(mid - dt) == pytest.approx(cfg.rho(mid + dt), rel=1e-12)
 
 
 def test_harmonic_integrals_match_closed_form():
