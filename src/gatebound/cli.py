@@ -200,7 +200,7 @@ def cmd_gate_sim(params, ctx: UnitContext, seed: int):
     scenario = gate.coherent_drive_scenario(alpha, drive, omega=params["omega"])
     exact = gate.failure_probability_exact(scenario, params["tol"])
     oracle = gate.displacement_oracle(alpha, drive)
-    p_hat = gate.failure_probability_perturbative(scenario, params["quad_tol"])
+    p_hat = gate.failure_probability_perturbative(scenario)
     row = [
         ("alpha_abs", "alpha_abs", abs(alpha)),
         ("alpha_sq", "alpha_sq", abs(alpha) ** 2),
@@ -415,7 +415,6 @@ _register(Command(
               choices=tuple(ENVELOPES)),
         Param("duration", float, "gate time (s)", default=1.0),
         Param("tol", float, "propagation tolerance", default=1e-9),
-        Param("quad_tol", float, "perturbative quadrature tolerance", default=1e-10),
         Param("omega", float, "control self-frequency (rad/s)", default=1.0),
     ),
     cmd_gate_sim,
@@ -676,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", type=str, default="gatebound_out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="master random seed")
         p.add_argument("--plot", action="store_true", help="also write plot.svg")
-        p.add_argument("--units", choices=("natural", "si"), default="natural")
+        p.add_argument("--units", choices=("natural", "si"), default=None)
 
     for cmd in COMMANDS.values():
         p = sub.add_parser(cmd.name, help=cmd.help, description=f"{cmd.help}. {cmd.columns_doc}")
@@ -738,7 +737,7 @@ def _load_config(path: str | None) -> dict:
 
 def _dispatch(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    ctx = make_units(config.get("units", args.units) if args.units == "natural" else args.units)
+    ctx = make_units(args.units or config.get("units", "natural"))
     meta = {"seed": args.seed, "units": "natural" if ctx.natural else "si"}
     out_dir = Path(args.output)
 

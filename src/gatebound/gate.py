@@ -26,9 +26,9 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.integrate import dblquad, solve_ivp
+from scipy.integrate import dblquad, quad, solve_ivp
 
-from .envelopes import LinearDrive
+from .envelopes import LinearDrive, envelope_drive
 from .errors import DimensionMismatchError, IntegrationError
 from .fock import (
     ControlState,
@@ -120,19 +120,20 @@ def pi_phase_drive(envelope, alpha: complex) -> LinearDrive:
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero to accumulate phase")
-    from .envelopes import envelope_drive
-
     coeff = PHASE_TARGET * np.exp(1j * np.angle(alpha)) / (2.0 * abs(alpha) * envelope.integral)
     return envelope_drive(envelope, coeff)
 
 
 def drive_bound_integral(drive: LinearDrive, rel_tol: float = 1e-10) -> float:
     """int_0^T |f(t)| dt; bounds the phase-space excursion of the drive."""
-    from scipy.integrate import quad
-
     total = 0.0
     for a, b in drive.segments():
-        val, _ = quad(lambda t: abs(drive(t)), a, b, epsabs=0.0, epsrel=rel_tol, limit=200)
+        val, err = quad(lambda t: abs(drive(t)), a, b, epsabs=0.0, epsrel=rel_tol, limit=200)
+        if err > rel_tol * abs(val):
+            raise IntegrationError(
+                "drive bound integral did not converge",
+                {"segment": (a, b), "value": val, "error_estimate": err, "rel_tol": rel_tol},
+            )
         total += val
     return total
 
@@ -169,20 +170,16 @@ def drive_integrals(drive: LinearDrive, rtol: float = 1e-12) -> DriveIntegrals:
 
     def rhs(t, y):
         ft = drive(t)
-        conj_integral = y[0] + 1j * y[1]
-        return [
-            ft.real, -ft.imag,                 # d/dt int conj(f)
-            (ft * conj_integral).imag,         # d/dt phi
-            ft.real, ft.imag,                  # d/dt F  (same values, kept for clarity)
-        ]
+        # y = (Re F, Im F, phi) with F(t) = int_0^t f
+        return [ft.real, ft.imag, (ft * complex(y[0], -y[1])).imag]
 
-    y = np.zeros(5)
+    y = np.zeros(3)
     for a, b in drive.segments():
         sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=1e-14)
         if not sol.success:
             raise IntegrationError("drive integral failed", {"segment": (a, b), "message": sol.message})
         y = sol.y[:, -1]
-    F = complex(y[3], y[4])
+    F = complex(y[0], y[1])
     return DriveIntegrals(integral=F, displacement=-1j * F, magnus_phase=float(y[2]))
 
 
@@ -197,86 +194,81 @@ def _drive_matrix_fn(drive: LinearDrive, cutoff: int):
     return hof
 
 
-def _drive_switch_residual(drive: LinearDrive, state: ControlState, t: float) -> float:
-    # <V_I(t)^2> on |psi0| with V_I = f a† + conj(f) a
-    a, adag = ladder_operators(state.cutoff)
-    ft = drive(t)
-    m = ft * adag.entries + np.conj(ft) * a.entries
-    vpsi = m @ state.amplitudes
-    return float(np.vdot(vpsi, vpsi).real)
+def _drive_action(f: complex, psi: np.ndarray) -> np.ndarray:
+    """(f a† + conj(f) a) psi, applied along the two bands of the ladder operators."""
+    root = np.sqrt(np.arange(1, psi.size))
+    out = np.zeros_like(psi)
+    out[1:] = f * root * psi[:-1]
+    out[:-1] += np.conj(f) * root * psi[1:]
+    return out
 
 
-def _matrix_switch_residuals(scenario: GateScenario) -> tuple[float, float]:
+def _propagate_constant(h: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) psi for a constant Hermitian h, through its eigenbasis."""
+    lam, vecs = np.linalg.eigh(h)
+    return vecs @ (np.exp(-1j * lam * t) * (vecs.conj().T @ psi))
+
+
+def _integrated_action(scenario: GateScenario) -> np.ndarray:
+    """A|psi0> with A = int_0^T V_I(t) dt.
+
+    A linear drive integrates to A = F a† + conj(F) a with F = int f.  A
+    constant matrix is integrated in the H0 eigenbasis, each Bohr frequency
+    in closed form.  <psi0|A|psi0> is the accumulated mean phase.
+    """
+    psi0 = scenario.control.amplitudes
+    if scenario.is_linear_drive:
+        return _drive_action(drive_integrals(scenario.v).integral, psi0)
     lam, vecs = np.linalg.eigh(scenario.h0.entries)
-    psi_t = vecs.conj().T @ scenario.control.amplitudes
-    v = scenario.v.entries
-    vpsi0 = v @ scenario.control.amplitudes
-    start = float(np.vdot(vpsi0, vpsi0).real)
-    psi_T = vecs @ (np.exp(-1j * lam * scenario.duration) * psi_t)
-    vpsiT = v @ psi_T
-    end = float(np.vdot(vpsiT, vpsiT).real)
-    return start, end
-
-
-def _matrix_phase_integral(scenario: GateScenario) -> float:
-    # int_0^T <psi0(t)|V|psi0(t)> dt in the H0 eigenbasis, each Bohr
-    # frequency integrated in closed form.
-    lam, vecs = np.linalg.eigh(scenario.h0.entries)
-    psi = vecs.conj().T @ scenario.control.amplitudes
     v_tilde = vecs.conj().T @ scenario.v.entries @ vecs
     T = scenario.duration
-    delta = lam[:, None] - lam[None, :]
-    x = delta * T / 2.0
+    x = (lam[:, None] - lam[None, :]) * T / 2.0
     window = T * np.exp(1j * x) * np.sinc(x / math.pi)
-    weights = np.conj(psi)[:, None] * v_tilde * psi[None, :]
-    return float(np.sum(weights * window).real)
+    return vecs @ ((v_tilde * window) @ (vecs.conj().T @ psi0))
 
 
 def failure_probability_exact(scenario: GateScenario, tol: float = 1e-9) -> GateOutcome:
     """Propagate the scenario and evaluate p = 1 - |1 - inner|^2 / 4.
 
     Constant-matrix interactions are handled exactly as written: the control
-    is evolved once under H0 and once under H0 + V and the two results are
+    is evolved once under H0 and once under H0 + V, each through the
+    eigenbasis of that constant Hamiltonian, and the two results are
     overlapped.  Linear drives specify V_I(t) in the interaction picture, so
     the same amplitude is obtained by propagating under V_I directly (the
-    free factors cancel identically in the overlap).
+    free factors cancel identically in the overlap); ``tol`` bounds that
+    adaptive propagation.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     psi0 = scenario.control
     T = scenario.duration
     if scenario.is_linear_drive:
-        drive: LinearDrive = scenario.v
-        hof = _drive_matrix_fn(drive, psi0.cutoff)
+        hof = _drive_matrix_fn(scenario.v, psi0.cutoff)
         state = psi0
-        segs = [s for s in drive.segments() if s[1] <= T + 1e-12]
-        for a, b in segs:
-            state = evolve(state, hof, a, min(b, T), tol * (min(b, T) - a) / T)
+        for a, b in scenario.v.segments():
+            state = evolve(state, hof, a, b, tol * (b - a) / T)
         inner = overlap(psi0, state)
-        integrals = drive_integrals(drive)
-        phase = 2.0 * (integrals.integral * np.conj(_mean_a(psi0))).real
-        sw0 = _drive_switch_residual(drive, psi0, 0.0)
-        swT = _drive_switch_residual(drive, psi0, T)
-        return GateOutcome.from_inner(inner, phase, sw0, swT)
-
-    free = evolve(psi0, scenario.h0.entries, 0.0, T, tol / 2.0)
-    h_full = scenario.h0.entries + scenario.v.entries
-    driven = evolve(psi0, h_full, 0.0, T, tol / 2.0)
-    inner = overlap(free, driven)
-    phase = _matrix_phase_integral(scenario)
-    sw0, swT = _matrix_switch_residuals(scenario)
-    return GateOutcome.from_inner(inner, phase, sw0, swT)
+    else:
+        h0 = scenario.h0.entries
+        free = _propagate_constant(h0, psi0.amplitudes, T)
+        driven = _propagate_constant(h0 + scenario.v.entries, psi0.amplitudes, T)
+        inner = complex(np.vdot(free, driven))
+    phase = float(np.vdot(psi0.amplitudes, _integrated_action(scenario)).real)
+    return GateOutcome.from_inner(inner, phase, *switch_off_check(scenario))
 
 
 def switch_off_check(scenario: GateScenario) -> tuple[float, float]:
     """(<V^2> at t=0, <V^2> at t=T after free evolution) for the premise check."""
+    psi0 = scenario.control.amplitudes
+    T = scenario.duration
     if scenario.is_linear_drive:
-        drive: LinearDrive = scenario.v
-        return (
-            _drive_switch_residual(drive, scenario.control, 0.0),
-            _drive_switch_residual(drive, scenario.control, scenario.duration),
-        )
-    return _matrix_switch_residuals(scenario)
+        # V_I(t) is given in the interaction picture, where the control stays psi0
+        vpsi = [_drive_action(scenario.v(t), psi0) for t in (0.0, T)]
+    else:
+        v = scenario.v.entries
+        vpsi = [v @ psi0, v @ _propagate_constant(scenario.h0.entries, psi0, T)]
+    start, end = (float(np.vdot(x, x).real) for x in vpsi)
+    return start, end
 
 
 def counterexample_scenario(n: int, g: float, cutoff: int | None = None,
@@ -297,9 +289,9 @@ def counterexample_scenario(n: int, g: float, cutoff: int | None = None,
 
 
 def counterexample_always_on(n: int, g: float, cutoff: int | None = None,
-                             omega: float = 1.0, tol: float = 1e-12) -> GateOutcome:
+                             omega: float = 1.0) -> GateOutcome:
     """Exact outcome of the always-on scenario; p vanishes identically."""
-    return failure_probability_exact(counterexample_scenario(n, g, cutoff, omega), tol)
+    return failure_probability_exact(counterexample_scenario(n, g, cutoff, omega))
 
 
 def displacement_oracle(control_alpha: complex, drive: LinearDrive,
@@ -329,65 +321,20 @@ def displacement_oracle(control_alpha: complex, drive: LinearDrive,
 # perturbative estimator
 # ---------------------------------------------------------------------------
 
-def _mean_a(state: ControlState) -> complex:
-    a, _ = ladder_operators(state.cutoff)
-    return complex(np.vdot(state.amplitudes, a.entries @ state.amplitudes))
-
-
-def _drive_fluctuation_moments(state: ControlState):
-    """Second moments of delta_a = a - <a> needed for the drive correlation."""
-    a, adag = ladder_operators(state.cutoff)
-    psi = state.amplitudes
-    mean = np.vdot(psi, a.entries @ psi)
-    da = a.entries - mean * np.eye(state.cutoff)
-    dad = da.conj().T
-    da_psi = da @ psi
-    dad_psi = dad @ psi
-    return {
-        "dagdag": complex(np.vdot(psi, dad @ dad_psi)),
-        "daga": complex(np.vdot(da_psi, da_psi)),
-        "adag": complex(np.vdot(dad_psi, dad_psi)),
-        "aa": complex(np.vdot(psi, da @ da_psi)),
-    }
-
-
-def interaction_correlation(scenario: GateScenario):
-    """Callable C(t, t') = <psi0| dV_I(t) dV_I(t') |psi0> for the scenario."""
-    if scenario.is_linear_drive:
-        drive: LinearDrive = scenario.v
-        m = _drive_fluctuation_moments(scenario.control)
-
-        def corr(t: float, tp: float) -> complex:
-            ft, fp = drive(t), drive(tp)
-            return (
-                ft * fp * m["dagdag"]
-                + ft * np.conj(fp) * m["daga"]
-                + np.conj(ft) * fp * m["adag"]
-                + np.conj(ft) * np.conj(fp) * m["aa"]
-            )
-
-        return corr
-
+def _matrix_correlation(scenario: GateScenario):
+    """Callable C(t, t') = <psi0| dV_I(t) dV_I(t') |psi0> for a constant-matrix V."""
     lam, vecs = np.linalg.eigh(scenario.h0.entries)
     psi = vecs.conj().T @ scenario.control.amplitudes
     v_tilde = vecs.conj().T @ scenario.v.entries @ vecs
 
     @lru_cache(maxsize=4096)
-    def w(t: float) -> tuple:
-        return tuple(v_tilde @ (np.exp(-1j * lam * t) * psi))
+    def fluctuation(t: float) -> np.ndarray:
+        # dV_I(t) psi0 in the H0 eigenbasis; dV_I is Hermitian, so C is an overlap
+        phases = np.exp(1j * lam * t)
+        vpsi = phases * (v_tilde @ (psi / phases))
+        return vpsi - np.vdot(psi, vpsi) * psi
 
-    @lru_cache(maxsize=4096)
-    def mean_v(t: float) -> complex:
-        phases = np.exp(-1j * lam * t) * psi
-        return complex(np.vdot(phases, np.asarray(w(t))))
-
-    def corr(t: float, tp: float) -> complex:
-        wt = np.asarray(w(t))
-        wp = np.asarray(w(tp))
-        two_time = np.sum(np.conj(wt) * np.exp(-1j * lam * (t - tp)) * wp)
-        return complex(two_time - np.conj(mean_v(t)) * mean_v(tp))
-
-    return corr
+    return lambda t, tp: complex(np.vdot(fluctuation(t), fluctuation(tp)))
 
 
 PHASE_ADVISORY_FRACTION = 0.1  # Eq.-style phase condition enforced only as advisory
@@ -396,20 +343,29 @@ PHASE_ADVISORY_FRACTION = 0.1  # Eq.-style phase condition enforced only as advi
 def failure_probability_perturbative(scenario: GateScenario, quad_tol: float = 1e-10) -> float:
     """Fluctuation estimate p ~ (1/2) Re double-int <dV_I(t) dV_I(t')> dt dt'.
 
-    Time ordering is dropped and the real part taken; the estimate is
-    meaningful when the accumulated mean phase is close to pi, otherwise a
-    warning marks the result advisory-only.
+    Time ordering is dropped and the real part taken, which makes the double
+    integral the variance of A = int V_I dt on psi0.  For linear drives that
+    is evaluated in closed form as ||A psi0 - <A> psi0||^2; constant-matrix
+    interactions keep the double quadrature (to ``quad_tol``), the
+    independent reference for the closed form.  The estimate is meaningful
+    when the accumulated mean phase <A> is close to pi, otherwise a warning
+    marks the result advisory-only.
     """
     if quad_tol <= 0:
         raise ValueError("quad_tol must be positive")
-    outcome_phase = _scenario_phase_integral(scenario)
-    if abs(outcome_phase - PHASE_TARGET) > PHASE_ADVISORY_FRACTION * PHASE_TARGET:
+    psi0 = scenario.control.amplitudes
+    a_psi = _integrated_action(scenario)
+    phase = float(np.vdot(psi0, a_psi).real)
+    if abs(phase - PHASE_TARGET) > PHASE_ADVISORY_FRACTION * PHASE_TARGET:
         warnings.warn(
             "mean-coupling phase deviates from pi by "
-            f"{abs(outcome_phase - PHASE_TARGET):.3g}; perturbative estimate is advisory only",
+            f"{abs(phase - PHASE_TARGET):.3g}; perturbative estimate is advisory only",
             stacklevel=2,
         )
-    corr = interaction_correlation(scenario)
+    if scenario.is_linear_drive:
+        spread = a_psi - phase * psi0
+        return 0.5 * float(np.vdot(spread, spread).real)
+    corr = _matrix_correlation(scenario)
     T = scenario.duration
     value, err = dblquad(
         lambda tp, t: corr(t, tp).real,
@@ -422,10 +378,3 @@ def failure_probability_perturbative(scenario: GateScenario, quad_tol: float = 1
             {"value": value, "error_estimate": err, "quad_tol": quad_tol},
         )
     return 0.5 * value
-
-
-def _scenario_phase_integral(scenario: GateScenario) -> float:
-    if scenario.is_linear_drive:
-        integrals = drive_integrals(scenario.v)
-        return 2.0 * (integrals.integral * np.conj(_mean_a(scenario.control))).real
-    return _matrix_phase_integral(scenario)

@@ -81,7 +81,7 @@ def criterion_2(scale: float = 1.0) -> CriterionResult:
         scenario = gate.coherent_drive_scenario(alpha, drive)
         exact = gate.failure_probability_exact(scenario, 1e-9).failure_probability
         oracle = gate.displacement_oracle(alpha, drive).failure_probability
-        p_hat = gate.failure_probability_perturbative(scenario, 1e-10)
+        p_hat = gate.failure_probability_perturbative(scenario)
         rel = abs(p_hat - exact) / exact
         oracle_diff = abs(exact - oracle)
         parts.append(rel / allowed)

@@ -138,6 +138,20 @@ def test_si_units_scale_energy(tmp_path):
     assert abs(float(row["e_min_over_hbar_omega"]) - 200.0) < 1e-6
 
 
+@pytest.mark.parametrize("flag,column,units", [
+    ([], "e_min_J", "si"),
+    (["--units", "natural"], "e_min_hbar_rad_per_s", "natural"),
+])
+def test_units_flag_overrides_config(tmp_path, flag, column, units):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "squeeze-opt", "units": "si",
+                               "params": {"epsilon": 1e-4}}))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), *flag, "--output", str(out)]) == 0
+    assert column in read_csv(out / "result.csv")[0]
+    assert json.loads((out / "report.json").read_text())["units"] == units
+
+
 def test_verify_all_subset_and_row_count(tmp_path):
     out = tmp_path / "run"
     assert main(["verify-all", "--criteria", "1,5,6,9", "--output", str(out)]) == 0

@@ -1,8 +1,11 @@
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import dblquad
 
 from gatebound import (
     GateScenario,
@@ -28,9 +31,15 @@ from gatebound import (
     switch_off_check,
     triangle,
 )
+from gatebound.errors import IntegrationError
+from gatebound.gate import drive_bound_integral
 from gatebound.verify import alpha_for_target_p
 
 PI = math.pi
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=16)
+unit_interval = st.floats(-1.0, 1.0)
+complex_unit = st.builds(complex, unit_interval, unit_interval)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +206,46 @@ def test_perturbative_warns_off_calibration():
         failure_probability_perturbative(scenario, 1e-9)
 
 
-def test_matrix_and_drive_routes_agree():
+def _fluctuation_double_integral(scenario):
+    # 1/2 int int Re <dV_I(t) psi0, dV_I(t') psi0> dt dt' with dense ladder
+    # matrices, one quadrature per pair of drive segments
+    a, adag = ladder_operators(scenario.control.cutoff)
+    psi = scenario.control.amplitudes
+
+    @lru_cache(maxsize=None)
+    def fluctuation(t):
+        f = scenario.v(t)
+        vpsi = (f * adag.entries + np.conj(f) * a.entries) @ psi
+        return vpsi - np.vdot(psi, vpsi).real * psi
+
+    segments = scenario.v.segments()
+    return 0.5 * sum(
+        dblquad(lambda tp, t: np.vdot(fluctuation(t), fluctuation(tp)).real,
+                t0, t1, s0, s1, epsabs=1e-13, epsrel=1e-12)[0]
+        for t0, t1 in segments for s0, s1 in segments)
+
+
+@PROPERTY
+@given(c1=complex_unit, c2=complex_unit, alpha=complex_unit, T=st.floats(0.6, 1.4))
+def test_closed_form_perturbative_matches_double_quadrature(c1, c2, alpha, T):
+    drive = multi_envelope_drive([(0.6 * c1, raised_cosine(T)), (0.6 * c2, triangle(T))])
+    scenario = coherent_drive_scenario(alpha, drive)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        estimate = failure_probability_perturbative(scenario)
+    assert abs(estimate - _fluctuation_double_integral(scenario)) <= 1e-9
+    exact = failure_probability_exact(scenario, 1e-9).failure_probability
+    oracle = displacement_oracle(alpha, drive).failure_probability
+    assert 0.0 <= exact <= 1.0 and 0.0 <= oracle <= 1.0
+    assert abs(exact - oracle) <= 1e-8
+
+
+@PROPERTY
+@given(g=st.floats(0.1, 0.5), omega=st.floats(0.5, 2.0), T=st.floats(0.5, 1.5),
+       alpha=st.floats(0.2, 1.2))
+def test_matrix_and_drive_routes_agree(g, omega, T, alpha):
     # V = g(a + a†) under H0 = omega a†a is the interaction-picture drive
     # f(t) = g e^{i omega t}; both routes must produce the same physics.
-    g, omega, T, alpha = 0.35, 1.0, 1.0, 0.9
     cutoff = 40
     control = coherent_state(alpha, cutoff, allow_truncation=True)
     a, adag = ladder_operators(cutoff)
@@ -219,6 +264,17 @@ def test_matrix_and_drive_routes_agree():
         p_matrix = failure_probability_perturbative(matrix_scenario, 1e-10)
         p_drive = failure_probability_perturbative(drive_scenario, 1e-10)
     assert abs(p_matrix - p_drive) < 1e-8
+
+
+def test_drive_bound_integral_checks_its_error_estimate():
+    drive = LinearDrive(lambda t: math.sin(400 * t), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad's own subdivision-limit warning
+        with pytest.raises(IntegrationError) as info:
+            coherent_drive_scenario(1.0, drive)
+    assert info.value.diagnostics["segment"] == (0.0, 1.0)
+    assert info.value.diagnostics["error_estimate"] > info.value.diagnostics["rel_tol"]
+    assert drive_bound_integral(envelope_drive(raised_cosine(1.0), 1.0)) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
