@@ -28,6 +28,7 @@ from .errors import (
 )
 from .fock import (
     ControlState,
+    DriveSample,
     OperatorMatrix,
     coherent_required_cutoff,
     coherent_state,

@@ -41,6 +41,20 @@ LOG_DERIVATIVE_TOL = 1e-6
 SIN_SYMMETRY_TOL = 1e-9
 
 
+def _quad(fn: Callable[[float], float], a: float, b: float, *,
+          epsabs: float, epsrel: float, **kwargs) -> float:
+    """quad(fn, a, b) whose error estimate must meet the requested tolerance."""
+    val, err = quad(fn, a, b, epsabs=epsabs, epsrel=epsrel, **kwargs)
+    tol = max(epsabs, epsrel * abs(val))
+    if not err <= tol:
+        raise IntegrationError(
+            "collision quadrature did not converge",
+            {"function": fn.__qualname__, "bounds": (a, b), "value": val,
+             "error_estimate": err, "tolerance": tol},
+        )
+    return val
+
+
 @dataclass(frozen=True)
 class PotentialLaw:
     """Interaction potential V(rho), either C * rho^-n or a custom callable."""
@@ -111,8 +125,8 @@ class FreeCollisionConfig:
 
 def phase_integral_free(cfg: FreeCollisionConfig) -> float:
     """(1/hbar) int_{-T/2}^{T/2} V(rho(t)) dt, via the even symmetry of rho."""
-    val, _ = quad(lambda t: cfg.potential.value(cfg.rho(t)),
-                  0.0, cfg.T / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
+    val = _quad(lambda t: cfg.potential.value(cfg.rho(t)),
+                0.0, cfg.T / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
     return 2.0 * val / cfg.hbar
 
 
@@ -141,7 +155,7 @@ def error_variance_free(cfg: FreeCollisionConfig, dx0: float, dp0: float) -> flo
     if dx0 * dp0 < cfg.hbar / 2.0 - 1e-12:
         raise UncertaintyError(f"dx0*dp0 = {dx0 * dp0!r} violates the uncertainty relation")
     integrand = lambda t: cfg.potential.derivative(cfg.rho(t)) / cfg.rho(t)
-    val, _ = quad(integrand, 0.0, cfg.T / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
+    val = _quad(integrand, 0.0, cfg.T / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
     j = 2.0 * val
     spread = dx0 * dx0 + cfg.T * cfg.T * dp0 * dp0 / (4.0 * cfg.m * cfg.m)
     return (cfg.b * cfg.b / (cfg.hbar * cfg.hbar)) * j * j * spread
@@ -174,8 +188,8 @@ def _line_integral_power_law(n: float, b: float) -> float:
     nodes near the closest approach; the integrand becomes
     b^{1-n} cos^{n-2}(theta) with an integrable endpoint behaviour for n > 1.
     """
-    val, _ = quad(lambda th: math.cos(th) ** (n - 2.0),
-                  0.0, PI / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
+    val = _quad(lambda th: math.cos(th) ** (n - 2.0),
+                0.0, PI / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
     return 2.0 * b ** (1.0 - n) * val
 
 
@@ -211,8 +225,8 @@ def powerlaw_log_derivative(n: float, b: float) -> float:
 def effective_duration_rms(cfg: FreeCollisionConfig) -> float:
     """2 * RMS width of V(rho(t)) over the window; diagnostic only."""
     w = lambda t: cfg.potential.value(cfg.rho(t))
-    norm, _ = quad(w, 0.0, cfg.T / 2.0, epsabs=0.0, epsrel=1e-8, limit=400)
-    second, _ = quad(lambda t: t * t * w(t), 0.0, cfg.T / 2.0, epsabs=0.0, epsrel=1e-8, limit=400)
+    norm = _quad(w, 0.0, cfg.T / 2.0, epsabs=0.0, epsrel=1e-8, limit=400)
+    second = _quad(lambda t: t * t * w(t), 0.0, cfg.T / 2.0, epsabs=0.0, epsrel=1e-8, limit=400)
     if norm == 0.0:
         return 0.0
     return 2.0 * math.sqrt(second / norm)
@@ -313,12 +327,12 @@ def harmonic_action_integrals(cfg: HarmonicCollisionConfig) -> tuple[float, floa
     pts = _harmonic_quad_points(cfg)
     V = lambda t: cfg.potential.value(cfg.rho(t))
     dV = lambda t: cfg.potential.derivative(cfg.rho(t))
-    action, _ = quad(V, 0.0, cfg.period, epsabs=0.0, epsrel=1e-11, limit=800, points=pts)
-    cos_int, _ = quad(lambda t: dV(t) * math.cos(cfg.omega * t),
-                      0.0, cfg.period, epsabs=0.0, epsrel=1e-11, limit=800, points=pts)
-    sin_int, _ = quad(lambda t: dV(t) * math.sin(cfg.omega * t),
-                      0.0, cfg.period, epsabs=max(1e-13 * abs(cos_int), 1e-300),
-                      epsrel=1e-11, limit=800, points=pts)
+    action = _quad(V, 0.0, cfg.period, epsabs=0.0, epsrel=1e-11, limit=800, points=pts)
+    cos_int = _quad(lambda t: dV(t) * math.cos(cfg.omega * t),
+                    0.0, cfg.period, epsabs=0.0, epsrel=1e-11, limit=800, points=pts)
+    sin_int = _quad(lambda t: dV(t) * math.sin(cfg.omega * t),
+                    0.0, cfg.period, epsabs=max(1e-13 * abs(cos_int), 1e-300),
+                    epsrel=1e-11, limit=800, points=pts)
     return action, cos_int, sin_int
 
 

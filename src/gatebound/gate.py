@@ -29,20 +29,23 @@ import numpy as np
 from scipy.integrate import dblquad, quad, solve_ivp
 
 from .envelopes import LinearDrive, envelope_drive
-from .errors import DimensionMismatchError, IntegrationError
+from .errors import CutoffError, DimensionMismatchError, IntegrationError
 from .fock import (
+    COHERENT_TAIL,
     ControlState,
+    DriveSample,
     OperatorMatrix,
     coherent_required_cutoff,
     coherent_state,
+    drive_action,
     evolve,
-    ladder_operators,
     number_operator,
     number_state,
     overlap,
 )
 
 PHASE_TARGET = math.pi  # accumulated conditional phase for a perfect sign flip
+EDGE_LEVELS = 10        # top levels whose population the truncation check bounds
 
 
 @dataclass(frozen=True)
@@ -183,26 +186,6 @@ def drive_integrals(drive: LinearDrive, rtol: float = 1e-12) -> DriveIntegrals:
     return DriveIntegrals(integral=F, displacement=-1j * F, magnus_phase=float(y[2]))
 
 
-def _drive_matrix_fn(drive: LinearDrive, cutoff: int):
-    a, adag = ladder_operators(cutoff)
-    a_m, adag_m = a.entries, adag.entries
-
-    def hof(t):
-        ft = drive(t)
-        return ft * adag_m + np.conj(ft) * a_m
-
-    return hof
-
-
-def _drive_action(f: complex, psi: np.ndarray) -> np.ndarray:
-    """(f a† + conj(f) a) psi, applied along the two bands of the ladder operators."""
-    root = np.sqrt(np.arange(1, psi.size))
-    out = np.zeros_like(psi)
-    out[1:] = f * root * psi[:-1]
-    out[:-1] += np.conj(f) * root * psi[1:]
-    return out
-
-
 def _propagate_constant(h: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) psi for a constant Hermitian h, through its eigenbasis."""
     lam, vecs = np.linalg.eigh(h)
@@ -218,7 +201,7 @@ def _integrated_action(scenario: GateScenario) -> np.ndarray:
     """
     psi0 = scenario.control.amplitudes
     if scenario.is_linear_drive:
-        return _drive_action(drive_integrals(scenario.v).integral, psi0)
+        return drive_action(drive_integrals(scenario.v).integral, psi0)
     lam, vecs = np.linalg.eigh(scenario.h0.entries)
     v_tilde = vecs.conj().T @ scenario.v.entries @ vecs
     T = scenario.duration
@@ -236,17 +219,25 @@ def failure_probability_exact(scenario: GateScenario, tol: float = 1e-9) -> Gate
     overlapped.  Linear drives specify V_I(t) in the interaction picture, so
     the same amplitude is obtained by propagating under V_I directly (the
     free factors cancel identically in the overlap); ``tol`` bounds that
-    adaptive propagation.
+    adaptive propagation.  The propagated state must leave at most
+    ``COHERENT_TAIL`` population on its top ``EDGE_LEVELS`` levels, else the
+    cutoff was too small for the drive and :class:`CutoffError` is raised.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     psi0 = scenario.control
     T = scenario.duration
     if scenario.is_linear_drive:
-        hof = _drive_matrix_fn(scenario.v, psi0.cutoff)
+        drive = scenario.v
         state = psi0
-        for a, b in scenario.v.segments():
-            state = evolve(state, hof, a, b, tol * (b - a) / T)
+        for a, b in drive.segments():
+            state = evolve(state, lambda t: DriveSample(drive(t)), a, b, tol * (b - a) / T)
+        edge = float(np.sum(np.abs(state.amplitudes[-EDGE_LEVELS:]) ** 2))
+        if edge > COHERENT_TAIL:
+            raise CutoffError(
+                f"propagated population {edge:.3e} on the top {EDGE_LEVELS} of "
+                f"{state.cutoff} levels exceeds {COHERENT_TAIL}; raise the cutoff"
+            )
         inner = overlap(psi0, state)
     else:
         h0 = scenario.h0.entries
@@ -263,7 +254,7 @@ def switch_off_check(scenario: GateScenario) -> tuple[float, float]:
     T = scenario.duration
     if scenario.is_linear_drive:
         # V_I(t) is given in the interaction picture, where the control stays psi0
-        vpsi = [_drive_action(scenario.v(t), psi0) for t in (0.0, T)]
+        vpsi = [drive_action(scenario.v(t), psi0) for t in (0.0, T)]
     else:
         v = scenario.v.entries
         vpsi = [v @ psi0, v @ _propagate_constant(scenario.h0.entries, psi0, T)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from scipy.integrate import quad
@@ -30,7 +31,7 @@ from gatebound.collision import (
     trap_energy_drift,
     wavepacket_objective,
 )
-from gatebound.errors import DegenerateConfigError
+from gatebound.errors import DegenerateConfigError, IntegrationError
 
 PI = math.pi
 
@@ -96,6 +97,21 @@ def test_phase_times_speed_invariant_under_window_rescaling():
 def test_degenerate_calibration_raises():
     with pytest.raises(DegenerateConfigError):
         calibrate_coupling(free_cfg(C=0.0))
+
+
+def test_unconverged_quadrature_raises_with_diagnostics():
+    # ~2200 oscillations of the potential cannot be resolved in 400 subintervals
+    wiggly = PotentialLaw.custom(lambda r: math.exp(-r) * math.sin(2000.0 * r), lambda r: 0.0)
+    cfg = FreeCollisionConfig(m=1.0, v=1.0, b=1.0, T=8.0, potential=wiggly)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad's own subdivision-limit warning
+        with pytest.raises(IntegrationError) as info:
+            phase_integral_free(cfg)
+    diag = info.value.diagnostics
+    assert diag["function"].startswith("phase_integral_free")
+    assert diag["bounds"] == (0.0, 4.0)
+    assert diag["error_estimate"] > diag["tolerance"] > 0.0
+    assert math.isfinite(diag["value"])
 
 
 def test_error_variance_zero_potential():

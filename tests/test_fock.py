@@ -3,24 +3,34 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from gatebound import (
     ControlState,
     CutoffError,
     DimensionMismatchError,
+    DriveSample,
     OperatorMatrix,
     coherent_required_cutoff,
     coherent_state,
     evolve,
     ladder_operators,
     mean_photon_number,
+    multi_envelope_drive,
     number_operator,
     number_state,
     overlap,
     quadrature_variance,
+    raised_cosine,
     squeezed_coherent_state,
+    triangle,
 )
-from gatebound.fock import IntegrationError
+from gatebound.fock import IntegrationError, _apply_exp
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+unit_interval = st.floats(-1.0, 1.0)
+complex_unit = st.builds(complex, unit_interval, unit_interval)
 
 
 def test_coherent_vacuum_is_identity_case():
@@ -238,6 +248,51 @@ def test_evolve_step_budget_failure_carries_diagnostics():
     with pytest.raises(IntegrationError) as err:
         evolve(state, hof, 0.0, 2.0, 1e-10, max_steps=3)
     assert "steps" in err.value.diagnostics
+
+
+@PROPERTY
+@given(cutoff=st.integers(2, 200), g=st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+       h=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_drive_sample_exponential_matches_dense_expm(cutoff, g, h, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
+    psi /= np.linalg.norm(psi)
+    a, adag = ladder_operators(cutoff)
+    dense = expm(-1j * h * (g * adag.entries + np.conj(g) * a.entries)) @ psi
+    assert np.linalg.norm(_apply_exp(h, DriveSample(g), psi) - dense) <= 1e-12
+
+
+def test_drive_sample_combines_with_real_weights_only():
+    combined = 0.25 * DriveSample(1.0 + 2.0j) + 0.5 * DriveSample(-1.0j)
+    assert combined == DriveSample(0.25 + 0.0j)
+    with pytest.raises(TypeError):
+        1j * DriveSample(1.0)
+
+
+@PROPERTY
+@given(c1=complex_unit, c2=complex_unit, alpha=complex_unit, T=st.floats(0.5, 1.5),
+       cutoff=st.integers(2, 60))
+def test_evolve_drive_sample_matches_dense_sampler(c1, c2, alpha, T, cutoff):
+    drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
+    state = coherent_state(alpha, cutoff, allow_truncation=True)
+    a, adag = ladder_operators(cutoff)
+    samples = {"ladder": 0, "dense": 0}
+
+    def ladder(t):
+        samples["ladder"] += 1
+        return DriveSample(drive(t))
+
+    def dense(t):
+        samples["dense"] += 1
+        f = drive(t)
+        return f * adag.entries + np.conj(f) * a.entries
+
+    fast = reference = state
+    for t0, t1 in drive.segments():  # the triangle's kink splits the window
+        fast = evolve(fast, ladder, t0, t1, 1e-9)
+        reference = evolve(reference, dense, t0, t1, 1e-9)
+    assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
+    assert samples["ladder"] == samples["dense"]
 
 
 def test_state_norm_validation():

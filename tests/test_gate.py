@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from gatebound import (
+    CutoffError,
     GateScenario,
     LinearDrive,
     OperatorMatrix,
@@ -350,6 +351,17 @@ def test_cutoff_regression_stability():
         scenario = coherent_drive_scenario(alpha, drive, cutoff=cutoff)
         ps.append(failure_probability_exact(scenario, 1e-10).failure_probability)
     assert abs(ps[0] - ps[1]) < 1e-8
+
+
+def test_undersized_cutoff_for_drive_excursion_raises():
+    # the vacuum fits in 20 levels, but a displacement |beta| = 4 moves most
+    # of the driven state's population onto the top 10 of them
+    drive = envelope_drive(raised_cosine(1.0), 4.0 / raised_cosine(1.0).integral)
+    with pytest.raises(CutoffError):
+        failure_probability_exact(coherent_drive_scenario(0.0, drive, cutoff=20), 1e-9)
+    exact = failure_probability_exact(coherent_drive_scenario(0.0, drive), 1e-9)
+    oracle = displacement_oracle(0.0, drive)
+    assert abs(exact.failure_probability - oracle.failure_probability) < 1e-8
 
 
 def test_scenario_validation():
