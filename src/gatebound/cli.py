@@ -706,7 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-all",
         help="run the acceptance criteria end-to-end",
         description="Writes verification.csv with one row per criterion "
-                    "(criterion, value, tolerance, passed, detail, runtime_s).",
+                    "(criterion, value, tolerance, passed, detail) and prints "
+                    "each criterion's runtime on stdout.",
     )
     add_common(p)
     p.add_argument("--criteria", type=parse_int_list, default=None,

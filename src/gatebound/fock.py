@@ -303,32 +303,68 @@ def _real_matmul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
-def _apply_exp(h: float, sample: np.ndarray | DriveSample, psi: np.ndarray) -> np.ndarray:
-    """exp(-i h H) psi for one Hermitian Hamiltonian sample H.
+# A drive-propagated state is held as coefficients in a frame: ``None`` is the
+# number basis, an angle theta the basis U_theta W (U_theta = diag(e^{i n theta}),
+# X = a + a† = W diag(lam) W^T).  A drive sample g a† + conj(g) a with
+# g = r e^{i theta}, r real, equals r U_theta X U_theta†, so it is diagonal in
+# frame theta.  Frames are canonical, theta in (-pi/2, pi/2]; a sample in the
+# opposite half-plane is read as theta with a negative r.
 
-    A drive sample g a† + conj(g) a equals |g| U X U† with U = diag(e^{i n arg g}),
-    so its exponential is diagonal in the eigenbasis of X, exact on the
-    truncated space.  Dense samples go through expm / expm_multiply.
+
+def _change_frame(psi: np.ndarray, frame: float | None, theta: float | None) -> np.ndarray:
+    """Coefficients in frame ``theta`` of the state held in frame ``frame`` (!= theta)."""
+    _, w = _quadrature_eigh(psi.size)
+    n = np.arange(psi.size)
+    if frame is not None:
+        psi = np.exp(1j * frame * n) * _real_matmul(w, psi)
+    if theta is not None:
+        psi = _real_matmul(w.T, np.exp(-1j * theta * n) * psi)
+    return psi
+
+
+def _to_number_basis(psi: np.ndarray, frame: float | None) -> np.ndarray:
+    return psi if frame is None else _change_frame(psi, frame, None)
+
+
+def _apply_factor(h: float, sample: np.ndarray | DriveSample, psi: np.ndarray,
+                  frame: float | None) -> tuple[np.ndarray, float | None]:
+    """exp(-i h H) on a state held in ``frame``; returns (coefficients, frame).
+
+    A drive sample whose phase matches the frame is one diagonal multiply, a
+    zero sample is the identity; any other drive sample changes frame first.
+    Dense samples act in the number basis through expm / expm_multiply.
     """
     if isinstance(sample, DriveSample):
-        lam, w = _quadrature_eigh(psi.size)
         g = sample.coefficient
-        u = np.exp(1j * np.angle(g) * np.arange(psi.size))
-        rotated = np.exp(-1j * h * abs(g) * lam) * _real_matmul(w.T, u.conj() * psi)
-        return u * _real_matmul(w, rotated)
+        if g == 0:
+            return psi, frame
+        r = abs(g)
+        if g.real < 0 or (g.real == 0 and g.imag < 0):
+            g, r = -g, -r
+        theta = math.atan2(g.imag, g.real)
+        if theta != frame:  # an exact test: equal phases keep the frame
+            psi = _change_frame(psi, frame, theta)
+        lam, _ = _quadrature_eigh(psi.size)
+        return np.exp(-1j * h * r * lam) * psi, theta
+    psi = _to_number_basis(psi, frame)
     generator = -1j * h * sample
     if generator.shape[0] <= _DENSE_EXPM_DIM:
-        return expm(generator) @ psi
-    return expm_multiply(generator, psi)
+        return expm(generator) @ psi, None
+    return expm_multiply(generator, psi), None
 
 
-def _step(hof, t, h, psi, order):
+def _apply_exp(h: float, sample: np.ndarray | DriveSample, psi: np.ndarray) -> np.ndarray:
+    """exp(-i h H) psi for one Hermitian Hamiltonian sample H, in the number basis."""
+    return _to_number_basis(*_apply_factor(h, sample, psi, None))
+
+
+def _step(hof, t, h, psi, frame, order):
     if order == 4:
         h1 = hof(t + _GAUSS_C1 * h)
         h2 = hof(t + _GAUSS_C2 * h)
-        psi = _apply_exp(h, _CF4_Q * h1 + _CF4_P * h2, psi)
-        return _apply_exp(h, _CF4_P * h1 + _CF4_Q * h2, psi)
-    return _apply_exp(h, hof(t + 0.5 * h), psi)
+        psi, frame = _apply_factor(h, _CF4_Q * h1 + _CF4_P * h2, psi, frame)
+        return _apply_factor(h, _CF4_P * h1 + _CF4_Q * h2, psi, frame)
+    return _apply_factor(h, hof(t + 0.5 * h), psi, frame)
 
 
 def evolve(state: ControlState, hamiltonian: HamiltonianLike,
@@ -345,11 +381,17 @@ def evolve(state: ControlState, hamiltonian: HamiltonianLike,
     local errors stay below ``tol`` (global norm-distance contract).
 
     Samples may be dense matrices or :class:`DriveSample` linear drives
-    g a† + conj(g) a.  A drive-sample factor is applied exactly in the
-    eigenbasis of the truncated quadrature X = a + a† (one tridiagonal
-    eigendecomposition per cutoff, then two real N x N products per
-    factor); dense factors use ``expm`` up to 32 levels and
-    ``expm_multiply`` above.
+    g a† + conj(g) a.  Drive samples are applied exactly on the truncated
+    space, with the state held in the frame U_theta W of the last sample's
+    phase theta = arg g (mod pi), where U_theta = diag(e^{i n theta}) and W is
+    the eigenbasis of the quadrature X = a + a† (one tridiagonal
+    eigendecomposition per cutoff).  A factor of the frame's phase is one
+    diagonal multiply; only a change of phase, a dense sample or the end of
+    the propagation converts the state, with two real N x N products at
+    most.  A constant-phase drive thus enters the frame in its first step
+    and leaves it once.  Dense factors use ``expm`` up to 32 levels and ``expm_multiply``
+    above.  The step-doubling error is measured in the frame both results
+    share (the frames are unitary), else in the number basis.
 
     Raises
     ------
@@ -376,7 +418,7 @@ def evolve(state: ControlState, hamiltonian: HamiltonianLike,
     total = t1 - t0
     t = t0
     h = total
-    psi = state.amplitudes.copy()
+    psi, frame = state.amplitudes.copy(), None
     in_norm_sq = float(np.vdot(psi, psi).real)
     n_steps = 0
 
@@ -387,8 +429,12 @@ def evolve(state: ControlState, hamiltonian: HamiltonianLike,
                 {"t": t, "h": h, "steps": n_steps, "tol": tol},
             )
         h = min(h, t1 - t)
-        full = _step(hof, t, h, psi, order)
-        half = _step(hof, t + 0.5 * h, 0.5 * h, _step(hof, t, 0.5 * h, psi, order), order)
+        full, full_frame = _step(hof, t, h, psi, frame, order)
+        half, half_frame = _step(hof, t + 0.5 * h, 0.5 * h,
+                                 *_step(hof, t, 0.5 * h, psi, frame, order), order)
+        if half_frame != full_frame:
+            full = _to_number_basis(full, full_frame)
+            half, half_frame = _to_number_basis(half, half_frame), None
         err = float(np.linalg.norm(half - full)) / richardson
         if not math.isfinite(err):
             raise IntegrationError(
@@ -397,19 +443,22 @@ def evolve(state: ControlState, hamiltonian: HamiltonianLike,
             )
         budget = tol * h / total
         if err <= budget:
-            psi = half
+            psi, frame = half, half_frame
             t += h
         elif h <= 1e-14 * total:
             raise IntegrationError(
                 "step-size underflow",
                 {"t": t, "h": h, "error_estimate": err, "tol": tol, "steps": n_steps},
             )
+        elif half_frame != frame:  # retry from the frame both results ended in
+            psi, frame = _change_frame(psi, frame, half_frame), half_frame
         n_steps += 1
         if err > 0.0:
             h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * (budget / err) ** exponent))
         else:
             h *= _MAX_GROW
 
+    psi = _to_number_basis(psi, frame)
     out_norm_sq = float(np.vdot(psi, psi).real)
     if abs(out_norm_sq - in_norm_sq) > tol:
         raise IntegrationError(

@@ -164,11 +164,13 @@ class DriveIntegrals:
     magnus_phase: float
 
 
+@lru_cache(maxsize=16)  # the exact phase, the estimate and the oracle share one drive
 def drive_integrals(drive: LinearDrive, rtol: float = 1e-12) -> DriveIntegrals:
     """Integrate dF = f and dphi = Im[f(t) * int_0^t conj(f)] over the window.
 
     The second-order term terminates the Magnus series for linear drives:
-    the time-ordered exponential is exactly e^{i phi} D(-i F).
+    the time-ordered exponential is exactly e^{i phi} D(-i F).  Results are
+    cached per (frozen) drive and ``rtol``.
     """
 
     def rhs(t, y):

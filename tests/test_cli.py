@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+from gatebound import gate
 from gatebound.cli import COMMANDS, main, sweep_rows_csv_bytes
 
 
@@ -364,3 +365,20 @@ def test_malformed_config_exits_2(tmp_path):
     assert main(["run", "--config", params_list, "--output", str(tmp_path / "a")]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--output", str(tmp_path / "b")]) == 2
+
+
+@pytest.mark.parametrize("envelope, segments", [("raised-cosine", 1), ("triangle", 2)])
+def test_gate_sim_integrates_its_drive_once(tmp_path, monkeypatch, envelope, segments):
+    # the exact phase, the perturbative estimate and the oracle share one
+    # drive_integrals result: one solve_ivp per drive segment
+    calls = []
+    original = gate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gate, "solve_ivp", counted)
+    assert main(["gate-sim", "--alpha", "2", "--envelope", envelope,
+                 "--output", str(tmp_path / "run")]) == 0
+    assert len(calls) == segments

@@ -26,6 +26,7 @@ from gatebound import (
     squeezed_coherent_state,
     triangle,
 )
+from gatebound import fock
 from gatebound.fock import IntegrationError, _apply_exp
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -293,6 +294,80 @@ def test_evolve_drive_sample_matches_dense_sampler(c1, c2, alpha, T, cutoff):
         reference = evolve(reference, dense, t0, t1, 1e-9)
     assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
     assert samples["ladder"] == samples["dense"]
+
+
+def _propagate_per_segment(state, hamiltonian, drive, tol):
+    for t0, t1 in drive.segments():  # a kink splits the window
+        state = evolve(state, hamiltonian, t0, t1, tol)
+    return state
+
+
+def _sign_changing_drive(c, T):
+    # one phase arg(c), and a real envelope that changes sign: the -g samples
+    return multi_envelope_drive([(c, raised_cosine(T)), (-2.0 * c, triangle(T / 2.0))])
+
+
+@PROPERTY
+@given(c=complex_unit, alpha=complex_unit, T=st.floats(0.5, 1.5), cutoff=st.integers(2, 60))
+def test_evolve_constant_phase_drive_matches_dense_sampler(c, alpha, T, cutoff):
+    drive = _sign_changing_drive(c, T)
+    state = coherent_state(alpha, cutoff, allow_truncation=True)
+    a, adag = ladder_operators(cutoff)
+    samples = {"ladder": 0, "dense": 0}
+
+    def ladder(t):
+        samples["ladder"] += 1
+        return DriveSample(drive(t))
+
+    def dense(t):
+        samples["dense"] += 1
+        f = drive(t)
+        return f * adag.entries + np.conj(f) * a.entries
+
+    fast = _propagate_per_segment(state, ladder, drive, 1e-9)
+    reference = _propagate_per_segment(state, dense, drive, 1e-9)
+    assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
+    assert samples["ladder"] == samples["dense"]
+
+
+def _count_frame_changes(monkeypatch, drive, tol, cutoff=40):
+    """(frame changes, drive samples) of one propagation of ``drive``."""
+    original = fock._change_frame
+    counts = {"changes": 0, "samples": 0}
+
+    def counted(*args):
+        counts["changes"] += 1
+        return original(*args)
+
+    def sample(t):
+        counts["samples"] += 1
+        return DriveSample(drive(t))
+
+    monkeypatch.setattr(fock, "_change_frame", counted)
+    _propagate_per_segment(coherent_state(1.5, cutoff), sample, drive, tol)
+    return counts["changes"], counts["samples"]
+
+
+def test_constant_phase_drive_changes_frame_a_fixed_number_of_times(monkeypatch):
+    # 0.6 + 0.6j has the same rounded phase at every real multiple, so every
+    # sample either matches the frame or matches it with a negative amplitude
+    drive = _sign_changing_drive(0.6 + 0.6j, 1.0)
+    coarse, coarse_samples = _count_frame_changes(monkeypatch, drive, 1e-6)
+    fine, fine_samples = _count_frame_changes(monkeypatch, drive, 1e-10)
+    assert fine_samples > 2 * coarse_samples
+    assert coarse == fine
+    # per segment: enter (once for the full, once for the half step, or the
+    # state itself after a rejected first step), then leave
+    assert fine <= 4 * len(drive.segments())
+
+
+def test_mixed_phase_drive_changes_frame_every_factor(monkeypatch):
+    drive = multi_envelope_drive([(1.0, raised_cosine(1.0)), (1.0j, triangle(1.0))])
+    coarse, coarse_samples = _count_frame_changes(monkeypatch, drive, 1e-6)
+    fine, fine_samples = _count_frame_changes(monkeypatch, drive, 1e-10)
+    # one CF4 factor per drive sample, each of a new phase
+    assert coarse >= coarse_samples
+    assert fine >= fine_samples > 2 * coarse_samples
 
 
 def test_state_norm_validation():
