@@ -28,7 +28,6 @@ from .errors import (
 )
 from .fock import (
     ControlState,
-    DriveSample,
     OperatorMatrix,
     coherent_required_cutoff,
     coherent_state,

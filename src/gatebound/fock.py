@@ -14,14 +14,15 @@ silently normalising away probability that leaked past the cutoff.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import eigh_tridiagonal
+# Not called here: perfbench/tracing.py wraps these names to count dense exponentials.
+from scipy.linalg import expm  # noqa: F401
+from scipy.sparse.linalg import expm_multiply  # noqa: F401
 from scipy.special import gammainc, gammaln
 
 from .errors import CutoffError, DimensionMismatchError, IntegrationError
@@ -30,8 +31,7 @@ NORM_TOL = 1e-10          # allowed |sum |c_n|^2 - 1| for constructed states
 HERMITICITY_TOL = 1e-12   # max-entry deviation allowed for Hamiltonian matrices
 COHERENT_TAIL = 1e-12     # Poisson tail mass guaranteed by the cutoff rule
 SQUEEZED_TAIL = 1e-10     # tail mass contract for squeezed-coherent states
-
-_DENSE_EXPM_DIM = 32      # below this, dense expm beats expm_multiply
+MAX_STEPS = 200_000       # adaptive sub-steps allowed per evolve call
 
 
 @dataclass(frozen=True)
@@ -78,39 +78,6 @@ class OperatorMatrix:
                 raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e}")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
-
-
-@dataclass(frozen=True)
-class DriveSample:
-    """Linear-drive Hamiltonian g a† + conj(g) a, held by its coefficient g.
-
-    Real-weighted sums of samples are samples again, so the commutator-free
-    Magnus factors of a linear drive never form an N x N generator.
-    """
-
-    coefficient: complex
-
-    def __add__(self, other: "DriveSample") -> "DriveSample":
-        if not isinstance(other, DriveSample):
-            return NotImplemented
-        return DriveSample(self.coefficient + other.coefficient)
-
-    def __rmul__(self, weight: float) -> "DriveSample":
-        if not isinstance(weight, numbers.Real):
-            return NotImplemented  # a complex weight would break Hermiticity
-        return DriveSample(weight * self.coefficient)
-
-
-Sample = Union[OperatorMatrix, np.ndarray, DriveSample]
-HamiltonianLike = Union[Sample, Callable[[float], Sample]]
-
-
-def _as_sample(obj) -> np.ndarray | DriveSample:
-    if isinstance(obj, DriveSample):
-        return obj
-    if isinstance(obj, OperatorMatrix):
-        return obj.entries
-    return np.asarray(obj, dtype=np.complex128)
 
 
 def coherent_required_cutoff(alpha: complex) -> int:
@@ -326,72 +293,56 @@ def _to_number_basis(psi: np.ndarray, frame: float | None) -> np.ndarray:
     return psi if frame is None else _change_frame(psi, frame, None)
 
 
-def _apply_factor(h: float, sample: np.ndarray | DriveSample, psi: np.ndarray,
+def _apply_factor(h: float, g: complex, psi: np.ndarray,
                   frame: float | None) -> tuple[np.ndarray, float | None]:
-    """exp(-i h H) on a state held in ``frame``; returns (coefficients, frame).
+    """exp(-i h (g a† + conj(g) a)) on a state held in ``frame``.
 
-    A drive sample whose phase matches the frame is one diagonal multiply, a
-    zero sample is the identity; any other drive sample changes frame first.
-    Dense samples act in the number basis through expm / expm_multiply.
+    Returns (coefficients, frame).  A sample whose phase matches the frame is
+    one diagonal multiply, a zero sample is the identity; any other sample
+    changes frame first.
     """
-    if isinstance(sample, DriveSample):
-        g = sample.coefficient
-        if g == 0:
-            return psi, frame
-        r = abs(g)
-        if g.real < 0 or (g.real == 0 and g.imag < 0):
-            g, r = -g, -r
-        theta = math.atan2(g.imag, g.real)
-        if theta != frame:  # an exact test: equal phases keep the frame
-            psi = _change_frame(psi, frame, theta)
-        lam, _ = _quadrature_eigh(psi.size)
-        return np.exp(-1j * h * r * lam) * psi, theta
-    psi = _to_number_basis(psi, frame)
-    generator = -1j * h * sample
-    if generator.shape[0] <= _DENSE_EXPM_DIM:
-        return expm(generator) @ psi, None
-    return expm_multiply(generator, psi), None
+    if g == 0:
+        return psi, frame
+    r = abs(g)
+    if g.real < 0 or (g.real == 0 and g.imag < 0):
+        g, r = -g, -r
+    theta = math.atan2(g.imag, g.real)
+    if theta != frame:  # an exact test: equal phases keep the frame
+        psi = _change_frame(psi, frame, theta)
+    lam, _ = _quadrature_eigh(psi.size)
+    return np.exp(-1j * h * r * lam) * psi, theta
 
 
-def _apply_exp(h: float, sample: np.ndarray | DriveSample, psi: np.ndarray) -> np.ndarray:
-    """exp(-i h H) psi for one Hermitian Hamiltonian sample H, in the number basis."""
-    return _to_number_basis(*_apply_factor(h, sample, psi, None))
+def _step(drive, t, h, psi, frame):
+    """One fourth-order commutator-free Magnus step: two factors, two samples."""
+    g1 = drive(t + _GAUSS_C1 * h)
+    g2 = drive(t + _GAUSS_C2 * h)
+    psi, frame = _apply_factor(h, _CF4_Q * g1 + _CF4_P * g2, psi, frame)
+    return _apply_factor(h, _CF4_P * g1 + _CF4_Q * g2, psi, frame)
 
 
-def _step(hof, t, h, psi, frame, order):
-    if order == 4:
-        h1 = hof(t + _GAUSS_C1 * h)
-        h2 = hof(t + _GAUSS_C2 * h)
-        psi, frame = _apply_factor(h, _CF4_Q * h1 + _CF4_P * h2, psi, frame)
-        return _apply_factor(h, _CF4_P * h1 + _CF4_Q * h2, psi, frame)
-    return _apply_factor(h, hof(t + 0.5 * h), psi, frame)
+def evolve(state: ControlState, drive: Callable[[float], complex],
+           t0: float, t1: float, tol: float) -> ControlState:
+    """Propagate ``state`` under the linear drive f(t) a† + conj(f(t)) a.
 
+    ``drive`` maps t to the complex coefficient f(t).  The time-ordered
+    propagator over [t0, t1] is applied by adaptive sub-stepping.  Each
+    sub-step is a fourth-order commutator-free Magnus step (Alvermann &
+    Fehske, J. Comput. Phys. 230, 5930 (2011)): two exponentials of
+    g a† + conj(g) a, each g a real-weighted sum of two drive samples, each
+    exact on the truncated space, so every step is exactly unitary there.  Step doubling supplies the local error
+    estimate, and steps are sized so the summed local errors stay below
+    ``tol`` (global norm-distance contract); at most ``MAX_STEPS`` are taken.
 
-def evolve(state: ControlState, hamiltonian: HamiltonianLike,
-           t0: float, t1: float, tol: float, *, order: int = 4,
-           max_steps: int = 200_000) -> ControlState:
-    """Propagate ``state`` under a (possibly time-dependent) Hamiltonian.
-
-    The time-ordered propagator over [t0, t1] is applied by adaptive
-    sub-stepping.  Each sub-step is a product of matrix exponentials of
-    Hamiltonian samples inside the step (a commutator-free Magnus step of
-    the requested ``order``; ``order=2`` is the plain midpoint exponential),
-    so every step is exactly unitary on the truncated space.  Step doubling
-    supplies the local error estimate, and steps are sized so the summed
-    local errors stay below ``tol`` (global norm-distance contract).
-
-    Samples may be dense matrices or :class:`DriveSample` linear drives
-    g a† + conj(g) a.  Drive samples are applied exactly on the truncated
-    space, with the state held in the frame U_theta W of the last sample's
-    phase theta = arg g (mod pi), where U_theta = diag(e^{i n theta}) and W is
-    the eigenbasis of the quadrature X = a + a† (one tridiagonal
+    The state is held in the frame U_theta W of the last sample's phase
+    theta = arg g (mod pi), where U_theta = diag(e^{i n theta}) and W is the
+    eigenbasis of the quadrature X = a + a† (one tridiagonal
     eigendecomposition per cutoff).  A factor of the frame's phase is one
-    diagonal multiply; only a change of phase, a dense sample or the end of
-    the propagation converts the state, with two real N x N products at
-    most.  A constant-phase drive thus enters the frame in its first step
-    and leaves it once.  Dense factors use ``expm`` up to 32 levels and ``expm_multiply``
-    above.  The step-doubling error is measured in the frame both results
-    share (the frames are unitary), else in the number basis.
+    diagonal multiply; only a change of phase or the end of the propagation
+    converts the state, with two real N x N products.  A constant-phase
+    drive thus enters the frame in its first step and leaves it once.  The
+    step-doubling error is measured in the frame both results share (the
+    frames are unitary), else in the number basis.
 
     Raises
     ------
@@ -403,17 +354,8 @@ def evolve(state: ControlState, hamiltonian: HamiltonianLike,
         raise ValueError("tol must be positive")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
     if t1 == t0:
         return ControlState(state.cutoff, state.amplitudes.copy(), state.unit_system)
-
-    if callable(hamiltonian):
-        hof = lambda t: _as_sample(hamiltonian(t))
-    else:
-        hof = lambda _t, _m=_as_sample(hamiltonian): _m
-    richardson = 15.0 if order == 4 else 3.0
-    exponent = 0.25 if order == 4 else 0.5
 
     total = t1 - t0
     t = t0
@@ -423,19 +365,19 @@ def evolve(state: ControlState, hamiltonian: HamiltonianLike,
     n_steps = 0
 
     while t < t1 - 1e-15 * total:
-        if n_steps >= max_steps:
+        if n_steps >= MAX_STEPS:
             raise IntegrationError(
                 "step budget exhausted",
                 {"t": t, "h": h, "steps": n_steps, "tol": tol},
             )
         h = min(h, t1 - t)
-        full, full_frame = _step(hof, t, h, psi, frame, order)
-        half, half_frame = _step(hof, t + 0.5 * h, 0.5 * h,
-                                 *_step(hof, t, 0.5 * h, psi, frame, order), order)
+        full, full_frame = _step(drive, t, h, psi, frame)
+        half, half_frame = _step(drive, t + 0.5 * h, 0.5 * h,
+                                 *_step(drive, t, 0.5 * h, psi, frame))
         if half_frame != full_frame:
             full = _to_number_basis(full, full_frame)
             half, half_frame = _to_number_basis(half, half_frame), None
-        err = float(np.linalg.norm(half - full)) / richardson
+        err = float(np.linalg.norm(half - full)) / 15.0  # Richardson: 2^4 - 1
         if not math.isfinite(err):
             raise IntegrationError(
                 "non-finite state during propagation",
@@ -454,7 +396,7 @@ def evolve(state: ControlState, hamiltonian: HamiltonianLike,
             psi, frame = _change_frame(psi, frame, half_frame), half_frame
         n_steps += 1
         if err > 0.0:
-            h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * (budget / err) ** exponent))
+            h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * (budget / err) ** 0.25))
         else:
             h *= _MAX_GROW
 

@@ -33,7 +33,6 @@ from .errors import CutoffError, DimensionMismatchError, IntegrationError
 from .fock import (
     COHERENT_TAIL,
     ControlState,
-    DriveSample,
     OperatorMatrix,
     coherent_required_cutoff,
     coherent_state,
@@ -233,7 +232,7 @@ def failure_probability_exact(scenario: GateScenario, tol: float = 1e-9) -> Gate
         drive = scenario.v
         state = psi0
         for a, b in drive.segments():
-            state = evolve(state, lambda t: DriveSample(drive(t)), a, b, tol * (b - a) / T)
+            state = evolve(state, drive, a, b, tol * (b - a) / T)
         edge = float(np.sum(np.abs(state.amplitudes[-EDGE_LEVELS:]) ** 2))
         if edge > COHERENT_TAIL:
             raise CutoffError(

@@ -10,7 +10,6 @@ from gatebound import (
     ControlState,
     CutoffError,
     DimensionMismatchError,
-    DriveSample,
     OperatorMatrix,
     coherent_required_cutoff,
     coherent_state,
@@ -27,7 +26,8 @@ from gatebound import (
     triangle,
 )
 from gatebound import fock
-from gatebound.fock import IntegrationError, _apply_exp
+from gatebound.fock import IntegrationError
+from gatebound.gate import _propagate_constant
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 unit_interval = st.floats(-1.0, 1.0)
@@ -165,89 +165,77 @@ def test_operator_matrix_hermiticity_enforced():
         OperatorMatrix(2, bad, hermitian=True)
 
 
+def _dense_factor(h, g, psi, frame):
+    """Reference for ``fock._apply_factor``: expm of the dense generator, number basis."""
+    assert frame is None  # nothing else enters a frame when this replaces the factor
+    a, adag = ladder_operators(psi.size)
+    return expm(-1j * h * (g * adag.entries + np.conj(g) * a.entries)) @ psi, None
+
+
+def _propagate_per_segment(state, sample, drive, tol):
+    for t0, t1 in drive.segments():  # a kink splits the window
+        state = evolve(state, sample, t0, t1, tol)
+    return state
+
+
 def test_evolve_zero_hamiltonian_is_identity():
     state = coherent_state(1.0)
-    out = evolve(state, np.zeros((state.cutoff, state.cutoff), complex), 0.0, 3.0, 1e-10)
+    out = evolve(state, lambda t: 0j, 0.0, 3.0, 1e-10)
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
 
 def test_evolve_constant_oscillator_rotates_coherent_state():
+    # the constant-matrix path: exp(-i omega N t)|alpha> = |alpha e^{-i omega t}>
     alpha, omega, t = 1.2, 0.8, 2.5
     cutoff = coherent_required_cutoff(alpha)
     h0 = omega * number_operator(cutoff).entries
-    out = evolve(coherent_state(alpha, cutoff), h0, 0.0, t, 1e-10)
+    out = _propagate_constant(h0, coherent_state(alpha, cutoff).amplitudes, t)
     rotated = coherent_state(alpha * np.exp(-1j * omega * t), cutoff)
-    assert abs(abs(overlap(out, rotated)) - 1.0) < 1e-10
+    assert abs(abs(overlap(ControlState(cutoff, out), rotated)) - 1.0) < 1e-10
 
 
-def test_evolve_norm_preval():
-    alpha = 1.0
-    cutoff = coherent_required_cutoff(alpha)
-    a, adag = ladder_operators(cutoff)
-
-    def hof(t):
-        f = 0.7 * math.sin(3.0 * t)
-        return f * (a.entries + adag.entries)
-
-    tol = 1e-8
-    out = evolve(coherent_state(alpha, cutoff), hof, 0.0, 2.0, tol)
-    assert abs(out.norm_sq() - 1.0) <= tol
+@PROPERTY
+@given(c1=complex_unit, c2=complex_unit, alpha=complex_unit, T=st.floats(0.5, 1.5),
+       cutoff=st.integers(2, 60))
+def test_evolve_keeps_norm_on_random_drives(c1, c2, alpha, T, cutoff):
+    drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
+    state = coherent_state(alpha, cutoff, allow_truncation=True)
+    out = _propagate_per_segment(state, drive, drive, 1e-9)
+    assert abs(out.norm_sq() - 1.0) <= 1e-12
 
 
-def _wiggly_drive(cutoff):
-    a, adag = ladder_operators(cutoff)
-    x = a.entries + adag.entries
-
-    def hof(t):
-        return (2.0 * math.cos(7.0 * t) + 1.1 * math.sin(3.0 * t)) * x
-
-    return hof
+def _wiggly_drive(t):
+    return 2.0 * math.cos(7.0 * t) + 1.1 * math.sin(3.0 * t)
 
 
 def test_evolve_self_convergence_under_tol_halving():
     # Halving tol keeps the deviation from a much finer reference inside the
     # halved contract; the deviation itself fluctuates below that bound
     # (adaptive step quantisation), so the bound is what must shrink.
-    cutoff = 16
-    state = number_state(1, cutoff)
-    hof = _wiggly_drive(cutoff)
+    state = number_state(1, 16)
     tols = [1e-4 / 2 ** k for k in range(5)]
-    reference = evolve(state, hof, 0.0, 2.0, tols[-1] / 100).amplitudes
+    reference = evolve(state, _wiggly_drive, 0.0, 2.0, tols[-1] / 100).amplitudes
     deviations = []
     for tol in tols:
-        out = evolve(state, hof, 0.0, 2.0, tol).amplitudes
+        out = evolve(state, _wiggly_drive, 0.0, 2.0, tol).amplitudes
         deviations.append(np.linalg.norm(out - reference))
     for tol, dev in zip(tols, deviations):
         assert dev <= tol
     assert deviations[-1] <= deviations[0]
 
 
-def test_evolve_midpoint_order_two_agrees():
-    cutoff = 16
-    state = number_state(1, cutoff)
-    hof = _wiggly_drive(cutoff)
-    ref = evolve(state, hof, 0.0, 1.0, 1e-11).amplitudes
-    mid = evolve(state, hof, 0.0, 1.0, 1e-7, order=2).amplitudes
-    assert np.linalg.norm(mid - ref) <= 1e-7
-
-
 def test_evolve_argument_validation():
     state = number_state(0, 4)
-    h = np.zeros((4, 4), complex)
     with pytest.raises(ValueError):
-        evolve(state, h, 1.0, 0.0, 1e-8)
+        evolve(state, _wiggly_drive, 1.0, 0.0, 1e-8)
     with pytest.raises(ValueError):
-        evolve(state, h, 0.0, 1.0, -1e-8)
-    with pytest.raises(ValueError):
-        evolve(state, h, 0.0, 1.0, 1e-8, order=3)
+        evolve(state, _wiggly_drive, 0.0, 1.0, -1e-8)
 
 
-def test_evolve_step_budget_failure_carries_diagnostics():
-    cutoff = 8
-    state = number_state(1, cutoff)
-    hof = _wiggly_drive(cutoff)
+def test_evolve_step_budget_failure_carries_diagnostics(monkeypatch):
+    monkeypatch.setattr(fock, "MAX_STEPS", 3)
     with pytest.raises(IntegrationError) as err:
-        evolve(state, hof, 0.0, 2.0, 1e-10, max_steps=3)
+        evolve(number_state(1, 8), _wiggly_drive, 0.0, 2.0, 1e-10)
     assert "steps" in err.value.diagnostics
 
 
@@ -258,16 +246,25 @@ def test_drive_sample_exponential_matches_dense_expm(cutoff, g, h, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
     psi /= np.linalg.norm(psi)
-    a, adag = ladder_operators(cutoff)
-    dense = expm(-1j * h * (g * adag.entries + np.conj(g) * a.entries)) @ psi
-    assert np.linalg.norm(_apply_exp(h, DriveSample(g), psi) - dense) <= 1e-12
+    exact = fock._to_number_basis(*fock._apply_factor(h, g, psi, None))
+    assert np.linalg.norm(exact - _dense_factor(h, g, psi, None)[0]) <= 1e-12
 
 
-def test_drive_sample_combines_with_real_weights_only():
-    combined = 0.25 * DriveSample(1.0 + 2.0j) + 0.5 * DriveSample(-1.0j)
-    assert combined == DriveSample(0.25 + 0.0j)
-    with pytest.raises(TypeError):
-        1j * DriveSample(1.0)
+def _fast_and_dense(drive, state):
+    """[(state, drive samples)] of per-segment propagations with the exact
+    factor and with ``_dense_factor``, both under ``evolve``'s step control."""
+    results = []
+    for factor in (fock._apply_factor, _dense_factor):
+        samples = []
+
+        def sample(t, samples=samples):
+            samples.append(t)
+            return drive(t)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "_apply_factor", factor)
+            results.append((_propagate_per_segment(state, sample, drive, 1e-9), len(samples)))
+    return results
 
 
 @PROPERTY
@@ -276,30 +273,9 @@ def test_drive_sample_combines_with_real_weights_only():
 def test_evolve_drive_sample_matches_dense_sampler(c1, c2, alpha, T, cutoff):
     drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
     state = coherent_state(alpha, cutoff, allow_truncation=True)
-    a, adag = ladder_operators(cutoff)
-    samples = {"ladder": 0, "dense": 0}
-
-    def ladder(t):
-        samples["ladder"] += 1
-        return DriveSample(drive(t))
-
-    def dense(t):
-        samples["dense"] += 1
-        f = drive(t)
-        return f * adag.entries + np.conj(f) * a.entries
-
-    fast = reference = state
-    for t0, t1 in drive.segments():  # the triangle's kink splits the window
-        fast = evolve(fast, ladder, t0, t1, 1e-9)
-        reference = evolve(reference, dense, t0, t1, 1e-9)
+    (fast, fast_samples), (reference, dense_samples) = _fast_and_dense(drive, state)
     assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
-    assert samples["ladder"] == samples["dense"]
-
-
-def _propagate_per_segment(state, hamiltonian, drive, tol):
-    for t0, t1 in drive.segments():  # a kink splits the window
-        state = evolve(state, hamiltonian, t0, t1, tol)
-    return state
+    assert fast_samples == dense_samples
 
 
 def _sign_changing_drive(c, T):
@@ -312,22 +288,9 @@ def _sign_changing_drive(c, T):
 def test_evolve_constant_phase_drive_matches_dense_sampler(c, alpha, T, cutoff):
     drive = _sign_changing_drive(c, T)
     state = coherent_state(alpha, cutoff, allow_truncation=True)
-    a, adag = ladder_operators(cutoff)
-    samples = {"ladder": 0, "dense": 0}
-
-    def ladder(t):
-        samples["ladder"] += 1
-        return DriveSample(drive(t))
-
-    def dense(t):
-        samples["dense"] += 1
-        f = drive(t)
-        return f * adag.entries + np.conj(f) * a.entries
-
-    fast = _propagate_per_segment(state, ladder, drive, 1e-9)
-    reference = _propagate_per_segment(state, dense, drive, 1e-9)
+    (fast, fast_samples), (reference, dense_samples) = _fast_and_dense(drive, state)
     assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
-    assert samples["ladder"] == samples["dense"]
+    assert fast_samples == dense_samples
 
 
 def _count_frame_changes(monkeypatch, drive, tol, cutoff=40):
@@ -341,7 +304,7 @@ def _count_frame_changes(monkeypatch, drive, tol, cutoff=40):
 
     def sample(t):
         counts["samples"] += 1
-        return DriveSample(drive(t))
+        return drive(t)
 
     monkeypatch.setattr(fock, "_change_frame", counted)
     _propagate_per_segment(coherent_state(1.5, cutoff), sample, drive, tol)
