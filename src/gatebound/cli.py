@@ -197,7 +197,7 @@ def cmd_gate_sim(params, ctx: UnitContext, seed: int):
     alpha = parse_complex(str(params["alpha"]))
     envelope = ENVELOPES[params["envelope"]](params["duration"])
     drive = gate.pi_phase_drive(envelope, alpha)
-    scenario = gate.coherent_drive_scenario(alpha, drive, omega=params["omega"])
+    scenario = gate.coherent_drive_scenario(alpha, drive)
     exact = gate.failure_probability_exact(scenario, params["tol"])
     oracle = gate.displacement_oracle(alpha, drive)
     p_hat = gate.failure_probability_perturbative(scenario)
@@ -249,17 +249,14 @@ def cmd_squeeze_opt(params, ctx: UnitContext, seed: int):
     epsilon = params["epsilon"]
     omega = params["omega"]
     r_star, e_min = pulses.optimize_squeezing(epsilon, omega, ctx.hbar)
-    r_num, e_num = pulses.squeezing_optimum_numeric(epsilon, omega, ctx.hbar)
     row = [
         ("epsilon", "epsilon", epsilon),
         ("omega", "omega_rad_per_s", omega),
         ("r_star", "r_star", r_star),
         ("e_min", f"e_min_{ctx.energy_unit}", e_min),
         ("e_min_over_hw", "e_min_over_hbar_omega", e_min / (ctx.hbar * omega)),
-        ("numeric_rel_diff", "numeric_rel_diff", abs(e_num - e_min) / e_min),
     ]
     extra: dict[str, Any] = {
-        "r_numeric": r_num,
         # the energy expression counts the squeezed-mode quanta as e^{2r};
         # the exact squeezed-vacuum occupation would be sinh^2(r)
         "squeezed_photon_term": math.exp(2.0 * r_star),
@@ -415,7 +412,6 @@ _register(Command(
               choices=tuple(ENVELOPES)),
         Param("duration", float, "gate time (s)", default=1.0),
         Param("tol", float, "propagation tolerance", default=1e-9),
-        Param("omega", float, "control self-frequency (rad/s)", default=1.0),
     ),
     cmd_gate_sim,
     "columns: alpha_abs, alpha_sq, p_exact, p_oracle, p_perturbative, p_times_alpha_sq, ...",

@@ -126,8 +126,8 @@ def collision_crosscheck(v: float, T: float, epsilon: float,
 
     Both routes are reduced to the minimal per-particle kinetic energy they
     imply at matched (v, T), with the collision gap at its ceiling b = vT
-    and the (quadrature-verified) log-derivative -(n-1)/b in the collision
-    error.  The collision chain demands m >= pi^2 T hbar (n-1)^2/(2 eps b^2),
+    and the closed-form log-derivative -(n-1)/b in the collision error.
+    The collision chain demands m >= pi^2 T hbar (n-1)^2/(2 eps b^2),
     i.e. (1/2) m v^2 >= (pi^2/4) hbar/(eps T) at n = 2; the heuristic
     demands (1/2) m v^2 >= pi^2 hbar/(eps T).  Their ratio is 4.
     """

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalInconsistencyError, SamplingError
+from .errors import SamplingError
 from .report import BoundReport, bound_satisfied
 
 PI = math.pi
@@ -268,54 +268,18 @@ def squeezed_energy(r: float, epsilon: float, omega: float, hbar: float = 1.0) -
     return hbar * omega * (1.0 / (s * epsilon) + s)
 
 
-def _golden_minimize(fn, lo: float, hi: float, iterations: int = 200) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-        if b - a < 1e-14 * max(1.0, abs(hi - lo)):
-            break
-    return 0.5 * (a + b)
-
-
-def squeezing_optimum_numeric(epsilon: float, omega: float = 1.0,
-                              hbar: float = 1.0) -> tuple[float, float]:
-    """(r, E) from a golden-section search over r in [0, -ln eps]."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    hi = max(-math.log(epsilon), 1e-12)
-    r_num = _golden_minimize(lambda r: squeezed_energy(r, epsilon, omega, hbar), 0.0, hi)
-    return r_num, squeezed_energy(r_num, epsilon, omega, hbar)
-
-
 def optimize_squeezing(epsilon: float, omega: float = 1.0,
                        hbar: float = 1.0) -> tuple[float, float]:
     """(r*, E_min) minimising the squeezed-field energy requirement.
 
-    Closed form: r* = -ln(eps)/4 and E_min = 2 hbar omega / sqrt(eps).
-    A golden-section search over r in [0, -ln eps] must reproduce the
-    closed form to 1e-9 relative, otherwise the mismatch is raised.
+    By AM-GM the two terms of :func:`squeezed_energy` balance at
+    e^{2r*} = 1/sqrt(eps), so r* = -ln(eps)/4 and E_min = 2 hbar omega / sqrt(eps).
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    r_star = -math.log(epsilon) / 4.0
-    e_min = 2.0 * hbar * omega / math.sqrt(epsilon)
-    _, e_num = squeezing_optimum_numeric(epsilon, omega, hbar)
-    if abs(e_num - e_min) > 1e-9 * e_min:
-        raise NumericalInconsistencyError(
-            f"golden-section minimum {e_num!r} deviates from closed form {e_min!r}"
-        )
-    return r_star, e_min
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    return -math.log(epsilon) / 4.0, 2.0 * hbar * omega / math.sqrt(epsilon)
 
 
 @dataclass(frozen=True)

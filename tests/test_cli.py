@@ -224,7 +224,6 @@ TABLE_CASES = {
         ("r_star", "r_star"),
         ("e_min", "e_min_hbar_rad_per_s"),
         ("e_min_over_hw", "e_min_over_hbar_omega"),
-        ("numeric_rel_diff", "numeric_rel_diff"),
         ("omega_min", "linewidth_omega_min_rad_per_s"),
         ("combined_bound", "combined_bound_hbar_rad_per_s"),
         ("combined_bound_quoted", "combined_bound_quoted_hbar_rad_per_s"),
@@ -382,3 +381,11 @@ def test_gate_sim_integrates_its_drive_once(tmp_path, monkeypatch, envelope, seg
     assert main(["gate-sim", "--alpha", "2", "--envelope", envelope,
                  "--output", str(tmp_path / "run")]) == 0
     assert len(calls) == segments
+
+
+def test_gate_sim_takes_no_omega(tmp_path):
+    # its drive is written in the interaction picture, so H0 never enters
+    with pytest.raises(SystemExit) as err:
+        main(["gate-sim", "--alpha", "2", "--omega", "1", "--output", str(tmp_path / "a")])
+    assert err.value.code == 2
+    assert not (tmp_path / "a").exists()

@@ -2,6 +2,7 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gatebound import (
@@ -278,9 +279,13 @@ def test_constraint_ratio_independent_of_coupling():
     assert r1 == pytest.approx(r7, rel=1e-12)
 
 
-def test_dipole_leading_ratio_limit():
-    limit = dipole_leading_ratio(harmonic_cfg())
-    assert abs(limit - 2.5) < 0.01
+@settings(derandomize=True, deadline=None, max_examples=16)
+@given(A=st.floats(0.5, 1e4), omega=st.floats(0.1, 10.0), m=st.floats(0.2, 50.0))
+def test_dipole_leading_ratio_limit(A, omega, m):
+    # b * R(b) -> 5/2 at any scale; R does not depend on the (uncalibrated) coupling
+    cfg = HarmonicCollisionConfig(m=m, omega=omega, A=A, b=0.3 * A,
+                                  potential=PotentialLaw.power_law(3.0))
+    assert abs(dipole_leading_ratio(cfg) - 2.5) < 0.01
 
 
 def test_dipole_ratio_at_finite_gap():

@@ -25,7 +25,7 @@ from gatebound import (
     single_mode_equality_pulse,
     squeezed_energy,
 )
-from gatebound.pulses import mode_window_integral, squeezing_optimum_numeric
+from gatebound.pulses import mode_window_integral
 
 PI = math.pi
 
@@ -208,13 +208,6 @@ def test_optimize_squeezing_values():
     r_star, e_min = optimize_squeezing(1.0)
     assert r_star == 0.0
     assert abs(e_min - 2.0) < 1e-12
-
-
-def test_numeric_optimum_agrees_with_closed_form():
-    for epsilon in (0.3, 0.01, 1e-4):
-        _, e_num = squeezing_optimum_numeric(epsilon)
-        _, e_closed = optimize_squeezing(epsilon)
-        assert abs(e_num - e_closed) <= 1e-9 * e_closed
 
 
 def test_energy_derivative_vanishes_at_optimum():
