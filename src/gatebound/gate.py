@@ -26,9 +26,11 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-# Not called here: perfbench/tracing.py wraps this name, as it wraps fock.expm.
-from scipy.integrate import dblquad  # noqa: F401
+from scipy.integrate import quad
+# Not called here: perfbench/tracing.py wraps gate.dblquad and gate.solve_ivp,
+# as it wraps fock.expm, and its tracer smoke run fails with AttributeError
+# without these names.
+from scipy.integrate import dblquad, solve_ivp  # noqa: F401
 
 from .envelopes import LinearDrive, envelope_drive
 from .errors import CutoffError, DimensionMismatchError, IntegrationError
@@ -168,28 +170,92 @@ class DriveIntegrals:
     magnus_phase: float
 
 
+PANEL_NODES = 16   # Gauss-Legendre nodes per panel
+MAX_PANELS = 256   # panels per segment before the drive integral gives up
+
+
+@lru_cache(maxsize=1)
+def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, weights w and spectral integration matrix S on [-1, 1].
+
+    S[j, k] = int_{-1}^{x_j} l_k, with l_k the Lagrange polynomial of node k,
+    so S @ f integrates the node interpolant of f up to each node.  The
+    Lagrange basis is expanded in Legendre polynomials through the rule's
+    own discrete orthogonality, which is exact at this degree.
+    """
+    n = PANEL_NODES
+    x, w = np.polynomial.legendre.leggauss(n)
+    P = np.polynomial.legendre.legvander(x, n)  # P[j, m] = P_m(x_j), m = 0..n
+    integrated = np.empty((n, n))               # int_{-1}^{x_j} P_m
+    integrated[:, 0] = x + 1.0
+    integrated[:, 1:] = (P[:, 2:] - P[:, :-2]) / (2.0 * np.arange(1, n) + 1.0)
+    lagrange = (np.arange(n) + 0.5)[:, None] * P[:, :n].T * w  # l_k = sum_m lagrange[m, k] P_m
+    return x, w, integrated @ lagrange
+
+
+def _panel_sums(drive: LinearDrive, a: float, b: float, panels: int
+                ) -> tuple[complex, float, float]:
+    """(int f, int Im(f conj G), int |f|) over [a, b] with G(t) = int_a^t f.
+
+    Composite Gauss-Legendre rule on ``panels`` equal panels, each sampling
+    the drive at its ``PANEL_NODES`` nodes.
+    """
+    x, w, S = _panel_rule()
+    h = (b - a) / (2.0 * panels)
+    mids = a + h * (2.0 * np.arange(panels) + 1.0)
+    nodes = (mids[:, None] + h * x).ravel().tolist()
+    f = np.array([drive(t) for t in nodes]).reshape(panels, -1)
+    sums = h * (f @ w)                                 # int f on each panel
+    starts = np.concatenate(([0.0], np.cumsum(sums)[:-1]))
+    G = starts[:, None] + h * (f @ S.T)                # int_a^t f at every node
+    phase = h * float(np.sum(w * (f * G.conj()).imag))
+    return complex(np.sum(sums)), phase, h * float(np.sum(np.abs(f) @ w))
+
+
+def _segment_integrals(drive: LinearDrive, a: float, b: float, rtol: float
+                       ) -> tuple[complex, float]:
+    """(int f, int Im(f conj G)) over one smooth segment [a, b].
+
+    The panel count doubles (1, 2, 4, ...) until two successive estimates
+    agree to ``rtol * int|f|`` in the integral and ``rtol * (int|f|)^2`` in
+    the phase; past ``MAX_PANELS`` panels :class:`IntegrationError` is raised.
+    """
+    panels = 1
+    coarse = _panel_sums(drive, a, b, panels)
+    while True:
+        panels *= 2
+        fine = _panel_sums(drive, a, b, panels)
+        dF, dphi, scale = abs(fine[0] - coarse[0]), abs(fine[1] - coarse[1]), fine[2]
+        if dF <= rtol * scale and dphi <= rtol * scale ** 2:
+            return fine[0], fine[1]
+        if panels >= MAX_PANELS:
+            raise IntegrationError("drive integral did not converge", {
+                "segment": (a, b), "panels": panels, "integral_error": dF,
+                "phase_error": dphi, "abs_integral": scale, "rtol": rtol})
+        coarse = fine
+
+
 @lru_cache(maxsize=16)  # the exact phase, the estimate and the oracle share one drive
 def drive_integrals(drive: LinearDrive, rtol: float = 1e-12) -> DriveIntegrals:
-    """Integrate dF = f and dphi = Im[f(t) * int_0^t conj(f)] over the window.
+    """F = int f and phi = int Im[f(t) conj F(t)] over the window.
 
     The second-order term terminates the Magnus series for linear drives:
-    the time-ordered exponential is exactly e^{i phi} D(-i F).  Results are
-    cached per (frozen) drive and ``rtol``.
+    the time-ordered exponential is exactly e^{i phi} D(-i F).  Each drive
+    segment is integrated on composite ``PANEL_NODES``-point Gauss-Legendre
+    panels: F at the nodes from the panel's spectral integration matrix,
+    phi as the weighted sum of Im(f conj F), and the panel count doubled
+    until two estimates agree to ``rtol`` (see ``_segment_integrals``).  The
+    drive is sampled only here, never at ``evolve``'s steps, so the oracle
+    stays independent of the propagation.  Results are cached per (frozen)
+    drive and ``rtol``.
     """
-
-    def rhs(t, y):
-        ft = drive(t)
-        # y = (Re F, Im F, phi) with F(t) = int_0^t f
-        return [ft.real, ft.imag, (ft * complex(y[0], -y[1])).imag]
-
-    y = np.zeros(3)
+    F, phi = 0j, 0.0
     for a, b in drive.segments():
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=1e-14)
-        if not sol.success:
-            raise IntegrationError("drive integral failed", {"segment": (a, b), "message": sol.message})
-        y = sol.y[:, -1]
-    F = complex(y[0], y[1])
-    return DriveIntegrals(integral=F, displacement=-1j * F, magnus_phase=float(y[2]))
+        dF, dphi = _segment_integrals(drive, a, b, rtol)
+        # the segment's own phase plus the cross term with the F it starts from
+        phi += dphi + (dF * np.conj(F)).imag
+        F += dF
+    return DriveIntegrals(integral=F, displacement=-1j * F, magnus_phase=float(phi))
 
 
 def _propagate_constant(h: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:

@@ -369,15 +369,15 @@ def test_malformed_config_exits_2(tmp_path):
 @pytest.mark.parametrize("envelope, segments", [("raised-cosine", 1), ("triangle", 2)])
 def test_gate_sim_integrates_its_drive_once(tmp_path, monkeypatch, envelope, segments):
     # the exact phase, the perturbative estimate and the oracle share one
-    # drive_integrals result: one solve_ivp per drive segment
+    # drive_integrals result: one panel integration per drive segment
     calls = []
-    original = gate.solve_ivp
+    original = gate._segment_integrals
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted(drive, a, b, rtol):
+        calls.append((a, b))
+        return original(drive, a, b, rtol)
 
-    monkeypatch.setattr(gate, "solve_ivp", counted)
+    monkeypatch.setattr(gate, "_segment_integrals", counted)
     assert main(["gate-sim", "--alpha", "2", "--envelope", envelope,
                  "--output", str(tmp_path / "run")]) == 0
     assert len(calls) == segments

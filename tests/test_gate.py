@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from functools import lru_cache
@@ -5,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, solve_ivp
 
 from gatebound import (
     CutoffError,
@@ -33,7 +34,7 @@ from gatebound import (
     triangle,
 )
 from gatebound.errors import IntegrationError
-from gatebound.gate import drive_bound_integral
+from gatebound.gate import MAX_PANELS, drive_bound_integral
 from gatebound.verify import alpha_for_target_p
 
 PI = math.pi
@@ -161,6 +162,76 @@ def test_oracle_equivalence_randomized_family():
         oracle = displacement_oracle(alpha, drive)
         assert abs(exact.failure_probability - oracle.failure_probability) < 1e-8
         assert abs(exact.inner - oracle.inner) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# drive integrals
+# ---------------------------------------------------------------------------
+
+def _dop853_drive_integrals(drive, rtol=1e-13):
+    # (F, phi) from the ODE dF = f, dphi = Im(f conj F), one DOP853 solve
+    # per drive segment: the integrator the Gauss-Legendre panels replaced
+    def rhs(t, y):
+        ft = drive(t)
+        return [ft.real, ft.imag, (ft * complex(y[0], -y[1])).imag]
+
+    y = np.zeros(3)
+    for a, b in drive.segments():
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=1e-14)
+        assert sol.success, sol.message
+        y = sol.y[:, -1]
+    return complex(y[0], y[1]), float(y[2])
+
+
+@pytest.mark.parametrize("shape", [raised_cosine, triangle, gaussian])
+@pytest.mark.parametrize("alpha", [2.0, 6.0, 16.0, -3.2 + 2.2j])
+def test_drive_integrals_match_closed_form_on_envelopes(shape, alpha):
+    # a constant-phase drive c s(t) integrates to c * area, and its samples
+    # commute, so its commutator phase is 0
+    envelope = shape(1.0)
+    c = PI * cmath.exp(1j * cmath.phase(alpha)) / (2.0 * abs(alpha) * envelope.integral)
+    integrals = drive_integrals(envelope_drive(envelope, c))
+    assert abs(integrals.integral - c * envelope.integral) <= 1e-15
+    assert abs(integrals.magnus_phase) <= 1e-15
+
+
+phase_turn = st.floats(0.3, PI - 0.3)
+
+
+@PROPERTY
+@given(radii=st.tuples(*[st.floats(0.3, 2.0)] * 3), turns=st.tuples(phase_turn, phase_turn),
+       shapes=st.permutations([raised_cosine, triangle, gaussian]),
+       durations=st.tuples(st.floats(0.4, 0.7), st.floats(0.8, 1.1), st.floats(1.2, 1.5)))
+def test_drive_integrals_match_dop853_on_mixed_phase_drives(radii, turns, shapes, durations):
+    # three envelopes of distinct phases on staggered windows (symmetric
+    # envelopes sharing one window would give a commutator phase of 0), with
+    # the triangle's kink and the window ends as declared breakpoints
+    phases = (0.0, turns[0], -turns[1])
+    drive = multi_envelope_drive([
+        (cmath.rect(r, theta), shape(T))
+        for r, theta, shape, T in zip(radii, phases, shapes, durations)])
+    F_ref, phi_ref = _dop853_drive_integrals(drive)
+    integrals = drive_integrals(drive)
+    bound = 1e-12 * (1.0 + abs(phi_ref))
+    assert abs(integrals.integral - F_ref) <= bound
+    assert abs(integrals.magnus_phase - phi_ref) <= bound
+
+
+def test_drive_integrals_reject_an_undeclared_jump():
+    def sign_flip(t):
+        return 1.0 if t < 0.3 else -1.0
+
+    with pytest.raises(IntegrationError) as info:
+        drive_integrals(LinearDrive(sign_flip, 1.0))
+    diagnostics = info.value.diagnostics
+    assert diagnostics["segment"] == (0.0, 1.0)
+    assert diagnostics["panels"] == MAX_PANELS
+    assert diagnostics["rtol"] == 1e-12
+    assert diagnostics["integral_error"] > diagnostics["rtol"] * diagnostics["abs_integral"]
+    # declared as a breakpoint, the same jump integrates exactly
+    integrals = drive_integrals(LinearDrive(sign_flip, 1.0, (0.3,)))
+    assert integrals.integral == pytest.approx(-0.4, abs=1e-15)
+    assert integrals.magnus_phase == 0.0
 
 
 # ---------------------------------------------------------------------------
