@@ -34,7 +34,6 @@ from .fock import (
     evolve,
     ladder_operators,
     mean_photon_number,
-    number_operator,
     number_state,
     overlap,
     quadrature_variance,
@@ -45,12 +44,10 @@ from .gate import (
     GateScenario,
     coherent_drive_scenario,
     counterexample_always_on,
-    counterexample_scenario,
     displacement_oracle,
     drive_integrals,
     failure_probability_exact,
     failure_probability_perturbative,
-    oscillator_hamiltonian,
     pi_phase_drive,
     switch_off_check,
 )

@@ -176,7 +176,7 @@ def _merge_params(command: Command, flags: dict, loose: dict) -> dict:
 def cmd_counterexample(params, ctx: UnitContext, seed: int):
     table = []
     for n in params["n"]:
-        outcome = gate.counterexample_always_on(n, params["g"], params["cutoff"], params["omega"])
+        outcome = gate.counterexample_always_on(n, params["g"])
         table.append([
             ("n", "n", n),
             ("g", "g_rad_per_s", params["g"]),
@@ -397,8 +397,7 @@ _register(Command(
     (
         Param("n", parse_int_list, "number-state indices, e.g. 1..6 or 1,3,5", default=[1, 2, 3, 4, 5, 6]),
         Param("g", float, "coupling strength (rad/s)", default=1.0),
-        Param("omega", float, "oscillator frequency (rad/s)", default=1.0),
-        Param("cutoff", int, "basis size (default n+2)"),
+        Param("omega", float, "oscillator frequency for the control energy (rad/s)", default=1.0),
     ),
     cmd_counterexample,
     "columns: n, g_rad_per_s, duration_s, failure_probability, phase_residual_hbar, switch residuals",

@@ -28,7 +28,6 @@ from scipy.special import gammainc, gammaln
 from .errors import CutoffError, DimensionMismatchError, IntegrationError
 
 NORM_TOL = 1e-10          # allowed |sum |c_n|^2 - 1| for constructed states
-HERMITICITY_TOL = 1e-12   # max-entry deviation allowed for Hamiltonian matrices
 COHERENT_TAIL = 1e-12     # Poisson tail mass guaranteed by the cutoff rule
 SQUEEZED_TAIL = 1e-10     # tail mass contract for squeezed-coherent states
 MAX_STEPS = 200_000       # adaptive sub-steps allowed per evolve call
@@ -60,11 +59,10 @@ class ControlState:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator on the truncated basis (energy units for Hamiltonians)."""
+    """Dense operator on the truncated basis."""
 
     cutoff: int
     entries: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.entries, dtype=np.complex128)
@@ -72,10 +70,6 @@ class OperatorMatrix:
             raise DimensionMismatchError(
                 f"operator has shape {mat.shape}, expected ({self.cutoff}, {self.cutoff})"
             )
-        if self.hermitian:
-            dev = float(np.max(np.abs(mat - mat.conj().T)))
-            if dev > HERMITICITY_TOL:
-                raise ValueError(f"matrix deviates from Hermiticity by {dev:.3e}")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
@@ -197,12 +191,6 @@ def ladder_operators(cutoff: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     n = np.arange(1, cutoff)
     a[n - 1, n] = np.sqrt(n)
     return OperatorMatrix(cutoff, a), OperatorMatrix(cutoff, a.conj().T)
-
-
-def number_operator(cutoff: int) -> OperatorMatrix:
-    """Diagonal a†a."""
-    return OperatorMatrix(cutoff, np.diag(np.arange(cutoff, dtype=np.complex128)),
-                          hermitian=True)
 
 
 def overlap(lhs: ControlState, rhs: ControlState) -> complex:

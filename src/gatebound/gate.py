@@ -7,12 +7,14 @@ the failure probability reduces to a single control-space amplitude
     inner = <psi0| Texp(-i/hbar int_0^T V_I(t) dt) |psi0>,
     p     = 1 - |1 - inner|^2 / 4,
 
-with V_I the interaction-picture coupling.  This module computes ``inner``
-exactly by propagation, perturbatively from the fluctuation autocorrelation
-of V_I, and (for linear drives on coherent states) in closed form through
-the displacement decomposition of the time-ordered exponential.  A family
-of always-on counterexample scenarios shows why the switch-off premise on
-V is essential: they reach p = 0 with arbitrarily little control energy.
+with V_I the interaction-picture coupling.  For a linear drive
+V_I(t) = f(t) a† + conj(f(t)) a this module computes ``inner`` exactly by
+propagation, perturbatively from the fluctuation autocorrelation of V_I,
+and (on coherent states) in closed form through the displacement
+decomposition of the time-ordered exponential.  The always-on
+counterexample V = g a†a on |n>, stated in closed form, shows why the
+switch-off premise on V is essential: it reaches p = 0 with arbitrarily
+little control energy.
 
 Natural units (hbar = 1) throughout.
 """
@@ -23,7 +25,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,17 +34,14 @@ from scipy.integrate import quad
 from scipy.integrate import dblquad, solve_ivp  # noqa: F401
 
 from .envelopes import LinearDrive, envelope_drive
-from .errors import CutoffError, DimensionMismatchError, IntegrationError
+from .errors import CutoffError, IntegrationError
 from .fock import (
     COHERENT_TAIL,
     ControlState,
-    OperatorMatrix,
     coherent_required_cutoff,
     coherent_state,
     drive_action,
     evolve,
-    number_operator,
-    number_state,
     overlap,
 )
 
@@ -53,43 +51,19 @@ EDGE_LEVELS = 10        # top levels whose population the truncation check bound
 
 @dataclass(frozen=True)
 class GateScenario:
-    """Control state, self-Hamiltonian, interaction and gate duration.
+    """A control state under a linear drive.
 
-    ``v`` is either a constant Hermitian matrix (Schroedinger picture), which
-    needs the self-Hamiltonian ``h0``, or a :class:`LinearDrive` giving the
-    interaction-picture coupling V_I(t) = f(t) a† + conj(f(t)) a directly,
-    which has already absorbed H0 and so takes ``h0=None``.
+    The drive gives the interaction-picture coupling
+    V_I(t) = f(t) a† + conj(f(t)) a directly, so the control's own
+    Hamiltonian never enters; the gate duration is the drive's window.
     """
 
     control: ControlState
-    h0: OperatorMatrix | None
-    v: Union[OperatorMatrix, LinearDrive]
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if isinstance(self.v, LinearDrive):
-            if self.h0 is not None:
-                raise ValueError("h0 must be None: a linear drive is in the interaction picture")
-            if abs(self.v.duration - self.duration) > 1e-12 * max(1.0, self.duration):
-                raise ValueError("drive window must match the gate duration")
-            return
-        if not isinstance(self.v, OperatorMatrix):
-            raise TypeError("v must be an OperatorMatrix or a LinearDrive")
-        if self.h0 is None:
-            raise ValueError("a constant-matrix interaction needs h0")
-        for name in ("h0", "v"):
-            op = getattr(self, name)
-            if not op.hermitian:
-                op = OperatorMatrix(op.cutoff, op.entries, hermitian=True)
-                object.__setattr__(self, name, op)
-            if op.cutoff != self.control.cutoff:
-                raise DimensionMismatchError(f"{name} cutoff differs from control state cutoff")
+    drive: LinearDrive
 
     @property
-    def is_linear_drive(self) -> bool:
-        return isinstance(self.v, LinearDrive)
+    def duration(self) -> float:
+        return self.drive.duration
 
 
 @dataclass(frozen=True)
@@ -114,11 +88,6 @@ class GateOutcome:
             switch_residual_start=float(switch_start),
             switch_residual_end=float(switch_end),
         )
-
-
-def oscillator_hamiltonian(omega: float, cutoff: int) -> OperatorMatrix:
-    """H0 = omega * a†a (hbar = 1)."""
-    return OperatorMatrix(cutoff, omega * number_operator(cutoff).entries, hermitian=True)
 
 
 def pi_phase_drive(envelope, alpha: complex) -> LinearDrive:
@@ -154,7 +123,7 @@ def coherent_drive_scenario(alpha: complex, drive: LinearDrive, *,
     if cutoff is None:
         excursion = drive_bound_integral(drive)
         cutoff = coherent_required_cutoff(abs(alpha) + excursion + 0.5)
-    return GateScenario(coherent_state(alpha, cutoff), None, drive, drive.duration)
+    return GateScenario(coherent_state(alpha, cutoff), drive)
 
 
 # ---------------------------------------------------------------------------
@@ -258,103 +227,71 @@ def drive_integrals(drive: LinearDrive, rtol: float = 1e-12) -> DriveIntegrals:
     return DriveIntegrals(integral=F, displacement=-1j * F, magnus_phase=float(phi))
 
 
-def _propagate_constant(h: np.ndarray, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) psi for a constant Hermitian h, through its eigenbasis."""
-    lam, vecs = np.linalg.eigh(h)
-    return vecs @ (np.exp(-1j * lam * t) * (vecs.conj().T @ psi))
-
-
 def _integrated_action(scenario: GateScenario) -> np.ndarray:
-    """A|psi0> with A = int_0^T V_I(t) dt.
+    """A|psi0> with A = int_0^T V_I(t) dt = F a† + conj(F) a, F = int f.
 
-    A linear drive integrates to A = F a† + conj(F) a with F = int f.  A
-    constant matrix is integrated in the H0 eigenbasis, each Bohr frequency
-    in closed form.  <psi0|A|psi0> is the accumulated mean phase.
+    <psi0|A|psi0> is the accumulated mean phase.
     """
-    psi0 = scenario.control.amplitudes
-    if scenario.is_linear_drive:
-        return drive_action(drive_integrals(scenario.v).integral, psi0)
-    lam, vecs = np.linalg.eigh(scenario.h0.entries)
-    v_tilde = vecs.conj().T @ scenario.v.entries @ vecs
-    T = scenario.duration
-    x = (lam[:, None] - lam[None, :]) * T / 2.0
-    window = T * np.exp(1j * x) * np.sinc(x / math.pi)
-    return vecs @ ((v_tilde * window) @ (vecs.conj().T @ psi0))
+    F = drive_integrals(scenario.drive).integral
+    return drive_action(F, scenario.control.amplitudes)
 
 
 def failure_probability_exact(scenario: GateScenario, tol: float = 1e-9) -> GateOutcome:
     """Propagate the scenario and evaluate p = 1 - |1 - inner|^2 / 4.
 
-    Constant-matrix interactions are handled exactly as written: the control
-    is evolved once under H0 and once under H0 + V, each through the
-    eigenbasis of that constant Hamiltonian, and the two results are
-    overlapped.  Linear drives specify V_I(t) in the interaction picture, so
-    the same amplitude is obtained by propagating under V_I directly (the
-    free factors cancel identically in the overlap); ``tol`` bounds that
-    adaptive propagation.  The propagated state must leave at most
-    ``COHERENT_TAIL`` population on its top ``EDGE_LEVELS`` levels, else the
-    cutoff was too small for the drive and :class:`CutoffError` is raised.
+    The drive specifies V_I(t) in the interaction picture, so ``inner`` is
+    the overlap of psi0 with psi0 propagated under V_I alone (the free
+    factors cancel identically in the overlap).  Each drive segment is
+    propagated by :func:`evolve` with its share of ``tol``.  The propagated
+    state must leave at most ``COHERENT_TAIL`` population on its top
+    ``EDGE_LEVELS`` levels, else the cutoff was too small for the drive and
+    :class:`CutoffError` is raised.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     psi0 = scenario.control
+    drive = scenario.drive
     T = scenario.duration
-    if scenario.is_linear_drive:
-        drive = scenario.v
-        state = psi0
-        for a, b in drive.segments():
-            state = evolve(state, drive, a, b, tol * (b - a) / T)
-        edge = float(np.sum(np.abs(state.amplitudes[-EDGE_LEVELS:]) ** 2))
-        if edge > COHERENT_TAIL:
-            raise CutoffError(
-                f"propagated population {edge:.3e} on the top {EDGE_LEVELS} of "
-                f"{state.cutoff} levels exceeds {COHERENT_TAIL}; raise the cutoff"
-            )
-        inner = overlap(psi0, state)
-    else:
-        h0 = scenario.h0.entries
-        free = _propagate_constant(h0, psi0.amplitudes, T)
-        driven = _propagate_constant(h0 + scenario.v.entries, psi0.amplitudes, T)
-        inner = complex(np.vdot(free, driven))
+    state = psi0
+    for a, b in drive.segments():
+        state = evolve(state, drive, a, b, tol * (b - a) / T)
+    edge = float(np.sum(np.abs(state.amplitudes[-EDGE_LEVELS:]) ** 2))
+    if edge > COHERENT_TAIL:
+        raise CutoffError(
+            f"propagated population {edge:.3e} on the top {EDGE_LEVELS} of "
+            f"{state.cutoff} levels exceeds {COHERENT_TAIL}; raise the cutoff"
+        )
+    inner = overlap(psi0, state)
     phase = float(np.vdot(psi0.amplitudes, _integrated_action(scenario)).real)
     return GateOutcome.from_inner(inner, phase, *switch_off_check(scenario))
 
 
 def switch_off_check(scenario: GateScenario) -> tuple[float, float]:
-    """(<V^2> at t=0, <V^2> at t=T after free evolution) for the premise check."""
+    """(<V_I^2> at t=0, <V_I^2> at t=T) on psi0 for the premise check.
+
+    V_I(t) is given in the interaction picture, where the control stays psi0.
+    """
     psi0 = scenario.control.amplitudes
-    T = scenario.duration
-    if scenario.is_linear_drive:
-        # V_I(t) is given in the interaction picture, where the control stays psi0
-        vpsi = [drive_action(scenario.v(t), psi0) for t in (0.0, T)]
-    else:
-        v = scenario.v.entries
-        vpsi = [v @ psi0, v @ _propagate_constant(scenario.h0.entries, psi0, T)]
+    vpsi = [drive_action(scenario.drive(t), psi0) for t in (0.0, scenario.duration)]
     start, end = (float(np.vdot(x, x).real) for x in vpsi)
     return start, end
 
 
-def counterexample_scenario(n: int, g: float, cutoff: int | None = None,
-                            omega: float = 1.0) -> GateScenario:
-    """Always-on interaction V = g a†a on |n> with T = pi/(g n)."""
+def counterexample_always_on(n: int, g: float) -> GateOutcome:
+    """Closed-form outcome of the always-on interaction V = g a†a on |n>.
+
+    V commutes with H0 = omega a†a and |n> is an eigenstate of both, so over
+    T = pi/(g n) the control only picks up inner = e^{-i g n T} = -1: p = 0
+    with the mean phase g n T = pi.  V is never switched off, so <V^2> is
+    (g n)^2 at both ends of the window.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if g <= 0:
         raise ValueError("g must be positive")
-    if cutoff is None:
-        cutoff = n + 2
-    if cutoff <= n:
-        raise ValueError(f"cutoff={cutoff} must exceed n={n}")
-    control = number_state(n, cutoff)
-    h0 = oscillator_hamiltonian(omega, cutoff)
-    v = OperatorMatrix(cutoff, g * number_operator(cutoff).entries, hermitian=True)
-    return GateScenario(control, h0, v, math.pi / (g * n))
-
-
-def counterexample_always_on(n: int, g: float, cutoff: int | None = None,
-                             omega: float = 1.0) -> GateOutcome:
-    """Exact outcome of the always-on scenario; p vanishes identically."""
-    return failure_probability_exact(counterexample_scenario(n, g, cutoff, omega))
+    gn = g * n
+    T = math.pi / gn
+    return GateOutcome.from_inner(np.exp(-1j * gn * T), gn * T, gn * gn, gn * gn)
 
 
 def displacement_oracle(control_alpha: complex, drive: LinearDrive) -> GateOutcome:
@@ -389,7 +326,7 @@ def failure_probability_perturbative(scenario: GateScenario) -> float:
 
     Time ordering is dropped and the real part taken, which makes the double
     integral the variance of A = int V_I dt on psi0, evaluated in closed form
-    as ||A psi0 - <A> psi0||^2 for both kinds of interaction.  The estimate
+    as ||A psi0 - <A> psi0||^2.  The estimate
     is meaningful when the accumulated mean phase <A> is close to pi,
     otherwise a warning marks the result advisory-only.
     """

@@ -85,13 +85,18 @@ def photon_number(pulse: PulseSpec) -> float:
     return float(np.sum(np.abs(pulse.alphas) ** 2))
 
 
-def mean_frequency(pulse: PulseSpec) -> float:
-    """Photon-number-weighted average mode frequency."""
-    weights = np.abs(pulse.alphas) ** 2
+def _weighted_mean_frequency(omegas: np.ndarray, alphas: np.ndarray) -> float:
+    """Photon-number-weighted average of ``omegas``; a pulse with no photons has none."""
+    weights = np.abs(alphas) ** 2
     total = float(np.sum(weights))
     if total == 0.0:
         raise ValueError("mean frequency undefined for a pulse with no photons")
-    return float(np.sum(pulse.omegas * weights) / total)
+    return float(np.sum(omegas * weights) / total)
+
+
+def mean_frequency(pulse: PulseSpec) -> float:
+    """Photon-number-weighted average mode frequency."""
+    return _weighted_mean_frequency(pulse.omegas, pulse.alphas)
 
 
 def field_energy(pulse: PulseSpec, hbar: float = 1.0) -> float:
@@ -227,7 +232,7 @@ def nonlinear_bound_check(reduction: NonlinearReduction,
     error = float(np.sum(np.abs(coeffs) ** 2))
     weights = np.abs(alphas) ** 2
     n_photon = float(np.sum(weights))
-    omega_bar = float(np.sum(omegas * weights) / n_photon) if n_photon > 0 else float(omegas[0])
+    omega_bar = _weighted_mean_frequency(omegas, alphas)
     energy = float(hbar * np.sum(omegas * weights))
     p_sq = reduction.error_divisor
     bound = (PI * PI / 4.0) * p_sq * hbar * omega_bar / epsilon

@@ -64,7 +64,7 @@ def _result(name, parts, tolerance, detail, t0) -> CriterionResult:
 def criterion_1(scale: float = 1.0) -> CriterionResult:
     """Always-on counterexample reaches p < 1e-10 for n = 1..6 at T = pi/(g n)."""
     t0 = time.perf_counter()
-    ps = [gate.counterexample_always_on(n, 1.0, cutoff=n + 2).failure_probability
+    ps = [gate.counterexample_always_on(n, 1.0).failure_probability
           for n in range(1, 7)]
     return _result("criterion-1-counterexample", ps, 1e-10 * scale,
                    f"max p = {max(ps):.3e} over n=1..6", t0)

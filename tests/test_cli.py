@@ -304,8 +304,12 @@ def test_bad_parameter_values_exit_2(tmp_path, capsys):
         tmp_path, {"command": "pulse-bound", "params": {"epsilon": 0.05, "budget": 2.5}})
     assert main(["run", "--config", budget_float, "--output", str(tmp_path / "b")]) == 2
     assert "'budget'" in capsys.readouterr().err
-    assert main(["counterexample", "--n", "5", "--cutoff", "3",
-                 "--output", str(tmp_path / "c")]) == 2
+    assert main(["counterexample", "--n", "0", "--output", str(tmp_path / "c")]) == 2
+    assert not (tmp_path / "c").exists()
+    assert main(["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--alpha", "0",
+                 "--output", str(tmp_path / "d")]) == 2
+    assert "no photons" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def _raise_key_error(params, ctx, seed):
@@ -325,19 +329,19 @@ def test_bug_inside_a_command_propagates(tmp_path, monkeypatch):
 
 
 def test_sweep_int_axis_rejects_fractional_values(tmp_path, capsys, monkeypatch):
-    command = COMMANDS["counterexample"]
+    command = COMMANDS["pulse-bound"]
     calls = []
 
     def counted(*args):
         calls.append(args)
         return command.run(*args)
 
-    monkeypatch.setitem(COMMANDS, "counterexample", dataclasses.replace(command, run=counted))
+    monkeypatch.setitem(COMMANDS, "pulse-bound", dataclasses.replace(command, run=counted))
     out = tmp_path / "run"
-    rc = main(["sweep", "--command", "counterexample", "--axis", "cutoff",
-               "--values", "2.7,3.2", "--param", "n=1", "--output", str(out)])
+    rc = main(["sweep", "--command", "pulse-bound", "--axis", "budget",
+               "--values", "2.7,3.2", "--param", "epsilon=0.05", "--output", str(out)])
     assert rc == 2
-    assert "'cutoff'" in capsys.readouterr().err
+    assert "'budget'" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -381,6 +385,14 @@ def test_gate_sim_integrates_its_drive_once(tmp_path, monkeypatch, envelope, seg
     assert main(["gate-sim", "--alpha", "2", "--envelope", envelope,
                  "--output", str(tmp_path / "run")]) == 0
     assert len(calls) == segments
+
+
+def test_counterexample_takes_no_cutoff(tmp_path):
+    # its outcome is a closed form, so there is no basis to size
+    with pytest.raises(SystemExit) as err:
+        main(["counterexample", "--n", "2", "--cutoff", "4", "--output", str(tmp_path / "a")])
+    assert err.value.code == 2
+    assert not (tmp_path / "a").exists()
 
 
 def test_gate_sim_takes_no_omega(tmp_path):

@@ -10,14 +10,12 @@ from gatebound import (
     ControlState,
     CutoffError,
     DimensionMismatchError,
-    OperatorMatrix,
     coherent_required_cutoff,
     coherent_state,
     evolve,
     ladder_operators,
     mean_photon_number,
     multi_envelope_drive,
-    number_operator,
     number_state,
     overlap,
     quadrature_variance,
@@ -27,7 +25,6 @@ from gatebound import (
 )
 from gatebound import fock
 from gatebound.fock import IntegrationError
-from gatebound.gate import _propagate_constant
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 unit_interval = st.floats(-1.0, 1.0)
@@ -159,12 +156,6 @@ def test_overlap_dimension_mismatch():
         overlap(number_state(0, 4), number_state(0, 5))
 
 
-def test_operator_matrix_hermiticity_enforced():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], complex)
-    with pytest.raises(ValueError):
-        OperatorMatrix(2, bad, hermitian=True)
-
-
 def _dense_factor(h, g, psi, frame):
     """Reference for ``fock._apply_factor``: expm of the dense generator, number basis."""
     assert frame is None  # nothing else enters a frame when this replaces the factor
@@ -182,16 +173,6 @@ def test_evolve_zero_hamiltonian_is_identity():
     state = coherent_state(1.0)
     out = evolve(state, lambda t: 0j, 0.0, 3.0, 1e-10)
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
-
-
-def test_evolve_constant_oscillator_rotates_coherent_state():
-    # the constant-matrix path: exp(-i omega N t)|alpha> = |alpha e^{-i omega t}>
-    alpha, omega, t = 1.2, 0.8, 2.5
-    cutoff = coherent_required_cutoff(alpha)
-    h0 = omega * number_operator(cutoff).entries
-    out = _propagate_constant(h0, coherent_state(alpha, cutoff).amplitudes, t)
-    rotated = coherent_state(alpha * np.exp(-1j * omega * t), cutoff)
-    assert abs(abs(overlap(ControlState(cutoff, out), rotated)) - 1.0) < 1e-10
 
 
 @PROPERTY

@@ -174,6 +174,17 @@ def test_p2_coefficient_matches_refined_quadrature():
     assert abs(reduction.coefficients[0][1] - oracle) < 1e-8
 
 
+def test_bound_checks_reject_a_pulse_with_no_photons():
+    # the bound's mean frequency is a photon-weighted average, undefined at alpha = 0
+    omega, g, window, epsilon = 1.0, 0.2, (0.0, 1.0), 0.1
+    with pytest.raises(ValueError, match="no photons"):
+        energy_bound_check(PulseSpec(((omega, g, 0.0),), window), epsilon)
+    for p_power in (1, 2):
+        reduction = nonlinear_reduce(p_power, raised_cosine(1.0), window, [(omega, g)])
+        with pytest.raises(ValueError, match="no photons"):
+            nonlinear_bound_check(reduction, [0.0], epsilon)
+
+
 def test_nonlinear_reduce_reports_sampling_error():
     envelope = raised_cosine(1.0)
     with pytest.raises(SamplingError):
