@@ -85,16 +85,11 @@ from .pulses import (
     PulseSpec,
     adversarial_pulse_search,
     energy_bound_check,
-    field_energy,
     linewidth_combined_bound,
-    mean_frequency,
     min_photon_number,
     nonlinear_bound_check,
     nonlinear_reduce,
     optimize_squeezing,
-    phase_accumulated,
-    photon_number,
-    quantum_error,
     random_feasible_pulse,
     single_mode_equality_pulse,
     squeezed_energy,

@@ -183,8 +183,11 @@ def cmd_counterexample(params, ctx: UnitContext, seed: int):
             ("duration", "duration_s", math.pi / (params["g"] * n)),
             ("p", "failure_probability", outcome.failure_probability),
             ("phase_residual", "phase_residual_hbar", outcome.phase_residual),
-            ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq", outcome.switch_residual_start),
-            ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq", outcome.switch_residual_end),
+            # <V^2> is in (rad/s)^2; hbar^2 makes it an energy squared
+            ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq",
+             ctx.hbar ** 2 * outcome.switch_residual_start),
+            ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq",
+             ctx.hbar ** 2 * outcome.switch_residual_end),
             # control energy reported relative to the H0 ground state (the zero
             # of energy is otherwise ambiguous)
             ("energy_above_ground", f"control_energy_above_ground_{ctx.energy_unit}",
@@ -211,8 +214,10 @@ def cmd_gate_sim(params, ctx: UnitContext, seed: int):
         ("phase_residual", "phase_residual_hbar", exact.phase_residual),
         ("oracle_diff", "oracle_abs_diff",
          abs(exact.failure_probability - oracle.failure_probability)),
-        ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq", exact.switch_residual_start),
-        ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq", exact.switch_residual_end),
+        ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq",
+         ctx.hbar ** 2 * exact.switch_residual_start),
+        ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq",
+         ctx.hbar ** 2 * exact.switch_residual_end),
     ]
     extra = {"inner": [exact.inner.real, exact.inner.imag], "cutoff": scenario.control.cutoff}
     return [row], extra

@@ -56,47 +56,27 @@ def _quad(fn: Callable[[float], float], a: float, b: float, *,
 
 @dataclass(frozen=True)
 class PotentialLaw:
-    """Interaction potential V(rho), either C * rho^-n or a custom callable."""
+    """Power-law interaction potential V(rho) = C * rho^-n with n > 1."""
 
-    kind: str
-    n: float | None = None
-    coupling: float | None = None
-    v_fn: Callable[[float], float] | None = None
-    dv_fn: Callable[[float], float] | None = None
+    n: float
+    coupling: float = 1.0
+
+    def __post_init__(self):
+        if not self.n > 1:
+            raise ValueError("power-law exponent must satisfy n > 1")
 
     @staticmethod
     def power_law(n: float, coupling: float = 1.0) -> "PotentialLaw":
-        if n <= 1:
-            raise ValueError("power-law exponent must satisfy n > 1")
-        return PotentialLaw("power_law", n=float(n), coupling=float(coupling))
-
-    @staticmethod
-    def custom(v: Callable[[float], float], dv: Callable[[float], float],
-               coupling: float = 1.0) -> "PotentialLaw":
-        return PotentialLaw("custom", coupling=float(coupling), v_fn=v, dv_fn=dv)
+        return PotentialLaw(float(n), float(coupling))
 
     def value(self, rho: float) -> float:
-        if self.kind == "power_law":
-            return self.coupling * rho ** (-self.n)
-        return self.coupling * self.v_fn(rho)
+        return self.coupling * rho ** (-self.n)
 
     def derivative(self, rho: float) -> float:
-        if self.kind == "power_law":
-            return -self.n * self.coupling * rho ** (-self.n - 1.0)
-        return self.coupling * self.dv_fn(rho)
+        return -self.n * self.coupling * rho ** (-self.n - 1.0)
 
     def scaled(self, factor: float) -> "PotentialLaw":
         return replace(self, coupling=self.coupling * factor)
-
-    def check_vanishes(self, b: float) -> None:
-        far = abs(self.value(1e6 * b))
-        near = abs(self.value(b))
-        if near == 0.0:
-            return
-        if far > 1e-8 * near:
-            raise ValueError(
-                f"potential does not vanish at large separation: |V(1e6 b)| = {far:.3e}"
-            )
 
 
 @dataclass(frozen=True)
@@ -116,7 +96,6 @@ class FreeCollisionConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.b < self.v * self.T:
             raise ValueError("impact parameter must satisfy b < v T")
-        self.potential.check_vanishes(self.b)
 
     def rho(self, t: float) -> float:
         return math.sqrt(4.0 * self.v * self.v * t * t + self.b * self.b)
@@ -233,8 +212,6 @@ def free_energy_bound(cfg: FreeCollisionConfig, epsilon: float) -> BoundReport:
     delta^2 = (pi^2 T hbar / 2m) ((n-1)/b)^2; whenever delta^2 <= eps and
     b < v T hold, the pair kinetic energy m v^2 must exceed hbar/(eps T).
     """
-    if cfg.potential.kind != "power_law":
-        raise ValueError("the energy-bound chain requires a power-law potential")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     phase = phase_integral_free(cfg)
@@ -294,7 +271,6 @@ class HarmonicCollisionConfig:
         for name in ("m", "omega", "A", "b", "hbar"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        self.potential.check_vanishes(self.b)
 
     @property
     def period(self) -> float:
@@ -394,7 +370,7 @@ def dipole_leading_ratio(cfg: HarmonicCollisionConfig) -> float:
     Evaluated at b/A in {1e-2, 1e-3, 1e-4} and Richardson-extrapolated in
     the leading integer powers of b/A; the limit is 5/2.
     """
-    if cfg.potential.kind != "power_law" or cfg.potential.n != 3:
+    if cfg.potential.n != 3:
         raise ValueError("dipole ratio defined for the rho^-3 power law")
     vals = []
     for frac in DIPOLE_RATIO_OFFSETS:
@@ -409,7 +385,7 @@ def dipole_leading_ratio(cfg: HarmonicCollisionConfig) -> float:
 
 def harmonic_energy_bound(cfg: HarmonicCollisionConfig, epsilon: float) -> BoundReport:
     """Oscillator-pair energy m w^2 A^2 against hbar/(eps T) with T = 2 pi / w."""
-    if cfg.potential.kind != "power_law" or cfg.potential.n != 3:
+    if cfg.potential.n != 3:
         raise ValueError("the harmonic chain is evaluated for the rho^-3 power law")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")

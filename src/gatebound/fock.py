@@ -239,7 +239,9 @@ _MIN_SHRINK = 0.2
 _SAFETY = 0.9
 
 
-@lru_cache(maxsize=8)  # one entry per cutoff, N^2 doubles each (2 MB at N=495)
+# One entry per cutoff, N^2 doubles each (2 MB at N=495); a sweep over five
+# jittered alphas and three envelopes visits 15 cutoffs.
+@lru_cache(maxsize=16)
 def _quadrature_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """X = a + a† = W diag(lam) W^T on the truncated basis (real tridiagonal)."""
     lam, w = eigh_tridiagonal(np.zeros(cutoff), np.sqrt(np.arange(1.0, cutoff)))

@@ -401,3 +401,48 @@ def test_gate_sim_takes_no_omega(tmp_path):
         main(["gate-sim", "--alpha", "2", "--omega", "1", "--output", str(tmp_path / "a")])
     assert err.value.code == 2
     assert not (tmp_path / "a").exists()
+
+
+def _switch_residuals(out, unit):
+    return [(float(r[f"switch_residual_start_{unit}_sq"]), float(r[f"switch_residual_end_{unit}_sq"]))
+            for r in read_csv(out / "result.csv")]
+
+
+def test_si_switch_residuals_are_energies_squared(tmp_path, monkeypatch):
+    # <V^2> is in (rad/s)^2 in natural units and hbar^2 <V^2> in J^2 under --units si
+    hbar = 1.054571817e-34
+    args = ["counterexample", "--n", "2,5", "--g", "3.1"]
+    assert main([*args, "--units", "si", "--output", str(tmp_path / "ce")]) == 0
+    # the always-on interaction is never switched off: <V^2> = (g n)^2 at both ends
+    assert _switch_residuals(tmp_path / "ce", "J") == [
+        pytest.approx(((hbar * 3.1 * n) ** 2,) * 2, rel=1e-15) for n in (2, 5)]
+
+    # gate-sim's envelopes vanish at both ends, so give its outcome residuals
+    exact = gate.failure_probability_exact
+
+    def unswitched(scenario, tol):
+        return dataclasses.replace(exact(scenario, tol), switch_residual_start=2.0,
+                                   switch_residual_end=3.0)
+
+    monkeypatch.setattr(gate, "failure_probability_exact", unswitched)
+    assert main(["gate-sim", "--alpha", "3", "--output", str(tmp_path / "nat")]) == 0
+    assert _switch_residuals(tmp_path / "nat", "hbar_rad_per_s") == [(2.0, 3.0)]
+    assert main(["gate-sim", "--alpha", "3", "--units", "si",
+                 "--output", str(tmp_path / "si")]) == 0
+    assert _switch_residuals(tmp_path / "si", "J") == [(hbar ** 2 * 2.0, hbar ** 2 * 3.0)]
+
+
+def test_collision_free_accepts_any_exponent_above_one(tmp_path):
+    # a rho^-1.2 potential decays slowly, but the chain needs only n > 1
+    out = tmp_path / "run"
+    assert main(["collision-free", "--m", "40", "--v", "2", "--b", "4", "--duration", "8",
+                 "--epsilon", "0.5", "--n", "1.2", "--output", str(out)]) == 0
+    row = read_csv(out / "result.csv")[0]
+    assert float(row["power_law_n"]) == 1.2
+    assert abs(float(row["phase_rad"]) - math.pi) < 1e-6
+    # optimal-wavepacket error (pi^2 T / 2m) ((n-1)/b)^2
+    assert float(row["error_dimensionless"]) == pytest.approx(
+        math.pi ** 2 * 8 / 80 * (0.2 / 4) ** 2, rel=1e-12)
+    assert row["satisfied"] == "true"
+    assert main(["collision-free", "--m", "40", "--v", "2", "--b", "4", "--duration", "8",
+                 "--epsilon", "0.5", "--n", "1.0", "--output", str(tmp_path / "bad")]) == 2

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +25,7 @@ from gatebound import (
     powerlaw_log_derivative,
     squeezing_consistency_probe,
 )
+from gatebound import collision
 from gatebound.collision import (
     harmonic_action_integrals,
     powerlaw_log_derivative_pair,
@@ -100,14 +100,18 @@ def test_degenerate_calibration_raises():
         calibrate_coupling(free_cfg(C=0.0))
 
 
-def test_unconverged_quadrature_raises_with_diagnostics():
-    # ~2200 oscillations of the potential cannot be resolved in 400 subintervals
-    wiggly = PotentialLaw.custom(lambda r: math.exp(-r) * math.sin(2000.0 * r), lambda r: 0.0)
-    cfg = FreeCollisionConfig(m=1.0, v=1.0, b=1.0, T=8.0, potential=wiggly)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # quad's own subdivision-limit warning
-        with pytest.raises(IntegrationError) as info:
-            phase_integral_free(cfg)
+def test_unconverged_quadrature_raises_with_diagnostics(monkeypatch):
+    # a quad whose error estimate exceeds every tolerance stands in for an
+    # integrand it could not resolve
+    exact_quad = collision.quad
+
+    def unconverged_quad(fn, a, b, **kwargs):
+        val, err = exact_quad(fn, a, b, **kwargs)
+        return val, err + 1.0
+
+    monkeypatch.setattr(collision, "quad", unconverged_quad)
+    with pytest.raises(IntegrationError) as info:
+        phase_integral_free(free_cfg())
     diag = info.value.diagnostics
     assert diag["function"].startswith("phase_integral_free")
     assert diag["bounds"] == (0.0, 4.0)
@@ -198,9 +202,8 @@ def test_config_validation():
         FreeCollisionConfig(m=1, v=1, b=9, T=8, potential=PotentialLaw.power_law(2))
     with pytest.raises(ValueError):
         PotentialLaw.power_law(1.0)
-    slow_decay = PotentialLaw.custom(lambda r: 1.0, lambda r: 0.0)
     with pytest.raises(ValueError):
-        FreeCollisionConfig(m=1, v=1, b=1, T=8, potential=slow_decay)
+        PotentialLaw(0.5)
 
 
 # ---------------------------------------------------------------------------

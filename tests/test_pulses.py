@@ -10,35 +10,51 @@ from gatebound import (
     SamplingError,
     adversarial_pulse_search,
     energy_bound_check,
-    field_energy,
     linewidth_combined_bound,
-    mean_frequency,
     min_photon_number,
     nonlinear_bound_check,
     nonlinear_reduce,
     optimize_squeezing,
-    phase_accumulated,
-    photon_number,
-    quantum_error,
     raised_cosine,
     random_feasible_pulse,
     single_mode_equality_pulse,
     squeezed_energy,
 )
-from gatebound.pulses import mode_window_integral
+from gatebound.pulses import NonlinearReduction, mode_window_integral
 
 PI = math.pi
 
 
+def report_of(pulse, epsilon=0.5):
+    """Bound report of a pulse; epsilon only enters the bound and the meta flags."""
+    return energy_bound_check(pulse, epsilon)
+
+
 # ---------------------------------------------------------------------------
-# phase and error integrals
+# window coefficients, phase and error
 # ---------------------------------------------------------------------------
+
+def test_pulse_spec_holds_read_only_arrays():
+    modes = ((1.1, 0.2 + 0.1j, 0.5), (2.3, 0.4, -1.0 + 2j))
+    pulse = PulseSpec(modes, (0, 1))
+    assert pulse.omegas.tolist() == [1.1, 2.3]
+    assert pulse.couplings.tolist() == [0.2 + 0.1j, 0.4]
+    assert pulse.alphas.tolist() == [0.5, -1.0 + 2j]
+    for (w, g, _), c in zip(modes, pulse.coefficients):
+        assert c == g * mode_window_integral(w, (0.0, 1.0))
+    for arr in (pulse.omegas, pulse.couplings, pulse.alphas, pulse.coefficients):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the arrays are derived from (modes, window), which alone define equality
+    assert pulse == PulseSpec(modes, (0.0, 1.0))
+    assert hash(pulse) == hash(PulseSpec(modes, (0.0, 1.0)))
+
 
 def test_phase_single_mode_closed_form_vs_quadrature():
     omega, g, alpha, T = 1.7, 0.4, 1.3, 2.0
     pulse = PulseSpec(((omega, g, alpha),), (-T / 2, T / 2))
     expected = 2.0 * g * alpha * 2.0 * math.sin(omega * T / 2.0) / omega
-    got = phase_accumulated(pulse)
+    got = report_of(pulse).phase
     assert abs(got - expected) < 1e-12
     quad_val, _ = quad(lambda t: 2.0 * (g * alpha * np.exp(-1j * omega * t)).real,
                        -T / 2, T / 2, epsabs=1e-14, epsrel=1e-12)
@@ -46,31 +62,40 @@ def test_phase_single_mode_closed_form_vs_quadrature():
 
 
 def test_phase_zero_amplitudes():
-    pulse = PulseSpec(((1.0, 0.3, 0.0), (2.0, 0.1j, 0.0)), (0.0, 1.0))
-    assert phase_accumulated(pulse) == 0.0
+    # a mode without photons adds nothing to the phase, the photon number or the energy
+    dark = PulseSpec(((1.0, 0.3, 0.0), (2.0, 0.1j, 1.5)), (0.0, 1.0))
+    lit = PulseSpec(((2.0, 0.1j, 1.5),), (0.0, 1.0))
+    assert report_of(dark).phase == report_of(lit).phase
+    assert report_of(dark).photon_number == report_of(lit).photon_number
+    assert report_of(dark).energy == report_of(lit).energy
+    assert report_of(dark).error > report_of(lit).error
 
 
 def test_phase_linear_in_amplitude_scale():
     base = PulseSpec(((1.0, 0.3 + 0.2j, 0.8 - 0.1j),), (0.0, 1.5))
     scaled = PulseSpec(((1.0, 0.3 + 0.2j, 3.0 * (0.8 - 0.1j)),), (0.0, 1.5))
-    assert abs(phase_accumulated(scaled) - 3.0 * phase_accumulated(base)) < 1e-12
+    assert abs(report_of(scaled).phase - 3.0 * report_of(base).phase) < 1e-12
 
 
 def test_quantum_error_single_mode_closed_form():
     omega, g, T = 0.9, 0.25, 2.0
     pulse = PulseSpec(((omega, g, 5.0),), (-T / 2, T / 2))
     expected = abs(g * 2.0 * math.sin(omega * T / 2.0) / omega) ** 2
-    assert abs(quantum_error(pulse) - expected) < 1e-12
+    assert abs(report_of(pulse).error - expected) < 1e-12
 
 
 def test_quantum_error_ignores_amplitudes():
     w = ((1.1, 0.2 + 0.1j, 0.5), (2.3, 0.4, -1.0 + 2j))
     w2 = ((1.1, 0.2 + 0.1j, 9.0), (2.3, 0.4, 0.0))
-    assert quantum_error(PulseSpec(w, (0, 1))) == quantum_error(PulseSpec(w2, (0, 1)))
+    a, b = PulseSpec(w, (0, 1)), PulseSpec(w2, (0, 1))
+    assert np.array_equal(a.coefficients, b.coefficients)
+    assert report_of(a).error == report_of(b).error
 
 
 def test_quantum_error_zero_couplings():
-    assert quantum_error(PulseSpec(((1.0, 0.0, 1.0),), (0, 1))) == 0.0
+    pulse = PulseSpec(((1.0, 0.0, 1.0),), (0, 1))
+    assert report_of(pulse).error == 0.0
+    assert report_of(pulse).phase == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +113,11 @@ def test_min_photon_number_values():
 def test_cauchy_schwarz_witness_on_random_feasible_pulses():
     rng = np.random.default_rng(123)
     for _ in range(100):
-        pulse = random_feasible_pulse(rng, 0.05, int(rng.integers(1, 4)))
-        n = photon_number(pulse)
-        err = quantum_error(pulse)
+        report = report_of(random_feasible_pulse(rng, 0.05, int(rng.integers(1, 4))))
+        n, err = report.photon_number, report.error
         assert n * err >= PI ** 2 / 4.0 - 1e-9
         # general chain: phase <= 2 sqrt(N * error)
-        assert phase_accumulated(pulse) <= 2.0 * math.sqrt(n * err) + 1e-9
+        assert report.phase <= 2.0 * math.sqrt(n * err) + 1e-9
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -104,6 +128,7 @@ def test_energy_bound_holds_for_feasible_pulses(seed, epsilon):
     pulse = random_feasible_pulse(np.random.default_rng(seed), epsilon, 2)
     report = energy_bound_check(pulse, epsilon)
     assert report.error <= epsilon
+    assert report.meta["error_within_epsilon"]
     assert report.satisfied
     assert report.ratio >= 1.0 - 1e-6
     assert min(m[0] for m in pulse.modes) <= report.mean_omega <= max(m[0] for m in pulse.modes)
@@ -122,17 +147,38 @@ def test_equality_construction_is_tight():
         assert report.photon_number * report.error == pytest.approx(PI ** 2 / 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("epsilon", [0.3, 0.1, 0.03, 0.01, 1e-3])
+def test_equality_pulse_meets_its_own_premise(epsilon):
+    # its error is eps up to rounding (0.010000000000000002 at eps = 0.01),
+    # which the same relative slack as the energy comparison absorbs
+    report = energy_bound_check(single_mode_equality_pulse(epsilon), epsilon)
+    assert report.meta == {"epsilon": epsilon, "p_power": 1, "off_calibration": False,
+                           "error_within_epsilon": True}
+    assert report.satisfied
+
+
 def test_bound_premise_unmet_is_flagged():
     pulse = single_mode_equality_pulse(0.1)
     report = energy_bound_check(pulse, 0.01)  # error 0.1 > epsilon 0.01
-    assert report.meta["bound_premise_unmet"]
+    assert not report.meta["error_within_epsilon"]
+    # a power-p coupling must keep its error below eps / p^2
+    epsilon = 0.1
+    reduction = NonlinearReduction(2, ((1.0, math.sqrt(0.5 * epsilon)),), (0.0, 1.0))
+    report = nonlinear_bound_check(reduction, [1.0], epsilon)
+    assert report.error == pytest.approx(0.5 * epsilon, rel=1e-15)
+    assert report.meta["p_power"] == 2
     assert not report.meta["error_within_epsilon"]
 
 
 def test_field_energy_units():
     pulse = PulseSpec(((2.0, 0.1, 1.5), (3.0, 0.1, 0.5)), (0, 1))
-    assert abs(field_energy(pulse) - (2.0 * 2.25 + 3.0 * 0.25)) < 1e-12
-    assert abs(mean_frequency(pulse) - (2.0 * 2.25 + 3.0 * 0.25) / 2.5) < 1e-12
+    report = report_of(pulse)
+    assert abs(report.energy - (2.0 * 2.25 + 3.0 * 0.25)) < 1e-12
+    assert abs(report.photon_number - 2.5) < 1e-12
+    assert abs(report.mean_omega - (2.0 * 2.25 + 3.0 * 0.25) / 2.5) < 1e-12
+    hbar = 1.054571817e-34
+    assert energy_bound_check(pulse, 0.5, hbar).energy == pytest.approx(
+        hbar * report.energy, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +187,12 @@ def test_field_energy_units():
 
 def test_p1_reduction_identical_to_linear_path():
     omega, g, alpha, window, epsilon = 1.3, 0.4 + 0.1j, 2.0 - 0.5j, (0.0, 1.0), 0.05
-    linear = energy_bound_check(PulseSpec(((omega, g, alpha),), window), epsilon)
+    pulse = PulseSpec(((omega, g, alpha),), window)
+    linear = energy_bound_check(pulse, epsilon)
     reduction = nonlinear_reduce(1, lambda t: 1.0, window, [(omega, g)])
     reduced = nonlinear_bound_check(reduction, [alpha], epsilon)
-    assert reduced.phase == linear.phase
-    assert reduced.error == linear.error
-    assert reduced.energy == linear.energy
-    assert reduced.bound == linear.bound
+    assert reduced.to_dict() == linear.to_dict()
+    assert reduction.coefficients[0][1] == pulse.coefficients[0]
     assert abs(reduction.coefficients[0][1] - g * mode_window_integral(omega, window)) == 0.0
 
 
@@ -159,6 +204,7 @@ def test_p2_bound_is_four_times_linear():
     quadratic = nonlinear_bound_check(nonlinear_reduce(2, envelope, window, [(omega, g)]),
                                       [alpha], epsilon)
     assert quadratic.bound == pytest.approx(4.0 * linear.bound, rel=1e-14)
+    assert (linear.meta["p_power"], quadratic.meta["p_power"]) == (1, 2)
 
 
 def test_p2_coefficient_matches_refined_quadrature():
