@@ -34,4 +34,5 @@ class NumericalInconsistencyError(RuntimeError):
 
 
 class SamplingError(NumericalInconsistencyError):
-    """A sampled function did not converge under grid refinement."""
+    """A sampled function did not converge under grid refinement, or random
+    sampling kept drawing degenerate candidates."""

@@ -31,13 +31,26 @@ PHASE_CALIBRATION_TOL = 1e-6
 def mode_window_integral(omega: float, window: tuple[float, float]) -> complex:
     """int_{t0}^{t1} e^{-i omega t} dt in closed form."""
     t0, t1 = window
-    return (np.exp(-1j * omega * t1) - np.exp(-1j * omega * t0)) / (-1j * omega)
+    rate = -1j * omega
+    return (np.exp(rate * t1) - np.exp(rate * t0)) / rate
 
 
-def _coefficients(omegas: Sequence[float], weights: Sequence[complex],
+def _coefficients(omegas: Sequence[float] | np.ndarray, weights: Sequence[complex] | np.ndarray,
                   window: tuple[float, float]) -> np.ndarray:
-    """c_k = w_k * int e^{-i omega_k t} dt; the error is sum |c_k|^2."""
-    return np.array([w * mode_window_integral(om, window) for om, w in zip(omegas, weights)])
+    """c_k = w_k * int e^{-i omega_k t} dt elementwise; the error is sum_k |c_k|^2.
+
+    ``omegas`` and ``weights`` may carry any leading shape, e.g. one row of
+    modes per search restart.  The complex product is written out in real
+    arithmetic because NumPy's vectorised complex multiply may fuse the
+    multiply-adds and round differently from a scalar product: written out,
+    c_k is the same bits whatever the shape of the array that holds it.
+    """
+    integral = mode_window_integral(np.asarray(omegas, dtype=float), window)
+    w = np.asarray(weights, dtype=complex)
+    out = np.empty_like(integral)
+    out.real = w.real * integral.real - w.imag * integral.imag
+    out.imag = w.real * integral.imag + w.imag * integral.real
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,32 @@ def min_photon_number(epsilon: float) -> float:
     return PI * PI / (4.0 * epsilon)
 
 
+def _phase(coeffs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Accumulated phase 2 Re sum_k c_k alpha_k over the last (mode) axis."""
+    return 2.0 * np.sum(coeffs * alphas, axis=-1).real
+
+
+def _error(coeffs: np.ndarray) -> np.ndarray:
+    """Fluctuation error sum_k |c_k|^2 over the last (mode) axis."""
+    return np.sum(np.abs(coeffs) ** 2, axis=-1)
+
+
+def _energy_terms(omegas: np.ndarray, alphas: np.ndarray, epsilon: float, p_power: int,
+                  hbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(photon number, <omega>, energy, bound) over the last (mode) axis.
+
+    <omega> is the photon-number-weighted mean frequency and the bound
+    (pi^2/4) p^2 hbar <omega> / eps; both are nan where there are no photons.
+    """
+    weights = np.abs(alphas) ** 2
+    n_photon = np.sum(weights, axis=-1)
+    weighted = np.sum(omegas * weights, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega_bar = weighted / n_photon
+    bound = (PI * PI / 4.0) * float(p_power) ** 2 * hbar * omega_bar / epsilon
+    return n_photon, omega_bar, hbar * weighted, bound
+
+
 def _bound_report(omegas: np.ndarray, coeffs: np.ndarray, alphas: np.ndarray,
                   epsilon: float, p_power: int, hbar: float) -> BoundReport:
     """Compare the field energy against (pi^2/4) p^2 hbar <omega> / eps.
@@ -94,16 +133,13 @@ def _bound_report(omegas: np.ndarray, coeffs: np.ndarray, alphas: np.ndarray,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    weights = np.abs(alphas) ** 2
-    n_photon = float(np.sum(weights))
+    n_photon, omega_bar, energy, bound = (
+        float(x) for x in _energy_terms(omegas, alphas, epsilon, p_power, hbar))
     if n_photon == 0.0:
         raise ValueError("mean frequency undefined for a pulse with no photons")
-    phase = float(2.0 * np.sum(coeffs * alphas).real)
-    error = float(np.sum(np.abs(coeffs) ** 2))
-    omega_bar = float(np.sum(omegas * weights) / n_photon)
-    energy = float(hbar * np.sum(omegas * weights))
+    phase = float(_phase(coeffs, alphas))
+    error = float(_error(coeffs))
     p_sq = float(p_power) ** 2
-    bound = (PI * PI / 4.0) * p_sq * hbar * omega_bar / epsilon
     meta = {
         "epsilon": epsilon,
         "p_power": p_power,
@@ -294,7 +330,11 @@ def single_mode_equality_pulse(epsilon: float, omega: float = 1.0,
 
 def random_feasible_pulse(rng: np.random.Generator, epsilon: float, n_modes: int,
                           window: tuple[float, float] = (0.0, 1.0)) -> PulseSpec:
-    """Random pulse projected onto phase = pi with error <= eps."""
+    """Random pulse projected onto phase = pi with error <= eps.
+
+    Raises :class:`SamplingError` when 64 draws in a row are degenerate
+    (zero error or zero phase).
+    """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     t0, t1 = window
@@ -302,18 +342,18 @@ def random_feasible_pulse(rng: np.random.Generator, epsilon: float, n_modes: int
     for _ in range(64):
         omegas = np.exp(rng.uniform(math.log(0.5 / span), math.log(20.0 / span), n_modes))
         gs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        error = float(np.sum(np.abs(_coefficients(omegas, gs, window)) ** 2))
+        error = float(_error(_coefficients(omegas, gs, window)))
         if error == 0.0:
             continue
         gs *= math.sqrt(epsilon * rng.uniform(0.2, 1.0) / error)
         coeffs = _coefficients(omegas, gs, window)
         alphas = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        phase = 2.0 * float(np.sum(coeffs * alphas).real)
+        phase = float(_phase(coeffs, alphas))
         if abs(phase) < 1e-9:
             continue
         alphas *= PI / phase
         return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
-    raise RuntimeError("failed to draw a feasible pulse (degenerate random stream)")
+    raise SamplingError("failed to draw a feasible pulse in 64 tries (degenerate random stream)")
 
 
 def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: int,
@@ -321,68 +361,87 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
                              hbar: float = 1.0) -> BoundReport:
     """Randomised local search minimising energy/bound at phase pi, error <= eps.
 
-    Feasibility is maintained at every iterate by projection: couplings are
-    rescaled onto error <= eps and amplitudes rescaled (by a real factor)
-    onto phase = pi.  Restart seeds derive deterministically from ``seed``,
-    so the search result is reproducible and order-independent.
+    The budget is split into restarts of at most 120 evaluations: one
+    random feasible pulse (:func:`random_feasible_pulse`) and then up to 119
+    perturbations of one of frequencies, couplings or amplitudes.  A
+    perturbation that lowers energy/bound is kept and widens the step,
+    otherwise the step narrows.  Feasibility is kept at every iterate by
+    projection: couplings are rescaled onto error <= eps and amplitudes
+    rescaled (by a real factor) onto phase = pi.
+
+    All restarts advance in lockstep on (restarts x modes) arrays of
+    frequencies, couplings and amplitudes, with one step size and one
+    energy/bound ratio per restart.  Each restart draws from its own
+    ``SeedSequence([seed, restart])`` generator, so its iterates do not
+    depend on how many restarts run beside it.  Kept moves strictly lower a
+    restart's ratio, so its last iterate is its best; the winner is the
+    first restart with the least ratio, and only it becomes a
+    :class:`PulseSpec` and a report.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     evals_per_restart = 120
-    n_restarts = max(1, math.ceil(budget / evals_per_restart))
-    remaining = budget
-    best: BoundReport | None = None
+    n_restarts = math.ceil(budget / evals_per_restart)
+    # perturbations per restart; only the last restart may get fewer
+    moves = np.minimum(evals_per_restart - 1,
+                       budget - 1 - evals_per_restart * np.arange(n_restarts))
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, restart]))
+            for restart in range(n_restarts)]
+    starts = [random_feasible_pulse(rng, epsilon, n_modes, window) for rng in rngs]
+    omegas = np.array([pulse.omegas for pulse in starts])
+    gs = np.array([pulse.couplings for pulse in starts])
+    alphas = np.array([pulse.alphas for pulse in starts])
+    _, _, energy, bound = _energy_terms(omegas, alphas, epsilon, 1, hbar)
+    ratio = energy / bound
+    step = np.full(n_restarts, 0.5)
+    which = np.empty(n_restarts, dtype=int)
+    z_re = np.zeros((n_restarts, n_modes))
+    z_im = np.zeros((n_restarts, n_modes))
 
-    for restart in range(n_restarts):
-        if remaining <= 0:
-            break
-        rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
-        pulse = random_feasible_pulse(rng, epsilon, n_modes, window)
-        report = energy_bound_check(pulse, epsilon, hbar)
-        remaining -= 1
-        if best is None or report.ratio < best.ratio:
-            best = report
-        step = 0.5
-        use = min(remaining, evals_per_restart - 1)
-        for k in range(use):
-            candidate = _perturb_pulse(rng, pulse, epsilon, step)
-            if candidate is None:
-                continue
-            cand_report = energy_bound_check(candidate, epsilon, hbar)
-            if cand_report.ratio < report.ratio:
-                pulse, report = candidate, cand_report
-                step = min(0.5, step * 1.3)
-            else:
-                step = max(1e-4, step * 0.93)
-            if report.ratio < best.ratio:
-                best = report
-        remaining -= use
-    assert best is not None
-    return best
+    for k in range(int(moves[0])):
+        live = int(np.count_nonzero(moves > k))  # the restarts still moving: a prefix
+        for r in range(live):
+            which[r] = rngs[r].integers(0, 3)
+            z_re[r] = rngs[r].normal(size=n_modes)
+            if which[r]:
+                z_im[r] = rngs[r].normal(size=n_modes)
+        om, g, al = omegas[:live].copy(), gs[:live].copy(), alphas[:live].copy()
+        s, move, zr = step[:live, None], which[:live], z_re[:live]
+        z = zr + 1j * z_im[:live]
+        m = move == 0
+        om[m] = om[m] * np.exp(s[m] * zr[m] * 0.3)
+        m = move == 1
+        g[m] = g[m] * (1.0 + s[m] * z[m] * 0.3)
+        m = move == 2
+        al[m] = al[m] + s[m] * z[m] * np.mean(np.abs(al[m]), axis=-1, keepdims=True)
 
+        # rejected rows are masked out by `ok`; their inf/nan stays there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = np.all(om > 0, axis=-1)
+            coeffs = _coefficients(om, g, window)
+            error = _error(coeffs)
+            ok &= error != 0.0
+            over = ok & (error > epsilon)
+            g[over] = g[over] * np.sqrt(epsilon / error[over])[:, None] * (1.0 - 1e-15)
+            coeffs[over] = _coefficients(om[over], g[over], window)
+            phase = _phase(coeffs, al)
+            ok &= ~(np.abs(phase) < 1e-9)
+            al = al * (PI / phase)[:, None]
+            _, _, energy, bound = _energy_terms(om, al, epsilon, 1, hbar)
+            candidate = energy / bound
 
-def _perturb_pulse(rng: np.random.Generator, pulse: PulseSpec, epsilon: float,
-                   step: float) -> PulseSpec | None:
-    omegas, gs, alphas = pulse.omegas, pulse.couplings, pulse.alphas
-    n = len(omegas)
-    which = rng.integers(0, 3)
-    if which == 0:
-        omegas = omegas * np.exp(step * rng.normal(size=n) * 0.3)
-    elif which == 1:
-        gs = gs * (1.0 + step * (rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.3)
-    else:
-        alphas = alphas + step * (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.mean(np.abs(alphas))
-    if np.any(omegas <= 0):
-        return None
-    coeffs = _coefficients(omegas, gs, pulse.window)
-    error = float(np.sum(np.abs(coeffs) ** 2))
-    if error == 0.0:
-        return None
-    if error > epsilon:
-        gs = gs * math.sqrt(epsilon / error) * (1.0 - 1e-15)
-        coeffs = _coefficients(omegas, gs, pulse.window)
-    phase = 2.0 * float(np.sum(coeffs * alphas).real)
-    if abs(phase) < 1e-9:
-        return None
-    alphas = alphas * (PI / phase)
-    return PulseSpec(tuple(zip(omegas, gs, alphas)), pulse.window)
+        kept = ok & (candidate < ratio[:live])
+        step[:live] = np.where(kept, np.minimum(0.5, step[:live] * 1.3),
+                               np.where(ok, np.maximum(1e-4, step[:live] * 0.93), step[:live]))
+        ratio[:live][kept] = candidate[kept]
+        omegas[:live][kept] = om[kept]
+        gs[:live][kept] = g[kept]
+        alphas[:live][kept] = al[kept]
+
+    best = int(np.argmin(ratio))
+    winner = PulseSpec(tuple(zip(omegas[best], gs[best], alphas[best])), window)
+    return energy_bound_check(winner, epsilon, hbar)

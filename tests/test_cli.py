@@ -306,6 +306,10 @@ def test_bad_parameter_values_exit_2(tmp_path, capsys):
     assert "'budget'" in capsys.readouterr().err
     assert main(["counterexample", "--n", "0", "--output", str(tmp_path / "c")]) == 2
     assert not (tmp_path / "c").exists()
+    assert main(["pulse-bound", "--epsilon", "0.1", "--n-modes", "0",
+                 "--output", str(tmp_path / "e")]) == 2
+    assert "n_modes" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
     assert main(["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--alpha", "0",
                  "--output", str(tmp_path / "d")]) == 2
     assert "no photons" in capsys.readouterr().err

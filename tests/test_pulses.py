@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from gatebound import (
@@ -20,7 +21,9 @@ from gatebound import (
     single_mode_equality_pulse,
     squeezed_energy,
 )
-from gatebound.pulses import NonlinearReduction, mode_window_integral
+from gatebound.cli import main
+from gatebound.pulses import NonlinearReduction, _coefficients, mode_window_integral
+from gatebound.report import BoundReport
 
 PI = math.pi
 
@@ -312,6 +315,160 @@ def test_search_is_deterministic():
     b = adversarial_pulse_search(0.02, 2, budget=250, seed=42)
     assert a.ratio == b.ratio
     assert a.energy == b.energy
+
+
+def _sequential_search(epsilon: float, n_modes: int, budget: int, seed: int,
+                       window: tuple[float, float] = (0.0, 1.0),
+                       hbar: float = 1.0) -> BoundReport:
+    """Reference: the one-restart-at-a-time search, one PulseSpec per candidate."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    evals_per_restart = 120
+    n_restarts = max(1, math.ceil(budget / evals_per_restart))
+    remaining = budget
+    best: BoundReport | None = None
+
+    for restart in range(n_restarts):
+        if remaining <= 0:
+            break
+        rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
+        pulse = random_feasible_pulse(rng, epsilon, n_modes, window)
+        report = energy_bound_check(pulse, epsilon, hbar)
+        remaining -= 1
+        if best is None or report.ratio < best.ratio:
+            best = report
+        step = 0.5
+        use = min(remaining, evals_per_restart - 1)
+        for k in range(use):
+            candidate = _perturb_pulse(rng, pulse, epsilon, step)
+            if candidate is None:
+                continue
+            cand_report = energy_bound_check(candidate, epsilon, hbar)
+            if cand_report.ratio < report.ratio:
+                pulse, report = candidate, cand_report
+                step = min(0.5, step * 1.3)
+            else:
+                step = max(1e-4, step * 0.93)
+            if report.ratio < best.ratio:
+                best = report
+        remaining -= use
+    assert best is not None
+    return best
+
+
+def _perturb_pulse(rng: np.random.Generator, pulse: PulseSpec, epsilon: float,
+                   step: float) -> PulseSpec | None:
+    omegas, gs, alphas = pulse.omegas, pulse.couplings, pulse.alphas
+    n = len(omegas)
+    which = rng.integers(0, 3)
+    if which == 0:
+        omegas = omegas * np.exp(step * rng.normal(size=n) * 0.3)
+    elif which == 1:
+        gs = gs * (1.0 + step * (rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.3)
+    else:
+        alphas = alphas + step * (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.mean(np.abs(alphas))
+    if np.any(omegas <= 0):
+        return None
+    coeffs = _coefficients(omegas, gs, pulse.window)
+    error = float(np.sum(np.abs(coeffs) ** 2))
+    if error == 0.0:
+        return None
+    if error > epsilon:
+        gs = gs * math.sqrt(epsilon / error) * (1.0 - 1e-15)
+        coeffs = _coefficients(omegas, gs, pulse.window)
+    phase = 2.0 * float(np.sum(coeffs * alphas).real)
+    if abs(phase) < 1e-9:
+        return None
+    alphas = alphas * (PI / phase)
+    return PulseSpec(tuple(zip(omegas, gs, alphas)), pulse.window)
+
+
+def assert_same_report(got: BoundReport, want: BoundReport):
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+HBAR_SI = 1.054571817e-34
+
+
+# one restart is 120 evaluations; these budgets end a restart early, on its
+# first perturbation, exactly at its end, and one evaluation into the next
+@example(epsilon=0.03, n_modes=1, budget=1, seed=11, hbar=1.0, window=(0.0, 1.0))
+@example(epsilon=0.03, n_modes=2, budget=2, seed=11, hbar=1.0, window=(0.0, 1.0))
+@example(epsilon=0.03, n_modes=3, budget=119, seed=11, hbar=1.0, window=(0.0, 1.0))
+@example(epsilon=0.03, n_modes=1, budget=120, seed=11, hbar=1.0, window=(0.0, 1.0))
+@example(epsilon=0.03, n_modes=3, budget=121, seed=11, hbar=1.0, window=(0.0, 1.0))
+@example(epsilon=0.03, n_modes=9, budget=241, seed=11, hbar=1.0, window=(0.0, 1.0))
+@example(epsilon=0.05, n_modes=4, budget=300, seed=8, hbar=HBAR_SI, window=(-0.7, 2.3))
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(epsilon=st.floats(0.005, 0.5), n_modes=st.integers(1, 9),
+       budget=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       hbar=st.sampled_from([1.0, HBAR_SI]), window=st.sampled_from([(0.0, 1.0), (-0.7, 2.3)]))
+def test_lockstep_search_matches_sequential_reference(epsilon, n_modes, budget, seed, hbar, window):
+    assert_same_report(adversarial_pulse_search(epsilon, n_modes, budget, seed, window, hbar),
+                       _sequential_search(epsilon, n_modes, budget, seed, window, hbar))
+
+
+def test_lockstep_search_matches_reference_on_benchmark_case():
+    # the pulse-bound search of the closed-forms benchmark workload
+    assert_same_report(adversarial_pulse_search(0.01, 1, 2000, 0),
+                       _sequential_search(0.01, 1, 2000, 0))
+
+
+def test_search_validates_before_drawing():
+    for epsilon, n_modes, budget in ((0.0, 1, 10), (1.0, 1, 10), (-0.1, 1, 10),
+                                     (0.1, 0, 10), (0.1, 1, 0)):
+        with pytest.raises(ValueError):
+            adversarial_pulse_search(epsilon, n_modes, budget, 0)
+
+
+class _ZeroNormalGenerator:
+    """A Generator whose normal draws are all zero, so every coupling vanishes."""
+
+    def __init__(self, *args, **kwargs):
+        self._rng = np.random.Generator(np.random.PCG64(0))
+
+    def uniform(self, *args, **kwargs):
+        return self._rng.uniform(*args, **kwargs)
+
+    def normal(self, size=None):
+        return np.zeros(size)
+
+
+def test_degenerate_stream_raises_sampling_error():
+    with pytest.raises(SamplingError, match="feasible pulse"):
+        random_feasible_pulse(_ZeroNormalGenerator(), 0.1, 2)
+
+
+def test_degenerate_stream_exits_3_from_pulse_bound(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(np.random, "default_rng", _ZeroNormalGenerator)
+    out = tmp_path / "run"
+    assert main(["pulse-bound", "--epsilon", "0.1", "--budget", "5", "--output", str(out)]) == 3
+    assert "feasible pulse" in capsys.readouterr().err
+    assert not (out / "result.csv").exists()
+
+
+def test_coefficients_are_the_scalar_product_for_any_shape():
+    # One pulse's c_k must be the same bits whether it is computed alone
+    # (PulseSpec) or as one row of a (restarts x modes) batch, and the same
+    # as the scalar product w * integral.  A vectorised complex multiply
+    # that fuses multiply-adds rounds differently, so it fails this test
+    # on hosts where NumPy uses FMA for complex arrays.
+    rng = np.random.default_rng(2026)
+    window = (0.0, 1.0)
+    omegas = 10.0 ** rng.uniform(-2, 2, size=(40, 5))
+    weights = (10.0 ** rng.uniform(-2, 2, size=(40, 5))
+               * np.exp(2j * PI * rng.uniform(size=(40, 5))))
+    reference = np.array([[w * mode_window_integral(om, window) for om, w in zip(row_om, row_w)]
+                          for row_om, row_w in zip(omegas, weights)])
+
+    def same_bits(got, want):
+        return np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
+
+    assert same_bits(_coefficients(omegas, weights, window), reference)
+    for row_om, row_w, row_ref in zip(omegas, weights, reference):
+        assert same_bits(_coefficients(row_om, row_w, window), row_ref)
+        pulse = PulseSpec(tuple(zip(row_om, row_w, np.ones(5))), window)
+        assert same_bits(pulse.coefficients, row_ref)
 
 
 def test_pulse_spec_validation():
