@@ -91,6 +91,7 @@ from .pulses import (
     nonlinear_reduce,
     optimize_squeezing,
     random_feasible_pulse,
+    random_feasible_ratios,
     single_mode_equality_pulse,
     squeezed_energy,
 )

@@ -26,13 +26,37 @@ from .report import RATIO_SLACK, BoundReport, bound_satisfied
 
 PI = math.pi
 PHASE_CALIBRATION_TOL = 1e-6
+NARROW_PHASE = 0.1  # |omega (t1 - t0)| below which mode_window_integral uses the sin form
 
 
-def mode_window_integral(omega: float, window: tuple[float, float]) -> complex:
-    """int_{t0}^{t1} e^{-i omega t} dt in closed form."""
+def mode_window_integral(omega: float | np.ndarray, window: tuple[float, float]) -> complex | np.ndarray:
+    """int_{t0}^{t1} e^{-i omega t} dt in closed form, elementwise over ``omega``.
+
+    The difference form (e^{-i omega t1} - e^{-i omega t0}) / (-i omega)
+    loses the imaginary part to cancellation at small x = omega (t1 - t0).
+    Measured against 50-digit arithmetic, its worst relative error in a
+    component is about 1.3e-16 / x^2 on the window (0, 1) and 5e-16 / x^2
+    on (-0.7, 2.3): 1.3e-8 and 4e-8 at x = 1e-4, 1.4e-14 and 4e-14 at
+    x = 0.1.  Below |x| = NARROW_PHASE the equal form
+    2 sin(omega (t1 - t0)/2) / omega * e^{-i omega (t0 + t1)/2} is used,
+    which stays within 5e-16 on both windows; at |x| = 0.1 the two forms
+    agree to 1e-14 and 2e-14.  The threshold sits below every |x| that a
+    fixed-seed run reaches: random pulses are drawn at |x| >= 0.5, and
+    ``verify-all`` and ``pulse-bound`` reach no |x| below 0.47, so they keep
+    the bits of the difference form.  ``np.where`` picks the form per
+    element, so the value is the same bits whatever the array shape.
+    """
     t0, t1 = window
+    omega = np.asarray(omega, dtype=float)
     rate = -1j * omega
-    return (np.exp(rate * t1) - np.exp(rate * t0)) / rate
+    wide = (np.exp(rate * t1) - np.exp(rate * t0)) / rate
+    half = 0.5 * omega
+    amplitude = np.sin(half * (t1 - t0)) / half
+    mid = half * (t0 + t1)
+    narrow = np.empty_like(wide)
+    narrow.real = amplitude * np.cos(mid)
+    narrow.imag = -amplitude * np.sin(mid)
+    return np.where(np.abs(omega * (t1 - t0)) < NARROW_PHASE, narrow, wide)[()]
 
 
 def _coefficients(omegas: Sequence[float] | np.ndarray, weights: Sequence[complex] | np.ndarray,
@@ -328,32 +352,143 @@ def single_mode_equality_pulse(epsilon: float, omega: float = 1.0,
     return PulseSpec(((omega, complex(g), complex(alpha)),), window)
 
 
+def _scaled(z: np.ndarray, factor) -> np.ndarray:
+    """z times one real factor per row, written out in real arithmetic (see _coefficients)."""
+    factor = np.asarray(factor)[..., None]
+    out = np.empty_like(z)
+    out.real = z.real * factor
+    out.imag = z.imag * factor
+    return out
+
+
+def _project(omegas: np.ndarray, gs: np.ndarray, error, u, alphas: np.ndarray,
+             epsilon: float, window: tuple[float, float]):
+    """Rescale each row's couplings onto error eps*u, then its amplitudes onto phase pi.
+
+    ``error`` is the row's error before the rescale and ``u`` its draw in
+    [0.2, 1).  Returns (couplings, amplitudes, phase before the amplitude
+    rescale); a row with zero error or |phase| < 1e-9 is degenerate, and
+    its division by zero is left to the caller to flag.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gs = _scaled(gs, np.sqrt(epsilon * u / error))
+        phase = _phase(_coefficients(omegas, gs, window), alphas)
+        return gs, _scaled(alphas, PI / phase), phase
+
+
+def _log_omega_range(window: tuple[float, float]) -> tuple[float, float]:
+    """ln of the drawn frequency range [0.5, 20] / (t1 - t0)."""
+    span = window[1] - window[0]
+    return math.log(0.5 / span), math.log(20.0 / span)
+
+
 def random_feasible_pulse(rng: np.random.Generator, epsilon: float, n_modes: int,
                           window: tuple[float, float] = (0.0, 1.0)) -> PulseSpec:
     """Random pulse projected onto phase = pi with error <= eps.
 
-    Raises :class:`SamplingError` when 64 draws in a row are degenerate
-    (zero error or zero phase).
+    Draws, in this order: log-uniform frequencies, the real and imaginary
+    parts of the couplings, the error fraction u in [0.2, 1) and the real
+    and imaginary parts of the amplitudes (see :func:`_project`).  Raises
+    :class:`SamplingError` when 64 draws in a row are degenerate (zero
+    error or zero phase).
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    t0, t1 = window
-    span = t1 - t0
+    lo, hi = _log_omega_range(window)
     for _ in range(64):
-        omegas = np.exp(rng.uniform(math.log(0.5 / span), math.log(20.0 / span), n_modes))
+        omegas = np.exp(rng.uniform(lo, hi, n_modes))
         gs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
         error = float(_error(_coefficients(omegas, gs, window)))
         if error == 0.0:
             continue
-        gs *= math.sqrt(epsilon * rng.uniform(0.2, 1.0) / error)
-        coeffs = _coefficients(omegas, gs, window)
+        u = rng.uniform(0.2, 1.0)
         alphas = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        phase = float(_phase(coeffs, alphas))
+        gs, alphas, phase = _project(omegas, gs, error, u, alphas, epsilon, window)
         if abs(phase) < 1e-9:
             continue
-        alphas *= PI / phase
         return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
     raise SamplingError("failed to draw a feasible pulse in 64 tries (degenerate random stream)")
+
+
+SCREEN_MODES = 3  # random_feasible_ratios draws 1..SCREEN_MODES modes per pulse
+SCREEN_WINDOW = (0.0, 1.0)
+
+
+def _draw(rng: np.random.Generator, lo: float, hi: float) -> tuple:
+    """One pulse's mode count, then its draws in :func:`random_feasible_pulse` order."""
+    n = int(rng.integers(1, SCREEN_MODES + 1))
+    return (n, np.exp(rng.uniform(lo, hi, n)), rng.normal(size=n), rng.normal(size=n),
+            rng.uniform(0.2, 1.0), rng.normal(size=n), rng.normal(size=n))
+
+
+def _screen(draws: list[tuple], epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(energy/bound ratio, degenerate flag) of each drawn pulse.
+
+    The pulses are grouped by mode count and each group is projected and
+    scored in one array pass; a degenerate pulse's ratio is meaningless.
+    """
+    ratios = np.empty(len(draws))
+    degenerate = np.empty(len(draws), dtype=bool)
+    groups: dict[int, list[int]] = {}
+    for i, pulse in enumerate(draws):
+        groups.setdefault(pulse[0], []).append(i)
+    for rows in groups.values():
+        _, om, g_re, g_im, u, a_re, a_im = (np.array(column)
+                                            for column in zip(*(draws[i] for i in rows)))
+        gs, alphas = g_re + 1j * g_im, a_re + 1j * a_im
+        error = _error(_coefficients(om, gs, SCREEN_WINDOW))
+        _, alphas, phase = _project(om, gs, error, u, alphas, epsilon, SCREEN_WINDOW)
+        _, _, energy, bound = _energy_terms(om, alphas, epsilon, 1, 1.0)
+        ratios[rows] = energy / bound
+        degenerate[rows] = (error == 0.0) | (np.abs(phase) < 1e-9)
+    return ratios, degenerate
+
+
+def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int) -> np.ndarray:
+    """Energy/bound ratios of ``count`` random feasible pulses, screened as arrays.
+
+    Pulse j has ``rng.integers(1, SCREEN_MODES + 1)`` modes on
+    ``SCREEN_WINDOW`` and is the pulse :func:`random_feasible_pulse` would
+    draw next: the ratios are the same bits as ``energy_bound_check(
+    random_feasible_pulse(rng, epsilon, n), epsilon).ratio`` drawn one pulse
+    at a time, and ``rng`` ends in the same state.  A Python loop makes the
+    draws; the projection and the ratio then run as one array pass per mode
+    count, with no :class:`PulseSpec` or report per pulse.
+
+    A degenerate draw (zero error or zero phase) makes
+    :func:`random_feasible_pulse` redraw, which shifts the stream of every
+    later pulse.  So when pulse j is degenerate, the generator goes back to
+    its state at entry, the draws of pulses 0..j-1 are replayed, pulse j is
+    drawn by :func:`random_feasible_pulse` itself, and the array pass
+    resumes on the pulses after it.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    lo, hi = _log_omega_range(SCREEN_WINDOW)
+    ratios = np.empty(count)
+    done = 0
+    while done < count:
+        entry = rng.bit_generator.state
+        draws = [_draw(rng, lo, hi) for _ in range(count - done)]
+        screened, degenerate = _screen(draws, epsilon)
+        bad = np.flatnonzero(degenerate)
+        if bad.size == 0:
+            ratios[done:] = screened
+            break
+        j = int(bad[0])
+        ratios[done:done + j] = screened[:j]
+        rng.bit_generator.state = entry
+        for _ in range(j):
+            _draw(rng, lo, hi)
+        n_modes = int(rng.integers(1, SCREEN_MODES + 1))
+        pulse = random_feasible_pulse(rng, epsilon, n_modes, SCREEN_WINDOW)
+        ratios[done + j] = energy_bound_check(pulse, epsilon).ratio
+        done += j + 1
+    return ratios
 
 
 def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: int,

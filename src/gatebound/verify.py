@@ -107,19 +107,19 @@ def criterion_3(scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_4(scale: float = 1.0) -> CriterionResult:
-    """Photon-number bound: value, universality over random pulses, tightness."""
+    """Photon-number bound: value, universality over random pulses, tightness.
+
+    Universality is screened on 1000 random feasible pulses of 1-3 modes at
+    eps = 0.01 in one call to :func:`pulses.random_feasible_ratios`, which
+    scores them as arrays grouped by mode count; none may beat the bound.
+    """
     t0 = time.perf_counter()
     epsilon = 0.01
     mpn = pulses.min_photon_number(epsilon)
     part_value = abs(mpn - 246.74011002723395) / 0.01
 
     rng = np.random.default_rng(np.random.SeedSequence([20260809, 4]))
-    min_ratio = math.inf
-    for _ in range(1000):
-        n_modes = int(rng.integers(1, 4))
-        pulse = pulses.random_feasible_pulse(rng, epsilon, n_modes)
-        report = pulses.energy_bound_check(pulse, epsilon)
-        min_ratio = min(min_ratio, report.ratio)
+    min_ratio = float(np.min(pulses.random_feasible_ratios(rng, epsilon, 1000)))
     part_universal = (1.0 - min_ratio) / 1e-6
 
     eq = pulses.single_mode_equality_pulse(epsilon)

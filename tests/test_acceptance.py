@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+from gatebound import pulses
 from gatebound.cli import main
-from gatebound.verify import CRITERIA
+from gatebound.verify import CRITERIA, criterion_4
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
@@ -14,6 +15,23 @@ def test_criterion(number):
     result = CRITERIA[number]()
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_criterion_4_screen_is_pinned(monkeypatch):
+    # the least energy/bound ratio of the 1000 seeded random pulses: a change
+    # to their random stream or to the projection moves it
+    screens = []
+    screen = pulses.random_feasible_ratios
+
+    def recorded(*args, **kwargs):
+        screens.append(screen(*args, **kwargs))
+        return screens[-1]
+
+    monkeypatch.setattr(pulses, "random_feasible_ratios", recorded)
+    result = criterion_4()
+    assert [len(ratios) for ratios in screens] == [1000]
+    assert repr(float(min(screens[0]))) == "1.0314676143508485"
+    assert result.detail == "min_photon=246.74011, min_ratio=1.031467614, equality_ratio=1.000000"
 
 
 def test_verify_all_cli_end_to_end(tmp_path):

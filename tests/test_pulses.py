@@ -18,11 +18,13 @@ from gatebound import (
     optimize_squeezing,
     raised_cosine,
     random_feasible_pulse,
+    random_feasible_ratios,
     single_mode_equality_pulse,
     squeezed_energy,
 )
 from gatebound.cli import main
-from gatebound.pulses import NonlinearReduction, _coefficients, mode_window_integral
+from gatebound.pulses import (NARROW_PHASE, NonlinearReduction, _coefficients,
+                              mode_window_integral)
 from gatebound.report import BoundReport
 
 PI = math.pi
@@ -99,6 +101,52 @@ def test_quantum_error_zero_couplings():
     pulse = PulseSpec(((1.0, 0.0, 1.0),), (0, 1))
     assert report_of(pulse).error == 0.0
     assert report_of(pulse).phase == 0.0
+
+
+def _difference_form(omega, window):
+    t0, t1 = window
+    rate = -1j * omega
+    return (np.exp(rate * t1) - np.exp(rate * t0)) / rate
+
+
+def _series_integral(omega, window, terms=12):
+    """sum_k (-i omega)^k (t1^{k+1} - t0^{k+1}) / (k+1)!: converges fast for small omega."""
+    t0, t1 = window
+    total = 0j
+    for k in range(terms):
+        total += (-1j * omega) ** k * (t1 ** (k + 1) - t0 ** (k + 1)) / math.factorial(k + 1)
+    return total
+
+
+def assert_close_componentwise(got, want, rel):
+    assert abs(got.real - want.real) <= rel * abs(want.real)
+    assert abs(got.imag - want.imag) <= rel * abs(want.imag)
+
+
+@pytest.mark.parametrize("window", [(0.0, 1.0), (-0.7, 2.3)])
+@pytest.mark.parametrize("omega", [1e-8, 1e-4])
+def test_window_integral_keeps_its_imaginary_part_at_small_omega(omega, window):
+    # the difference form gives 1-0j at omega = 1e-8 on (0, 1), where the value is 1 - 5e-9j
+    got = mode_window_integral(omega, window)
+    assert_close_componentwise(got, _series_integral(omega, window), 1e-15)
+    assert np.array_equal(mode_window_integral(np.full((2, 3), omega), window),
+                          np.full((2, 3), got))
+
+
+@pytest.mark.parametrize("window", [(0.0, 1.0), (-0.7, 2.3)])
+def test_window_integral_forms_agree_across_the_threshold(window):
+    span = window[1] - window[0]
+    below = NARROW_PHASE / span * (1.0 - 1e-12)
+    above = NARROW_PHASE / span * (1.0 + 1e-12)
+    # just below the threshold the sin form is used, just above the difference form
+    assert_close_componentwise(mode_window_integral(below, window),
+                               _difference_form(below, window), 1e-13)
+    assert_close_componentwise(mode_window_integral(above, window),
+                               mode_window_integral(below, window), 1e-11)
+    # above it the difference form keeps its bits, so no fixed-seed artifact moves
+    omegas = np.geomspace(above, 1e3, 200)
+    assert np.array_equal(mode_window_integral(omegas, window), _difference_form(omegas, window))
+    assert mode_window_integral(float(above), window) == _difference_form(float(above), window)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +474,10 @@ class _ZeroNormalGenerator:
 
     def __init__(self, *args, **kwargs):
         self._rng = np.random.Generator(np.random.PCG64(0))
+        self.bit_generator = self._rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
 
     def uniform(self, *args, **kwargs):
         return self._rng.uniform(*args, **kwargs)
@@ -437,6 +489,131 @@ class _ZeroNormalGenerator:
 def test_degenerate_stream_raises_sampling_error():
     with pytest.raises(SamplingError, match="feasible pulse"):
         random_feasible_pulse(_ZeroNormalGenerator(), 0.1, 2)
+    with pytest.raises(SamplingError, match="feasible pulse"):
+        random_feasible_ratios(_ZeroNormalGenerator(), 0.1, 5)
+
+
+def _sequential_pulse(rng, epsilon, n_modes, window=(0.0, 1.0)):
+    """Reference: one feasible pulse, projected with NumPy's complex products."""
+    t0, t1 = window
+    span = t1 - t0
+    for _ in range(64):
+        omegas = np.exp(rng.uniform(math.log(0.5 / span), math.log(20.0 / span), n_modes))
+        gs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+        error = float(np.sum(np.abs(_coefficients(omegas, gs, window)) ** 2))
+        if error == 0.0:
+            continue
+        gs *= math.sqrt(epsilon * rng.uniform(0.2, 1.0) / error)
+        coeffs = _coefficients(omegas, gs, window)
+        alphas = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+        phase = 2.0 * float(np.sum(coeffs * alphas).real)
+        if abs(phase) < 1e-9:
+            continue
+        alphas *= PI / phase
+        return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
+    raise SamplingError("failed to draw a feasible pulse in 64 tries (degenerate random stream)")
+
+
+def _sequential_ratios(rng, epsilon, count):
+    """Reference: the one-pulse-at-a-time universality screen of criterion 4."""
+    ratios = []
+    for _ in range(count):
+        n_modes = int(rng.integers(1, 4))
+        pulse = _sequential_pulse(rng, epsilon, n_modes)
+        ratios.append(energy_bound_check(pulse, epsilon).ratio)
+    return np.array(ratios)
+
+
+def test_random_feasible_pulse_matches_reference():
+    for seed in range(40):
+        for window in ((0.0, 1.0), (-0.7, 2.3)):
+            n_modes = 1 + seed % 5
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            pulse = random_feasible_pulse(a, 0.02, n_modes, window)
+            assert pulse.modes == _sequential_pulse(b, 0.02, n_modes, window).modes
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+@example(seed=0, epsilon=0.01, count=300)
+@example(seed=1, epsilon=0.4, count=1)
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), epsilon=st.floats(0.005, 0.5),
+       count=st.integers(1, 300))
+def test_random_feasible_ratios_match_sequential_reference(seed, epsilon, count):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_feasible_ratios(a, epsilon, count)
+    assert np.array_equal(got, _sequential_ratios(b, epsilon, count))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+class _ZeroedNormals:
+    """A Generator stream whose chosen normal draws of one pulse come out zero.
+
+    Pulses are counted by ``integers`` calls and normal draws within a pulse
+    from 0: draws 0 and 1 are a first attempt's couplings, 2 and 3 its
+    amplitudes.  The counters are part of ``bit_generator.state``, so
+    rewinding the stream rewinds them too.
+    """
+
+    def __init__(self, seed, pulse, draws):
+        self._rng = np.random.default_rng(seed)
+        self._target, self._draws = pulse, draws
+        self._pulse, self._normals = -1, 0
+        self.zeroed = 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self._rng.bit_generator.state, self._pulse, self._normals
+
+    @state.setter
+    def state(self, value):
+        self._rng.bit_generator.state, self._pulse, self._normals = value
+
+    def integers(self, *args, **kwargs):
+        self._pulse, self._normals = self._pulse + 1, 0
+        return self._rng.integers(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        return self._rng.uniform(*args, **kwargs)
+
+    def normal(self, size=None):
+        z = self._rng.normal(size=size)
+        self._normals += 1
+        if self._pulse == self._target and self._normals - 1 in self._draws:
+            self.zeroed += 1
+            return np.zeros_like(z)
+        return z
+
+
+@pytest.mark.parametrize("draws", [(2, 3), (0, 1)], ids=["zero-phase", "zero-error"])
+@pytest.mark.parametrize("pulse", [0, 17, 99])
+def test_degenerate_draw_replays_to_the_sequential_result(pulse, draws):
+    a, b = _ZeroedNormals(7, pulse, draws), _ZeroedNormals(7, pulse, draws)
+    got = random_feasible_ratios(a, 0.03, 100)
+    assert a.zeroed > 0
+    assert np.array_equal(got, _sequential_ratios(b, 0.03, 100))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_random_feasible_pulse_rejects_an_epsilon_outside_0_1():
+    # a negative epsilon would scale the couplings by sqrt(eps) = nan
+    for epsilon in (-0.1, 0.0, 1.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            random_feasible_pulse(np.random.default_rng(0), epsilon, 2)
+
+
+def test_random_feasible_ratios_validate_before_drawing():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for epsilon, count in ((0.0, 5), (1.0, 5), (0.1, -1)):
+        with pytest.raises(ValueError):
+            random_feasible_ratios(rng, epsilon, count)
+    assert rng.bit_generator.state == before
+    assert random_feasible_ratios(rng, 0.1, 0).shape == (0,)
 
 
 def test_degenerate_stream_exits_3_from_pulse_bound(tmp_path, monkeypatch, capsys):
