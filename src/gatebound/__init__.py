@@ -28,11 +28,9 @@ from .errors import (
 )
 from .fock import (
     ControlState,
-    OperatorMatrix,
     coherent_required_cutoff,
     coherent_state,
     evolve,
-    ladder_operators,
     mean_photon_number,
     number_state,
     overlap,
@@ -64,8 +62,6 @@ from .collision import (
     FreeCollisionConfig,
     HarmonicCollisionConfig,
     PotentialLaw,
-    calibrate_coupling,
-    calibrate_coupling_harmonic,
     calibrated,
     calibrated_harmonic,
     classical_return_mismatch,

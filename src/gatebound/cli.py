@@ -13,6 +13,7 @@ exception is a bug in the package and propagates as a traceback.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -20,7 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -94,6 +95,16 @@ def parse_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
 
+def _require_finite(name: str, value) -> None:
+    """Reject a nan or infinite number, or complex text that is malformed or not finite."""
+    try:
+        number = parse_complex(value) if isinstance(value, str) else value
+    except ValueError as exc:
+        raise CliValidationError(f"parameter {name!r}: {exc}") from None
+    if not cmath.isfinite(number):
+        raise CliValidationError(f"parameter {name!r} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Param:
     name: str
@@ -164,6 +175,8 @@ def _merge_params(command: Command, flags: dict, loose: dict) -> dict:
             value = p.default
         if value is not None and p.choices and value not in p.choices:
             raise CliValidationError(f"--{p.name} must be one of {p.choices}")
+        if value is not None and p.kind in (float, str) and not p.choices:
+            _require_finite(p.name, value)  # a float or a complex amplitude
         merged[p.name] = value
     return merged
 
@@ -297,10 +310,9 @@ def cmd_nonlinear_bound(params, ctx: UnitContext, seed: int):
 
 
 def cmd_collision_free(params, ctx: UnitContext, seed: int):
-    pot = collision.PotentialLaw.power_law(params["n"])
     cfg = collision.FreeCollisionConfig(
         m=params["m"], v=params["v"], b=params["b"], T=params["duration"],
-        potential=pot, hbar=ctx.hbar)
+        potential=collision.PotentialLaw(params["n"]), hbar=ctx.hbar)
     cfg = collision.calibrated(cfg)
     report = collision.free_energy_bound(cfg, params["epsilon"])
     row = [
@@ -316,10 +328,9 @@ def cmd_collision_free(params, ctx: UnitContext, seed: int):
 
 
 def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
-    pot = collision.PotentialLaw.power_law(3.0)
     cfg = collision.HarmonicCollisionConfig(
         m=params["m"], omega=params["omega"], A=params["amplitude"], b=params["gap"],
-        potential=pot, squeeze_r=params["squeeze_r"], hbar=ctx.hbar)
+        potential=collision.PotentialLaw(3.0), squeeze_r=params["squeeze_r"], hbar=ctx.hbar)
     cfg = collision.calibrated_harmonic(cfg)
     hv = collision.error_variance_harmonic(cfg)
     report = collision.harmonic_energy_bound(cfg, params["epsilon"])
@@ -350,15 +361,12 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
 
 
 def cmd_return_mismatch(params, ctx: UnitContext, seed: int):
-    pot = collision.PotentialLaw.power_law(params["n"])
     cfg = collision.HarmonicCollisionConfig(
         m=params["m"], omega=params["omega"], A=params["amplitude"], b=params["gap"],
-        potential=pot, hbar=ctx.hbar)
+        potential=collision.PotentialLaw(params["n"]), hbar=ctx.hbar)
     cfg = collision.calibrated_harmonic(cfg)
     full = collision.classical_return_mismatch(cfg)
-    half_cfg = collision.HarmonicCollisionConfig(
-        m=cfg.m, omega=cfg.omega, A=cfg.A, b=cfg.b,
-        potential=cfg.potential.scaled(0.5), hbar=ctx.hbar)
+    half_cfg = replace(cfg, potential=cfg.potential.scaled(0.5))
     half = collision.classical_return_mismatch(half_cfg)
     norm_full = collision.mismatch_norm(full, cfg)
     norm_half = collision.mismatch_norm(half, half_cfg)
@@ -769,6 +777,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify-all":
         from .verify import run_criteria
 
+        _require_finite("tolerance_scale", args.tolerance_scale)
         results = run_criteria(args.criteria, args.tolerance_scale)
         # wall times go to stdout only: artifacts must be byte-deterministic
         table = [[

@@ -37,6 +37,7 @@ from .report import BoundReport, bound_satisfied
 PI = math.pi
 PHASE_CALIBRATION_TOL = 1e-6
 QUAD_REL_TOL = 1e-10
+RETURN_RTOL = 1e-10  # DOP853 relative tolerance of the return-mismatch trajectory
 SIN_SYMMETRY_TOL = 1e-9
 
 
@@ -64,10 +65,6 @@ class PotentialLaw:
     def __post_init__(self):
         if not self.n > 1:
             raise ValueError("power-law exponent must satisfy n > 1")
-
-    @staticmethod
-    def power_law(n: float, coupling: float = 1.0) -> "PotentialLaw":
-        return PotentialLaw(float(n), float(coupling))
 
     def value(self, rho: float) -> float:
         return self.coupling * rho ** (-self.n)
@@ -108,22 +105,21 @@ def phase_integral_free(cfg: FreeCollisionConfig) -> float:
     return 2.0 * val / cfg.hbar
 
 
-def calibrate_coupling(cfg: FreeCollisionConfig) -> float:
-    """Coupling C* that makes the accumulated phase exactly pi.
+def _rescaled_to_pi(cfg: FreeCollisionConfig | HarmonicCollisionConfig, phase: float):
+    """Copy of ``cfg`` with its coupling C rescaled to C* = C pi / phase.
 
     The phase is linear in the overall coupling, so calibration is a single
-    rescaling of the current coupling.
+    rescaling; the new coupling is computed as C (C*/C).
     """
-    phase = phase_integral_free(cfg)
     if not math.isfinite(phase) or phase <= 0.0:
         raise DegenerateConfigError(f"phase at current coupling is {phase!r}; cannot calibrate")
-    return cfg.potential.coupling * PI / phase
+    cstar = cfg.potential.coupling * PI / phase
+    return replace(cfg, potential=cfg.potential.scaled(cstar / cfg.potential.coupling))
 
 
 def calibrated(cfg: FreeCollisionConfig) -> FreeCollisionConfig:
     """Copy of the config with the coupling rescaled onto phase = pi."""
-    cstar = calibrate_coupling(cfg)
-    return replace(cfg, potential=cfg.potential.scaled(cstar / cfg.potential.coupling))
+    return _rescaled_to_pi(cfg, phase_integral_free(cfg))
 
 
 def error_variance_free(cfg: FreeCollisionConfig, dx0: float, dp0: float) -> float:
@@ -306,18 +302,10 @@ def harmonic_action_integrals(cfg: HarmonicCollisionConfig) -> tuple[float, floa
     return action, cos_int, sin_int
 
 
-def calibrate_coupling_harmonic(cfg: HarmonicCollisionConfig) -> float:
-    """Coupling making (1/hbar) int V(rho(t)) dt over one period equal pi."""
-    action, _, _ = harmonic_action_integrals(cfg)
-    phase = action / cfg.hbar
-    if not math.isfinite(phase) or phase <= 0.0:
-        raise DegenerateConfigError(f"phase at current coupling is {phase!r}; cannot calibrate")
-    return cfg.potential.coupling * PI / phase
-
-
 def calibrated_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicCollisionConfig:
-    cstar = calibrate_coupling_harmonic(cfg)
-    return replace(cfg, potential=cfg.potential.scaled(cstar / cfg.potential.coupling))
+    """Copy with the coupling making (1/hbar) int V(rho(t)) dt over one period equal pi."""
+    action, _, _ = harmonic_action_integrals(cfg)
+    return _rescaled_to_pi(cfg, action / cfg.hbar)
 
 
 @dataclass(frozen=True)
@@ -421,8 +409,7 @@ class ReturnMismatch(NamedTuple):
     dp: float
 
 
-def classical_return_mismatch(cfg: HarmonicCollisionConfig,
-                              rtol: float = 1e-10) -> ReturnMismatch:
+def classical_return_mismatch(cfg: HarmonicCollisionConfig) -> ReturnMismatch:
     """Deviation of the perturbed classical trajectory from its return point.
 
     Both particles are integrated over one period (trap force plus the
@@ -446,7 +433,7 @@ def classical_return_mismatch(cfg: HarmonicCollisionConfig,
     scale = max(A, 1.0)
     sol = solve_ivp(
         rhs, (0.0, cfg.period), y0, method="DOP853",
-        rtol=rtol, atol=[scale * 1e-13, scale * w * 1e-13] * 2,
+        rtol=RETURN_RTOL, atol=[scale * 1e-13, scale * w * 1e-13] * 2,
     )
     if not sol.success:
         raise IntegrationError("classical trajectory integration failed",
@@ -458,29 +445,6 @@ def classical_return_mismatch(cfg: HarmonicCollisionConfig,
 def mismatch_norm(mm: ReturnMismatch, cfg: HarmonicCollisionConfig) -> float:
     """Phase-space distance sqrt(dx^2 + (dp/m w)^2) from the return point."""
     return math.hypot(mm.dx, mm.dp / (cfg.m * cfg.omega))
-
-
-def trap_energy_drift(cfg: HarmonicCollisionConfig, rtol: float = 1e-10) -> float:
-    """Relative energy drift of the C = 0 (trap-only) integration; sanity check."""
-    m, w, A, b = cfg.m, cfg.omega, cfg.A, cfg.b
-    eq = A + b / 2.0
-
-    def rhs(t, y):
-        x1, v1, x2, v2 = y
-        return [v1, -w * w * (x1 + eq), v2, -w * w * (x2 - eq)]
-
-    y0 = [-(2.0 * A + b / 2.0), 0.0, 2.0 * A + b / 2.0, 0.0]
-    sol = solve_ivp(rhs, (0.0, cfg.period), y0, method="DOP853",
-                    rtol=rtol, atol=[A * 1e-13, A * w * 1e-13] * 2)
-    if not sol.success:
-        raise IntegrationError("trap-only integration failed", {"message": sol.message})
-
-    def energy(y):
-        x1, v1, x2, v2 = y
-        return 0.5 * m * (v1 * v1 + v2 * v2) + 0.5 * m * w * w * ((x1 + eq) ** 2 + (x2 - eq) ** 2)
-
-    e0 = energy(y0)
-    return abs(energy(sol.y[:, -1]) - e0) / e0
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ class Envelope:
     fn: Callable[[float], float]
     duration: float
     integral: float
-    name: str
     breakpoints: tuple[float, ...] = ()
 
     def __call__(self, t: float) -> float:
@@ -43,7 +42,7 @@ def raised_cosine(duration: float, area: float = 1.0) -> Envelope:
     def fn(t, _w=2.0 * math.pi / duration, _a=amp):
         return _a * 0.5 * (1.0 - math.cos(_w * t))
 
-    return Envelope(fn, duration, area, "raised-cosine")
+    return Envelope(fn, duration, area)
 
 
 def triangle(duration: float, area: float = 1.0) -> Envelope:
@@ -55,7 +54,7 @@ def triangle(duration: float, area: float = 1.0) -> Envelope:
     def fn(t, _T=duration, _p=peak):
         return _p * (1.0 - abs(2.0 * t / _T - 1.0))
 
-    return Envelope(fn, duration, area, "triangle", breakpoints=(duration / 2.0,))
+    return Envelope(fn, duration, area, breakpoints=(duration / 2.0,))
 
 
 def gaussian(duration: float, sigma: float | None = None, area: float = 1.0,
@@ -81,7 +80,7 @@ def gaussian(duration: float, sigma: float | None = None, area: float = 1.0,
     def fn(t, _c=half, _s2=2.0 * sigma * sigma, _b=base, _a=amp):
         return _a * (math.exp(-(t - _c) ** 2 / _s2) - _b)
 
-    return Envelope(fn, duration, area, "gaussian" if subtract_baseline else "gaussian-raw")
+    return Envelope(fn, duration, area)
 
 
 ENVELOPES = {

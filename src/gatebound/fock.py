@@ -1,10 +1,10 @@
 """Truncated bosonic Hilbert-space kernel.
 
-State constructors (number, coherent, squeezed-coherent), ladder-operator
-builders, overlaps and unitary time propagation on a number basis truncated
-to ``cutoff`` levels ``|0> ... |cutoff-1>``.  Everything works in natural
-units (hbar = 1); states are plain complex amplitude vectors wrapped in an
-immutable ``ControlState``.
+State constructors (number, coherent, squeezed-coherent), overlaps and
+unitary time propagation on a number basis truncated to ``cutoff`` levels
+``|0> ... |cutoff-1>``.  Everything works in natural units (hbar = 1);
+states are plain complex amplitude vectors wrapped in an immutable
+``ControlState``.
 
 Truncation is controlled explicitly: constructors enforce tail-mass
 contracts and raise :class:`~gatebound.errors.CutoffError` instead of
@@ -39,7 +39,6 @@ class ControlState:
 
     cutoff: int
     amplitudes: np.ndarray
-    unit_system: str = "natural"
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
@@ -53,30 +52,15 @@ class ControlState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator on the truncated basis."""
-
-    cutoff: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.ascontiguousarray(self.entries, dtype=np.complex128)
-        if mat.shape != (self.cutoff, self.cutoff):
-            raise DimensionMismatchError(
-                f"operator has shape {mat.shape}, expected ({self.cutoff}, {self.cutoff})"
-            )
-        mat.flags.writeable = False
-        object.__setattr__(self, "entries", mat)
-
 
 def coherent_required_cutoff(alpha: complex) -> int:
     """Basis size that keeps the Poisson tail below ``COHERENT_TAIL``."""
-    lam = abs(alpha) ** 2
+    try:
+        lam = abs(alpha) ** 2
+    except OverflowError:
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise CutoffError(f"no finite cutoff holds |alpha| = {abs(alpha)!r}")
     return int(math.ceil(lam + 12.0 * math.sqrt(max(lam, 1.0)) + 20.0))
 
 
@@ -181,16 +165,6 @@ def squeezed_coherent_state(alpha: complex, r: float,
     amps = c[:cutoff]
     amps = amps / np.linalg.norm(amps)
     return ControlState(cutoff, amps)
-
-
-def ladder_operators(cutoff: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Annihilation operator a (a|n> = sqrt(n)|n-1>) and its adjoint."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    a = np.zeros((cutoff, cutoff), dtype=np.complex128)
-    n = np.arange(1, cutoff)
-    a[n - 1, n] = np.sqrt(n)
-    return OperatorMatrix(cutoff, a), OperatorMatrix(cutoff, a.conj().T)
 
 
 def overlap(lhs: ControlState, rhs: ControlState) -> complex:
@@ -345,7 +319,7 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if t1 == t0:
-        return ControlState(state.cutoff, state.amplitudes.copy(), state.unit_system)
+        return state
 
     total = t1 - t0
     t = t0
@@ -397,4 +371,4 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
             "norm drift exceeded tolerance",
             {"in_norm_sq": in_norm_sq, "out_norm_sq": out_norm_sq, "tol": tol},
         )
-    return ControlState(state.cutoff, psi, state.unit_system)
+    return ControlState(state.cutoff, psi)

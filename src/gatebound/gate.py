@@ -103,15 +103,18 @@ def pi_phase_drive(envelope, alpha: complex) -> LinearDrive:
     return envelope_drive(envelope, coeff)
 
 
-def drive_bound_integral(drive: LinearDrive, rel_tol: float = 1e-10) -> float:
+BOUND_RTOL = 1e-10  # relative tolerance of the quad of int |f| that sizes the cutoff
+
+
+def drive_bound_integral(drive: LinearDrive) -> float:
     """int_0^T |f(t)| dt; bounds the phase-space excursion of the drive."""
     total = 0.0
     for a, b in drive.segments():
-        val, err = quad(lambda t: abs(drive(t)), a, b, epsabs=0.0, epsrel=rel_tol, limit=200)
-        if err > rel_tol * abs(val):
+        val, err = quad(lambda t: abs(drive(t)), a, b, epsabs=0.0, epsrel=BOUND_RTOL, limit=200)
+        if err > BOUND_RTOL * abs(val):
             raise IntegrationError(
                 "drive bound integral did not converge",
-                {"segment": (a, b), "value": val, "error_estimate": err, "rel_tol": rel_tol},
+                {"segment": (a, b), "value": val, "error_estimate": err, "rel_tol": BOUND_RTOL},
             )
         total += val
     return total
@@ -141,6 +144,7 @@ class DriveIntegrals:
 
 PANEL_NODES = 16   # Gauss-Legendre nodes per panel
 MAX_PANELS = 256   # panels per segment before the drive integral gives up
+DRIVE_RTOL = 1e-12  # agreement that stops the panel doubling
 
 
 @lru_cache(maxsize=1)
@@ -181,13 +185,13 @@ def _panel_sums(drive: LinearDrive, a: float, b: float, panels: int
     return complex(np.sum(sums)), phase, h * float(np.sum(np.abs(f) @ w))
 
 
-def _segment_integrals(drive: LinearDrive, a: float, b: float, rtol: float
-                       ) -> tuple[complex, float]:
+def _segment_integrals(drive: LinearDrive, a: float, b: float) -> tuple[complex, float]:
     """(int f, int Im(f conj G)) over one smooth segment [a, b].
 
     The panel count doubles (1, 2, 4, ...) until two successive estimates
-    agree to ``rtol * int|f|`` in the integral and ``rtol * (int|f|)^2`` in
-    the phase; past ``MAX_PANELS`` panels :class:`IntegrationError` is raised.
+    agree to ``DRIVE_RTOL * int|f|`` in the integral and
+    ``DRIVE_RTOL * (int|f|)^2`` in the phase; past ``MAX_PANELS`` panels
+    :class:`IntegrationError` is raised.
     """
     panels = 1
     coarse = _panel_sums(drive, a, b, panels)
@@ -195,17 +199,17 @@ def _segment_integrals(drive: LinearDrive, a: float, b: float, rtol: float
         panels *= 2
         fine = _panel_sums(drive, a, b, panels)
         dF, dphi, scale = abs(fine[0] - coarse[0]), abs(fine[1] - coarse[1]), fine[2]
-        if dF <= rtol * scale and dphi <= rtol * scale ** 2:
+        if dF <= DRIVE_RTOL * scale and dphi <= DRIVE_RTOL * scale ** 2:
             return fine[0], fine[1]
         if panels >= MAX_PANELS:
             raise IntegrationError("drive integral did not converge", {
                 "segment": (a, b), "panels": panels, "integral_error": dF,
-                "phase_error": dphi, "abs_integral": scale, "rtol": rtol})
+                "phase_error": dphi, "abs_integral": scale, "rtol": DRIVE_RTOL})
         coarse = fine
 
 
 @lru_cache(maxsize=16)  # the exact phase, the estimate and the oracle share one drive
-def drive_integrals(drive: LinearDrive, rtol: float = 1e-12) -> DriveIntegrals:
+def drive_integrals(drive: LinearDrive) -> DriveIntegrals:
     """F = int f and phi = int Im[f(t) conj F(t)] over the window.
 
     The second-order term terminates the Magnus series for linear drives:
@@ -213,14 +217,14 @@ def drive_integrals(drive: LinearDrive, rtol: float = 1e-12) -> DriveIntegrals:
     segment is integrated on composite ``PANEL_NODES``-point Gauss-Legendre
     panels: F at the nodes from the panel's spectral integration matrix,
     phi as the weighted sum of Im(f conj F), and the panel count doubled
-    until two estimates agree to ``rtol`` (see ``_segment_integrals``).  The
-    drive is sampled only here, never at ``evolve``'s steps, so the oracle
-    stays independent of the propagation.  Results are cached per (frozen)
-    drive and ``rtol``.
+    until two estimates agree to ``DRIVE_RTOL`` (see ``_segment_integrals``).
+    The drive is sampled only here, never at ``evolve``'s steps, so the
+    oracle stays independent of the propagation.  Results are cached per
+    (frozen) drive.
     """
     F, phi = 0j, 0.0
     for a, b in drive.segments():
-        dF, dphi = _segment_integrals(drive, a, b, rtol)
+        dF, dphi = _segment_integrals(drive, a, b)
         # the segment's own phase plus the cross term with the F it starts from
         phi += dphi + (dF * np.conj(F)).imag
         F += dF

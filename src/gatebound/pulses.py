@@ -209,13 +209,18 @@ class NonlinearReduction:
 def nonlinear_reduce(p_power: int, envelope: Callable[[float], float],
                      window: tuple[float, float],
                      modes: Sequence[tuple[float, complex]], *,
-                     tol: float = 1e-8, max_doublings: int = 22) -> NonlinearReduction:
+                     tol: float = 1e-8, max_doublings: int = 14) -> NonlinearReduction:
     """Reduce a power-p coupling with mean field E(t) to linear coefficients.
 
     p = 1 short-circuits to the exact window integrals (E^0 == 1), making
     the reduction identical to the linear path.  For p > 1 the coefficient
     integrals are evaluated by composite Simpson rule, doubling the sample
-    density until step-halving moves every coefficient by less than ``tol``.
+    density until step-halving moves every coefficient by less than ``tol``
+    on a grid with at least one sample per radian of the fastest mode (a
+    coarser grid aliases, and its sums can agree by accident).  After
+    ``max_doublings`` doublings (64 * 2^14 = 1,048,576 samples at the
+    default), or at once if that grid cannot resolve the fastest mode,
+    :class:`SamplingError` is raised.
     """
     if p_power < 1:
         raise ValueError("p_power must be >= 1")
@@ -243,13 +248,17 @@ def nonlinear_reduce(p_power: int, envelope: Callable[[float], float],
             out[k] = wt * np.sum(simpson_w * env * np.exp(-1j * w * t))
         return out
 
+    radians = max(omegas, default=0.0) * (t1 - t0)
+    if radians > 64 * 2 ** max_doublings:
+        raise SamplingError(f"{64 * 2 ** max_doublings} samples cannot resolve the "
+                            f"{radians:.3g} rad a mode turns through on the window")
     n = 64
     prev = coefficients_at(n)
     for _ in range(max_doublings):
         n *= 2
         cur = coefficients_at(n)
         scale = np.maximum(1.0, np.abs(cur))
-        if np.all(np.abs(cur - prev) < tol * scale):
+        if n >= radians and np.all(np.abs(cur - prev) < tol * scale):
             coeffs = tuple(zip(omegas, (complex(c) for c in cur)))
             return NonlinearReduction(p_power, coeffs, (float(t0), float(t1)))
         prev = cur

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,7 +206,7 @@ def criterion_7(scale: float = 1.0) -> CriterionResult:
             for b in (2.0, 4.0, 8.0):
                 cfg = collision.FreeCollisionConfig(
                     m=m, v=v, b=b, T=4.0 * b / v,
-                    potential=collision.PotentialLaw.power_law(2.0),
+                    potential=collision.PotentialLaw(2.0),
                 )
                 cfg = collision.calibrated(cfg)
                 report = collision.free_energy_bound(cfg, epsilon)
@@ -228,8 +228,8 @@ def criterion_7(scale: float = 1.0) -> CriterionResult:
 def criterion_8(scale: float = 1.0) -> CriterionResult:
     """Harmonic chain: dipole limit, sin-symmetry, return-mismatch linearity."""
     t0 = time.perf_counter()
-    pot = collision.PotentialLaw.power_law(3.0)
-    cfg = collision.HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0, potential=pot)
+    cfg = collision.HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0,
+                                            potential=collision.PotentialLaw(3.0))
     cfg = collision.calibrated_harmonic(cfg)
 
     limit = collision.dipole_leading_ratio(cfg)
@@ -241,10 +241,7 @@ def criterion_8(scale: float = 1.0) -> CriterionResult:
 
     mm_full = collision.classical_return_mismatch(cfg)
     norm_full = collision.mismatch_norm(mm_full, cfg)
-    half = collision.HarmonicCollisionConfig(
-        m=cfg.m, omega=cfg.omega, A=cfg.A, b=cfg.b,
-        potential=cfg.potential.scaled(0.5), squeeze_r=cfg.squeeze_r,
-    )
+    half = replace(cfg, potential=cfg.potential.scaled(0.5))
     norm_half = collision.mismatch_norm(collision.classical_return_mismatch(half), half)
     threshold = 1e3 * 1e-10 * cfg.A
     part_nonzero = threshold / norm_full

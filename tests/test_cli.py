@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import dataclasses
 
@@ -314,6 +315,11 @@ def test_bad_parameter_values_exit_2(tmp_path, capsys):
                  "--output", str(tmp_path / "d")]) == 2
     assert "no photons" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+    # malformed complex text in a sweep's base parameters stops before any point runs
+    assert main(["sweep", "--command", "gate-sim", "--axis", "duration", "--values", "1,2",
+                 "--param", "alpha=abc", "--output", str(tmp_path / "f")]) == 2
+    assert "'alpha'" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def _raise_key_error(params, ctx, seed):
@@ -381,9 +387,9 @@ def test_gate_sim_integrates_its_drive_once(tmp_path, monkeypatch, envelope, seg
     calls = []
     original = gate._segment_integrals
 
-    def counted(drive, a, b, rtol):
+    def counted(drive, a, b):
         calls.append((a, b))
-        return original(drive, a, b, rtol)
+        return original(drive, a, b)
 
     monkeypatch.setattr(gate, "_segment_integrals", counted)
     assert main(["gate-sim", "--alpha", "2", "--envelope", envelope,
@@ -450,3 +456,39 @@ def test_collision_free_accepts_any_exponent_above_one(tmp_path):
     assert row["satisfied"] == "true"
     assert main(["collision-free", "--m", "40", "--v", "2", "--b", "4", "--duration", "8",
                  "--epsilon", "0.5", "--n", "1.0", "--output", str(tmp_path / "bad")]) == 2
+
+
+NON_FINITE = [
+    ["collision-free", "--m", "1", "--v", "1", "--b", "1", "--duration", "2", "--epsilon", "nan"],
+    ["counterexample", "--g", "inf"],
+    ["squeeze-opt", "--epsilon", "0.1", "--omega", "inf"],
+    ["gate-sim", "--alpha", "inf"],
+    ["gate-sim", "--alpha", "1e200"],  # finite, but |alpha|^2 overflows the cutoff rule
+    ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--duration", "inf"],
+    ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--weight", "1+nanj"],
+    ["verify-all", "--tolerance-scale", "nan"],
+    ["sweep", "--command", "gate-sim", "--axis", "alpha", "--values", "2,inf"],
+    ["sweep", "--command", "squeeze-opt", "--axis", "epsilon", "--values", "0.1",
+     "--param", "omega=nan"],
+    ["run", "--config", "{config}"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=[" ".join(a) for a in NON_FINITE])
+def test_non_finite_input_exits_2_without_artifacts(tmp_path, capsys, argv):
+    # Python's json reads NaN and Infinity, so a config file can carry them too
+    config = _write_config(tmp_path, {"command": "squeeze-opt", "params": {"epsilon": math.nan}})
+    out = tmp_path / "run"
+    assert main([*[a.format(config=config) for a in argv], "--output", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unresolvable_nonlinear_mode_exits_3_at_once(tmp_path, capsys):
+    # 1e8 rad on the window: no grid under the 64 * 2^14 sample cap resolves it
+    start = time.perf_counter()
+    assert main(["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--omega", "1e8",
+                 "--output", str(tmp_path / "run")]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert "1048576 samples cannot resolve" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

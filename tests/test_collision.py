@@ -9,7 +9,6 @@ from gatebound import (
     HarmonicCollisionConfig,
     PotentialLaw,
     UncertaintyError,
-    calibrate_coupling,
     calibrated,
     calibrated_harmonic,
     classical_return_mismatch,
@@ -29,7 +28,6 @@ from gatebound import collision
 from gatebound.collision import (
     harmonic_action_integrals,
     powerlaw_log_derivative_pair,
-    trap_energy_drift,
     wavepacket_objective,
 )
 from gatebound.errors import DegenerateConfigError, IntegrationError
@@ -38,7 +36,7 @@ PI = math.pi
 
 
 def free_cfg(n=2.0, C=1.0, m=1.0, v=1.0, b=1.0, T=8.0):
-    return FreeCollisionConfig(m=m, v=v, b=b, T=T, potential=PotentialLaw.power_law(n, C))
+    return FreeCollisionConfig(m=m, v=v, b=b, T=T, potential=PotentialLaw(n, C))
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +76,14 @@ def test_calibration_reaches_pi():
     cal = calibrated(cfg)
     assert abs(phase_integral_free(cal) - PI) < 1e-9
     # linearity: calibrating from a different starting coupling lands on the same C*
-    assert abs(calibrate_coupling(free_cfg(C=3.0)) - calibrate_coupling(cfg)) < 1e-9
+    assert abs(calibrated(free_cfg(C=3.0)).potential.coupling
+               - cal.potential.coupling) < 1e-9
 
 
 def test_calibration_closed_form_n2():
     cfg = free_cfg(n=2.0, v=1.4, b=0.6, T=5.0)
     expected = PI * cfg.v * cfg.b / math.atan(cfg.v * cfg.T / cfg.b)
-    assert abs(calibrate_coupling(cfg) - expected) < 1e-9 * expected
+    assert abs(calibrated(cfg).potential.coupling - expected) < 1e-9 * expected
 
 
 def test_phase_times_speed_invariant_under_window_rescaling():
@@ -97,7 +96,9 @@ def test_phase_times_speed_invariant_under_window_rescaling():
 
 def test_degenerate_calibration_raises():
     with pytest.raises(DegenerateConfigError):
-        calibrate_coupling(free_cfg(C=0.0))
+        calibrated(free_cfg(C=0.0))
+    with pytest.raises(DegenerateConfigError):
+        calibrated_harmonic(harmonic_cfg(C=0.0))
 
 
 def test_unconverged_quadrature_raises_with_diagnostics(monkeypatch):
@@ -180,7 +181,7 @@ def test_free_energy_bound_boundary_ratio():
     n, m, v, T = 2.0, 400.0, 1.0, 4.0
     b = v * T * (1.0 - 1e-9)
     cfg = calibrated(FreeCollisionConfig(m=m, v=v, b=b, T=T,
-                                         potential=PotentialLaw.power_law(n)))
+                                         potential=PotentialLaw(n)))
     probe = free_energy_bound(cfg, 0.5)
     report = free_energy_bound(cfg, probe.error)
     expected = PI ** 2 * (n - 1) ** 2 / 2.0 * (v * T / b) ** 2
@@ -199,9 +200,9 @@ def test_free_energy_bound_metadata():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FreeCollisionConfig(m=1, v=1, b=9, T=8, potential=PotentialLaw.power_law(2))
+        FreeCollisionConfig(m=1, v=1, b=9, T=8, potential=PotentialLaw(2))
     with pytest.raises(ValueError):
-        PotentialLaw.power_law(1.0)
+        PotentialLaw(1.0)
     with pytest.raises(ValueError):
         PotentialLaw(0.5)
 
@@ -233,7 +234,7 @@ def _closed_form_integrals(cfg):
 
 def harmonic_cfg(m=1.0, omega=1.0, A=100.0, b=30.0, C=1.0, r=0.0):
     return HarmonicCollisionConfig(m=m, omega=omega, A=A, b=b,
-                                   potential=PotentialLaw.power_law(3.0, C), squeeze_r=r)
+                                   potential=PotentialLaw(3.0, C), squeeze_r=r)
 
 
 def test_trajectory_endpoints_exact():
@@ -287,7 +288,7 @@ def test_constraint_ratio_independent_of_coupling():
 def test_dipole_leading_ratio_limit(A, omega, m):
     # b * R(b) -> 5/2 at any scale; R does not depend on the (uncalibrated) coupling
     cfg = HarmonicCollisionConfig(m=m, omega=omega, A=A, b=0.3 * A,
-                                  potential=PotentialLaw.power_law(3.0))
+                                  potential=PotentialLaw(3.0))
     assert abs(dipole_leading_ratio(cfg) - 2.5) < 0.01
 
 
@@ -333,10 +334,6 @@ def test_return_mismatch_vanishes_without_interaction():
     mm = classical_return_mismatch(cfg)
     assert abs(mm.dx) < 1e-8 * cfg.A
     assert abs(mm.dp) < 1e-8 * cfg.A * cfg.m * cfg.omega
-
-
-def test_trap_only_energy_conservation():
-    assert trap_energy_drift(harmonic_cfg()) < 1e-8
 
 
 def test_return_mismatch_scalings():

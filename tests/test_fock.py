@@ -13,7 +13,6 @@ from gatebound import (
     coherent_required_cutoff,
     coherent_state,
     evolve,
-    ladder_operators,
     mean_photon_number,
     multi_envelope_drive,
     number_state,
@@ -29,6 +28,16 @@ from gatebound.fock import IntegrationError
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 unit_interval = st.floats(-1.0, 1.0)
 complex_unit = st.builds(complex, unit_interval, unit_interval)
+
+
+def _dense_ladder(cutoff):
+    """Dense annihilation operator a (a|n> = sqrt(n)|n-1>) and its adjoint."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
+    return a, a.conj().T
+
+
+def _norm_sq(state):
+    return float(np.vdot(state.amplitudes, state.amplitudes).real)
 
 
 def test_coherent_vacuum_is_identity_case():
@@ -54,14 +63,20 @@ def test_coherent_tail_against_high_precision_poisson():
         )
     assert tail < 1e-12
     state = coherent_state(alpha, cutoff)
-    assert abs(state.norm_sq() - 1.0) < 1e-12
+    assert abs(_norm_sq(state) - 1.0) < 1e-12
 
 
 def test_coherent_rejects_small_cutoff_without_override():
     with pytest.raises(CutoffError):
         coherent_state(2.0, cutoff=10)
     state = coherent_state(2.0, cutoff=10, allow_truncation=True)
-    assert abs(state.norm_sq() - 1.0) < 1e-10
+    assert abs(_norm_sq(state) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [1e200, math.inf, complex(0.0, math.nan)])
+def test_cutoff_rule_rejects_a_non_finite_mean_photon_number(alpha):
+    with pytest.raises(CutoffError):
+        coherent_required_cutoff(alpha)
 
 
 def test_number_state_basis_vectors():
@@ -116,18 +131,23 @@ def test_squeezed_tail_contract_raises():
 
 
 def test_ladder_action():
-    a, adag = ladder_operators(6)
+    a, adag = _dense_ladder(6)
     e1 = number_state(1, 6).amplitudes
     e0 = number_state(0, 6).amplitudes
-    assert np.allclose(a.entries @ e1, e0)
-    num = adag.entries @ a.entries
+    assert np.allclose(a @ e1, e0)
+    num = adag @ a
     assert np.allclose(np.diag(num), np.arange(6))
+    # the banded drive action is the dense f a† + conj(f) a
+    f = 0.3 - 0.7j
+    psi = coherent_state(0.5 + 0.2j, 6, allow_truncation=True).amplitudes
+    dense = (f * adag + np.conj(f) * a) @ psi
+    assert np.max(np.abs(fock.drive_action(f, psi) - dense)) < 1e-15
 
 
 def test_ladder_commutator_truncation():
     d = 7
-    a, adag = ladder_operators(d)
-    comm = a.entries @ adag.entries - adag.entries @ a.entries
+    a, adag = _dense_ladder(d)
+    comm = a @ adag - adag @ a
     expected = np.eye(d)
     expected[-1, -1] = -(d - 1)  # truncation corrupts only the last diagonal entry
     assert np.max(np.abs(comm - expected)) < 1e-12
@@ -159,8 +179,8 @@ def test_overlap_dimension_mismatch():
 def _dense_factor(h, g, psi, frame):
     """Reference for ``fock._apply_factor``: expm of the dense generator, number basis."""
     assert frame is None  # nothing else enters a frame when this replaces the factor
-    a, adag = ladder_operators(psi.size)
-    return expm(-1j * h * (g * adag.entries + np.conj(g) * a.entries)) @ psi, None
+    a, adag = _dense_ladder(psi.size)
+    return expm(-1j * h * (g * adag + np.conj(g) * a)) @ psi, None
 
 
 def _propagate_per_segment(state, sample, drive, tol):
@@ -182,7 +202,7 @@ def test_evolve_keeps_norm_on_random_drives(c1, c2, alpha, T, cutoff):
     drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
     state = coherent_state(alpha, cutoff, allow_truncation=True)
     out = _propagate_per_segment(state, drive, drive, 1e-9)
-    assert abs(out.norm_sq() - 1.0) <= 1e-12
+    assert abs(_norm_sq(out) - 1.0) <= 1e-12
 
 
 def _wiggly_drive(t):

@@ -22,12 +22,12 @@ from gatebound import (
     failure_probability_exact,
     failure_probability_perturbative,
     gaussian,
-    ladder_operators,
     multi_envelope_drive,
     number_state,
     pi_phase_drive,
     piecewise_constant_drive,
     raised_cosine,
+    squeezed_coherent_state,
     switch_off_check,
     triangle,
 )
@@ -40,6 +40,12 @@ PI = math.pi
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=16)
 unit_interval = st.floats(-1.0, 1.0)
 complex_unit = st.builds(complex, unit_interval, unit_interval)
+
+
+def _dense_ladder(cutoff):
+    """Dense annihilation operator a (a|n> = sqrt(n)|n-1>) and its adjoint."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
+    return a, a.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +246,8 @@ def test_perturbative_eigenstate_has_no_fluctuations():
     cutoff = 12
     drive = envelope_drive(raised_cosine(1.0), 0.3 - 0.4j)
     F = drive_integrals(drive).integral
-    a, adag = ladder_operators(cutoff)
-    _, vecs = np.linalg.eigh(F * adag.entries + np.conj(F) * a.entries)
+    a, adag = _dense_ladder(cutoff)
+    _, vecs = np.linalg.eigh(F * adag + np.conj(F) * a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for k in range(cutoff):
@@ -271,13 +277,13 @@ def _fluctuation_double_integral(scenario):
     # 1/2 int int Re <dV_I(t) psi0, dV_I(t') psi0> dt dt' with the dense
     # V_I(t) = f a† + conj(f) a; one quadrature per pair of drive segments
     psi = scenario.control.amplitudes
-    a, adag = ladder_operators(scenario.control.cutoff)
+    a, adag = _dense_ladder(scenario.control.cutoff)
     segments = scenario.drive.segments()
 
     @lru_cache(maxsize=None)
     def fluctuation(t):
         f = scenario.drive(t)
-        vpsi = (f * adag.entries + np.conj(f) * a.entries) @ psi
+        vpsi = (f * adag + np.conj(f) * a) @ psi
         return vpsi - np.vdot(psi, vpsi).real * psi
 
     return 0.5 * sum(
@@ -323,6 +329,37 @@ def test_carrier_drive_matches_oracle(g, omega, T, alpha):
         warnings.simplefilter("ignore")
         estimate = failure_probability_perturbative(scenario)
     assert abs(estimate - _fluctuation_double_integral(scenario)) <= 1e-9
+
+
+def _gaussian_failure_probability(alpha, r, drive):
+    # e^{i phi} D(beta) on D(alpha) S(r)|0>: S(r)† D(beta) S(r) = D(beta cosh r
+    # + conj(beta) sinh r) in the convention of fock._squeezed_amplitudes, and
+    # moving D(beta) past D(alpha) leaves the phase e^{2i Im(conj(alpha) beta)}
+    integrals = drive_integrals(drive)
+    beta = integrals.displacement
+    gamma = beta * math.cosh(r) + np.conj(beta) * math.sinh(r)
+    inner = (cmath.exp(1j * integrals.magnus_phase) * math.exp(-0.5 * abs(gamma) ** 2)
+             * cmath.exp(2j * (np.conj(alpha) * beta).imag))
+    return 1.0 - abs(1.0 - inner) ** 2 / 4.0
+
+
+@PROPERTY
+@given(radius=st.floats(0.5, 2.0), angle=st.floats(-PI, PI), r=st.floats(0.2, 1.0),
+       carrier=st.booleans(), g=st.builds(cmath.rect, st.floats(0.1, 1.0), st.floats(-PI, PI)),
+       omega=st.floats(0.5, 3.0))
+def test_squeezed_control_matches_gaussian_closed_form(radius, angle, r, carrier, g, omega):
+    # the exact route from a squeezed control, under a constant-phase drive or
+    # a carrier whose Magnus phase is nonzero
+    alpha = cmath.rect(radius, angle)
+    if carrier:
+        drive = LinearDrive(lambda t: g * np.exp(1j * omega * t), 1.0)
+    else:
+        drive = pi_phase_drive(raised_cosine(1.0), alpha)
+    # the squeezed cutoff rule at the largest amplitude the drive can reach
+    reach = abs(alpha) + drive_bound_integral(drive) + 0.5
+    control = squeezed_coherent_state(alpha, r, squeezed_coherent_state(reach, r).cutoff)
+    exact = failure_probability_exact(GateScenario(control, drive), 1e-10)
+    assert abs(exact.failure_probability - _gaussian_failure_probability(alpha, r, drive)) <= 1e-8
 
 
 def test_drive_bound_integral_checks_its_error_estimate():

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -286,6 +287,21 @@ def test_nonlinear_reduce_reports_sampling_error():
     envelope = raised_cosine(1.0)
     with pytest.raises(SamplingError):
         nonlinear_reduce(3, envelope, (0.0, 1.0), [(1.0, 1.0)], tol=1e-15, max_doublings=1)
+    # a mode the capped grid (64 * 2^14 samples) cannot resolve fails before sampling
+    with pytest.raises(SamplingError, match="cannot resolve"):
+        nonlinear_reduce(2, envelope, (0.0, 1.0), [(1e8, 1.0)])
+
+
+def test_nonlinear_reduce_waits_for_a_resolving_grid():
+    # with E = 1 - cos(2 pi t), c = int E e^{-i w t} dt on (0, 1) is
+    # (1 - e^{-i w}) / i * 4 pi^2 / (w (4 pi^2 - w^2)), about 3e-12 at w = 2e4.
+    # Aliased Simpson sums on 128 and 256 samples agree to the absolute
+    # tol = 1e-8 but miss c by 7e-8; the grid must reach one sample per radian.
+    omega = 2e4
+    four_pi_sq = 4.0 * math.pi ** 2
+    exact = (1.0 - cmath.exp(-1j * omega)) / 1j * four_pi_sq / (omega * (four_pi_sq - omega ** 2))
+    reduction = nonlinear_reduce(2, raised_cosine(1.0), (0.0, 1.0), [(omega, 1.0)])
+    assert abs(reduction.coefficients[0][1] - exact) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
