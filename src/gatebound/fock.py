@@ -31,6 +31,7 @@ NORM_TOL = 1e-10          # allowed |sum |c_n|^2 - 1| for constructed states
 COHERENT_TAIL = 1e-12     # Poisson tail mass guaranteed by the cutoff rule
 SQUEEZED_TAIL = 1e-10     # tail mass contract for squeezed-coherent states
 MAX_STEPS = 200_000       # adaptive sub-steps allowed per evolve call
+MAX_CUTOFF = 10_000       # largest basis; its N x N quadrature eigenbasis is 800 MB
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,14 @@ def coherent_required_cutoff(alpha: complex) -> int:
         lam = math.inf
     if not math.isfinite(lam):
         raise CutoffError(f"no finite cutoff holds |alpha| = {abs(alpha)!r}")
-    return int(math.ceil(lam + 12.0 * math.sqrt(max(lam, 1.0)) + 20.0))
+    return _capped(int(math.ceil(lam + 12.0 * math.sqrt(max(lam, 1.0)) + 20.0)))
+
+
+def _capped(cutoff: int) -> int:
+    """``cutoff``, or :class:`CutoffError` if it exceeds ``MAX_CUTOFF``."""
+    if cutoff > MAX_CUTOFF:
+        raise CutoffError(f"basis of {cutoff} levels exceeds MAX_CUTOFF = {MAX_CUTOFF}")
+    return cutoff
 
 
 def coherent_poisson_tail(alpha: complex, cutoff: int) -> float:
@@ -83,6 +91,7 @@ def coherent_state(alpha: complex, cutoff: int | None = None, *,
         cutoff = required
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    _capped(cutoff)
     if cutoff < required and not allow_truncation \
             and coherent_poisson_tail(alpha, cutoff) > COHERENT_TAIL:
         raise CutoffError(
@@ -106,6 +115,7 @@ def number_state(n: int, cutoff: int) -> ControlState:
     """Number state |n> on a basis of ``cutoff`` levels."""
     if not 0 <= n < cutoff:
         raise IndexError(f"n={n} outside truncated basis of size {cutoff}")
+    _capped(cutoff)
     amps = np.zeros(cutoff, dtype=np.complex128)
     amps[n] = 1.0
     return ControlState(cutoff, amps)
@@ -149,6 +159,7 @@ def squeezed_coherent_state(alpha: complex, r: float,
         cutoff = int(math.ceil(nbar + 12.0 * math.sqrt(max(nbar, 1.0)) + geom + 30.0))
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    _capped(cutoff)
     workspace = cutoff + 64
     c = _squeezed_amplitudes(alpha, r, workspace)
     total = float(np.sum(np.abs(c) ** 2))
@@ -235,35 +246,52 @@ def _real_matmul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # A drive-propagated state is held as coefficients in a frame: ``None`` is the
-# number basis, an angle theta the basis U_theta W (U_theta = diag(e^{i n theta}),
-# X = a + a† = W diag(lam) W^T).  A drive sample g a† + conj(g) a with
-# g = r e^{i theta}, r real, equals r U_theta X U_theta†, so it is diagonal in
-# frame theta.  Frames are canonical, theta in (-pi/2, pi/2]; a sample in the
-# opposite half-plane is read as theta with a negative r.
+# number basis, a pair (theta, phi) the vector e^{-i phi lam} c in the basis
+# U_theta W (U_theta = diag(e^{i n theta}), X = a + a† = W diag(lam) W^T).  A
+# drive sample g a† + conj(g) a with g = r e^{i theta}, r real, equals
+# r U_theta X U_theta†, so it is diagonal in frame theta, and every factor
+# e^{-i h r lam} of that frame only adds h r to the accumulated phase phi.
+# Frames are canonical, theta in (-pi/2, pi/2]; a sample in the opposite
+# half-plane is read as theta with a negative r.
+_Frame = tuple[float, float] | None
 
 
-def _change_frame(psi: np.ndarray, frame: float | None, theta: float | None) -> np.ndarray:
-    """Coefficients in frame ``theta`` of the state held in frame ``frame`` (!= theta)."""
-    _, w = _quadrature_eigh(psi.size)
-    n = np.arange(psi.size)
+# The full step, the half step and a retry all enter the same angle, and the
+# exit reuses it too; a few entries serve a constant-phase propagation.
+@lru_cache(maxsize=4)
+def _number_phases(theta: float, cutoff: int) -> np.ndarray:
+    """diag(U_theta) = e^{i n theta}, n = 0 .. cutoff-1."""
+    u = np.exp(1j * theta * np.arange(cutoff))
+    u.flags.writeable = False
+    return u
+
+
+def _angle(frame: _Frame) -> float | None:
+    return None if frame is None else frame[0]
+
+
+def _change_frame(psi: np.ndarray, frame: _Frame, theta: float | None) -> np.ndarray:
+    """Coefficients in frame (theta, 0) (number basis if None) of a state held in ``frame``."""
+    lam, w = _quadrature_eigh(psi.size)
     if frame is not None:
-        psi = np.exp(1j * frame * n) * _real_matmul(w, psi)
+        angle, phi = frame
+        psi = _number_phases(angle, psi.size) * _real_matmul(w, np.exp(-1j * phi * lam) * psi)
     if theta is not None:
-        psi = _real_matmul(w.T, np.exp(-1j * theta * n) * psi)
+        psi = _real_matmul(w.T, _number_phases(theta, psi.size).conj() * psi)
     return psi
 
 
-def _to_number_basis(psi: np.ndarray, frame: float | None) -> np.ndarray:
+def _to_number_basis(psi: np.ndarray, frame: _Frame) -> np.ndarray:
     return psi if frame is None else _change_frame(psi, frame, None)
 
 
 def _apply_factor(h: float, g: complex, psi: np.ndarray,
-                  frame: float | None) -> tuple[np.ndarray, float | None]:
+                  frame: _Frame) -> tuple[np.ndarray, _Frame]:
     """exp(-i h (g a† + conj(g) a)) on a state held in ``frame``.
 
-    Returns (coefficients, frame).  A sample whose phase matches the frame is
-    one diagonal multiply, a zero sample is the identity; any other sample
-    changes frame first.
+    Returns (coefficients, frame).  A sample whose phase matches the frame
+    only adds h r to the frame's phase and returns the same array, a zero
+    sample is the identity; any other sample changes frame first.
     """
     if g == 0:
         return psi, frame
@@ -271,10 +299,17 @@ def _apply_factor(h: float, g: complex, psi: np.ndarray,
     if g.real < 0 or (g.real == 0 and g.imag < 0):
         g, r = -g, -r
     theta = math.atan2(g.imag, g.real)
-    if theta != frame:  # an exact test: equal phases keep the frame
-        psi = _change_frame(psi, frame, theta)
-    lam, _ = _quadrature_eigh(psi.size)
-    return np.exp(-1j * h * r * lam) * psi, theta
+    if theta == _angle(frame):  # an exact test: equal phases keep the frame
+        return psi, (theta, frame[1] + h * r)
+    return _change_frame(psi, frame, theta), (theta, h * r)
+
+
+def _phase_distance(a: np.ndarray, phi_a: float, b: np.ndarray, phi_b: float) -> float:
+    """||e^{-i phi_a lam} a - e^{-i phi_b lam} b|| for coefficients of one frame angle."""
+    lam, _ = _quadrature_eigh(a.size)
+    if a is b:  # 2 || |a| sin((phi_a - phi_b) lam / 2) ||, free of cancellation
+        return 2.0 * float(np.linalg.norm(np.abs(a) * np.sin(0.5 * (phi_a - phi_b) * lam)))
+    return float(np.linalg.norm(np.exp(-1j * (phi_a - phi_b) * lam) * a - b))
 
 
 def _step(drive, t, h, psi, frame):
@@ -301,12 +336,17 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
     The state is held in the frame U_theta W of the last sample's phase
     theta = arg g (mod pi), where U_theta = diag(e^{i n theta}) and W is the
     eigenbasis of the quadrature X = a + a† (one tridiagonal
-    eigendecomposition per cutoff).  A factor of the frame's phase is one
-    diagonal multiply; only a change of phase or the end of the propagation
-    converts the state, with two real N x N products.  A constant-phase
-    drive thus enters the frame in its first step and leaves it once.  The
-    step-doubling error is measured in the frame both results share (the
-    frames are unitary), else in the number basis.
+    eigendecomposition per cutoff).  Factors of one phase commute and are
+    diagonal there, so the frame carries them as one accumulated phase phi
+    (the state is e^{-i phi lam} c) and a factor of the frame's phase only
+    adds h |g| to phi, with no array work.  The array exponential
+    e^{-i phi lam} and two real N x N products are paid only when the state
+    leaves the frame: at a change of phase or at the end of the
+    propagation.  A constant-phase drive thus enters the frame in its first
+    step and leaves it once.  The step-doubling error is measured in the
+    frame both results share (the frames are unitary; for one coefficient
+    array it is 2 || |c| sin((phi_h - phi_f) lam / 2) ||), else in the
+    number basis.
 
     Raises
     ------
@@ -338,10 +378,14 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
         full, full_frame = _step(drive, t, h, psi, frame)
         half, half_frame = _step(drive, t + 0.5 * h, 0.5 * h,
                                  *_step(drive, t, 0.5 * h, psi, frame))
-        if half_frame != full_frame:
-            full = _to_number_basis(full, full_frame)
+        if _angle(half_frame) != _angle(full_frame):
+            full, full_frame = _to_number_basis(full, full_frame), None
             half, half_frame = _to_number_basis(half, half_frame), None
-        err = float(np.linalg.norm(half - full)) / 15.0  # Richardson: 2^4 - 1
+        if half_frame is None:
+            err = float(np.linalg.norm(half - full))
+        else:
+            err = _phase_distance(half, half_frame[1], full, full_frame[1])
+        err /= 15.0  # Richardson: 2^4 - 1
         if not math.isfinite(err):
             raise IntegrationError(
                 "non-finite state during propagation",
@@ -356,8 +400,10 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
                 "step-size underflow",
                 {"t": t, "h": h, "error_estimate": err, "tol": tol, "steps": n_steps},
             )
-        elif half_frame != frame:  # retry from the frame both results ended in
-            psi, frame = _change_frame(psi, frame, half_frame), half_frame
+        elif _angle(half_frame) != _angle(frame):  # retry from the frame both results ended in
+            theta = _angle(half_frame)
+            psi = _change_frame(psi, frame, theta)
+            frame = None if theta is None else (theta, 0.0)
         n_steps += 1
         if err > 0.0:
             h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * (budget / err) ** 0.25))

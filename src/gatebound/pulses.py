@@ -236,27 +236,38 @@ def nonlinear_reduce(p_power: int, envelope: Callable[[float], float],
         coeffs = _coefficients(omegas, [wt for _, wt in modes], (t0, t1))
         return NonlinearReduction(1, tuple(zip(omegas, coeffs)), (float(t0), float(t1)))
 
-    def coefficients_at(n: int) -> np.ndarray:
-        t = np.linspace(t0, t1, n + 1)
-        env = np.array([float(envelope(ti)) for ti in t]) ** (p_power - 1)
+    def sampled(t: np.ndarray) -> np.ndarray:
+        return np.array([float(envelope(ti)) for ti in t])
+
+    def coefficients_at(t: np.ndarray, env: np.ndarray) -> np.ndarray:
+        n = t.size - 1
         simpson_w = np.ones(n + 1)
         simpson_w[1:-1:2] = 4.0
         simpson_w[2:-1:2] = 2.0
         simpson_w *= (t1 - t0) / n / 3.0
+        weighted = simpson_w * env ** (p_power - 1)
         out = np.empty(len(modes), dtype=complex)
         for k, (w, wt) in enumerate(modes):
-            out[k] = wt * np.sum(simpson_w * env * np.exp(-1j * w * t))
+            out[k] = wt * np.sum(weighted * np.exp(-1j * w * t))
         return out
 
     radians = max(omegas, default=0.0) * (t1 - t0)
     if radians > 64 * 2 ** max_doublings:
         raise SamplingError(f"{64 * 2 ** max_doublings} samples cannot resolve the "
                             f"{radians:.3g} rad a mode turns through on the window")
-    n = 64
-    prev = coefficients_at(n)
+    t = np.linspace(t0, t1, 65)
+    env = sampled(t)
+    prev = coefficients_at(t, env)
     for _ in range(max_doublings):
-        n *= 2
-        cur = coefficients_at(n)
+        # linspace's even points on 2n intervals are its points on n intervals
+        # bit for bit, so a doubling samples the envelope only at the new midpoints
+        n = 2 * (t.size - 1)
+        t = np.linspace(t0, t1, n + 1)
+        finer = np.empty(n + 1)
+        finer[::2] = env
+        finer[1::2] = sampled(t[1::2])
+        env = finer
+        cur = coefficients_at(t, env)
         scale = np.maximum(1.0, np.abs(cur))
         if n >= radians and np.all(np.abs(cur - prev) < tol * scale):
             coeffs = tuple(zip(omegas, (complex(c) for c in cur)))

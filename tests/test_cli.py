@@ -492,3 +492,12 @@ def test_unresolvable_nonlinear_mode_exits_3_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     assert "1048576 samples cannot resolve" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_gate_sim_beyond_the_basis_cap_exits_2_at_once(tmp_path, capsys):
+    # |alpha| = 1e5 asks for a basis of about 1e10 levels
+    start = time.perf_counter()
+    assert main(["gate-sim", "--alpha", "1e5", "--output", str(tmp_path / "run")]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "MAX_CUTOFF" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

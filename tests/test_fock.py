@@ -79,6 +79,32 @@ def test_cutoff_rule_rejects_a_non_finite_mean_photon_number(alpha):
         coherent_required_cutoff(alpha)
 
 
+def test_cutoff_rule_caps_the_basis_size():
+    assert coherent_required_cutoff(90.0) <= fock.MAX_CUTOFF
+    with pytest.raises(CutoffError, match="MAX_CUTOFF"):
+        coherent_required_cutoff(1e5)
+
+
+def test_coherent_state_rejects_a_basis_above_the_cap():
+    with pytest.raises(CutoffError, match="MAX_CUTOFF"):
+        coherent_state(1e5)
+    with pytest.raises(CutoffError, match="MAX_CUTOFF"):
+        coherent_state(1.0, fock.MAX_CUTOFF + 1)
+    assert coherent_state(1.0, fock.MAX_CUTOFF).cutoff == fock.MAX_CUTOFF
+
+
+def test_squeezed_state_rejects_a_basis_above_the_cap():
+    with pytest.raises(CutoffError, match="MAX_CUTOFF"):
+        squeezed_coherent_state(1e5, 0.5)  # automatic size
+    with pytest.raises(CutoffError, match="MAX_CUTOFF"):
+        squeezed_coherent_state(1.0, 0.5, fock.MAX_CUTOFF + 1)
+
+
+def test_number_state_rejects_a_basis_above_the_cap():
+    with pytest.raises(CutoffError, match="MAX_CUTOFF"):
+        number_state(0, fock.MAX_CUTOFF + 1)
+
+
 def test_number_state_basis_vectors():
     vac = number_state(0, 4)
     assert vac.amplitudes[0] == 1.0
@@ -332,6 +358,83 @@ def test_mixed_phase_drive_changes_frame_every_factor(monkeypatch):
     # one CF4 factor per drive sample, each of a new phase
     assert coarse >= coarse_samples
     assert fine >= fine_samples > 2 * coarse_samples
+
+
+def test_phase_distance_sin_form_matches_the_materialised_difference():
+    # ||e^{-i phi_h lam} c - e^{-i phi_f lam} c|| for one array c; the phases
+    # differ by at least 1/4, where the materialised difference has no cancellation
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        cutoff = int(rng.integers(2, 201))
+        c = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
+        lam, _ = fock._quadrature_eigh(cutoff)
+        phi_f = rng.uniform(-1.0, 1.0)
+        phi_h = phi_f + rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 1.0)
+        materialised = np.linalg.norm(np.exp(-1j * phi_h * lam) * c - np.exp(-1j * phi_f * lam) * c)
+        assert abs(fock._phase_distance(c, phi_h, c, phi_f) - materialised) <= 1e-15 * materialised
+        # two arrays of one frame angle take the materialised route
+        assert abs(fock._phase_distance(c, phi_h, c.copy(), phi_f) - materialised) \
+            <= 1e-15 * materialised
+
+
+def test_phase_distance_sin_form_is_exact_for_close_phases():
+    # a step-doubling error compares phases a few ulps of step apart, where the
+    # materialised difference cancels; the sin form holds full relative precision
+    rng = np.random.default_rng(8)
+    c = rng.normal(size=30) + 1j * rng.normal(size=30)
+    lam, _ = fock._quadrature_eigh(30)
+    phi_f, phi_h = 0.3, 0.3 + 1e-9
+    delta = phi_h - phi_f  # exact (Sterbenz)
+    with mpmath.workdps(40):
+        exact = mpmath.sqrt(mpmath.fsum(
+            abs(mpmath.mpc(ci)) ** 2 * (2 * mpmath.sin(mpmath.mpf(delta) * mpmath.mpf(li) / 2)) ** 2
+            for ci, li in zip(c, lam)))
+    distance = fock._phase_distance(c, phi_h, c, phi_f)
+    assert abs(distance - float(exact)) <= 1e-15 * float(exact)
+
+
+class _CountingNumpy:
+    """numpy, with ``exp`` counting its calls on complex vectors of one length."""
+
+    def __init__(self, size):
+        self.size, self.calls = size, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        if np.iscomplexobj(x) and np.shape(x) == (self.size,):
+            self.calls += 1
+        return np.exp(x, *args, **kwargs)
+
+
+def _count_vector_exponentials(monkeypatch, drive, tol, cutoff=40):
+    """(complex exponentials over N-vectors, drive samples) in one propagation."""
+    state = coherent_state(1.5, cutoff)
+    counting = _CountingNumpy(cutoff)
+    samples = []
+
+    def sample(t):
+        samples.append(t)
+        return drive(t)
+
+    fock._number_phases.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(fock, "np", counting)
+        _propagate_per_segment(state, sample, drive, tol)
+    return counting.calls, len(samples)
+
+
+def test_constant_phase_drive_exponentiates_a_fixed_number_of_times(monkeypatch):
+    # one frame angle: factors only add to the frame's phase; only the frame's
+    # diagonal U_theta (once per angle), the first step's error estimate (two
+    # arrays in one angle) and leaving the frame (e^{-i phi lam}) exponentiate
+    # a vector.  Before the frame carried a phase, every factor did.
+    drive = _sign_changing_drive(0.6 + 0.6j, 1.0)
+    coarse, coarse_samples = _count_vector_exponentials(monkeypatch, drive, 1e-6)
+    fine, fine_samples = _count_vector_exponentials(monkeypatch, drive, 1e-10)
+    assert fine_samples > 2 * coarse_samples
+    assert coarse == fine <= 4 * len(drive.segments())
 
 
 def test_state_norm_validation():

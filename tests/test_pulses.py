@@ -304,6 +304,29 @@ def test_nonlinear_reduce_waits_for_a_resolving_grid():
     assert abs(reduction.coefficients[0][1] - exact) <= 1e-8
 
 
+def test_nonlinear_reduce_samples_each_grid_point_once():
+    # settles after 3 doublings (64 -> 512 intervals): 513 envelope samples,
+    # where sampling every level afresh took 65 + 129 + 257 + 513 = 964
+    envelope, omega, weight = raised_cosine(1.0), 5.0, 1.0
+    times = []
+
+    def counted(t):
+        times.append(t)
+        return envelope(t)
+
+    reduction = nonlinear_reduce(2, counted, (0.0, 1.0), [(omega, weight)])
+    assert len(times) == len(set(times)) == 513
+    # the reused samples give the Simpson sum on the final grid bit for bit
+    t = np.linspace(0.0, 1.0, 513)
+    simpson_w = np.ones(513)
+    simpson_w[1:-1:2] = 4.0
+    simpson_w[2:-1:2] = 2.0
+    simpson_w *= 1.0 / 512 / 3.0
+    env = np.array([envelope(ti) for ti in t])
+    direct = weight * np.sum(simpson_w * env * np.exp(-1j * omega * t))
+    assert reduction.coefficients[0][1] == direct
+
+
 # ---------------------------------------------------------------------------
 # squeezing
 # ---------------------------------------------------------------------------
