@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -670,6 +671,9 @@ def sweep_rows_csv_bytes(command_name: str, base_params: dict, axis: str,
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# One parser per process: parse_args keeps no state in it, so in-process
+# callers of main (tests, benchmarks) stop rebuilding the subparser tree.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatebound",

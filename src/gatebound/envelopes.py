@@ -113,8 +113,9 @@ class LinearDrive:
 def envelope_drive(envelope: Envelope, coefficient: complex = 1.0) -> LinearDrive:
     """f(t) = coefficient * envelope(t)."""
 
-    def f(t, _c=complex(coefficient), _e=envelope):
-        return _c * _e(t)
+    # Envelope.__call__'s window test, inline: one Python call fewer per sample
+    def f(t, _c=complex(coefficient), _fn=envelope.fn, _T=envelope.duration):
+        return _c * (0.0 if t < 0.0 or t > _T else _fn(t))
 
     return LinearDrive(f, envelope.duration, envelope.breakpoints)
 

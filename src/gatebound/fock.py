@@ -299,25 +299,24 @@ def _apply_factor(h: float, g: complex, psi: np.ndarray,
     if g.real < 0 or (g.real == 0 and g.imag < 0):
         g, r = -g, -r
     theta = math.atan2(g.imag, g.real)
-    if theta == _angle(frame):  # an exact test: equal phases keep the frame
+    if frame is not None and theta == frame[0]:  # an exact test: equal phases keep the frame
         return psi, (theta, frame[1] + h * r)
     return _change_frame(psi, frame, theta), (theta, h * r)
 
 
-def _phase_distance(a: np.ndarray, phi_a: float, b: np.ndarray, phi_b: float) -> float:
-    """||e^{-i phi_a lam} a - e^{-i phi_b lam} b|| for coefficients of one frame angle."""
+def _phase_distance(a: np.ndarray, phi_a: float, b: np.ndarray, phi_b: float,
+                    magnitude: np.ndarray | None = None) -> float:
+    """||e^{-i phi_a lam} a - e^{-i phi_b lam} b|| for coefficients of one frame angle.
+
+    ``magnitude`` is |a| when the caller holds it; it serves only ``a is b``.
+    """
     lam, _ = _quadrature_eigh(a.size)
     if a is b:  # 2 || |a| sin((phi_a - phi_b) lam / 2) ||, free of cancellation
-        return 2.0 * float(np.linalg.norm(np.abs(a) * np.sin(0.5 * (phi_a - phi_b) * lam)))
+        if magnitude is None:
+            magnitude = np.abs(a)
+        v = magnitude * np.sin(0.5 * (phi_a - phi_b) * lam)
+        return 2.0 * math.sqrt(v @ v)  # np.linalg.norm of a real vector, same bits
     return float(np.linalg.norm(np.exp(-1j * (phi_a - phi_b) * lam) * a - b))
-
-
-def _step(drive, t, h, psi, frame):
-    """One fourth-order commutator-free Magnus step: two factors, two samples."""
-    g1 = drive(t + _GAUSS_C1 * h)
-    g2 = drive(t + _GAUSS_C2 * h)
-    psi, frame = _apply_factor(h, _CF4_Q * g1 + _CF4_P * g2, psi, frame)
-    return _apply_factor(h, _CF4_P * g1 + _CF4_Q * g2, psi, frame)
 
 
 def evolve(state: ControlState, drive: Callable[[float], complex],
@@ -329,9 +328,11 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
     sub-step is a fourth-order commutator-free Magnus step (Alvermann &
     Fehske, J. Comput. Phys. 230, 5930 (2011)): two exponentials of
     g a† + conj(g) a, each g a real-weighted sum of two drive samples, each
-    exact on the truncated space, so every step is exactly unitary there.  Step doubling supplies the local error
-    estimate, and steps are sized so the summed local errors stay below
-    ``tol`` (global norm-distance contract); at most ``MAX_STEPS`` are taken.
+    exact on the truncated space, so every step is exactly unitary there.
+    Step doubling supplies the local error estimate: one step attempt is a
+    full step and two half steps, i.e. six drive samples and six factors.
+    Steps are sized so the summed local errors stay below ``tol`` (global
+    norm-distance contract); at most ``MAX_STEPS`` are taken.
 
     The state is held in the frame U_theta W of the last sample's phase
     theta = arg g (mod pi), where U_theta = diag(e^{i n theta}) and W is the
@@ -345,8 +346,8 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
     propagation.  A constant-phase drive thus enters the frame in its first
     step and leaves it once.  The step-doubling error is measured in the
     frame both results share (the frames are unitary; for one coefficient
-    array it is 2 || |c| sin((phi_h - phi_f) lam / 2) ||), else in the
-    number basis.
+    array it is 2 || |c| sin((phi_h - phi_f) lam / 2) ||, and |c| is reused
+    while the frame holds that array), else in the number basis.
 
     Raises
     ------
@@ -367,6 +368,7 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
     psi, frame = state.amplitudes.copy(), None
     in_norm_sq = float(np.vdot(psi, psi).real)
     n_steps = 0
+    held = magnitude = None  # the coefficient array of the last one-array error, and its |c|
 
     while t < t1 - 1e-15 * total:
         if n_steps >= MAX_STEPS:
@@ -375,14 +377,27 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
                 {"t": t, "h": h, "steps": n_steps, "tol": tol},
             )
         h = min(h, t1 - t)
-        full, full_frame = _step(drive, t, h, psi, frame)
-        half, half_frame = _step(drive, t + 0.5 * h, 0.5 * h,
-                                 *_step(drive, t, 0.5 * h, psi, frame))
+        # one full step and two half steps, each two CF4 factors of two samples
+        half_h = 0.5 * h
+        mid = t + half_h
+        g1, g2 = drive(t + _GAUSS_C1 * h), drive(t + _GAUSS_C2 * h)
+        g3, g4 = drive(t + _GAUSS_C1 * half_h), drive(t + _GAUSS_C2 * half_h)
+        g5, g6 = drive(mid + _GAUSS_C1 * half_h), drive(mid + _GAUSS_C2 * half_h)
+        full, full_frame = _apply_factor(h, _CF4_Q * g1 + _CF4_P * g2, psi, frame)
+        full, full_frame = _apply_factor(h, _CF4_P * g1 + _CF4_Q * g2, full, full_frame)
+        half, half_frame = _apply_factor(half_h, _CF4_Q * g3 + _CF4_P * g4, psi, frame)
+        half, half_frame = _apply_factor(half_h, _CF4_P * g3 + _CF4_Q * g4, half, half_frame)
+        half, half_frame = _apply_factor(half_h, _CF4_Q * g5 + _CF4_P * g6, half, half_frame)
+        half, half_frame = _apply_factor(half_h, _CF4_P * g5 + _CF4_Q * g6, half, half_frame)
         if _angle(half_frame) != _angle(full_frame):
             full, full_frame = _to_number_basis(full, full_frame), None
             half, half_frame = _to_number_basis(half, half_frame), None
         if half_frame is None:
             err = float(np.linalg.norm(half - full))
+        elif half is full:  # within a frame only phi moves, so |c| lasts as long as c
+            if half is not held:
+                held, magnitude = half, np.abs(half)
+            err = _phase_distance(half, half_frame[1], full, full_frame[1], magnitude)
         else:
             err = _phase_distance(half, half_frame[1], full, full_frame[1])
         err /= 15.0  # Richardson: 2^4 - 1

@@ -64,12 +64,18 @@ def _coefficients(omegas: Sequence[float] | np.ndarray, weights: Sequence[comple
     """c_k = w_k * int e^{-i omega_k t} dt elementwise; the error is sum_k |c_k|^2.
 
     ``omegas`` and ``weights`` may carry any leading shape, e.g. one row of
-    modes per search restart.  The complex product is written out in real
-    arithmetic because NumPy's vectorised complex multiply may fuse the
-    multiply-adds and round differently from a scalar product: written out,
-    c_k is the same bits whatever the shape of the array that holds it.
+    modes per search restart.
     """
-    integral = mode_window_integral(np.asarray(omegas, dtype=float), window)
+    return _weighted(weights, mode_window_integral(np.asarray(omegas, dtype=float), window))
+
+
+def _weighted(weights: Sequence[complex] | np.ndarray, integral: np.ndarray) -> np.ndarray:
+    """weights * integral elementwise, the complex product written out in real arithmetic.
+
+    NumPy's vectorised complex multiply may fuse the multiply-adds and round
+    differently from a scalar product: written out, c_k is the same bits
+    whatever the shape of the array that holds it.
+    """
     w = np.asarray(weights, dtype=complex)
     out = np.empty_like(integral)
     out.real = w.real * integral.real - w.imag * integral.imag
@@ -373,7 +379,7 @@ def single_mode_equality_pulse(epsilon: float, omega: float = 1.0,
 
 
 def _scaled(z: np.ndarray, factor) -> np.ndarray:
-    """z times one real factor per row, written out in real arithmetic (see _coefficients)."""
+    """z times one real factor per row, written out in real arithmetic (see _weighted)."""
     factor = np.asarray(factor)[..., None]
     out = np.empty_like(z)
     out.real = z.real * factor
@@ -577,12 +583,13 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
         # rejected rows are masked out by `ok`; their inf/nan stays there
         with np.errstate(divide="ignore", invalid="ignore"):
             ok = np.all(om > 0, axis=-1)
-            coeffs = _coefficients(om, g, window)
+            integral = mode_window_integral(om, window)
+            coeffs = _weighted(g, integral)
             error = _error(coeffs)
             ok &= error != 0.0
             over = ok & (error > epsilon)
             g[over] = g[over] * np.sqrt(epsilon / error[over])[:, None] * (1.0 - 1e-15)
-            coeffs[over] = _coefficients(om[over], g[over], window)
+            coeffs[over] = _weighted(g[over], integral[over])
             phase = _phase(coeffs, al)
             ok &= ~(np.abs(phase) < 1e-9)
             al = al * (PI / phase)[:, None]

@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from gatebound import gate
-from gatebound.cli import COMMANDS, main, sweep_rows_csv_bytes
+from gatebound.cli import COMMANDS, build_parser, main, sweep_rows_csv_bytes
 
 
 def read_csv(path):
@@ -178,6 +178,26 @@ def test_console_entry_point_runs(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    sweep = ["sweep", "--command", "gate-sim", "--axis", "alpha", "--values", "2,3"]
+    runs = {"gaussian": sweep + ["--param", "envelope=gaussian"], "default": sweep}
+    assert build_parser().parse_args(runs["gaussian"]).param == ["envelope=gaussian"]
+    assert build_parser().parse_args(runs["default"]).param == []
+    for name, argv in runs.items():
+        assert main(argv + ["--output", str(tmp_path / "warm" / name)]) == 0
+    # each fresh run builds its own parser in a new process
+    fresh = {name: subprocess.Popen([sys.executable, "-m", "gatebound.cli", *argv,
+                                     "--output", str(tmp_path / "fresh" / name)])
+             for name, argv in runs.items()}
+    for name, proc in fresh.items():
+        assert proc.wait() == 0
+        assert (tmp_path / "warm" / name / "result.csv").read_bytes() \
+            == (tmp_path / "fresh" / name / "result.csv").read_bytes()
+    assert (tmp_path / "warm" / "gaussian" / "result.csv").read_bytes() \
+        != (tmp_path / "warm" / "default" / "result.csv").read_bytes()
 
 
 REPORT_COLUMNS = [

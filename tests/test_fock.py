@@ -23,7 +23,9 @@ from gatebound import (
     triangle,
 )
 from gatebound import fock
+from gatebound.envelopes import ENVELOPES
 from gatebound.fock import IntegrationError
+from gatebound.gate import pi_phase_drive
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 unit_interval = st.floats(-1.0, 1.0)
@@ -318,6 +320,86 @@ def test_evolve_constant_phase_drive_matches_dense_sampler(c, alpha, T, cutoff):
     (fast, fast_samples), (reference, dense_samples) = _fast_and_dense(drive, state)
     assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
     assert fast_samples == dense_samples
+
+
+def _reference_step(drive, t, h, psi, frame):
+    """One CF4 step through ``fock._apply_factor``: two factors, two samples."""
+    g1 = drive(t + fock._GAUSS_C1 * h)
+    g2 = drive(t + fock._GAUSS_C2 * h)
+    psi, frame = fock._apply_factor(h, fock._CF4_Q * g1 + fock._CF4_P * g2, psi, frame)
+    return fock._apply_factor(h, fock._CF4_P * g1 + fock._CF4_Q * g2, psi, frame)
+
+
+def _reference_evolve(state, drive, t0, t1, tol):
+    """``evolve``'s step control written with a per-step helper, a fresh |c|
+    and ``np.linalg.norm`` in every error estimate (no failure checks)."""
+    total = t1 - t0
+    t, h = t0, total
+    psi, frame = state.amplitudes.copy(), None
+    while t < t1 - 1e-15 * total:
+        h = min(h, t1 - t)
+        full, full_frame = _reference_step(drive, t, h, psi, frame)
+        half, half_frame = _reference_step(drive, t + 0.5 * h, 0.5 * h,
+                                           *_reference_step(drive, t, 0.5 * h, psi, frame))
+        if fock._angle(half_frame) != fock._angle(full_frame):
+            full, full_frame = fock._to_number_basis(full, full_frame), None
+            half, half_frame = fock._to_number_basis(half, half_frame), None
+        if half_frame is None:
+            err = float(np.linalg.norm(half - full))
+        elif half is full:
+            lam, _ = fock._quadrature_eigh(half.size)
+            shift = 0.5 * (half_frame[1] - full_frame[1]) * lam
+            err = 2.0 * float(np.linalg.norm(np.abs(half) * np.sin(shift)))
+        else:
+            err = fock._phase_distance(half, half_frame[1], full, full_frame[1])
+        err /= 15.0
+        budget = tol * h / total
+        if err <= budget:
+            psi, frame = half, half_frame
+            t += h
+        elif fock._angle(half_frame) != fock._angle(frame):
+            theta = fock._angle(half_frame)
+            psi = fock._change_frame(psi, frame, theta)
+            frame = None if theta is None else (theta, 0.0)
+        if err > 0.0:
+            h *= min(fock._MAX_GROW, max(fock._MIN_SHRINK, fock._SAFETY * (budget / err) ** 0.25))
+        else:
+            h *= fock._MAX_GROW
+    return fock._to_number_basis(psi, frame)
+
+
+def _counted(drive):
+    samples = []
+
+    def sample(t):
+        samples.append(t)
+        return drive(t)
+
+    return sample, samples
+
+
+BIT_IDENTITY_CASES = [(name, alpha) for name in ENVELOPES
+                      for alpha in (2, 4 + 1j, -3.2 + 2.2j, 16)] + [("sign-changing", 1.5)]
+
+
+@pytest.mark.parametrize("envelope, alpha", BIT_IDENTITY_CASES)
+def test_evolve_is_bit_identical_to_the_per_step_reference(envelope, alpha):
+    # -3.2+2.2j makes pi_phase_drive's rounded phase move, so most factors
+    # change frame; the real alphas and the sign-changing drive keep one frame
+    if envelope == "sign-changing":
+        drive = _sign_changing_drive(0.6 + 0.6j, 1.0)
+    else:
+        drive = pi_phase_drive(ENVELOPES[envelope](1.0), alpha)
+    state = coherent_state(alpha)
+    sample, fast_samples = _counted(drive)
+    ref_sample, reference_samples = _counted(drive)
+    for t0, t1 in drive.segments():
+        tol = 1e-9 * (t1 - t0) / drive.duration
+        reference = _reference_evolve(state, ref_sample, t0, t1, tol)
+        fast = evolve(state, sample, t0, t1, tol).amplitudes
+        assert np.array_equal(fast, reference)
+        state = ControlState(state.cutoff, reference)
+    assert len(fast_samples) == len(reference_samples)
 
 
 def _count_frame_changes(monkeypatch, drive, tol, cutoff=40):
