@@ -20,12 +20,23 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-# Not called here: perfbench/tracing.py wraps these names to count dense exponentials.
-from scipy.linalg import expm  # noqa: F401
-from scipy.sparse.linalg import expm_multiply  # noqa: F401
 from scipy.special import gammainc, gammaln
 
 from .errors import CutoffError, DimensionMismatchError, IntegrationError
+
+
+def __getattr__(name: str):
+    # Not called here: perfbench/tracing.py wraps fock.expm and
+    # fock.expm_multiply to count dense exponentials.  They resolve on first
+    # access, so importing fock does not load scipy.sparse.
+    if name == "expm":
+        from scipy.linalg import expm
+        return expm
+    if name == "expm_multiply":
+        from scipy.sparse.linalg import expm_multiply
+        return expm_multiply
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 NORM_TOL = 1e-10          # allowed |sum |c_n|^2 - 1| for constructed states
 COHERENT_TAIL = 1e-12     # Poisson tail mass guaranteed by the cutoff rule

@@ -442,30 +442,43 @@ SCREEN_MODES = 3  # random_feasible_ratios draws 1..SCREEN_MODES modes per pulse
 SCREEN_WINDOW = (0.0, 1.0)
 
 
-def _draw(rng: np.random.Generator, lo: float, hi: float) -> tuple:
-    """One pulse's mode count, then its draws in :func:`random_feasible_pulse` order."""
-    n = int(rng.integers(1, SCREEN_MODES + 1))
-    return (n, np.exp(rng.uniform(lo, hi, n)), rng.normal(size=n), rng.normal(size=n),
-            rng.uniform(0.2, 1.0), rng.normal(size=n), rng.normal(size=n))
+def _draws(rng: np.random.Generator, lo: float, hi: float, count: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mode counts, error fractions u and per-mode draws of ``count`` pulses.
+
+    Each pulse draws its mode count n, then in :func:`random_feasible_pulse`
+    order.  ``modes[:, j, :n]`` holds pulse j's ln omega, Re g, Im g,
+    Re alpha and Im alpha; the entries past n are unset.
+    """
+    ns = np.empty(count, dtype=int)
+    us = np.empty(count)
+    modes = np.empty((5, count, SCREEN_MODES))
+    for j in range(count):
+        n = ns[j] = rng.integers(1, SCREEN_MODES + 1)
+        modes[0, j, :n] = rng.uniform(lo, hi, n)
+        modes[1, j, :n] = rng.normal(size=n)
+        modes[2, j, :n] = rng.normal(size=n)
+        us[j] = rng.uniform(0.2, 1.0)
+        modes[3, j, :n] = rng.normal(size=n)
+        modes[4, j, :n] = rng.normal(size=n)
+    return ns, us, modes
 
 
-def _screen(draws: list[tuple], epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """(energy/bound ratio, degenerate flag) of each drawn pulse.
+def _screen(ns: np.ndarray, us: np.ndarray, modes: np.ndarray,
+            epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(energy/bound ratio, degenerate flag) of each drawn pulse (see :func:`_draws`).
 
     The pulses are grouped by mode count and each group is projected and
     scored in one array pass; a degenerate pulse's ratio is meaningless.
     """
-    ratios = np.empty(len(draws))
-    degenerate = np.empty(len(draws), dtype=bool)
-    groups: dict[int, list[int]] = {}
-    for i, pulse in enumerate(draws):
-        groups.setdefault(pulse[0], []).append(i)
-    for rows in groups.values():
-        _, om, g_re, g_im, u, a_re, a_im = (np.array(column)
-                                            for column in zip(*(draws[i] for i in rows)))
-        gs, alphas = g_re + 1j * g_im, a_re + 1j * a_im
+    ratios = np.empty(ns.size)
+    degenerate = np.empty(ns.size, dtype=bool)
+    for n in range(1, SCREEN_MODES + 1):
+        rows = np.flatnonzero(ns == n)
+        log_om, g_re, g_im, a_re, a_im = modes[:, rows, :n]
+        om, gs, alphas = np.exp(log_om), g_re + 1j * g_im, a_re + 1j * a_im
         error = _error(_coefficients(om, gs, SCREEN_WINDOW))
-        _, alphas, phase = _project(om, gs, error, u, alphas, epsilon, SCREEN_WINDOW)
+        _, alphas, phase = _project(om, gs, error, us[rows], alphas, epsilon, SCREEN_WINDOW)
         _, _, energy, bound = _energy_terms(om, alphas, epsilon, 1, 1.0)
         ratios[rows] = energy / bound
         degenerate[rows] = (error == 0.0) | (np.abs(phase) < 1e-9)
@@ -499,8 +512,7 @@ def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int)
     done = 0
     while done < count:
         entry = rng.bit_generator.state
-        draws = [_draw(rng, lo, hi) for _ in range(count - done)]
-        screened, degenerate = _screen(draws, epsilon)
+        screened, degenerate = _screen(*_draws(rng, lo, hi, count - done), epsilon)
         bad = np.flatnonzero(degenerate)
         if bad.size == 0:
             ratios[done:] = screened
@@ -508,8 +520,7 @@ def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int)
         j = int(bad[0])
         ratios[done:done + j] = screened[:j]
         rng.bit_generator.state = entry
-        for _ in range(j):
-            _draw(rng, lo, hi)
+        _draws(rng, lo, hi, j)
         n_modes = int(rng.integers(1, SCREEN_MODES + 1))
         pulse = random_feasible_pulse(rng, epsilon, n_modes, SCREEN_WINDOW)
         ratios[done + j] = energy_bound_check(pulse, epsilon).ratio

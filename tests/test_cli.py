@@ -180,6 +180,76 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0
 
 
+# Every command that runs no collision chain, so that a fresh process must
+# load none of scipy's integrators, optimizers or sparse matrices for it.
+NO_COLLISION_COMMANDS = [
+    ["gate-sim", "--alpha", "16"],
+    ["sweep", "--command", "gate-sim", "--axis", "alpha", "--values", "2,3",
+     "--parallelism", "2"],
+    ["pulse-bound", "--epsilon", "0.01", "--budget", "50"],
+    ["squeeze-opt", "--epsilon", "0.01"],
+    ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1"],
+    ["heuristic", "--m", "1", "--length", "1", "--duration", "1", "--epsilon", "0.01"],
+    ["counterexample"],
+]
+LAZY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+COLLISION_SWEEP = ["sweep", "--command", "collision-free", "--axis", "epsilon",
+                   "--values", "0.1,0.2,0.3,0.5", "--param", "m=40", "--param", "v=2",
+                   "--param", "b=4", "--param", "duration=8"]
+
+# Runs argv lists through main in one fresh interpreter; after each it
+# records the exit code and the LAZY_SCIPY modules loaded so far.
+FRESH_RUNS = """\
+import json, sys
+from gatebound.cli import main
+runs = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    code = main(argv + ["--output", f"{sys.argv[2]}/{i}"])
+    runs.append([code, sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[3:])))])
+print(json.dumps(runs))
+"""
+
+
+def _fresh_runs(out, argvs):
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(argvs), str(out),
+                           *LAZY_SCIPY], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_without_collision_chains_load_no_scipy_integrate(tmp_path):
+    collision = [["collision-free", "--m", "40", "--v", "2", "--b", "4", "--duration", "8",
+                  "--epsilon", "0.5"], ["verify-all", "--criteria", "7,8,9"]]
+    runs = _fresh_runs(tmp_path, NO_COLLISION_COMMANDS + collision)
+    for argv, run in zip(NO_COLLISION_COMMANDS, runs):
+        assert run == [0, []], argv
+    # the collision chains import what they need on first use
+    assert runs[-2][0] == 0 and "scipy.integrate" in runs[-2][1]
+    assert runs[-1][0] == 0
+    assert (tmp_path / str(len(runs) - 1) / "verification.csv").is_file()
+
+
+def test_collision_sweep_on_the_pool_matches_the_serial_sweep(tmp_path):
+    # in a fresh process the pool threads are the first to import collision
+    for parallelism in (1, 2):
+        assert _fresh_runs(tmp_path / f"p{parallelism}",
+                           [COLLISION_SWEEP + ["--parallelism", str(parallelism)]])[0][0] == 0
+    serial, pooled = (tmp_path / "p1" / "0", tmp_path / "p2" / "0")
+    assert (serial / "result.csv").read_bytes() == (pooled / "result.csv").read_bytes()
+    reports = [json.loads((out / "report.json").read_text()) for out in (serial, pooled)]
+    assert [r.pop("parallelism") for r in reports] == [1, 2]
+    assert reports[0] == reports[1]
+
+
+def test_package_resolves_collision_names_on_first_use():
+    import gatebound
+    from gatebound import calibrated
+
+    assert calibrated is gatebound.collision.calibrated
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gatebound.no_such_name
+
+
 def test_cached_parser_carries_no_state_between_calls(tmp_path):
     assert build_parser() is build_parser()
     sweep = ["sweep", "--command", "gate-sim", "--axis", "alpha", "--values", "2,3"]

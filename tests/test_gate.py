@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import dblquad, solve_ivp
+from scipy.integrate import dblquad, quad, solve_ivp
 
 from gatebound import (
     ControlState,
@@ -14,6 +14,7 @@ from gatebound import (
     GateScenario,
     LinearDrive,
     coherent_drive_scenario,
+    coherent_required_cutoff,
     coherent_state,
     counterexample_always_on,
     displacement_oracle,
@@ -32,7 +33,7 @@ from gatebound import (
     triangle,
 )
 from gatebound.errors import IntegrationError
-from gatebound.gate import MAX_PANELS, drive_bound_integral
+from gatebound.gate import BOUND_RTOL, MAX_PANELS, drive_bound_integral
 from gatebound.verify import alpha_for_target_p
 
 PI = math.pi
@@ -227,6 +228,49 @@ def test_drive_integrals_reject_an_undeclared_jump():
     integrals = drive_integrals(LinearDrive(sign_flip, 1.0, (0.3,)))
     assert integrals.integral == pytest.approx(-0.4, abs=1e-15)
     assert integrals.magnus_phase == 0.0
+
+
+def _quad_drive_bound_integral(drive):
+    # int |f| by adaptive Gauss-Kronrod quadrature per drive segment: the
+    # quad that reading it off the drive-integral panels replaced
+    total = 0.0
+    for a, b in drive.segments():
+        val, err = quad(lambda t: abs(drive(t)), a, b, epsabs=0.0, epsrel=BOUND_RTOL, limit=200)
+        assert err <= BOUND_RTOL * abs(val), (a, b, val, err)
+        total += val
+    return total
+
+
+def _assert_bound_integral_matches_quad(alpha, drive):
+    reference = _quad_drive_bound_integral(drive)
+    assert abs(drive_bound_integral(drive) - reference) <= 1e-10 * reference
+    # the cutoff it sizes is the one the quad sized
+    assert coherent_drive_scenario(alpha, drive).control.cutoff \
+        == coherent_required_cutoff(abs(alpha) + reference + 0.5)
+
+
+@PROPERTY
+@given(radii=st.tuples(*[st.floats(0.3, 2.0)] * 3), phases=st.tuples(*[st.floats(-PI, PI)] * 3),
+       shapes=st.permutations([raised_cosine, triangle, gaussian]),
+       durations=st.tuples(st.floats(0.4, 0.7), st.floats(0.8, 1.1), st.floats(1.2, 1.5)),
+       alpha=complex_unit)
+def test_drive_bound_integral_matches_quad_on_multi_envelope_drives(
+        radii, phases, shapes, durations, alpha):
+    drive = multi_envelope_drive([
+        (cmath.rect(r, theta), shape(T))
+        for r, theta, shape, T in zip(radii, phases, shapes, durations)])
+    _assert_bound_integral_matches_quad(alpha, drive)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda t: 1.3 * math.sin(2 * PI * t + 0.3),
+    lambda t: (0.8 + 0.6j) * (t - 0.37),
+    lambda t: math.cos(3 * PI * t),
+], ids=["sine", "complex-ramp", "cos-3pi"])
+def test_drive_bound_integral_bisects_the_kinks_of_abs_f(fn):
+    # |f| has a kink at each simple zero of f, where uniform panel doubling
+    # stalls far above BOUND_RTOL; the panels around the kinks are bisected
+    _assert_bound_integral_matches_quad(1.5, LinearDrive(fn, 1.0))
 
 
 # ---------------------------------------------------------------------------
