@@ -181,7 +181,7 @@ def test_console_entry_point_runs(tmp_path):
 
 
 # Every command that runs no collision chain, so that a fresh process must
-# load none of scipy's integrators, optimizers or sparse matrices for it.
+# load no scipy module for it: only the collision chains need scipy.
 NO_COLLISION_COMMANDS = [
     ["gate-sim", "--alpha", "16"],
     ["sweep", "--command", "gate-sim", "--axis", "alpha", "--values", "2,3",
@@ -191,28 +191,28 @@ NO_COLLISION_COMMANDS = [
     ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1"],
     ["heuristic", "--m", "1", "--length", "1", "--duration", "1", "--epsilon", "0.01"],
     ["counterexample"],
+    ["verify-all", "--criteria", "1,2,3,4,5,6"],
 ]
-LAZY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
 COLLISION_SWEEP = ["sweep", "--command", "collision-free", "--axis", "epsilon",
                    "--values", "0.1,0.2,0.3,0.5", "--param", "m=40", "--param", "v=2",
                    "--param", "b=4", "--param", "duration=8"]
 
 # Runs argv lists through main in one fresh interpreter; after each it
-# records the exit code and the LAZY_SCIPY modules loaded so far.
+# records the exit code and the scipy modules loaded so far.
 FRESH_RUNS = """\
 import json, sys
 from gatebound.cli import main
 runs = []
 for i, argv in enumerate(json.loads(sys.argv[1])):
     code = main(argv + ["--output", f"{sys.argv[2]}/{i}"])
-    runs.append([code, sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[3:])))])
+    runs.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
 print(json.dumps(runs))
 """
 
 
 def _fresh_runs(out, argvs):
-    proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(argvs), str(out),
-                           *LAZY_SCIPY], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(argvs), str(out)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 

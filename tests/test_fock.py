@@ -3,8 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal, expm
+from scipy.special import gammainc, gammaln
 
 from gatebound import (
     ControlState,
@@ -66,6 +67,63 @@ def test_coherent_tail_against_high_precision_poisson():
     assert tail < 1e-12
     state = coherent_state(alpha, cutoff)
     assert abs(_norm_sq(state) - 1.0) < 1e-12
+
+
+def _deepest_cutoff(lam):
+    """Largest cutoff whose Poisson tail at mean lam is still >= 1e-300 (1 if none)."""
+    lo, hi = 1, int(lam + 60.0 * math.sqrt(lam) + 400.0)
+    if not gammainc(lo, lam) >= 1e-300:
+        return lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if gammainc(mid, lam) >= 1e-300 else (lo, mid)
+    return lo
+
+
+# |alpha| = 93 is about the largest amplitude whose required cutoff fits MAX_CUTOFF
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(r=st.floats(0.0, 93.0), depth=st.floats(0.0, 1.0))
+@example(r=0.0, depth=0.5)
+@example(r=93.0, depth=0.0)   # cutoff 1 << |alpha|^2: tail ~ 1
+@example(r=20.0, depth=0.05)  # cutoff just below |alpha|^2
+@example(r=93.0, depth=1.0)   # tail ~ 1e-300
+def test_coherent_poisson_tail_matches_the_incomplete_gamma(r, depth):
+    lam = r * r
+    cutoff = 1 + round(depth * (_deepest_cutoff(lam) - 1))
+    tail = fock.coherent_poisson_tail(r, cutoff)
+    with mpmath.workdps(30):
+        exact = float(mpmath.gammainc(cutoff, 0, lam, regularized=True))
+    assert abs(tail - exact) <= 1e-12 * exact
+    # scipy's incomplete gamma is itself off the exact tail by up to 1.5e-11 in
+    # tails near 1e-290 (20,000 draws against mpmath), so it gets twice that
+    reference = float(gammainc(cutoff, lam))
+    assert abs(tail - reference) <= 3e-11 * reference
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.7, 2.5, 6.0, 16.0, 4 + 1j, -3.2 + 2.2j, 50.0, 93.0])
+def test_coherent_amplitudes_match_the_gammaln_formula(alpha):
+    state = coherent_state(alpha)
+    n = np.arange(state.cutoff)
+    r, lam = abs(alpha), abs(alpha) ** 2
+    reference = np.exp(-0.5 * r * r + n * math.log(r) - 0.5 * gammaln(n + 1)
+                       + 1j * n * np.angle(alpha))
+    reference /= np.linalg.norm(reference)
+    # log|c_n| is a difference of terms up to ~ |a|^2 log |a|^2 near the peak, so
+    # a last-bit change in log n! moves |c_n| by that magnitude times eps
+    tol = max(1e-14, 4.0 * np.finfo(float).eps * lam * math.log(lam))
+    assert np.max(np.abs(state.amplitudes - reference)) <= tol * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("cutoff", [2, 30, 71, 147, 495, 1000])
+def test_quadrature_eigh_matches_the_tridiagonal_solver(cutoff):
+    lam, w = fock._quadrature_eigh(cutoff)
+    ref_lam, ref_w = eigh_tridiagonal(np.zeros(cutoff), np.sqrt(np.arange(1.0, cutoff)))
+    ref_w = np.linalg.qr(ref_w)[0]
+    assert np.max(np.abs(lam - ref_lam)) <= 1e-13 * math.sqrt(cutoff)
+    assert np.max(np.abs(w.T @ w - np.eye(cutoff))) <= 1e-14
+    # eigenvectors of distinct eigenvalues agree up to sign
+    signs = np.sign(np.sum(w * ref_w, axis=0))
+    assert np.max(np.abs(w * signs - ref_w)) <= 1e-12
 
 
 def test_coherent_rejects_small_cutoff_without_override():
