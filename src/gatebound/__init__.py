@@ -7,6 +7,25 @@ truncated bosonic mode, closed-form field-pulse and squeezed-field bounds,
 semiclassical collision chains, and a heuristic single-particle estimate.
 """
 
+from .collision import (
+    FreeCollisionConfig,
+    HarmonicCollisionConfig,
+    PotentialLaw,
+    calibrated,
+    calibrated_harmonic,
+    classical_return_mismatch,
+    dipole_leading_ratio,
+    error_variance_free,
+    error_variance_harmonic,
+    free_energy_bound,
+    harmonic_constraint_ratio,
+    harmonic_energy_bound,
+    mismatch_norm,
+    optimal_wavepacket,
+    phase_integral_free,
+    powerlaw_log_derivative,
+    squeezing_consistency_probe,
+)
 from .envelopes import (
     Envelope,
     LinearDrive,
@@ -75,32 +94,3 @@ from .pulses import (
 from .report import BoundReport
 
 __version__ = "0.1.0"
-
-# The collision chains alone need scipy.integrate, so their names are
-# resolved on first use: a process that runs none of them does not load it.
-_COLLISION_NAMES = frozenset({
-    "FreeCollisionConfig",
-    "HarmonicCollisionConfig",
-    "PotentialLaw",
-    "calibrated",
-    "calibrated_harmonic",
-    "classical_return_mismatch",
-    "dipole_leading_ratio",
-    "error_variance_free",
-    "error_variance_harmonic",
-    "free_energy_bound",
-    "harmonic_constraint_ratio",
-    "harmonic_energy_bound",
-    "mismatch_norm",
-    "optimal_wavepacket",
-    "phase_integral_free",
-    "powerlaw_log_derivative",
-    "squeezing_consistency_probe",
-})
-
-
-def __getattr__(name: str):
-    if name in _COLLISION_NAMES:
-        from . import collision
-        return getattr(collision, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import gate, heuristic, pulses
+from . import collision, gate, heuristic, pulses
 from ._svg import line_plot
 from .envelopes import ENVELOPES
 from .errors import IntegrationError, NumericalInconsistencyError
@@ -311,8 +311,6 @@ def cmd_nonlinear_bound(params, ctx: UnitContext, seed: int):
 
 
 def cmd_collision_free(params, ctx: UnitContext, seed: int):
-    from . import collision  # loads scipy.integrate, which only the collision chains use
-
     cfg = collision.FreeCollisionConfig(
         m=params["m"], v=params["v"], b=params["b"], T=params["duration"],
         potential=collision.PotentialLaw(params["n"]), hbar=ctx.hbar)
@@ -331,8 +329,6 @@ def cmd_collision_free(params, ctx: UnitContext, seed: int):
 
 
 def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
-    from . import collision
-
     cfg = collision.HarmonicCollisionConfig(
         m=params["m"], omega=params["omega"], A=params["amplitude"], b=params["gap"],
         potential=collision.PotentialLaw(3.0), squeeze_r=params["squeeze_r"], hbar=ctx.hbar)
@@ -366,8 +362,6 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
 
 
 def cmd_return_mismatch(params, ctx: UnitContext, seed: int):
-    from . import collision
-
     cfg = collision.HarmonicCollisionConfig(
         m=params["m"], omega=params["omega"], A=params["amplitude"], b=params["gap"],
         potential=collision.PotentialLaw(params["n"]), hbar=ctx.hbar)

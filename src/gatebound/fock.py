@@ -132,6 +132,14 @@ def _poisson_log_pmf(n: int, lam: float) -> float:
     return -stirling - deviance - _HALF_LOG_2PI - 0.5 * math.log(n)
 
 
+@lru_cache(maxsize=1)
+def _log_factorials() -> np.ndarray:
+    """Read-only log n! for n < MAX_CUTOFF, from math.lgamma (80 kB, built once)."""
+    table = np.fromiter(map(math.lgamma, range(1, MAX_CUTOFF + 1)), float, MAX_CUTOFF)
+    table.flags.writeable = False
+    return table
+
+
 def coherent_state(alpha: complex, cutoff: int | None = None, *,
                    allow_truncation: bool = False) -> ControlState:
     """Coherent state |alpha> with amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
@@ -160,7 +168,7 @@ def coherent_state(alpha: complex, cutoff: int | None = None, *,
         amps = np.zeros(cutoff, dtype=np.complex128)
         amps[0] = 1.0
         return ControlState(cutoff, amps)
-    log_factorial = np.fromiter(map(math.lgamma, range(1, cutoff + 1)), float, cutoff)
+    log_factorial = _log_factorials()[:cutoff]
     log_mag = -0.5 * r * r + n * math.log(r) - 0.5 * log_factorial
     amps = np.exp(log_mag + 1j * n * np.angle(alpha))
     amps /= np.linalg.norm(amps)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .collision import powerlaw_log_derivative
 from .errors import UncertaintyError
 from .report import BoundReport, bound_satisfied
 
@@ -131,8 +132,6 @@ def collision_crosscheck(v: float, T: float, epsilon: float,
     i.e. (1/2) m v^2 >= (pi^2/4) hbar/(eps T) at n = 2; the heuristic
     demands (1/2) m v^2 >= pi^2 hbar/(eps T).  Their ratio is 4.
     """
-    from .collision import powerlaw_log_derivative
-
     n = 2.0
     b = v * T
     log_deriv = powerlaw_log_derivative(n, b)

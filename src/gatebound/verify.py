@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gate, heuristic, pulses
+from . import collision, gate, heuristic, pulses
 from .envelopes import raised_cosine
 
 PI = math.pi
@@ -186,8 +186,6 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
 
 def criterion_7(scale: float = 1.0) -> CriterionResult:
     """Free-collision chain: log-derivative, optimal wavepacket, 27-point grid."""
-    from . import collision  # loads scipy.integrate, which only the collision chains use
-
     t0 = time.perf_counter()
     worst_logderiv = 0.0
     for n in (1.5, 2.0, 3.0, 4.0, 6.0):
@@ -229,8 +227,6 @@ def criterion_7(scale: float = 1.0) -> CriterionResult:
 
 def criterion_8(scale: float = 1.0) -> CriterionResult:
     """Harmonic chain: dipole limit, sin-symmetry, return-mismatch linearity."""
-    from . import collision
-
     t0 = time.perf_counter()
     cfg = collision.HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0,
                                             potential=collision.PotentialLaw(3.0))

@@ -180,9 +180,9 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0
 
 
-# Every command that runs no collision chain, so that a fresh process must
-# load no scipy module for it: only the collision chains need scipy.
-NO_COLLISION_COMMANDS = [
+# One argv per command (``run`` dispatches to these from a config file): a
+# fresh process must load no scipy module for any of them.
+COMMAND_ARGVS = [
     ["gate-sim", "--alpha", "16"],
     ["sweep", "--command", "gate-sim", "--axis", "alpha", "--values", "2,3",
      "--parallelism", "2"],
@@ -191,7 +191,12 @@ NO_COLLISION_COMMANDS = [
     ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1"],
     ["heuristic", "--m", "1", "--length", "1", "--duration", "1", "--epsilon", "0.01"],
     ["counterexample"],
-    ["verify-all", "--criteria", "1,2,3,4,5,6"],
+    ["collision-free", "--m", "40", "--v", "2", "--b", "4", "--duration", "8",
+     "--epsilon", "0.5"],
+    ["collision-harmonic", "--m", "1", "--omega", "1", "--amplitude", "100", "--gap", "30",
+     "--epsilon", "0.1"],
+    ["return-mismatch", "--m", "1", "--omega", "1", "--amplitude", "100", "--gap", "30"],
+    ["verify-all"],
 ]
 COLLISION_SWEEP = ["sweep", "--command", "collision-free", "--axis", "epsilon",
                    "--values", "0.1,0.2,0.3,0.5", "--param", "m=40", "--param", "v=2",
@@ -217,20 +222,16 @@ def _fresh_runs(out, argvs):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_commands_without_collision_chains_load_no_scipy_integrate(tmp_path):
-    collision = [["collision-free", "--m", "40", "--v", "2", "--b", "4", "--duration", "8",
-                  "--epsilon", "0.5"], ["verify-all", "--criteria", "7,8,9"]]
-    runs = _fresh_runs(tmp_path, NO_COLLISION_COMMANDS + collision)
-    for argv, run in zip(NO_COLLISION_COMMANDS, runs):
+def test_no_command_loads_scipy(tmp_path):
+    assert {argv[0] for argv in COMMAND_ARGVS} == set(COMMANDS) | {"sweep", "verify-all"}
+    runs = _fresh_runs(tmp_path, COMMAND_ARGVS)
+    for argv, run in zip(COMMAND_ARGVS, runs):
         assert run == [0, []], argv
-    # the collision chains import what they need on first use
-    assert runs[-2][0] == 0 and "scipy.integrate" in runs[-2][1]
-    assert runs[-1][0] == 0
-    assert (tmp_path / str(len(runs) - 1) / "verification.csv").is_file()
+    rows = read_csv(tmp_path / str(len(runs) - 1) / "verification.csv")
+    assert len(rows) == 10 and all(row["passed"] == "true" for row in rows)
 
 
 def test_collision_sweep_on_the_pool_matches_the_serial_sweep(tmp_path):
-    # in a fresh process the pool threads are the first to import collision
     for parallelism in (1, 2):
         assert _fresh_runs(tmp_path / f"p{parallelism}",
                            [COLLISION_SWEEP + ["--parallelism", str(parallelism)]])[0][0] == 0
@@ -241,7 +242,7 @@ def test_collision_sweep_on_the_pool_matches_the_serial_sweep(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_package_resolves_collision_names_on_first_use():
+def test_package_exports_collision_names():
     import gatebound
     from gatebound import calibrated
 

@@ -114,6 +114,20 @@ def test_coherent_amplitudes_match_the_gammaln_formula(alpha):
     assert np.max(np.abs(state.amplitudes - reference)) <= tol * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("alpha, cutoff", [(2.5, 57), (16.0, 495), (-3.2 + 2.2j, 80),
+                                           (93.0, fock.MAX_CUTOFF)])
+def test_cached_log_factorials_give_the_per_call_lgamma_bits(alpha, cutoff):
+    # reference: log n! built from math.lgamma on every call
+    n = np.arange(cutoff)
+    log_factorial = np.fromiter(map(math.lgamma, range(1, cutoff + 1)), float, cutoff)
+    reference = np.exp(-0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) - 0.5 * log_factorial
+                       + 1j * n * np.angle(alpha))
+    reference /= np.linalg.norm(reference)
+    assert np.array_equal(coherent_state(alpha, cutoff).amplitudes, reference)
+    with pytest.raises(ValueError):
+        fock._log_factorials()[0] = 1.0
+
+
 @pytest.mark.parametrize("cutoff", [2, 30, 71, 147, 495, 1000])
 def test_quadrature_eigh_matches_the_tridiagonal_solver(cutoff):
     lam, w = fock._quadrature_eigh(cutoff)
