@@ -386,24 +386,36 @@ def _harmonic_quad_points(cfg: HarmonicCollisionConfig) -> list[float]:
     return [p for p in pts if 0.0 < p < cfg.period]
 
 
+def _period_integral(cfg: HarmonicCollisionConfig, fn: Callable[[float], float],
+                     epsabs: float = 0.0) -> float:
+    """int fn dt over one period, split around the closest approach."""
+    return _quad(fn, 0.0, cfg.period, epsabs=epsabs, epsrel=1e-11, limit=800,
+                 points=_harmonic_quad_points(cfg))
+
+
+def _harmonic_action(cfg: HarmonicCollisionConfig) -> float:
+    """int V(rho(t)) dt over one period."""
+    return _period_integral(cfg, lambda t: cfg.potential.value(cfg.rho(t)))
+
+
+def _harmonic_force_integral(cfg: HarmonicCollisionConfig, weight: Callable[[float], float],
+                             epsabs: float = 0.0) -> float:
+    """int V'(rho(t)) weight(wt) dt over one period."""
+    return _period_integral(
+        cfg, lambda t: cfg.potential.derivative(cfg.rho(t)) * weight(cfg.omega * t), epsabs)
+
+
 def harmonic_action_integrals(cfg: HarmonicCollisionConfig) -> tuple[float, float, float]:
     """(int V dt, int V' cos(wt) dt, int V' sin(wt) dt) over one period."""
-    pts = _harmonic_quad_points(cfg)
-    V = lambda t: cfg.potential.value(cfg.rho(t))
-    dV = lambda t: cfg.potential.derivative(cfg.rho(t))
-    action = _quad(V, 0.0, cfg.period, epsabs=0.0, epsrel=1e-11, limit=800, points=pts)
-    cos_int = _quad(lambda t: dV(t) * math.cos(cfg.omega * t),
-                    0.0, cfg.period, epsabs=0.0, epsrel=1e-11, limit=800, points=pts)
-    sin_int = _quad(lambda t: dV(t) * math.sin(cfg.omega * t),
-                    0.0, cfg.period, epsabs=max(1e-13 * abs(cos_int), 1e-300),
-                    epsrel=1e-11, limit=800, points=pts)
+    action = _harmonic_action(cfg)
+    cos_int = _harmonic_force_integral(cfg, math.cos)
+    sin_int = _harmonic_force_integral(cfg, math.sin, max(1e-13 * abs(cos_int), 1e-300))
     return action, cos_int, sin_int
 
 
 def calibrated_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicCollisionConfig:
     """Copy with the coupling making (1/hbar) int V(rho(t)) dt over one period equal pi."""
-    action, _, _ = harmonic_action_integrals(cfg)
-    return _rescaled_to_pi(cfg, action / cfg.hbar)
+    return _rescaled_to_pi(cfg, _harmonic_action(cfg) / cfg.hbar)
 
 
 @dataclass(frozen=True)
@@ -443,8 +455,7 @@ def error_variance_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicVariance:
 
 def harmonic_constraint_ratio(cfg: HarmonicCollisionConfig) -> float:
     """R = |int V' cos(wt) dt| / |int V dt|; the coupling cancels."""
-    action, cos_int, _ = harmonic_action_integrals(cfg)
-    return abs(cos_int) / abs(action)
+    return abs(_harmonic_force_integral(cfg, math.cos)) / abs(_harmonic_action(cfg))
 
 
 DIPOLE_RATIO_OFFSETS = (1e-2, 1e-3, 1e-4)

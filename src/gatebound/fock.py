@@ -292,15 +292,37 @@ _SAFETY = 0.9
 # jittered alphas and three envelopes visits 15 cutoffs.
 @lru_cache(maxsize=16)
 def _quadrature_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """X = a + a† = W diag(lam) W^T on the truncated basis (real tridiagonal)."""
-    off = np.sqrt(np.arange(1.0, cutoff))
-    lam, w = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    # Every factor reuses W, so its orthogonality error (1.6e-15 at N=147,
-    # 3.4e-15 at N=495) adds up over a propagation.  A Householder QR brings
-    # it to 1.5e-15 up to N=1000; without it p_exact moved by 2.8e-13 on a
-    # gaussian pi pulse at alpha = -3.2+2.2j, whose drive changes frame on
-    # most factors.  W stays an eigenbasis with residual ~3e-14.
-    w = np.linalg.qr(w)[0]
+    """X = a + a† = W diag(lam) W^T on the truncated basis, lam ascending.
+
+    X has a zero diagonal, so in even/odd level order it is [[0, B], [B^T, 0]]
+    with B the ceil(N/2) x floor(N/2) lower-bidiagonal block B[k, k] =
+    sqrt(2k+1), B[k+1, k] = sqrt(2k+2), and its eigenproblem is the SVD
+    B = U S V^T of half the size (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205
+    (1965)): eigenvalues -+s_k with eigenvectors (u_k, -+v_k)/sqrt(2), and for
+    odd N the eigenvalue 0 with (u_last, 0).
+    """
+    m, n = (cutoff + 1) // 2, cutoff // 2
+    root = np.sqrt(np.arange(1.0, cutoff))  # X[j, j+1]
+    b = np.zeros((m, n))
+    np.fill_diagonal(b, root[0::2])
+    np.fill_diagonal(b[1:], root[1::2])
+    u, s, vt = np.linalg.svd(b)
+    lam = np.concatenate((-s, np.zeros(m - n), s[::-1]))
+    # Every factor reuses W, so its orthogonality error adds up over a
+    # propagation.  U and V come out orthogonal to working precision and the
+    # split only scales and interleaves them, so W needs no re-orthogonalising
+    # QR: max |W^T W - I| is 1.9e-15 at N=495, 3.4e-15 at N=1000 and 4.8e-15
+    # at N=2000 (a QR would bring it only to about 1.5e-15), and the residual
+    # max |XW - W diag(lam)| is 2.3e-14 at N=495.
+    c = math.sqrt(0.5)
+    w = np.empty((cutoff, cutoff))
+    w[0::2, :n] = c * u[:, :n]
+    w[1::2, :n] = -c * vt.T
+    w[0::2, m:] = c * u[:, n - 1::-1]
+    w[1::2, m:] = c * vt[::-1].T
+    if m > n:
+        w[0::2, n] = u[:, n]
+        w[1::2, n] = 0.0
     lam.flags.writeable = False
     w.flags.writeable = False
     return lam, w
@@ -402,9 +424,9 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
 
     The state is held in the frame U_theta W of the last sample's phase
     theta = arg g (mod pi), where U_theta = diag(e^{i n theta}) and W is the
-    eigenbasis of the quadrature X = a + a† (one dense symmetric
-    eigendecomposition per cutoff).  Factors of one phase commute and are
-    diagonal there, so the frame carries them as one accumulated phase phi
+    eigenbasis of the quadrature X = a + a† (built once per cutoff from the
+    SVD of X's half-size bidiagonal block).  Factors of one phase commute and
+    are diagonal there, so the frame carries them as one accumulated phase phi
     (the state is e^{-i phi lam} c) and a factor of the frame's phase only
     adds h |g| to phi, with no array work.  The array exponential
     e^{-i phi lam} and two real N x N products are paid only when the state

@@ -128,7 +128,7 @@ def test_cached_log_factorials_give_the_per_call_lgamma_bits(alpha, cutoff):
         fock._log_factorials()[0] = 1.0
 
 
-@pytest.mark.parametrize("cutoff", [2, 30, 71, 147, 495, 1000])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 30, 71, 147, 495, 1000])
 def test_quadrature_eigh_matches_the_tridiagonal_solver(cutoff):
     lam, w = fock._quadrature_eigh(cutoff)
     ref_lam, ref_w = eigh_tridiagonal(np.zeros(cutoff), np.sqrt(np.arange(1.0, cutoff)))
@@ -138,6 +138,21 @@ def test_quadrature_eigh_matches_the_tridiagonal_solver(cutoff):
     # eigenvectors of distinct eigenvalues agree up to sign
     signs = np.sign(np.sum(w * ref_w, axis=0))
     assert np.max(np.abs(w * signs - ref_w)) <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [*range(1, 65), 495, 496])
+def test_quadrature_eigh_pairs_each_eigenvalue_with_its_negative(cutoff):
+    # X = [[0, B], [B^T, 0]] in even/odd order: the spectrum is +-s_k (and 0
+    # for odd N) by construction, so the pairing holds bit for bit.
+    lam, w = fock._quadrature_eigh(cutoff)
+    assert not lam.flags.writeable and not w.flags.writeable
+    assert w.shape == (cutoff, cutoff)
+    assert np.all(np.diff(lam) > 0)
+    assert np.array_equal(lam, -lam[::-1])
+    assert np.max(np.abs(w.T @ w - np.eye(cutoff))) <= 1e-14
+    a, adag = _dense_ladder(cutoff)
+    x = (a + adag).real
+    assert np.max(np.abs(x @ w - w * lam)) <= 2e-14 * math.sqrt(cutoff)
 
 
 def test_coherent_rejects_small_cutoff_without_override():
