@@ -102,6 +102,13 @@ class LinearDrive:
     duration: float
     breakpoints: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
+        outside = [bp for bp in self.breakpoints if not 0.0 < bp < self.duration]
+        if outside:
+            raise ValueError(f"breakpoints {outside} lie outside the window (0, {self.duration})")
+
     def __call__(self, t: float) -> complex:
         return complex(self.f(t))
 

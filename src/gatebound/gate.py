@@ -21,7 +21,6 @@ Natural units (hbar = 1) throughout.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -114,8 +113,7 @@ def coherent_drive_scenario(alpha: complex, drive: LinearDrive, *,
                             cutoff: int | None = None) -> GateScenario:
     """Scenario with coherent control; cutoff covers alpha plus the drive excursion."""
     if cutoff is None:
-        excursion = drive_bound_integral(drive)
-        cutoff = coherent_required_cutoff(abs(alpha) + excursion + 0.5)
+        cutoff = coherent_required_cutoff(abs(alpha) + drive_excursion(drive) + 0.5)
     return GateScenario(coherent_state(alpha, cutoff), drive)
 
 
@@ -156,51 +154,45 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, w, integrated @ lagrange
 
 
-def _panel_samples(drive: LinearDrive, a: float, b: float, panels: int
-                   ) -> tuple[float, np.ndarray]:
-    """Half panel width h and the drive at the nodes of ``panels`` equal panels of [a, b]."""
-    x = _panel_rule()[0]
+def _panel_sums(drive: LinearDrive, a: float, b: float, panels: int
+                ) -> tuple[complex, float, float, np.ndarray]:
+    """(int f, int Im(f conj G), int |f|, G at the nodes and panel ends) over [a, b].
+
+    G(t) = int_a^t f.  Composite Gauss-Legendre rule on ``panels`` equal
+    panels, each sampling the drive at its ``PANEL_NODES`` nodes.
+    """
+    x, w, S = _panel_rule()
     h = (b - a) / (2.0 * panels)
     mids = a + h * (2.0 * np.arange(panels) + 1.0)
     nodes = (mids[:, None] + h * x).ravel().tolist()
-    return h, np.array([drive(t) for t in nodes]).reshape(panels, -1)
-
-
-def _panel_sums(drive: LinearDrive, a: float, b: float, panels: int
-                ) -> tuple[complex, float, np.ndarray]:
-    """(int f, int Im(f conj G), int |f| per panel) over [a, b] with G(t) = int_a^t f.
-
-    Composite Gauss-Legendre rule on ``panels`` equal panels, each sampling
-    the drive at its ``PANEL_NODES`` nodes.
-    """
-    _, w, S = _panel_rule()
-    h, f = _panel_samples(drive, a, b, panels)
+    f = np.array([drive(t) for t in nodes]).reshape(panels, -1)
     sums = h * (f @ w)                                 # int f on each panel
-    starts = np.concatenate(([0.0], np.cumsum(sums)[:-1]))
+    ends = np.cumsum(sums)
+    starts = np.concatenate(([0.0], ends[:-1]))
     G = starts[:, None] + h * (f @ S.T)                # int_a^t f at every node
     phase = h * float(np.sum(w * (f * G.conj()).imag))
-    return complex(np.sum(sums)), phase, h * (np.abs(f) @ w)
+    return (complex(np.sum(sums)), phase, float(np.sum(h * (np.abs(f) @ w))),
+            np.concatenate((G.ravel(), ends)))
 
 
 def _segment_integrals(drive: LinearDrive, a: float, b: float
-                       ) -> tuple[complex, float, np.ndarray, np.ndarray]:
-    """(int f, int Im(f conj G), coarse and fine int |f| per panel) over one smooth segment.
+                       ) -> tuple[complex, float, np.ndarray]:
+    """(int f, int Im(f conj G), G at the nodes and panel ends) over one smooth segment.
 
     The panel count doubles (1, 2, 4, ...) until two successive estimates
     agree to ``DRIVE_RTOL * int|f|`` in the integral and
     ``DRIVE_RTOL * (int|f|)^2`` in the phase; past ``MAX_PANELS`` panels
-    :class:`IntegrationError` is raised.  The last two levels' per-panel
-    int |f| are returned for :func:`drive_bound_integral`.
+    :class:`IntegrationError` is raised.  G comes from the converged level.
     """
     panels = 1
     coarse = _panel_sums(drive, a, b, panels)
     while True:
         panels *= 2
         fine = _panel_sums(drive, a, b, panels)
-        scale = float(np.sum(fine[2]))
+        scale = fine[2]
         dF, dphi = abs(fine[0] - coarse[0]), abs(fine[1] - coarse[1])
         if dF <= DRIVE_RTOL * scale and dphi <= DRIVE_RTOL * scale ** 2:
-            return fine[0], fine[1], coarse[2], fine[2]
+            return fine[0], fine[1], fine[3]
         if panels >= MAX_PANELS:
             raise IntegrationError("drive integral did not converge", {
                 "segment": (a, b), "panels": panels, "integral_error": dF,
@@ -223,64 +215,36 @@ def drive_integrals(drive: LinearDrive) -> DriveIntegrals:
     panels: F at the nodes from the panel's spectral integration matrix,
     phi as the weighted sum of Im(f conj F), and the panel count doubled
     until two estimates agree to ``DRIVE_RTOL`` (see ``_segment_integrals``).
-    The drive is sampled only here and in :func:`drive_bound_integral`,
-    never at ``evolve``'s steps, so the oracle stays independent of the
-    propagation.  The panel sums are cached per (frozen) drive.
+    The drive is sampled only here, never at ``evolve``'s steps, so the
+    oracle stays independent of the propagation.  The panel sums are cached
+    per (frozen) drive.
     """
     F, phi = 0j, 0.0
-    for dF, dphi, _, _ in _drive_panels(drive):
+    for dF, dphi, _ in _drive_panels(drive):
         # the segment's own phase plus the cross term with the F it starts from
         phi += dphi + (dF * np.conj(F)).imag
         F += dF
     return DriveIntegrals(integral=F, displacement=-1j * F, magnus_phase=float(phi))
 
 
-BOUND_RTOL = 1e-10       # relative error estimate allowed in int |f|, which sizes the cutoff
-MAX_BOUND_PANELS = 1024  # panels per segment before int |f| gives up
+def drive_excursion(drive: LinearDrive) -> float:
+    """Largest |beta(t)| = |int_0^t f| on the panels of :func:`drive_integrals`.
 
-
-def drive_bound_integral(drive: LinearDrive) -> float:
-    """int_0^T |f(t)| dt; bounds the phase-space excursion of the drive.
-
-    Read off the panels that :func:`drive_integrals` samples: a panel of the
-    last-but-one level is estimated by its two halves on the last level, and
-    its error by their disagreement with it.  A smooth |f| meets
-    ``BOUND_RTOL * int|f|`` there, with no further drive samples.  |f| has a
-    kink wherever f has a simple zero, so while the summed estimates miss
-    it the panel with the largest one is bisected, each half checked
-    against its own halves; past ``MAX_BOUND_PANELS`` panels in a segment
-    :class:`IntegrationError` is raised.
+    The maximum of |F(t)| over the nodes and panel ends of every segment's
+    converged panels, read off the cached panel sums with no drive sample
+    of its own.  It never exceeds sup |beta| <= int |f|, so it sizes no
+    basis larger than int |f| did, and a drive that changes sign gets a
+    smaller one.  It falls short of sup |beta| only by the gap between
+    nodes: 0.18% on 1.3 sin(2 pi t + 0.3), at most 0.7% on 500 random
+    two-envelope drives c1 s1 - c2 s2, which the ``+ 0.5`` of the cutoff
+    rule covers.  The edge check in :func:`failure_probability_exact`
+    stays the a-posteriori guard against a basis that is still too small.
     """
-    return sum(_abs_integral(drive, a, b, coarse, fine)
-               for (a, b), (_, _, coarse, fine) in zip(drive.segments(), _drive_panels(drive)))
-
-
-def _abs_integral(drive: LinearDrive, a: float, b: float,
-                  coarse: np.ndarray, fine: np.ndarray) -> float:
-    """int |f| over [a, b] from equal panels and their halves, bisected where they disagree."""
-    w = _panel_rule()[1]
-    edges = np.linspace(a, b, coarse.size + 1).tolist()
-    # a panel: (-error estimate, start, end, int |f| on its first half, on its second half)
-    panels = [(-abs(q - left - right), lo, hi, left, right) for q, lo, hi, (left, right)
-              in zip(coarse.tolist(), edges[:-1], edges[1:], fine.reshape(-1, 2).tolist())]
-    heapq.heapify(panels)
-    while True:
-        total = math.fsum(p[3] + p[4] for p in panels)
-        error = -math.fsum(p[0] for p in panels)
-        if error <= BOUND_RTOL * total:
-            return total
-        if len(panels) >= MAX_BOUND_PANELS:
-            raise IntegrationError(
-                f"int |f| over the drive segment {(a, b)} did not reach rel_tol {BOUND_RTOL} "
-                f"in {len(panels)} panels", {
-                    "quantity": "int |f|", "segment": (a, b), "panels": len(panels),
-                    "value": total, "error_estimate": error, "rel_tol": BOUND_RTOL})
-        _, lo, hi, left, right = heapq.heappop(panels)
-        mid = 0.5 * (lo + hi)
-        h, f = _panel_samples(drive, lo, hi, 4)   # the halves of both halves
-        q = (h * (np.abs(f) @ w)).tolist()
-        heapq.heappush(panels, (-abs(left - q[0] - q[1]), lo, mid, q[0], q[1]))
-        heapq.heappush(panels, (-abs(right - q[2] - q[3]), mid, hi, q[2], q[3]))
+    peak, F = 0.0, 0j
+    for dF, _, G in _drive_panels(drive):
+        peak = max(peak, float(np.max(np.abs(F + G))))
+        F += dF
+    return peak
 
 
 def _integrated_action(scenario: GateScenario) -> np.ndarray:
