@@ -34,5 +34,4 @@ class NumericalInconsistencyError(RuntimeError):
 
 
 class SamplingError(NumericalInconsistencyError):
-    """A sampled function did not converge under grid refinement, or random
-    sampling kept drawing degenerate candidates."""
+    """Random sampling kept drawing degenerate candidates."""

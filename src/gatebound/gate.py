@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .envelopes import LinearDrive, envelope_drive
-from .errors import CutoffError, IntegrationError
+from .errors import CutoffError
 from .fock import (
     COHERENT_TAIL,
     ControlState,
@@ -39,6 +39,7 @@ from .fock import (
     evolve,
     overlap,
 )
+from .numerics import MAX_PANELS, PANEL_RTOL, _panel_rule, converged_panels, panel_nodes
 
 PHASE_TARGET = math.pi  # accumulated conditional phase for a perfect sign flip
 EDGE_LEVELS = 10        # top levels whose population the truncation check bounds
@@ -130,30 +131,6 @@ class DriveIntegrals:
     magnus_phase: float
 
 
-PANEL_NODES = 16   # Gauss-Legendre nodes per panel
-MAX_PANELS = 256   # panels per segment before the drive integral gives up
-DRIVE_RTOL = 1e-12  # agreement that stops the panel doubling
-
-
-@lru_cache(maxsize=1)
-def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, weights w and spectral integration matrix S on [-1, 1].
-
-    S[j, k] = int_{-1}^{x_j} l_k, with l_k the Lagrange polynomial of node k,
-    so S @ f integrates the node interpolant of f up to each node.  The
-    Lagrange basis is expanded in Legendre polynomials through the rule's
-    own discrete orthogonality, which is exact at this degree.
-    """
-    n = PANEL_NODES
-    x, w = np.polynomial.legendre.leggauss(n)
-    P = np.polynomial.legendre.legvander(x, n)  # P[j, m] = P_m(x_j), m = 0..n
-    integrated = np.empty((n, n))               # int_{-1}^{x_j} P_m
-    integrated[:, 0] = x + 1.0
-    integrated[:, 1:] = (P[:, 2:] - P[:, :-2]) / (2.0 * np.arange(1, n) + 1.0)
-    lagrange = (np.arange(n) + 0.5)[:, None] * P[:, :n].T * w  # l_k = sum_m lagrange[m, k] P_m
-    return x, w, integrated @ lagrange
-
-
 def _panel_sums(drive: LinearDrive, a: float, b: float, panels: int
                 ) -> tuple[complex, float, float, np.ndarray]:
     """(int f, int Im(f conj G), int |f|, G at the nodes and panel ends) over [a, b].
@@ -161,11 +138,9 @@ def _panel_sums(drive: LinearDrive, a: float, b: float, panels: int
     G(t) = int_a^t f.  Composite Gauss-Legendre rule on ``panels`` equal
     panels, each sampling the drive at its ``PANEL_NODES`` nodes.
     """
-    x, w, S = _panel_rule()
-    h = (b - a) / (2.0 * panels)
-    mids = a + h * (2.0 * np.arange(panels) + 1.0)
-    nodes = (mids[:, None] + h * x).ravel().tolist()
-    f = np.array([drive(t) for t in nodes]).reshape(panels, -1)
+    _, w, S = _panel_rule()
+    nodes, h = panel_nodes(a, b, panels)
+    f = np.array([drive(t) for t in nodes.ravel().tolist()]).reshape(panels, -1)
     sums = h * (f @ w)                                 # int f on each panel
     ends = np.cumsum(sums)
     starts = np.concatenate(([0.0], ends[:-1]))
@@ -179,25 +154,19 @@ def _segment_integrals(drive: LinearDrive, a: float, b: float
                        ) -> tuple[complex, float, np.ndarray]:
     """(int f, int Im(f conj G), G at the nodes and panel ends) over one smooth segment.
 
-    The panel count doubles (1, 2, 4, ...) until two successive estimates
-    agree to ``DRIVE_RTOL * int|f|`` in the integral and
-    ``DRIVE_RTOL * (int|f|)^2`` in the phase; past ``MAX_PANELS`` panels
-    :class:`IntegrationError` is raised.  G comes from the converged level.
+    The panels double from 1 (:func:`converged_panels`, up to ``MAX_PANELS``)
+    until two levels agree to ``PANEL_RTOL * int|f|`` in the integral and
+    ``PANEL_RTOL * (int|f|)^2`` in the phase.  G comes from the converged level.
     """
-    panels = 1
-    coarse = _panel_sums(drive, a, b, panels)
-    while True:
-        panels *= 2
-        fine = _panel_sums(drive, a, b, panels)
-        scale = fine[2]
-        dF, dphi = abs(fine[0] - coarse[0]), abs(fine[1] - coarse[1])
-        if dF <= DRIVE_RTOL * scale and dphi <= DRIVE_RTOL * scale ** 2:
-            return fine[0], fine[1], fine[3]
-        if panels >= MAX_PANELS:
-            raise IntegrationError("drive integral did not converge", {
-                "segment": (a, b), "panels": panels, "integral_error": dF,
-                "phase_error": dphi, "abs_integral": scale, "rtol": DRIVE_RTOL})
-        coarse = fine
+    def misfit(coarse, fine):
+        scale, dF, dphi = fine[2], abs(fine[0] - coarse[0]), abs(fine[1] - coarse[1])
+        if not (dF <= PANEL_RTOL * scale and dphi <= PANEL_RTOL * scale ** 2):
+            return {"segment": (a, b), "integral_error": dF, "phase_error": dphi,
+                    "abs_integral": scale, "rtol": PANEL_RTOL}
+
+    F, phase, _, G = converged_panels(lambda panels: _panel_sums(drive, a, b, panels), misfit,
+                                      panels=1, max_panels=MAX_PANELS, what="drive integral")
+    return F, phase, G
 
 
 @lru_cache(maxsize=16)  # the cutoff, the exact phase, the estimate and the oracle share one drive
@@ -211,13 +180,11 @@ def drive_integrals(drive: LinearDrive) -> DriveIntegrals:
 
     The second-order term terminates the Magnus series for linear drives:
     the time-ordered exponential is exactly e^{i phi} D(-i F).  Each drive
-    segment is integrated on composite ``PANEL_NODES``-point Gauss-Legendre
-    panels: F at the nodes from the panel's spectral integration matrix,
-    phi as the weighted sum of Im(f conj F), and the panel count doubled
-    until two estimates agree to ``DRIVE_RTOL`` (see ``_segment_integrals``).
-    The drive is sampled only here, never at ``evolve``'s steps, so the
-    oracle stays independent of the propagation.  The panel sums are cached
-    per (frozen) drive.
+    segment is integrated by :func:`_segment_integrals`: F at the panel
+    nodes from the spectral integration matrix, phi as the weighted sum of
+    Im(f conj F).  The drive is sampled only here, never at ``evolve``'s
+    steps, so the oracle stays independent of the propagation.  The panel
+    sums are cached per (frozen) drive.
     """
     F, phi = 0j, 0.0
     for dF, dphi, _ in _drive_panels(drive):

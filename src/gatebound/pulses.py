@@ -15,13 +15,15 @@ random search is included to hammer on the linear bound empirically.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import IntegrationError, SamplingError
+from .numerics import PANEL_NODES, PANEL_RTOL, _panel_rule, converged_panels, panel_nodes
 from .report import RATIO_SLACK, BoundReport, bound_satisfied
 
 PI = math.pi
@@ -83,6 +85,26 @@ def _weighted(weights: Sequence[complex] | np.ndarray, integral: np.ndarray) -> 
     return out
 
 
+def _checked(omegas: Sequence[float], values: Sequence[complex],
+             window: tuple[float, float]) -> tuple[float, float]:
+    """``window`` as floats, after ValueError on any input no pulse can have.
+
+    The mode frequencies must be finite and positive, the couplings,
+    weights or amplitudes in ``values`` finite, and the window finite with
+    t_end > t_start.
+    """
+    if not (all(map(math.isfinite, omegas)) and all(map(cmath.isfinite, values))):
+        raise ValueError("mode frequencies, couplings, weights and amplitudes must be finite")
+    if any(w <= 0 for w in omegas):
+        raise ValueError("all mode frequencies must be positive")
+    t0, t1 = (float(t) for t in window)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("window bounds must be finite")
+    if not t1 > t0:
+        raise ValueError("window must satisfy t_end > t_start")
+    return t0, t1
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Modes (omega, g, alpha) with a common time window.
@@ -103,12 +125,8 @@ class PulseSpec:
         modes = tuple((float(w), complex(g), complex(al)) for w, g, al in self.modes)
         if not modes:
             raise ValueError("pulse needs at least one mode")
-        if any(w <= 0 for w, _, _ in modes):
-            raise ValueError("all mode frequencies must be positive")
-        t0, t1 = self.window
-        if not t1 > t0:
-            raise ValueError("window must satisfy t_end > t_start")
-        window = (float(t0), float(t1))
+        window = _checked([w for w, _, _ in modes], [z for _, g, al in modes for z in (g, al)],
+                          self.window)
         omegas, couplings, alphas = (np.array(column) for column in zip(*modes))
         arrays = {"omegas": omegas, "couplings": couplings, "alphas": alphas,
                   "coefficients": _coefficients(omegas, couplings, window)}
@@ -212,76 +230,65 @@ class NonlinearReduction:
     window: tuple[float, float]
 
 
+REDUCE_RADIANS_PER_PANEL = 32.0  # most radians of the fastest mode on a first-level panel
+REDUCE_MAX_PANELS = 2 ** 16      # panels (2^20 envelope samples) before the reduction gives up
+
+
 def nonlinear_reduce(p_power: int, envelope: Callable[[float], float],
                      window: tuple[float, float],
-                     modes: Sequence[tuple[float, complex]], *,
-                     tol: float = 1e-8, max_doublings: int = 14) -> NonlinearReduction:
+                     modes: Sequence[tuple[float, complex]]) -> NonlinearReduction:
     """Reduce a power-p coupling with mean field E(t) to linear coefficients.
 
     p = 1 short-circuits to the exact window integrals (E^0 == 1), making
     the reduction identical to the linear path.  For p > 1 the coefficient
-    integrals are evaluated by composite Simpson rule, doubling the sample
-    density until step-halving moves every coefficient by less than ``tol``
-    on a grid with at least one sample per radian of the fastest mode (a
-    coarser grid aliases, and its sums can agree by accident).  After
-    ``max_doublings`` doublings (64 * 2^14 = 1,048,576 samples at the
-    default), or at once if that grid cannot resolve the fastest mode,
-    :class:`SamplingError` is raised.
+    integrals run on Gauss-Legendre panels (:func:`converged_panels`).  The
+    first level has the least power-of-two panel count that puts at most
+    ``REDUCE_RADIANS_PER_PANEL`` radians of the fastest mode on a panel;
+    the count doubles until two levels agree to ``PANEL_RTOL`` times
+    |w_k| int |E|^{p-1} in every coefficient.  Levels that still disagree
+    at ``REDUCE_MAX_PANELS`` panels raise :class:`IntegrationError`, and so
+    does, before any envelope sample, a mode whose first doubling would
+    pass that cap.
     """
     if p_power < 1:
         raise ValueError("p_power must be >= 1")
     modes = [(float(w), complex(wt)) for w, wt in modes]
-    if any(w <= 0 for w, _ in modes):
-        raise ValueError("all mode frequencies must be positive")
-    t0, t1 = window
-    if not t1 > t0:
-        raise ValueError("window must satisfy t_end > t_start")
-    omegas = [w for w, _ in modes]
+    omegas, weights = [w for w, _ in modes], [wt for _, wt in modes]
+    t0, t1 = _checked(omegas, weights, window)
 
     if p_power == 1:
-        coeffs = _coefficients(omegas, [wt for _, wt in modes], (t0, t1))
-        return NonlinearReduction(1, tuple(zip(omegas, coeffs)), (float(t0), float(t1)))
-
-    def sampled(t: np.ndarray) -> np.ndarray:
-        return np.array([float(envelope(ti)) for ti in t])
-
-    def coefficients_at(t: np.ndarray, env: np.ndarray) -> np.ndarray:
-        n = t.size - 1
-        simpson_w = np.ones(n + 1)
-        simpson_w[1:-1:2] = 4.0
-        simpson_w[2:-1:2] = 2.0
-        simpson_w *= (t1 - t0) / n / 3.0
-        weighted = simpson_w * env ** (p_power - 1)
-        out = np.empty(len(modes), dtype=complex)
-        for k, (w, wt) in enumerate(modes):
-            out[k] = wt * np.sum(weighted * np.exp(-1j * w * t))
-        return out
+        coeffs = _coefficients(omegas, weights, (t0, t1))
+        return NonlinearReduction(1, tuple(zip(omegas, coeffs)), (t0, t1))
 
     radians = max(omegas, default=0.0) * (t1 - t0)
-    if radians > 64 * 2 ** max_doublings:
-        raise SamplingError(f"{64 * 2 ** max_doublings} samples cannot resolve the "
-                            f"{radians:.3g} rad a mode turns through on the window")
-    t = np.linspace(t0, t1, 65)
-    env = sampled(t)
-    prev = coefficients_at(t, env)
-    for _ in range(max_doublings):
-        # linspace's even points on 2n intervals are its points on n intervals
-        # bit for bit, so a doubling samples the envelope only at the new midpoints
-        n = 2 * (t.size - 1)
-        t = np.linspace(t0, t1, n + 1)
-        finer = np.empty(n + 1)
-        finer[::2] = env
-        finer[1::2] = sampled(t[1::2])
-        env = finer
-        cur = coefficients_at(t, env)
-        scale = np.maximum(1.0, np.abs(cur))
-        if n >= radians and np.all(np.abs(cur - prev) < tol * scale):
-            coeffs = tuple(zip(omegas, (complex(c) for c in cur)))
-            return NonlinearReduction(p_power, coeffs, (float(t0), float(t1)))
-        prev = cur
-    raise SamplingError(
-        f"coefficient integrals did not settle below {tol} after {max_doublings} refinements"
-    )
+    if radians > REDUCE_RADIANS_PER_PANEL * REDUCE_MAX_PANELS / 2:
+        raise IntegrationError(
+            f"{REDUCE_MAX_PANELS * PANEL_NODES} samples cannot resolve the "
+            f"{radians:.3g} rad a mode turns through on the window",
+            {"radians": radians, "max_panels": REDUCE_MAX_PANELS})
+    panels = 1
+    while radians > REDUCE_RADIANS_PER_PANEL * panels:
+        panels *= 2
+    _, w, _ = _panel_rule()
+
+    def level(panels):
+        nodes, h = panel_nodes(t0, t1, panels)
+        nodes = nodes.ravel()
+        power = np.array([float(envelope(t)) for t in nodes.tolist()]) ** (p_power - 1)
+        weighted = h * np.tile(w, panels) * power
+        integrals = np.array([np.exp(-1j * omega * nodes) @ weighted for omega in omegas],
+                             dtype=complex)
+        return _weighted(weights, integrals), np.abs(weights) * np.sum(np.abs(weighted))
+
+    def misfit(coarse, fine):
+        error = np.abs(fine[0] - coarse[0])
+        if not np.all(error <= PANEL_RTOL * fine[1]):
+            return {"window": (t0, t1), "error": float(np.max(error)), "rtol": PANEL_RTOL,
+                    "scale": float(np.max(fine[1]))}
+
+    coeffs, _ = converged_panels(level, misfit, panels=panels, max_panels=REDUCE_MAX_PANELS,
+                                 what="power-p coefficient integral")
+    return NonlinearReduction(p_power, tuple(zip(omegas, (complex(c) for c in coeffs))), (t0, t1))
 
 
 def nonlinear_bound_check(reduction: NonlinearReduction,

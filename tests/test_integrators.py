@@ -1,4 +1,4 @@
-"""The collision chains' own quadrature and ODE solver against scipy's.
+"""The collision chains' quadrature and ODE solver against scipy's.
 
 scipy.integrate is only a reference here: gatebound itself loads no scipy.
 """
@@ -11,17 +11,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad, solve_ivp
 
 from gatebound import HarmonicCollisionConfig, PotentialLaw, calibrated_harmonic
-from gatebound import collision
+from gatebound import collision, numerics
 from gatebound.collision import (
     SIN_SYMMETRY_TOL,
-    _dop853,
     _harmonic_quad_points,
     _line_integral_power_law,
     _quad,
     harmonic_action_integrals,
-    quad,
 )
 from gatebound.errors import IntegrationError
+from gatebound.numerics import _dop853, quad
 
 PI = math.pi
 
@@ -34,11 +33,11 @@ def test_gauss_kronrod_rule_degrees():
     # the 15-point Kronrod rule integrates x^k exactly for k <= 22 and the
     # embedded 7-point Gauss rule for k <= 13, so |K - G| vanishes up to 13
     for k in range(23):
-        value, k_minus_g = collision._gk15(lambda x: x ** k, 0.0, 1.0)
+        value, k_minus_g = numerics._gk15(lambda x: x ** k, 0.0, 1.0)
         assert value == pytest.approx(1.0 / (k + 1), rel=1e-14, abs=1e-15), k
         if k <= 13:
             assert k_minus_g < 1e-15, k
-    _, k_minus_g = collision._gk15(lambda x: x ** 14, 0.0, 1.0)
+    _, k_minus_g = numerics._gk15(lambda x: x ** 14, 0.0, 1.0)
     assert k_minus_g > 1e-9
 
 
@@ -168,7 +167,7 @@ def test_dop853_on_a_closed_form_oscillator():
 
 
 def test_dop853_step_cap_raises_with_diagnostics(monkeypatch):
-    monkeypatch.setattr(collision, "MAX_ODE_STEPS", 3)
+    monkeypatch.setattr(numerics, "MAX_ODE_STEPS", 3)
     cfg = calibrated_harmonic(HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0,
                                                       potential=PotentialLaw(3.0)))
     with pytest.raises(IntegrationError, match="step cap") as info:

@@ -24,8 +24,9 @@ from gatebound import (
     squeezed_energy,
 )
 from gatebound.cli import main
-from gatebound.pulses import (NARROW_PHASE, NonlinearReduction, _coefficients,
-                              mode_window_integral)
+from gatebound.errors import IntegrationError
+from gatebound.pulses import (NARROW_PHASE, REDUCE_MAX_PANELS, NonlinearReduction,
+                              _coefficients, mode_window_integral)
 from gatebound.report import BoundReport
 
 PI = math.pi
@@ -283,13 +284,23 @@ def test_bound_checks_reject_a_pulse_with_no_photons():
             nonlinear_bound_check(reduction, [0.0], epsilon)
 
 
-def test_nonlinear_reduce_reports_sampling_error():
-    envelope = raised_cosine(1.0)
-    with pytest.raises(SamplingError):
-        nonlinear_reduce(3, envelope, (0.0, 1.0), [(1.0, 1.0)], tol=1e-15, max_doublings=1)
-    # a mode the capped grid (64 * 2^14 samples) cannot resolve fails before sampling
-    with pytest.raises(SamplingError, match="cannot resolve"):
-        nonlinear_reduce(2, envelope, (0.0, 1.0), [(1e8, 1.0)])
+def counted_raised_cosine():
+    """(E, times): E = raised_cosine(1.0), recording each time it is sampled at in ``times``."""
+    envelope, times = raised_cosine(1.0), []
+
+    def counted(t):
+        times.append(t)
+        return envelope(t)
+
+    return counted, times
+
+
+def test_nonlinear_reduce_rejects_an_unresolvable_mode_before_sampling():
+    # 1e8 rad on the window needs more than the 2^16-panel (2^20-sample) cap
+    counted, times = counted_raised_cosine()
+    with pytest.raises(IntegrationError, match="cannot resolve"):
+        nonlinear_reduce(2, counted, (0.0, 1.0), [(1e8, 1.0)])
+    assert times == []
 
 
 def test_nonlinear_reduce_waits_for_a_resolving_grid():
@@ -304,27 +315,50 @@ def test_nonlinear_reduce_waits_for_a_resolving_grid():
     assert abs(reduction.coefficients[0][1] - exact) <= 1e-8
 
 
-def test_nonlinear_reduce_samples_each_grid_point_once():
-    # settles after 3 doublings (64 -> 512 intervals): 513 envelope samples,
-    # where sampling every level afresh took 65 + 129 + 257 + 513 = 964
-    envelope, omega, weight = raised_cosine(1.0), 5.0, 1.0
-    times = []
+def test_nonlinear_reduce_rejects_an_undeclared_jump():
+    # a jump at t = 0.3 is never a panel edge: the panel levels keep missing
+    # each other by O(h) up to the cap
+    def sign_flip(t):
+        return 1.0 if t < 0.3 else -1.0
 
-    def counted(t):
-        times.append(t)
-        return envelope(t)
+    with pytest.raises(IntegrationError) as info:
+        nonlinear_reduce(2, sign_flip, (0.0, 1.0), [(1.0, 1.0)])
+    diagnostics = info.value.diagnostics
+    assert diagnostics["panels"] == REDUCE_MAX_PANELS
+    assert diagnostics["rtol"] == 1e-12
+    assert diagnostics["error"] > diagnostics["rtol"] * diagnostics["scale"]
 
-    reduction = nonlinear_reduce(2, counted, (0.0, 1.0), [(omega, weight)])
-    assert len(times) == len(set(times)) == 513
-    # the reused samples give the Simpson sum on the final grid bit for bit
-    t = np.linspace(0.0, 1.0, 513)
-    simpson_w = np.ones(513)
-    simpson_w[1:-1:2] = 4.0
-    simpson_w[2:-1:2] = 2.0
-    simpson_w *= 1.0 / 512 / 3.0
-    env = np.array([envelope(ti) for ti in t])
-    direct = weight * np.sum(simpson_w * env * np.exp(-1j * omega * t))
-    assert reduction.coefficients[0][1] == direct
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.floats(math.log(0.1), math.log(1e5)).map(math.exp)
+       .filter(lambda omega: abs(omega - 2.0 * PI) > 0.1))
+def test_p2_coefficient_matches_closed_form(omega):
+    # E = 1 - cos(2 pi t): int_0^1 E e^{-i w t} dt in closed form
+    four_pi_sq = 4.0 * PI ** 2
+    exact = (1.0 - cmath.exp(-1j * omega)) / 1j * four_pi_sq / (omega * (four_pi_sq - omega ** 2))
+    reduction = nonlinear_reduce(2, raised_cosine(1.0), (0.0, 1.0), [(omega, 1.0)])
+    assert abs(reduction.coefficients[0][1] - exact) <= 1e-12
+
+
+NON_FINITE_PULSES = [  # (omega, coupling or weight or amplitude, window)
+    (math.nan, 1.0, (0.0, 1.0)), (math.inf, 1.0, (0.0, 1.0)),
+    (1.0, math.nan, (0.0, 1.0)), (1.0, complex(1.0, math.inf), (0.0, 1.0)),
+    (1.0, 1.0, (0.0, math.inf)), (1.0, 1.0, (-math.inf, 1.0)),
+    (1.0, 1.0, (math.nan, 1.0)), (1.0, 1.0, (0.0, math.nan)),
+]
+
+
+@pytest.mark.parametrize("omega, value, window", NON_FINITE_PULSES,
+                         ids=[f"{w}-{v}-{win}" for w, v, win in NON_FINITE_PULSES])
+def test_non_finite_pulse_inputs_are_rejected_before_sampling(omega, value, window):
+    for spec in [((omega, value, 1.0),), ((omega, 1.0, value),)]:
+        with pytest.raises(ValueError, match="finite"):
+            PulseSpec(spec, window)
+    counted, times = counted_raised_cosine()
+    for p_power in (1, 2):
+        with pytest.raises(ValueError, match="finite"):
+            nonlinear_reduce(p_power, counted, window, [(omega, value)])
+    assert times == []
 
 
 # ---------------------------------------------------------------------------
