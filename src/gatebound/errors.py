@@ -34,4 +34,4 @@ class NumericalInconsistencyError(RuntimeError):
 
 
 class SamplingError(NumericalInconsistencyError):
-    """Random sampling kept drawing degenerate candidates."""
+    """A random draw was degenerate: no candidate can be projected onto the constraints."""

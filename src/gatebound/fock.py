@@ -81,57 +81,6 @@ def _capped(cutoff: int) -> int:
     return cutoff
 
 
-def coherent_poisson_tail(alpha: complex, cutoff: int) -> float:
-    """Poisson tail mass sum_{n >= cutoff} e^{-|a|^2} |a|^{2n} / n!, for cutoff >= 1.
-
-    The terms are summed from ``cutoff`` upward until they no longer change
-    the sum past the mode; each is exp of its log, so none overflows.
-    """
-    lam = abs(alpha) ** 2
-    if lam == 0.0:
-        return 0.0
-    total, n = 0.0, cutoff
-    while True:
-        term = math.exp(_poisson_log_pmf(n, lam))
-        if total + term == total and n > lam:
-            return total
-        total += term
-        n += 1
-
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _poisson_log_pmf(n: int, lam: float) -> float:
-    """log(e^{-lam} lam^n / n!) for n >= 1 in Loader's saddle-point form.
-
-    -lam + n log(lam) - log(n!) loses ~1e-11 to cancellation at n ~ 10^4;
-    the deviance and Stirling-error split keeps every part small near the
-    mode (Loader, "Fast and accurate computation of binomial
-    probabilities", 2000).
-    """
-    # Stirling error log n! - (n + 1/2) log n + n - log sqrt(2 pi)
-    if n <= 15:
-        stirling = math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
-    else:
-        nn = float(n) * n
-        stirling = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn)
-                              / nn) / nn) / n
-    # deviance n log(n / lam) + lam - n, as a series in v^2 near the mode
-    v = (n - lam) / (n + lam)
-    if abs(v) < 0.5:
-        deviance, term, v2, k = (n - lam) * v, 2.0 * n * v, v * v, 3
-        while True:
-            term *= v2
-            nxt = deviance + term / k
-            if nxt == deviance:
-                break
-            deviance, k = nxt, k + 2
-    else:
-        deviance = n * math.log(n / lam) + lam - n
-    return -stirling - deviance - _HALF_LOG_2PI - 0.5 * math.log(n)
-
-
 @lru_cache(maxsize=1)
 def _log_factorials() -> np.ndarray:
     """Read-only log n! for n < MAX_CUTOFF, from math.lgamma (80 kB, built once)."""
@@ -140,14 +89,26 @@ def _log_factorials() -> np.ndarray:
     return table
 
 
-def coherent_state(alpha: complex, cutoff: int | None = None, *,
-                   allow_truncation: bool = False) -> ControlState:
+def _truncated(c: np.ndarray, cutoff: int, contract: float) -> ControlState:
+    """The first ``cutoff`` of the amplitudes ``c``, normalised, once the rest is checked.
+
+    ``c`` is built past the cutoff; the share of its mass beyond it is
+    summed directly and :class:`CutoffError` raised when it exceeds
+    ``contract``.
+    """
+    tail = float(np.sum(np.abs(c[cutoff:]) ** 2)) / float(np.sum(np.abs(c) ** 2))
+    if tail > contract:
+        raise CutoffError(f"tail mass {tail:.3e} beyond cutoff {cutoff} exceeds {contract}")
+    amps = c[:cutoff]
+    return ControlState(cutoff, amps / np.linalg.norm(amps))
+
+
+def coherent_state(alpha: complex, cutoff: int | None = None) -> ControlState:
     """Coherent state |alpha> with amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
-    Cutoffs at or above :func:`coherent_required_cutoff` always satisfy the
-    tail contract; a smaller cutoff is accepted only if its directly
-    computed Poisson tail still stays below ``COHERENT_TAIL`` (or the caller
-    overrides with ``allow_truncation``).
+    The amplitudes are built on at least :func:`coherent_required_cutoff`
+    levels, so a smaller ``cutoff`` is accepted only if the mass they put
+    past it stays below ``COHERENT_TAIL``.
     """
     required = coherent_required_cutoff(alpha)
     if cutoff is None:
@@ -155,24 +116,13 @@ def coherent_state(alpha: complex, cutoff: int | None = None, *,
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     _capped(cutoff)
-    if cutoff < required and not allow_truncation \
-            and coherent_poisson_tail(alpha, cutoff) > COHERENT_TAIL:
-        raise CutoffError(
-            f"cutoff {cutoff} below {required} required for |alpha|={abs(alpha):.3g} "
-            f"(tail mass {coherent_poisson_tail(alpha, cutoff):.2e}); "
-            "pass allow_truncation=True to override"
-        )
-    n = np.arange(cutoff)
     r = abs(alpha)
     if r == 0.0:
-        amps = np.zeros(cutoff, dtype=np.complex128)
-        amps[0] = 1.0
-        return ControlState(cutoff, amps)
-    log_factorial = _log_factorials()[:cutoff]
-    log_mag = -0.5 * r * r + n * math.log(r) - 0.5 * log_factorial
-    amps = np.exp(log_mag + 1j * n * np.angle(alpha))
-    amps /= np.linalg.norm(amps)
-    return ControlState(cutoff, amps)
+        return number_state(0, cutoff)
+    size = max(cutoff, required)
+    n = np.arange(size)
+    log_mag = -0.5 * r * r + n * math.log(r) - 0.5 * _log_factorials()[:size]
+    return _truncated(np.exp(log_mag + 1j * n * np.angle(alpha)), cutoff, COHERENT_TAIL)
 
 
 def number_state(n: int, cutoff: int) -> ControlState:
@@ -224,22 +174,10 @@ def squeezed_coherent_state(alpha: complex, r: float,
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     _capped(cutoff)
-    workspace = cutoff + 64
-    c = _squeezed_amplitudes(alpha, r, workspace)
-    total = float(np.sum(np.abs(c) ** 2))
-    head = float(np.sum(np.abs(c[-8:]) ** 2))
-    if head > 1e-18 * total:
-        workspace = cutoff + 512
-        c = _squeezed_amplitudes(alpha, r, workspace)
-        total = float(np.sum(np.abs(c) ** 2))
-    tail = float(np.sum(np.abs(c[cutoff:]) ** 2)) / total
-    if tail > SQUEEZED_TAIL:
-        raise CutoffError(
-            f"tail mass {tail:.3e} beyond cutoff {cutoff} exceeds {SQUEEZED_TAIL}"
-        )
-    amps = c[:cutoff]
-    amps = amps / np.linalg.norm(amps)
-    return ControlState(cutoff, amps)
+    c = _squeezed_amplitudes(alpha, r, cutoff + 64)
+    if np.sum(np.abs(c[-8:]) ** 2) > 1e-18 * np.sum(np.abs(c) ** 2):
+        c = _squeezed_amplitudes(alpha, r, cutoff + 512)
+    return _truncated(c, cutoff, SQUEEZED_TAIL)
 
 
 def overlap(lhs: ControlState, rhs: ControlState) -> complex:

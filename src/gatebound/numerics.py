@@ -24,6 +24,16 @@ MAX_PANELS = 256    # panels per drive segment before the drive integral gives u
 PANEL_RTOL = 1e-12  # agreement of two successive panel levels that stops the doubling
 
 
+# The nonnegative nodes and their weights, in the bits numpy.polynomial's
+# leggauss(16) gives them (its nodes and weights are symmetric bit for bit).
+_GL_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+             0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+             0.9445750230732326, 0.9894009349916499)
+_GL_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+               0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+               0.062253523938647456, 0.027152459411754176)
+
+
 @lru_cache(maxsize=1)
 def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes x, weights w and spectral integration matrix S on [-1, 1].
@@ -34,8 +44,13 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     own discrete orthogonality, which is exact at this degree.
     """
     n = PANEL_NODES
-    x, w = np.polynomial.legendre.leggauss(n)
-    P = np.polynomial.legendre.legvander(x, n)  # P[j, m] = P_m(x_j), m = 0..n
+    half = np.array(_GL_NODES)
+    x = np.concatenate((-half[::-1], half))
+    w = np.array(_GL_WEIGHTS[::-1] + _GL_WEIGHTS)
+    P = np.empty((n, n + 1))  # P[j, m] = P_m(x_j), m = 0..n, by legvander's recurrence
+    P[:, 0], P[:, 1] = 1.0, x
+    for m in range(2, n + 1):
+        P[:, m] = (P[:, m - 1] * x * (2 * m - 1) - P[:, m - 2] * (m - 1)) / m
     integrated = np.empty((n, n))               # int_{-1}^{x_j} P_m
     integrated[:, 0] = x + 1.0
     integrated[:, 1:] = (P[:, 2:] - P[:, :-2]) / (2.0 * np.arange(1, n) + 1.0)

@@ -248,7 +248,9 @@ def nonlinear_reduce(p_power: int, envelope: Callable[[float], float],
     |w_k| int |E|^{p-1} in every coefficient.  Levels that still disagree
     at ``REDUCE_MAX_PANELS`` panels raise :class:`IntegrationError`, and so
     does, before any envelope sample, a mode whose first doubling would
-    pass that cap.
+    pass that cap.  An :class:`~gatebound.envelopes.Envelope` splits the
+    window at its ``breakpoints``, and each segment runs its own doubling;
+    a bare callable declares none.
     """
     if p_power < 1:
         raise ValueError("p_power must be >= 1")
@@ -260,34 +262,39 @@ def nonlinear_reduce(p_power: int, envelope: Callable[[float], float],
         coeffs = _coefficients(omegas, weights, (t0, t1))
         return NonlinearReduction(1, tuple(zip(omegas, coeffs)), (t0, t1))
 
-    radians = max(omegas, default=0.0) * (t1 - t0)
+    edges = [t0, *sorted(t for t in getattr(envelope, "breakpoints", ()) if t0 < t < t1), t1]
+    fastest = max(omegas, default=0.0)
+    radians = fastest * max(hi - lo for lo, hi in zip(edges, edges[1:]))
     if radians > REDUCE_RADIANS_PER_PANEL * REDUCE_MAX_PANELS / 2:
         raise IntegrationError(
             f"{REDUCE_MAX_PANELS * PANEL_NODES} samples cannot resolve the "
             f"{radians:.3g} rad a mode turns through on the window",
             {"radians": radians, "max_panels": REDUCE_MAX_PANELS})
-    panels = 1
-    while radians > REDUCE_RADIANS_PER_PANEL * panels:
-        panels *= 2
     _, w, _ = _panel_rule()
 
-    def level(panels):
-        nodes, h = panel_nodes(t0, t1, panels)
-        nodes = nodes.ravel()
-        power = np.array([float(envelope(t)) for t in nodes.tolist()]) ** (p_power - 1)
-        weighted = h * np.tile(w, panels) * power
-        integrals = np.array([np.exp(-1j * omega * nodes) @ weighted for omega in omegas],
-                             dtype=complex)
-        return _weighted(weights, integrals), np.abs(weights) * np.sum(np.abs(weighted))
+    def segment(lo, hi):
+        def level(panels):
+            nodes, h = panel_nodes(lo, hi, panels)
+            nodes = nodes.ravel()
+            power = np.array([float(envelope(t)) for t in nodes.tolist()]) ** (p_power - 1)
+            weighted = h * np.tile(w, panels) * power
+            integrals = np.array([np.exp(-1j * omega * nodes) @ weighted for omega in omegas],
+                                 dtype=complex)
+            return _weighted(weights, integrals), np.abs(weights) * np.sum(np.abs(weighted))
 
-    def misfit(coarse, fine):
-        error = np.abs(fine[0] - coarse[0])
-        if not np.all(error <= PANEL_RTOL * fine[1]):
-            return {"window": (t0, t1), "error": float(np.max(error)), "rtol": PANEL_RTOL,
-                    "scale": float(np.max(fine[1]))}
+        def misfit(coarse, fine):
+            error = np.abs(fine[0] - coarse[0])
+            if not np.all(error <= PANEL_RTOL * fine[1]):
+                return {"window": (lo, hi), "error": float(np.max(error)), "rtol": PANEL_RTOL,
+                        "scale": float(np.max(fine[1]))}
 
-    coeffs, _ = converged_panels(level, misfit, panels=panels, max_panels=REDUCE_MAX_PANELS,
-                                 what="power-p coefficient integral")
+        panels = 1
+        while fastest * (hi - lo) > REDUCE_RADIANS_PER_PANEL * panels:
+            panels *= 2
+        return converged_panels(level, misfit, panels=panels, max_panels=REDUCE_MAX_PANELS,
+                                what="power-p coefficient integral")[0]
+
+    coeffs = np.sum([segment(lo, hi) for lo, hi in zip(edges, edges[1:])], axis=0)
     return NonlinearReduction(p_power, tuple(zip(omegas, (complex(c) for c in coeffs))), (t0, t1))
 
 
@@ -422,27 +429,22 @@ def random_feasible_pulse(rng: np.random.Generator, epsilon: float, n_modes: int
     Draws, in this order: log-uniform frequencies, the real and imaginary
     parts of the couplings, the error fraction u in [0.2, 1) and the real
     and imaginary parts of the amplitudes (see :func:`_project`).  Raises
-    :class:`SamplingError` when 64 draws in a row are degenerate (zero
-    error or zero phase).
+    :class:`SamplingError` on a degenerate draw (zero error or zero phase).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     lo, hi = _log_omega_range(window)
-    for _ in range(64):
-        omegas = np.exp(rng.uniform(lo, hi, n_modes))
-        gs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        error = float(_error(_coefficients(omegas, gs, window)))
-        if error == 0.0:
-            continue
-        u = rng.uniform(0.2, 1.0)
-        alphas = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        gs, alphas, phase = _project(omegas, gs, error, u, alphas, epsilon, window)
-        if abs(phase) < 1e-9:
-            continue
-        return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
-    raise SamplingError("failed to draw a feasible pulse in 64 tries (degenerate random stream)")
+    omegas = np.exp(rng.uniform(lo, hi, n_modes))
+    gs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    error = _error(_coefficients(omegas, gs, window))
+    u = rng.uniform(0.2, 1.0)
+    alphas = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    gs, alphas, phase = _project(omegas, gs, error, u, alphas, epsilon, window)
+    if error == 0.0 or abs(phase) < 1e-9:
+        raise SamplingError("degenerate random draw: no feasible pulse (zero error or phase)")
+    return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
 
 
 SCREEN_MODES = 3  # random_feasible_ratios draws 1..SCREEN_MODES modes per pulse
@@ -501,37 +503,18 @@ def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int)
     random_feasible_pulse(rng, epsilon, n), epsilon).ratio`` drawn one pulse
     at a time, and ``rng`` ends in the same state.  A Python loop makes the
     draws; the projection and the ratio then run as one array pass per mode
-    count, with no :class:`PulseSpec` or report per pulse.
-
-    A degenerate draw (zero error or zero phase) makes
-    :func:`random_feasible_pulse` redraw, which shifts the stream of every
-    later pulse.  So when pulse j is degenerate, the generator goes back to
-    its state at entry, the draws of pulses 0..j-1 are replayed, pulse j is
-    drawn by :func:`random_feasible_pulse` itself, and the array pass
-    resumes on the pulses after it.
+    count, with no :class:`PulseSpec` or report per pulse.  A degenerate
+    draw (zero error or zero phase) raises :class:`SamplingError`, as
+    :func:`random_feasible_pulse` does on the same draw.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if count < 0:
         raise ValueError("count must be >= 0")
-    lo, hi = _log_omega_range(SCREEN_WINDOW)
-    ratios = np.empty(count)
-    done = 0
-    while done < count:
-        entry = rng.bit_generator.state
-        screened, degenerate = _screen(*_draws(rng, lo, hi, count - done), epsilon)
-        bad = np.flatnonzero(degenerate)
-        if bad.size == 0:
-            ratios[done:] = screened
-            break
-        j = int(bad[0])
-        ratios[done:done + j] = screened[:j]
-        rng.bit_generator.state = entry
-        _draws(rng, lo, hi, j)
-        n_modes = int(rng.integers(1, SCREEN_MODES + 1))
-        pulse = random_feasible_pulse(rng, epsilon, n_modes, SCREEN_WINDOW)
-        ratios[done + j] = energy_bound_check(pulse, epsilon).ratio
-        done += j + 1
+    ratios, degenerate = _screen(*_draws(rng, *_log_omega_range(SCREEN_WINDOW), count), epsilon)
+    if degenerate.any():
+        raise SamplingError(f"degenerate random draw at pulse {np.argmax(degenerate)}: "
+                            "no feasible pulse (zero error or phase)")
     return ratios
 
 

@@ -3,9 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
-from scipy.special import gammainc, gammaln
+from scipy.special import gammaln
 
 from gatebound import (
     ControlState,
@@ -69,35 +69,39 @@ def test_coherent_tail_against_high_precision_poisson():
     assert abs(_norm_sq(state) - 1.0) < 1e-12
 
 
-def _deepest_cutoff(lam):
-    """Largest cutoff whose Poisson tail at mean lam is still >= 1e-300 (1 if none)."""
-    lo, hi = 1, int(lam + 60.0 * math.sqrt(lam) + 400.0)
-    if not gammainc(lo, lam) >= 1e-300:
-        return lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if gammainc(mid, lam) >= 1e-300 else (lo, mid)
-    return lo
+def _truncated_coherent(alpha, cutoff):
+    """|alpha> cut to ``cutoff`` levels and renormalised, whatever mass the cut drops."""
+    amps = coherent_state(alpha, max(cutoff, coherent_required_cutoff(alpha))).amplitudes
+    return ControlState(cutoff, amps[:cutoff] / np.linalg.norm(amps[:cutoff]))
 
 
-# |alpha| = 93 is about the largest amplitude whose required cutoff fits MAX_CUTOFF
+# |alpha| = 93 is about the largest amplitude whose required cutoff fits
+# MAX_CUTOFF.  z puts the cutoff z standard deviations above the mean photon
+# number, so the draws crowd the threshold near z ~ 7; the examples reach the
+# ends, cutoff 1 and required - 1.
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(r=st.floats(0.0, 93.0), depth=st.floats(0.0, 1.0))
-@example(r=0.0, depth=0.5)
-@example(r=93.0, depth=0.0)   # cutoff 1 << |alpha|^2: tail ~ 1
-@example(r=20.0, depth=0.05)  # cutoff just below |alpha|^2
-@example(r=93.0, depth=1.0)   # tail ~ 1e-300
-def test_coherent_poisson_tail_matches_the_incomplete_gamma(r, depth):
+@given(r=st.floats(0.1, 93.0), phase=st.floats(-math.pi, math.pi), z=st.floats(0.0, 13.0))
+@example(r=93.0, phase=0.0, z=-100.0)  # cutoff 1, tail ~ 1
+@example(r=0.1, phase=1.0, z=-3.0)     # cutoff 1, tail ~ 1e-2
+@example(r=93.0, phase=0.0, z=100.0)   # cutoff required - 1
+@example(r=0.1, phase=0.0, z=100.0)
+def test_coherent_state_raises_exactly_when_the_poisson_tail_breaks_the_contract(r, phase, z):
+    alpha = r * complex(math.cos(phase), math.sin(phase))
     lam = r * r
-    cutoff = 1 + round(depth * (_deepest_cutoff(lam) - 1))
-    tail = fock.coherent_poisson_tail(r, cutoff)
+    required = coherent_required_cutoff(alpha)
+    cutoff = min(required - 1, max(1, math.ceil(lam + z * math.sqrt(max(lam, 1.0)))))
     with mpmath.workdps(30):
-        exact = float(mpmath.gammainc(cutoff, 0, lam, regularized=True))
-    assert abs(tail - exact) <= 1e-12 * exact
-    # scipy's incomplete gamma is itself off the exact tail by up to 1.5e-11 in
-    # tails near 1e-290 (20,000 draws against mpmath), so it gets twice that
-    reference = float(gammainc(cutoff, lam))
-    assert abs(tail - reference) <= 3e-11 * reference
+        tail = float(mpmath.gammainc(cutoff, 0, lam, regularized=True))
+    # the summed tail is good to about eps * lam * log(lam) relative
+    assume(abs(tail - fock.COHERENT_TAIL) > 1e-9 * fock.COHERENT_TAIL)
+    if tail > fock.COHERENT_TAIL:
+        with pytest.raises(CutoffError, match=f"beyond cutoff {cutoff} "):
+            coherent_state(alpha, cutoff)
+    else:
+        state = coherent_state(alpha, cutoff)
+        assert state.cutoff == cutoff
+        assert np.max(np.abs(state.amplitudes - _truncated_coherent(alpha, cutoff).amplitudes)) \
+            <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.7, 2.5, 6.0, 16.0, 4 + 1j, -3.2 + 2.2j, 50.0, 93.0])
@@ -158,8 +162,6 @@ def test_quadrature_eigh_pairs_each_eigenvalue_with_its_negative(cutoff):
 def test_coherent_rejects_small_cutoff_without_override():
     with pytest.raises(CutoffError):
         coherent_state(2.0, cutoff=10)
-    state = coherent_state(2.0, cutoff=10, allow_truncation=True)
-    assert abs(_norm_sq(state) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("alpha", [1e200, math.inf, complex(0.0, math.nan)])
@@ -254,7 +256,7 @@ def test_ladder_action():
     assert np.allclose(np.diag(num), np.arange(6))
     # the banded drive action is the dense f a† + conj(f) a
     f = 0.3 - 0.7j
-    psi = coherent_state(0.5 + 0.2j, 6, allow_truncation=True).amplitudes
+    psi = _truncated_coherent(0.5 + 0.2j, 6).amplitudes
     dense = (f * adag + np.conj(f) * a) @ psi
     assert np.max(np.abs(fock.drive_action(f, psi) - dense)) < 1e-15
 
@@ -315,7 +317,7 @@ def test_evolve_zero_hamiltonian_is_identity():
        cutoff=st.integers(2, 60))
 def test_evolve_keeps_norm_on_random_drives(c1, c2, alpha, T, cutoff):
     drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
-    state = coherent_state(alpha, cutoff, allow_truncation=True)
+    state = _truncated_coherent(alpha, cutoff)
     out = _propagate_per_segment(state, drive, drive, 1e-9)
     assert abs(_norm_sq(out) - 1.0) <= 1e-12
 
@@ -388,7 +390,7 @@ def _fast_and_dense(drive, state):
        cutoff=st.integers(2, 60))
 def test_evolve_drive_sample_matches_dense_sampler(c1, c2, alpha, T, cutoff):
     drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
-    state = coherent_state(alpha, cutoff, allow_truncation=True)
+    state = _truncated_coherent(alpha, cutoff)
     (fast, fast_samples), (reference, dense_samples) = _fast_and_dense(drive, state)
     assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
     assert fast_samples == dense_samples
@@ -403,7 +405,7 @@ def _sign_changing_drive(c, T):
 @given(c=complex_unit, alpha=complex_unit, T=st.floats(0.5, 1.5), cutoff=st.integers(2, 60))
 def test_evolve_constant_phase_drive_matches_dense_sampler(c, alpha, T, cutoff):
     drive = _sign_changing_drive(c, T)
-    state = coherent_state(alpha, cutoff, allow_truncation=True)
+    state = _truncated_coherent(alpha, cutoff)
     (fast, fast_samples), (reference, dense_samples) = _fast_and_dense(drive, state)
     assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
     assert fast_samples == dense_samples

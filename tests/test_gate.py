@@ -407,8 +407,8 @@ def test_carrier_drive_matches_oracle(g, omega, T, alpha):
     # V = g(a + a†) under H0 = omega a†a is the interaction-picture carrier
     # f(t) = g e^{i omega t}.  Its samples do not commute, so the oracle's
     # Magnus phase is nonzero and the exact route's time ordering is tested.
-    cutoff = 40
-    control = coherent_state(alpha, cutoff, allow_truncation=True)
+    cutoff = 40  # at least coherent_required_cutoff(alpha), 36 at alpha = 1.2
+    control = coherent_state(alpha, cutoff)
     drive = LinearDrive(lambda t: g * np.exp(1j * omega * t), T)
     scenario = GateScenario(control, drive)
     assert drive_integrals(drive).magnus_phase != 0.0

@@ -1,6 +1,9 @@
-"""The collision chains' quadrature and ODE solver against scipy's.
+"""The package's integrators against their references: the Gauss-Legendre
+panel rule against numpy.polynomial's, the collision chains' quadrature and
+ODE solver against scipy's.
 
-scipy.integrate is only a reference here: gatebound itself loads no scipy.
+numpy.polynomial and scipy.integrate are only references here: gatebound
+itself loads neither.
 """
 
 import math
@@ -23,6 +26,28 @@ from gatebound.errors import IntegrationError
 from gatebound.numerics import _dop853, quad
 
 PI = math.pi
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre panel rule
+# ---------------------------------------------------------------------------
+
+def test_panel_rule_keeps_the_bits_of_numpys_legendre_rule():
+    # the tabulated nodes and weights are leggauss's, and the recurrence is
+    # legvander's, so the nodes, weights and integration matrix S keep the
+    # bits they had when the rule was built from numpy.polynomial
+    from numpy.polynomial import legendre
+    n = numerics.PANEL_NODES
+    ref_x, ref_w = legendre.leggauss(n)
+    P = legendre.legvander(ref_x, n)
+    integrated = np.empty((n, n))
+    integrated[:, 0] = ref_x + 1.0
+    integrated[:, 1:] = (P[:, 2:] - P[:, :-2]) / (2.0 * np.arange(1, n) + 1.0)
+    lagrange = (np.arange(n) + 0.5)[:, None] * P[:, :n].T * ref_w
+    x, w, S = numerics._panel_rule()
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(w, ref_w)
+    assert np.array_equal(S, integrated @ lagrange)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from gatebound import (
+    Envelope,
     PulseSpec,
     SamplingError,
     adversarial_pulse_search,
@@ -22,6 +23,7 @@ from gatebound import (
     random_feasible_ratios,
     single_mode_equality_pulse,
     squeezed_energy,
+    triangle,
 )
 from gatebound.cli import main
 from gatebound.errors import IntegrationError
@@ -329,6 +331,27 @@ def test_nonlinear_reduce_rejects_an_undeclared_jump():
     assert diagnostics["error"] > diagnostics["rtol"] * diagnostics["scale"]
 
 
+def test_nonlinear_reduce_splits_the_window_at_declared_breakpoints():
+    # the triangle's kink at t = 0.5 is never a panel edge of the window
+    # (0, 0.7): on one segment the levels agreed only after 2,097,136
+    # envelope samples.  Split there, each segment's E is linear.
+    shape, times = triangle(1.0), []
+
+    def counted(t):
+        times.append(t)
+        return shape.fn(t)
+
+    envelope = Envelope(counted, shape.duration, shape.integral, shape.breakpoints)
+    reduction = nonlinear_reduce(2, envelope, (0.0, 0.7), [(1.0, 1.0)])
+    # E = 4t up to 0.5 and 4(1 - t) after; A and B are antiderivatives of
+    # t e^{-it} and e^{-it}
+    A = lambda t: cmath.exp(-1j * t) * (1j * t + 1.0)
+    B = lambda t: 1j * cmath.exp(-1j * t)
+    exact = 4.0 * (A(0.5) - A(0.0) + B(0.7) - B(0.5) - A(0.7) + A(0.5))
+    assert abs(reduction.coefficients[0][1] - exact) <= 1e-12
+    assert len(times) <= 0.01 * 2_097_136
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.floats(math.log(0.1), math.log(1e5)).map(math.exp)
        .filter(lambda omega: abs(omega - 2.0 * PI) > 0.1))
@@ -547,7 +570,6 @@ class _ZeroNormalGenerator:
 
     def __init__(self, *args, **kwargs):
         self._rng = np.random.Generator(np.random.PCG64(0))
-        self.bit_generator = self._rng.bit_generator
 
     def integers(self, *args, **kwargs):
         return self._rng.integers(*args, **kwargs)
@@ -570,21 +592,19 @@ def _sequential_pulse(rng, epsilon, n_modes, window=(0.0, 1.0)):
     """Reference: one feasible pulse, projected with NumPy's complex products."""
     t0, t1 = window
     span = t1 - t0
-    for _ in range(64):
-        omegas = np.exp(rng.uniform(math.log(0.5 / span), math.log(20.0 / span), n_modes))
-        gs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        error = float(np.sum(np.abs(_coefficients(omegas, gs, window)) ** 2))
-        if error == 0.0:
-            continue
-        gs *= math.sqrt(epsilon * rng.uniform(0.2, 1.0) / error)
-        coeffs = _coefficients(omegas, gs, window)
-        alphas = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-        phase = 2.0 * float(np.sum(coeffs * alphas).real)
-        if abs(phase) < 1e-9:
-            continue
-        alphas *= PI / phase
-        return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
-    raise SamplingError("failed to draw a feasible pulse in 64 tries (degenerate random stream)")
+    omegas = np.exp(rng.uniform(math.log(0.5 / span), math.log(20.0 / span), n_modes))
+    gs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    error = float(np.sum(np.abs(_coefficients(omegas, gs, window)) ** 2))
+    if error == 0.0:
+        raise SamplingError("degenerate draw")
+    gs *= math.sqrt(epsilon * rng.uniform(0.2, 1.0) / error)
+    coeffs = _coefficients(omegas, gs, window)
+    alphas = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    phase = 2.0 * float(np.sum(coeffs * alphas).real)
+    if abs(phase) < 1e-9:
+        raise SamplingError("degenerate draw")
+    alphas *= PI / phase
+    return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
 
 
 def _sequential_ratios(rng, epsilon, count):
@@ -623,28 +643,13 @@ class _ZeroedNormals:
     """A Generator stream whose chosen normal draws of one pulse come out zero.
 
     Pulses are counted by ``integers`` calls and normal draws within a pulse
-    from 0: draws 0 and 1 are a first attempt's couplings, 2 and 3 its
-    amplitudes.  The counters are part of ``bit_generator.state``, so
-    rewinding the stream rewinds them too.
+    from 0: draws 0 and 1 are the couplings, 2 and 3 the amplitudes.
     """
 
     def __init__(self, seed, pulse, draws):
         self._rng = np.random.default_rng(seed)
         self._target, self._draws = pulse, draws
         self._pulse, self._normals = -1, 0
-        self.zeroed = 0
-
-    @property
-    def bit_generator(self):
-        return self
-
-    @property
-    def state(self):
-        return self._rng.bit_generator.state, self._pulse, self._normals
-
-    @state.setter
-    def state(self, value):
-        self._rng.bit_generator.state, self._pulse, self._normals = value
 
     def integers(self, *args, **kwargs):
         self._pulse, self._normals = self._pulse + 1, 0
@@ -657,19 +662,32 @@ class _ZeroedNormals:
         z = self._rng.normal(size=size)
         self._normals += 1
         if self._pulse == self._target and self._normals - 1 in self._draws:
-            self.zeroed += 1
             return np.zeros_like(z)
         return z
 
 
 @pytest.mark.parametrize("draws", [(2, 3), (0, 1)], ids=["zero-phase", "zero-error"])
 @pytest.mark.parametrize("pulse", [0, 17, 99])
-def test_degenerate_draw_replays_to_the_sequential_result(pulse, draws):
-    a, b = _ZeroedNormals(7, pulse, draws), _ZeroedNormals(7, pulse, draws)
-    got = random_feasible_ratios(a, 0.03, 100)
-    assert a.zeroed > 0
-    assert np.array_equal(got, _sequential_ratios(b, 0.03, 100))
-    assert a.bit_generator.state == b.bit_generator.state
+def test_degenerate_draw_raises_on_the_same_pulse_in_sequence(pulse, draws):
+    with pytest.raises(SamplingError, match=f"at pulse {pulse}:"):
+        random_feasible_ratios(_ZeroedNormals(7, pulse, draws), 0.03, 100)
+    rng = _ZeroedNormals(7, pulse, draws)
+    for _ in range(pulse):
+        random_feasible_pulse(rng, 0.03, int(rng.integers(1, 4)))
+    with pytest.raises(SamplingError, match="feasible pulse"):
+        random_feasible_pulse(rng, 0.03, int(rng.integers(1, 4)))
+
+
+def test_fixed_seed_streams_draw_no_degenerate_pulse():
+    # a degenerate draw raises, so the fixed-seed runs rely on none occurring:
+    # criterion 4's screen, and the restarts of pulse-bound --budget 2000
+    # (17 restarts of one mode) at seeds 0 and 7
+    rng = np.random.default_rng(np.random.SeedSequence([20260809, 4]))
+    assert random_feasible_ratios(rng, 0.01, 1000).shape == (1000,)
+    for seed in (0, 7):
+        for restart in range(17):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
+            random_feasible_pulse(rng, 0.01, 1)
 
 
 def test_random_feasible_pulse_rejects_an_epsilon_outside_0_1():
