@@ -535,8 +535,6 @@ def _csv_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
     if v is None:
         return ""
     return str(v)
@@ -568,21 +566,8 @@ def atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-class _JsonEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, complex):
-            return [o.real, o.imag]
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
-
-
 def report_json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2, cls=_JsonEncoder) + "\n").encode("utf-8")
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def write_artifacts(out_dir: Path, table, report: dict, *, plot=None,

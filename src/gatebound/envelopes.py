@@ -3,8 +3,7 @@
 The gate studies switch their interaction on and off through a complex
 drive f(t) multiplying the ladder operators.  The envelope primitives here
 vanish identically at t = 0 and t = duration (and outside the window), so
-the switch-off premise holds by construction; the Gaussian primitive can
-optionally keep its raw (truncated, nonzero-endpoint) form for diagnostics.
+the switch-off premise holds by construction.
 """
 
 from __future__ import annotations
@@ -57,14 +56,8 @@ def triangle(duration: float, area: float = 1.0) -> Envelope:
     return Envelope(fn, duration, area, breakpoints=(duration / 2.0,))
 
 
-def gaussian(duration: float, sigma: float | None = None, area: float = 1.0,
-             subtract_baseline: bool = True) -> Envelope:
-    """Gaussian bump centred at T/2.
-
-    With ``subtract_baseline`` (default) the endpoint value is subtracted so
-    the envelope is exactly zero at t = 0, T; without it the envelope is the
-    raw truncated Gaussian whose endpoints carry mass ~exp(-T^2/8 sigma^2).
-    """
+def gaussian(duration: float, sigma: float | None = None, area: float = 1.0) -> Envelope:
+    """Gaussian bump centred at T/2, minus its endpoint value so it is exactly zero at t = 0, T."""
     if duration <= 0:
         raise ValueError("duration must be positive")
     if sigma is None:
@@ -72,7 +65,7 @@ def gaussian(duration: float, sigma: float | None = None, area: float = 1.0,
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     half = duration / 2.0
-    base = math.exp(-half * half / (2.0 * sigma * sigma)) if subtract_baseline else 0.0
+    base = math.exp(-half * half / (2.0 * sigma * sigma))
     raw_integral = math.sqrt(2.0 * math.pi) * sigma * math.erf(half / (math.sqrt(2.0) * sigma))
     shape_integral = raw_integral - base * duration
     amp = area / shape_integral

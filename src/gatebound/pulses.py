@@ -401,97 +401,58 @@ def _scaled(z: np.ndarray, factor) -> np.ndarray:
     return out
 
 
-def _project(omegas: np.ndarray, gs: np.ndarray, error, u, alphas: np.ndarray,
-             epsilon: float, window: tuple[float, float]):
-    """Rescale each row's couplings onto error eps*u, then its amplitudes onto phase pi.
+def _draw(rng: np.random.Generator, n_modes: int, window: tuple[float, float]) -> tuple:
+    """One random pulse's draws, in stream order: ln omega, Re g, Im g, u, Re alpha, Im alpha.
 
-    ``error`` is the row's error before the rescale and ``u`` its draw in
-    [0.2, 1).  Returns (couplings, amplitudes, phase before the amplitude
-    rescale); a row with zero error or |phase| < 1e-9 is degenerate, and
-    its division by zero is left to the caller to flag.
+    The frequencies are log-uniform on [0.5, 20] / (t1 - t0), the coupling
+    and amplitude parts standard normal and the error fraction u uniform
+    on [0.2, 1).  The complex arrays are formed by :func:`_feasible`.
     """
+    span = window[1] - window[0]
+    return (rng.uniform(math.log(0.5 / span), math.log(20.0 / span), n_modes),
+            rng.normal(size=n_modes), rng.normal(size=n_modes), rng.uniform(0.2, 1.0),
+            rng.normal(size=n_modes), rng.normal(size=n_modes))
+
+
+def _feasible(log_omegas, g_re, g_im, u, a_re, a_im, epsilon: float, window: tuple[float, float]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(omegas, couplings, amplitudes, degenerate) of drawn pulses (see :func:`_draw`).
+
+    The draws are one pulse's or a (rows x modes) stack of them, with one u
+    per row.  Each row's couplings are rescaled onto error eps*u, then its
+    amplitudes (by a real factor) onto phase pi.  A row with zero error or
+    |phase| < 1e-9 before the amplitude rescale is flagged degenerate; its
+    division by zero is left in the arrays.
+    """
+    omegas, gs, alphas = np.exp(log_omegas), g_re + 1j * g_im, a_re + 1j * a_im
+    error = _error(_coefficients(omegas, gs, window))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gs = _scaled(gs, np.sqrt(epsilon * u / error))
         phase = _phase(_coefficients(omegas, gs, window), alphas)
-        return gs, _scaled(alphas, PI / phase), phase
-
-
-def _log_omega_range(window: tuple[float, float]) -> tuple[float, float]:
-    """ln of the drawn frequency range [0.5, 20] / (t1 - t0)."""
-    span = window[1] - window[0]
-    return math.log(0.5 / span), math.log(20.0 / span)
+        alphas = _scaled(alphas, PI / phase)
+    return omegas, gs, alphas, (error == 0.0) | (np.abs(phase) < 1e-9)
 
 
 def random_feasible_pulse(rng: np.random.Generator, epsilon: float, n_modes: int,
                           window: tuple[float, float] = (0.0, 1.0)) -> PulseSpec:
     """Random pulse projected onto phase = pi with error <= eps.
 
-    Draws, in this order: log-uniform frequencies, the real and imaginary
-    parts of the couplings, the error fraction u in [0.2, 1) and the real
-    and imaginary parts of the amplitudes (see :func:`_project`).  Raises
-    :class:`SamplingError` on a degenerate draw (zero error or zero phase).
+    Draws one pulse with :func:`_draw` and projects it with
+    :func:`_feasible`.  Raises :class:`SamplingError` on a degenerate draw
+    (zero error or zero phase).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    lo, hi = _log_omega_range(window)
-    omegas = np.exp(rng.uniform(lo, hi, n_modes))
-    gs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-    error = _error(_coefficients(omegas, gs, window))
-    u = rng.uniform(0.2, 1.0)
-    alphas = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-    gs, alphas, phase = _project(omegas, gs, error, u, alphas, epsilon, window)
-    if error == 0.0 or abs(phase) < 1e-9:
+    omegas, gs, alphas, degenerate = _feasible(*_draw(rng, n_modes, window), epsilon, window)
+    if degenerate:
         raise SamplingError("degenerate random draw: no feasible pulse (zero error or phase)")
     return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
 
 
 SCREEN_MODES = 3  # random_feasible_ratios draws 1..SCREEN_MODES modes per pulse
 SCREEN_WINDOW = (0.0, 1.0)
-
-
-def _draws(rng: np.random.Generator, lo: float, hi: float, count: int
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mode counts, error fractions u and per-mode draws of ``count`` pulses.
-
-    Each pulse draws its mode count n, then in :func:`random_feasible_pulse`
-    order.  ``modes[:, j, :n]`` holds pulse j's ln omega, Re g, Im g,
-    Re alpha and Im alpha; the entries past n are unset.
-    """
-    ns = np.empty(count, dtype=int)
-    us = np.empty(count)
-    modes = np.empty((5, count, SCREEN_MODES))
-    for j in range(count):
-        n = ns[j] = rng.integers(1, SCREEN_MODES + 1)
-        modes[0, j, :n] = rng.uniform(lo, hi, n)
-        modes[1, j, :n] = rng.normal(size=n)
-        modes[2, j, :n] = rng.normal(size=n)
-        us[j] = rng.uniform(0.2, 1.0)
-        modes[3, j, :n] = rng.normal(size=n)
-        modes[4, j, :n] = rng.normal(size=n)
-    return ns, us, modes
-
-
-def _screen(ns: np.ndarray, us: np.ndarray, modes: np.ndarray,
-            epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """(energy/bound ratio, degenerate flag) of each drawn pulse (see :func:`_draws`).
-
-    The pulses are grouped by mode count and each group is projected and
-    scored in one array pass; a degenerate pulse's ratio is meaningless.
-    """
-    ratios = np.empty(ns.size)
-    degenerate = np.empty(ns.size, dtype=bool)
-    for n in range(1, SCREEN_MODES + 1):
-        rows = np.flatnonzero(ns == n)
-        log_om, g_re, g_im, a_re, a_im = modes[:, rows, :n]
-        om, gs, alphas = np.exp(log_om), g_re + 1j * g_im, a_re + 1j * a_im
-        error = _error(_coefficients(om, gs, SCREEN_WINDOW))
-        _, alphas, phase = _project(om, gs, error, us[rows], alphas, epsilon, SCREEN_WINDOW)
-        _, _, energy, bound = _energy_terms(om, alphas, epsilon, 1, 1.0)
-        ratios[rows] = energy / bound
-        degenerate[rows] = (error == 0.0) | (np.abs(phase) < 1e-9)
-    return ratios, degenerate
 
 
 def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int) -> np.ndarray:
@@ -511,7 +472,22 @@ def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int)
         raise ValueError("epsilon must lie in (0, 1)")
     if count < 0:
         raise ValueError("count must be >= 0")
-    ratios, degenerate = _screen(*_draws(rng, *_log_omega_range(SCREEN_WINDOW), count), epsilon)
+    ns = np.empty(count, dtype=int)
+    us = np.empty(count)
+    modes = np.empty((5, count, SCREEN_MODES))  # ln omega, Re g, Im g, Re alpha, Im alpha
+    for j in range(count):
+        n = ns[j] = rng.integers(1, SCREEN_MODES + 1)
+        row = modes[:, j, :n]
+        row[0], row[1], row[2], us[j], row[3], row[4] = _draw(rng, n, SCREEN_WINDOW)
+    ratios = np.empty(count)
+    degenerate = np.empty(count, dtype=bool)
+    for n in range(1, SCREEN_MODES + 1):
+        rows = np.flatnonzero(ns == n)
+        log_om, g_re, g_im, a_re, a_im = modes[:, rows, :n]
+        om, _, alphas, degenerate[rows] = _feasible(log_om, g_re, g_im, us[rows], a_re, a_im,
+                                                    epsilon, SCREEN_WINDOW)
+        _, _, energy, bound = _energy_terms(om, alphas, epsilon, 1, 1.0)
+        ratios[rows] = energy / bound
     if degenerate.any():
         raise SamplingError(f"degenerate random draw at pulse {np.argmax(degenerate)}: "
                             "no feasible pulse (zero error or phase)")
@@ -524,21 +500,23 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     """Randomised local search minimising energy/bound at phase pi, error <= eps.
 
     The budget is split into restarts of at most 120 evaluations: one
-    random feasible pulse (:func:`random_feasible_pulse`) and then up to 119
-    perturbations of one of frequencies, couplings or amplitudes.  A
-    perturbation that lowers energy/bound is kept and widens the step,
-    otherwise the step narrows.  Feasibility is kept at every iterate by
-    projection: couplings are rescaled onto error <= eps and amplitudes
-    rescaled (by a real factor) onto phase = pi.
+    random feasible pulse (drawn and projected as in
+    :func:`random_feasible_pulse`) and then up to 119 perturbations of one
+    of frequencies, couplings or amplitudes.  A perturbation that lowers
+    energy/bound is kept and widens the step, otherwise the step narrows.
+    Feasibility is kept at every iterate by projection: couplings are
+    rescaled onto error <= eps and amplitudes rescaled (by a real factor)
+    onto phase = pi.
 
     All restarts advance in lockstep on (restarts x modes) arrays of
     frequencies, couplings and amplitudes, with one step size and one
     energy/bound ratio per restart.  Each restart draws from its own
     ``SeedSequence([seed, restart])`` generator, so its iterates do not
-    depend on how many restarts run beside it.  Kept moves strictly lower a
-    restart's ratio, so its last iterate is its best; the winner is the
-    first restart with the least ratio, and only it becomes a
-    :class:`PulseSpec` and a report.
+    depend on how many restarts run beside it; a restart past its budget
+    draws on but keeps no move.  A degenerate start raises
+    :class:`SamplingError`.  Kept moves strictly lower a restart's ratio,
+    so its last iterate is its best; the winner is the first restart with
+    the least ratio, and only it becomes a :class:`PulseSpec` and a report.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -553,10 +531,11 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
                        budget - 1 - evals_per_restart * np.arange(n_restarts))
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, restart]))
             for restart in range(n_restarts)]
-    starts = [random_feasible_pulse(rng, epsilon, n_modes, window) for rng in rngs]
-    omegas = np.array([pulse.omegas for pulse in starts])
-    gs = np.array([pulse.couplings for pulse in starts])
-    alphas = np.array([pulse.alphas for pulse in starts])
+    draws = (np.array(column) for column in zip(*(_draw(rng, n_modes, window) for rng in rngs)))
+    omegas, gs, alphas, degenerate = _feasible(*draws, epsilon, window)
+    if degenerate.any():
+        raise SamplingError(f"degenerate random draw at restart {np.argmax(degenerate)}: "
+                            "no feasible pulse (zero error or phase)")
     _, _, energy, bound = _energy_terms(omegas, alphas, epsilon, 1, hbar)
     ratio = energy / bound
     step = np.full(n_restarts, 0.5)
@@ -565,25 +544,25 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     z_im = np.zeros((n_restarts, n_modes))
 
     for k in range(int(moves[0])):
-        live = int(np.count_nonzero(moves > k))  # the restarts still moving: a prefix
-        for r in range(live):
-            which[r] = rngs[r].integers(0, 3)
-            z_re[r] = rngs[r].normal(size=n_modes)
+        # a restart past its budget draws on, from its own stream, but keeps nothing
+        for r, rng in enumerate(rngs):
+            which[r] = rng.integers(0, 3)
+            z_re[r] = rng.normal(size=n_modes)
             if which[r]:
-                z_im[r] = rngs[r].normal(size=n_modes)
-        om, g, al = omegas[:live].copy(), gs[:live].copy(), alphas[:live].copy()
-        s, move, zr = step[:live, None], which[:live], z_re[:live]
-        z = zr + 1j * z_im[:live]
-        m = move == 0
-        om[m] = om[m] * np.exp(s[m] * zr[m] * 0.3)
-        m = move == 1
+                z_im[r] = rng.normal(size=n_modes)
+        om, g, al = omegas.copy(), gs.copy(), alphas.copy()
+        s = step[:, None]
+        z = z_re + 1j * z_im
+        m = which == 0
+        om[m] = om[m] * np.exp(s[m] * z_re[m] * 0.3)
+        m = which == 1
         g[m] = g[m] * (1.0 + s[m] * z[m] * 0.3)
-        m = move == 2
+        m = which == 2
         al[m] = al[m] + s[m] * z[m] * np.mean(np.abs(al[m]), axis=-1, keepdims=True)
 
         # rejected rows are masked out by `ok`; their inf/nan stays there
         with np.errstate(divide="ignore", invalid="ignore"):
-            ok = np.all(om > 0, axis=-1)
+            ok = (moves > k) & np.all(om > 0, axis=-1)
             integral = mode_window_integral(om, window)
             coeffs = _weighted(g, integral)
             error = _error(coeffs)
@@ -597,13 +576,13 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
             _, _, energy, bound = _energy_terms(om, al, epsilon, 1, hbar)
             candidate = energy / bound
 
-        kept = ok & (candidate < ratio[:live])
-        step[:live] = np.where(kept, np.minimum(0.5, step[:live] * 1.3),
-                               np.where(ok, np.maximum(1e-4, step[:live] * 0.93), step[:live]))
-        ratio[:live][kept] = candidate[kept]
-        omegas[:live][kept] = om[kept]
-        gs[:live][kept] = g[kept]
-        alphas[:live][kept] = al[kept]
+        kept = ok & (candidate < ratio)
+        step = np.where(kept, np.minimum(0.5, step * 1.3),
+                        np.where(ok, np.maximum(1e-4, step * 0.93), step))
+        ratio[kept] = candidate[kept]
+        omegas[kept] = om[kept]
+        gs[kept] = g[kept]
+        alphas[kept] = al[kept]
 
     best = int(np.argmin(ratio))
     winner = PulseSpec(tuple(zip(omegas[best], gs[best], alphas[best])), window)

@@ -411,6 +411,22 @@ def test_bad_parameter_values_exit_2(tmp_path, capsys):
                  "--param", "alpha=abc", "--output", str(tmp_path / "f")]) == 2
     assert "'alpha'" in capsys.readouterr().err
     assert not (tmp_path / "f").exists()
+    sweep = ["sweep", "--command", "squeeze-opt", "--axis", "epsilon", "--values", "0.1"]
+    for config, argv, named in (
+        ({"command": "pulse-bound", "params": {"epsilon": [0.1]}}, ["run"], "'epsilon'"),
+        ({"command": "gate-sim", "params": {"alpha": 2, "envelope": "square"}}, ["run"],
+         "--envelope"),
+        (None, [*sweep, "--param", "nosuch=1"], "'nosuch'"),
+        (None, [*sweep, "--param", "epsilon"], "'epsilon'"),
+        (None, ["sweep", "--command", "squeeze-opt", "--axis", "nosuch", "--values", "0.1"],
+         "'nosuch'"),
+    ):
+        out = tmp_path / "g"
+        if config is not None:
+            argv = [*argv, "--config", _write_config(tmp_path, config)]
+        assert main([*argv, "--output", str(out)]) == 2, argv
+        assert named in capsys.readouterr().err, argv
+        assert not out.exists()
 
 
 def _raise_key_error(params, ctx, seed):
@@ -464,11 +480,25 @@ def test_verify_all_empty_criteria_exits_2(tmp_path):
     assert not (out / "verification.csv").exists()
 
 
-def test_malformed_config_exits_2(tmp_path):
+def test_malformed_config_exits_2(tmp_path, capsys):
     params_list = _write_config(tmp_path, {"command": "squeeze-opt", "params": ["epsilon"]})
     assert main(["run", "--config", params_list, "--output", str(tmp_path / "a")]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--output", str(tmp_path / "b")]) == 2
+    squeeze = {"epsilon": 1e-4, "gate_time": 1.0}
+    for config, argv, named in (
+        ({"command": "squeeze-opt", "units": "cgs", "params": squeeze}, ["run"],
+         "unit system 'cgs'"),
+        ([{"command": "squeeze-opt"}], ["run"], "JSON object"),
+        ({"params": squeeze}, ["run"], "'command'"),
+        ({"params": squeeze}, ["sweep", "--axis", "epsilon", "--values", "0.1"], "--command"),
+        ({"command": "squeeze-opt", "params": squeeze}, ["sweep"], "--axis and --values"),
+    ):
+        out = tmp_path / "c"
+        assert main([*argv, "--config", _write_config(tmp_path, config),
+                     "--output", str(out)]) == 2, argv
+        assert named in capsys.readouterr().err, argv
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("envelope, segments", [("raised-cosine", 1), ("triangle", 2)])

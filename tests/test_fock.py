@@ -357,6 +357,32 @@ def test_evolve_step_budget_failure_carries_diagnostics(monkeypatch):
     assert "steps" in err.value.diagnostics
 
 
+def test_evolve_rejects_a_non_finite_state():
+    with pytest.raises(IntegrationError, match="non-finite state during propagation") as err:
+        evolve(number_state(1, 8), lambda t: complex(math.nan), 0.0, 1.0, 1e-8)
+    assert set(err.value.diagnostics) == {"t", "h", "steps"}
+
+
+def test_evolve_raises_on_step_size_underflow():
+    # a drive whose phase turns has a nonzero step-doubling error, which no
+    # step above 1e-14 of the window brings below tol = 1e-300
+    with pytest.raises(IntegrationError, match="step-size underflow") as err:
+        evolve(number_state(1, 8), lambda t: 1 + 0.5j * t, 0.0, 1.0, 1e-300)
+    assert set(err.value.diagnostics) == {"t", "h", "error_estimate", "tol", "steps"}
+    assert err.value.diagnostics["h"] <= 1e-14
+
+
+def test_evolve_raises_on_norm_drift(monkeypatch):
+    # rounding alone may leave |psi|^2 exactly 1, so a stand-in doubles the
+    # exit state; a zero drive never leaves the number basis inside the loop
+    to_number_basis = fock._to_number_basis
+    monkeypatch.setattr(fock, "_to_number_basis",
+                        lambda psi, frame: 2.0 * to_number_basis(psi, frame))
+    with pytest.raises(IntegrationError, match="norm drift exceeded tolerance") as err:
+        evolve(number_state(1, 8), lambda t: 0j, 0.0, 1.0, 1e-8)
+    assert err.value.diagnostics == {"in_norm_sq": 1.0, "out_norm_sq": 4.0, "tol": 1e-8}
+
+
 @PROPERTY
 @given(cutoff=st.integers(2, 200), g=st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
        h=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))

@@ -558,6 +558,20 @@ def test_lockstep_search_matches_reference_on_benchmark_case():
                        _sequential_search(0.01, 1, 2000, 0))
 
 
+def test_search_builds_one_pulse_spec(monkeypatch):
+    # the restarts start from arrays; only the winner becomes a PulseSpec
+    built = []
+    post_init = PulseSpec.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PulseSpec, "__post_init__", counted)
+    adversarial_pulse_search(0.01, 1, 2000, 0)
+    assert len(built) == 1
+
+
 def test_search_validates_before_drawing():
     for epsilon, n_modes, budget in ((0.0, 1, 10), (1.0, 1, 10), (-0.1, 1, 10),
                                      (0.1, 0, 10), (0.1, 1, 0)):
