@@ -75,7 +75,6 @@ from .heuristic import (
     heuristic_energy_bound,
     misoverlap,
     misoverlap_optimal,
-    optimal_heuristic_wavepacket,
 )
 from .pulses import (
     PulseSpec,

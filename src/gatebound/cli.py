@@ -122,7 +122,6 @@ class Command:
     help: str
     params: tuple[Param, ...]
     run: Callable
-    columns_doc: str
     plot: tuple[str, str, bool, bool]  # xkey, ykey, logx, logy
 
 
@@ -335,7 +334,7 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
     cfg = collision.calibrated_harmonic(cfg)
     hv = collision.error_variance_harmonic(cfg)
     report = collision.harmonic_energy_bound(cfg, params["epsilon"])
-    probe = collision.squeezing_consistency_probe(cfg, params["epsilon"])
+    probe = collision.squeezing_consistency_probe(cfg)
     ratio = collision.harmonic_constraint_ratio(cfg)
     row = [
         ("m", f"mass_{ctx.unit('kg')}", params["m"]),
@@ -414,7 +413,6 @@ _register(Command(
         Param("omega", float, "oscillator frequency for the control energy (rad/s)", default=1.0),
     ),
     cmd_counterexample,
-    "columns: n, g_rad_per_s, duration_s, failure_probability, phase_residual_hbar, switch residuals",
     plot=("n", "p", False, False),
 ))
 _register(Command(
@@ -427,7 +425,6 @@ _register(Command(
         Param("tol", float, "propagation tolerance", default=1e-9),
     ),
     cmd_gate_sim,
-    "columns: alpha_abs, alpha_sq, p_exact, p_oracle, p_perturbative, p_times_alpha_sq, ...",
     plot=("alpha_sq", "p_exact", True, True),
 ))
 _register(Command(
@@ -439,7 +436,6 @@ _register(Command(
         Param("omega", float, "frequency of the equality construction (rad/s)", default=1.0),
     ),
     cmd_pulse_bound,
-    "columns: construction, phase_rad, error, photon_number, mean_omega, energy, bound, ratio, satisfied",
     plot=("error", "energy", True, True),
 ))
 _register(Command(
@@ -450,7 +446,6 @@ _register(Command(
         Param("gate_time", float, "gate time for the linewidth combination (s)"),
     ),
     cmd_squeeze_opt,
-    "columns: epsilon, omega_rad_per_s, r_star, e_min, e_min_over_hbar_omega, ...",
     plot=("epsilon", "e_min", True, True),
 ))
 _register(Command(
@@ -466,7 +461,6 @@ _register(Command(
         Param("duration", float, "window length (s)", default=1.0),
     ),
     cmd_nonlinear_bound,
-    "columns: p_power, effective_coefficient_abs, phase_rad, error, energy, bound, bound_over_linear",
     plot=("p_power", "bound", False, True),
 ))
 _register(Command(
@@ -477,10 +471,10 @@ _register(Command(
         Param("b", float, "impact parameter", required=True),
         Param("duration", float, "interaction window T (s)", required=True),
         Param("n", float, "power-law exponent (> 1)", default=2.0),
-        Param("epsilon", float, "error budget in (0,1)", required=True),
+        Param("epsilon", float, "error budget > 0 (>= 1 is flagged epsilon_unphysical)",
+              required=True),
     ),
     cmd_collision_free,
-    "columns: mass, speed, impact_parameter, duration_s, power_law_n, calibrated_coupling, phase, error, energy, bound, ...",
     plot=("b", "energy", False, True),
 ))
 _register(Command(
@@ -490,11 +484,11 @@ _register(Command(
         Param("omega", float, "trap frequency (rad/s)", required=True),
         Param("amplitude", float, "oscillation amplitude A", required=True),
         Param("gap", float, "closest distance b", required=True),
-        Param("epsilon", float, "error budget in (0,1)", required=True),
+        Param("epsilon", float, "error budget > 0 (>= 1 is flagged epsilon_unphysical)",
+              required=True),
         Param("squeeze_r", float, "position squeezing parameter", default=0.0),
     ),
     cmd_collision_harmonic,
-    "columns: mass, trap_omega, amplitude, gap, squeeze_r, calibrated_coupling, sin_over_cos, gap_times_constraint_ratio, ...",
     plot=("gap", "energy", False, True),
 ))
 _register(Command(
@@ -507,7 +501,6 @@ _register(Command(
         Param("n", float, "power-law exponent (> 1)", default=3.0),
     ),
     cmd_return_mismatch,
-    "columns: calibrated_coupling, dx_return, dp_return, phase_space_mismatch, mismatch_ratio_full_over_half, dx_ratio",
     plot=("coupling", "norm", False, True),
 ))
 _register(Command(
@@ -521,7 +514,6 @@ _register(Command(
         Param("dp", float, "explicit momentum width (optional)"),
     ),
     cmd_heuristic,
-    "columns: delta_x, delta_p, misoverlap, misoverlap_optimal, energy, bound, ratio, satisfied",
     plot=("delta_x", "bound", False, True),
 ))
 
@@ -644,11 +636,10 @@ def run_sweep(command_name: str, base_params: dict, axis: str, values: list,
 
 
 def sweep_rows_csv_bytes(command_name: str, base_params: dict, axis: str,
-                         values: list, parallelism: int, seed: int,
-                         units: str = "natural") -> bytes:
-    """CSV bytes of a sweep; used to assert parallelism-independence."""
-    ctx = make_units(units)
-    table, _ = run_sweep(command_name, base_params, axis, values, parallelism, seed, ctx)
+                         values: list, parallelism: int, seed: int) -> bytes:
+    """CSV bytes of a sweep in natural units; used to assert parallelism-independence."""
+    table, _ = run_sweep(command_name, base_params, axis, values, parallelism, seed,
+                         make_units("natural"))
     return rows_to_csv_bytes(*_columns_and_rows(table))
 
 
@@ -675,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--units", choices=("natural", "si"), default=None)
 
     for cmd in COMMANDS.values():
-        p = sub.add_parser(cmd.name, help=cmd.help, description=f"{cmd.help}. {cmd.columns_doc}")
+        p = sub.add_parser(cmd.name, help=cmd.help, description=cmd.help)
         add_common(p)
         for param in cmd.params:
             p.add_argument("--" + param.name.replace("_", "-"), type=param.kind,

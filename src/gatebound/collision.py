@@ -34,7 +34,7 @@ from .errors import (
     UncertaintyError,
 )
 from .numerics import _dop853, quad
-from .report import BoundReport, bound_satisfied
+from .report import BoundReport
 
 PI = math.pi
 PHASE_CALIBRATION_TOL = 1e-6
@@ -270,7 +270,6 @@ def free_energy_bound(cfg: FreeCollisionConfig, epsilon: float) -> BoundReport:
     return BoundReport(
         energy=energy,
         bound=bound,
-        satisfied=bound_satisfied(energy, bound),
         phase=phase,
         error=delta_sq,
         meta=meta,
@@ -440,7 +439,6 @@ def harmonic_energy_bound(cfg: HarmonicCollisionConfig, epsilon: float) -> Bound
     return BoundReport(
         energy=energy,
         bound=bound,
-        satisfied=bound_satisfied(energy, bound),
         phase=PI,
         error=hv.delta_sq,
         meta=meta,
@@ -505,17 +503,13 @@ class SqueezingProbe:
     momentum_mismatch: float
     second_order_proxy: float
     flagged: bool
-    dx_return: float
-    dp_return: float
 
 
 SECOND_ORDER_FLAG_FRACTION = 0.1
 
 
-def squeezing_consistency_probe(cfg: HarmonicCollisionConfig,
-                                epsilon: float) -> SqueezingProbe:
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+def squeezing_consistency_probe(cfg: HarmonicCollisionConfig) -> SqueezingProbe:
+    """:class:`SqueezingProbe` of a config calibrated by :func:`calibrated_harmonic`."""
     hv = error_variance_harmonic(cfg)
     mm = classical_return_mismatch(cfg)
     amplification = math.exp(2.0 * cfg.squeeze_r)
@@ -526,6 +520,4 @@ def squeezing_consistency_probe(cfg: HarmonicCollisionConfig,
         momentum_mismatch=momentum_mismatch,
         second_order_proxy=proxy,
         flagged=proxy > SECOND_ORDER_FLAG_FRACTION * hv.delta_sq,
-        dx_return=mm.dx,
-        dp_return=mm.dp,
     )

@@ -2,8 +2,8 @@
 
 The gate studies switch their interaction on and off through a complex
 drive f(t) multiplying the ladder operators.  The envelope primitives here
-vanish identically at t = 0 and t = duration (and outside the window), so
-the switch-off premise holds by construction.
+have unit area and vanish identically at t = 0 and t = duration (and
+outside the window), so the switch-off premise holds by construction.
 """
 
 from __future__ import annotations
@@ -32,48 +32,46 @@ class Envelope:
         return self.fn(t)
 
 
-def raised_cosine(duration: float, area: float = 1.0) -> Envelope:
-    """(1 - cos(2 pi t / T)) / 2 scaled to the requested area."""
+def raised_cosine(duration: float) -> Envelope:
+    """(1 - cos(2 pi t / T)) / 2 scaled to unit area."""
     if duration <= 0:
         raise ValueError("duration must be positive")
-    amp = area / (duration / 2.0)
+    amp = 1.0 / (duration / 2.0)
 
     def fn(t, _w=2.0 * math.pi / duration, _a=amp):
         return _a * 0.5 * (1.0 - math.cos(_w * t))
 
-    return Envelope(fn, duration, area)
+    return Envelope(fn, duration, 1.0)
 
 
-def triangle(duration: float, area: float = 1.0) -> Envelope:
-    """Symmetric triangle peaking at T/2."""
+def triangle(duration: float) -> Envelope:
+    """Symmetric unit-area triangle peaking at T/2."""
     if duration <= 0:
         raise ValueError("duration must be positive")
-    peak = 2.0 * area / duration
+    peak = 2.0 / duration
 
     def fn(t, _T=duration, _p=peak):
         return _p * (1.0 - abs(2.0 * t / _T - 1.0))
 
-    return Envelope(fn, duration, area, breakpoints=(duration / 2.0,))
+    return Envelope(fn, duration, 1.0, breakpoints=(duration / 2.0,))
 
 
-def gaussian(duration: float, sigma: float | None = None, area: float = 1.0) -> Envelope:
-    """Gaussian bump centred at T/2, minus its endpoint value so it is exactly zero at t = 0, T."""
+def gaussian(duration: float) -> Envelope:
+    """Unit-area Gaussian bump of width sigma = T/10 centred at T/2, minus its
+    endpoint value so it is exactly zero at t = 0, T."""
     if duration <= 0:
         raise ValueError("duration must be positive")
-    if sigma is None:
-        sigma = duration / 10.0
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    sigma = duration / 10.0
     half = duration / 2.0
     base = math.exp(-half * half / (2.0 * sigma * sigma))
     raw_integral = math.sqrt(2.0 * math.pi) * sigma * math.erf(half / (math.sqrt(2.0) * sigma))
     shape_integral = raw_integral - base * duration
-    amp = area / shape_integral
+    amp = 1.0 / shape_integral
 
     def fn(t, _c=half, _s2=2.0 * sigma * sigma, _b=base, _a=amp):
         return _a * (math.exp(-(t - _c) ** 2 / _s2) - _b)
 
-    return Envelope(fn, duration, area)
+    return Envelope(fn, duration, 1.0)
 
 
 ENVELOPES = {

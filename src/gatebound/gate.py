@@ -110,11 +110,9 @@ def pi_phase_drive(envelope, alpha: complex) -> LinearDrive:
     return envelope_drive(envelope, coeff)
 
 
-def coherent_drive_scenario(alpha: complex, drive: LinearDrive, *,
-                            cutoff: int | None = None) -> GateScenario:
+def coherent_drive_scenario(alpha: complex, drive: LinearDrive) -> GateScenario:
     """Scenario with coherent control; cutoff covers alpha plus the drive excursion."""
-    if cutoff is None:
-        cutoff = coherent_required_cutoff(abs(alpha) + drive_excursion(drive) + 0.5)
+    cutoff = coherent_required_cutoff(abs(alpha) + drive_excursion(drive) + 0.5)
     return GateScenario(coherent_state(alpha, cutoff), drive)
 
 

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .collision import powerlaw_log_derivative
+from .collision import optimal_wavepacket, powerlaw_log_derivative
 from .errors import UncertaintyError
-from .report import BoundReport, bound_satisfied
+from .report import BoundReport
 
 PI = math.pi
 
@@ -71,18 +71,17 @@ def displacement_estimates(cfg: HeuristicConfig) -> Displacements:
     )
 
 
-def optimal_heuristic_wavepacket(cfg: HeuristicConfig) -> tuple[float, float]:
-    """(dx, dp) minimising the mis-overlap at dx*dp = hbar/2.
-
-    The optimum equalises the two mis-overlap terms: dx^2 = T hbar / 4m.
-    """
-    dx = math.sqrt(cfg.T * cfg.hbar / (4.0 * cfg.m))
-    return dx, cfg.hbar / (2.0 * dx)
-
-
 def misoverlap(cfg: HeuristicConfig) -> float:
-    """(delta_x/dx)^2 + (delta_p/dp)^2 for the configured or optimal wavepacket."""
-    dx, dp = (cfg.dx, cfg.dp) if cfg.dx is not None else optimal_heuristic_wavepacket(cfg)
+    """(delta_x/dx)^2 + (delta_p/dp)^2 for the configured or optimal wavepacket.
+
+    The optimal wavepacket (:func:`collision.optimal_wavepacket`) equalises
+    the two terms at dx*dp = hbar/2: dx^2 = T hbar / 4m.
+    """
+    if cfg.dx is not None:
+        dx, dp = cfg.dx, cfg.dp
+    else:
+        dx = math.sqrt(optimal_wavepacket(cfg.m, cfg.T, cfg.hbar).dx0_sq)
+        dp = cfg.hbar / (2.0 * dx)
     amp = (PI * cfg.hbar / cfg.L) ** 2
     return amp * (cfg.T * cfg.T / (4.0 * cfg.m * cfg.m * dx * dx) + 1.0 / (dp * dp))
 
@@ -114,7 +113,6 @@ def heuristic_energy_bound(cfg: HeuristicConfig) -> BoundReport:
     return BoundReport(
         energy=energy,
         bound=bound,
-        satisfied=bound_satisfied(energy, bound),
         phase=None,
         error=mis_opt,
         meta=meta,

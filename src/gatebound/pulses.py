@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IntegrationError, SamplingError
 from .numerics import PANEL_NODES, PANEL_RTOL, _panel_rule, converged_panels, panel_nodes
-from .report import RATIO_SLACK, BoundReport, bound_satisfied
+from .report import RATIO_SLACK, BoundReport
 
 PI = math.pi
 PHASE_CALIBRATION_TOL = 1e-6
@@ -192,13 +192,12 @@ def _bound_report(omegas: np.ndarray, coeffs: np.ndarray, alphas: np.ndarray,
         "epsilon": epsilon,
         "p_power": p_power,
         "off_calibration": abs(phase - PI) > PHASE_CALIBRATION_TOL,
-        # the same relative rounding slack bound_satisfied grants the energy
+        # the same relative rounding slack BoundReport.satisfied grants the energy
         "error_within_epsilon": error <= epsilon / p_sq * (1.0 + RATIO_SLACK),
     }
     return BoundReport(
         energy=energy,
         bound=bound,
-        satisfied=bound_satisfied(energy, bound),
         phase=phase,
         error=error,
         photon_number=n_photon,
@@ -438,13 +437,15 @@ def random_feasible_pulse(rng: np.random.Generator, epsilon: float, n_modes: int
     """Random pulse projected onto phase = pi with error <= eps.
 
     Draws one pulse with :func:`_draw` and projects it with
-    :func:`_feasible`.  Raises :class:`SamplingError` on a degenerate draw
-    (zero error or zero phase).
+    :func:`_feasible`.  A window that is not finite with t_end > t_start
+    raises ValueError before any draw; a degenerate draw (zero error or zero
+    phase) raises :class:`SamplingError`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
+    window = _checked((), (), window)
     omegas, gs, alphas, degenerate = _feasible(*_draw(rng, n_modes, window), epsilon, window)
     if degenerate:
         raise SamplingError("degenerate random draw: no feasible pulse (zero error or phase)")
@@ -513,10 +514,12 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     energy/bound ratio per restart.  Each restart draws from its own
     ``SeedSequence([seed, restart])`` generator, so its iterates do not
     depend on how many restarts run beside it; a restart past its budget
-    draws on but keeps no move.  A degenerate start raises
-    :class:`SamplingError`.  Kept moves strictly lower a restart's ratio,
-    so its last iterate is its best; the winner is the first restart with
-    the least ratio, and only it becomes a :class:`PulseSpec` and a report.
+    draws on but keeps no move.  A window that is not finite with
+    t_end > t_start raises ValueError before any draw, and a degenerate
+    start raises :class:`SamplingError`.  Kept moves strictly lower a
+    restart's ratio, so its last iterate is its best; the winner is the
+    first restart with the least ratio, and only it becomes a
+    :class:`PulseSpec` and a report.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -524,6 +527,7 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
         raise ValueError("n_modes must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    window = _checked((), (), window)
     evals_per_restart = 120
     n_restarts = math.ceil(budget / evals_per_restart)
     # perturbations per restart; only the last restart may get fewer

@@ -4,13 +4,17 @@ Every bound study in the package (field pulses, collisions, heuristic
 estimate) reports the same handful of numbers: the accumulated gate phase,
 the fluctuation error it would incur, the energy actually invested and the
 minimum energy the corresponding inequality demands.  ``BoundReport`` holds
-them together with a free-form ``meta`` dict for study-specific flags.
+them together with a free-form ``meta`` dict for study-specific flags, and
+derives the verdict ``satisfied`` from ``energy`` and ``bound`` alone, so
+every route decides it by the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+RATIO_SLACK = 1e-12  # |energy/bound - 1| below this counts as satisfied
 
 
 @dataclass(frozen=True)
@@ -24,7 +28,6 @@ class BoundReport:
 
     energy: float
     bound: float
-    satisfied: bool
     phase: float | None = None
     error: float | None = None
     photon_number: float | None = None
@@ -35,6 +38,11 @@ class BoundReport:
     def ratio(self) -> float:
         """energy / bound; > 1 means the bound holds with slack."""
         return self.energy / self.bound
+
+    @property
+    def satisfied(self) -> bool:
+        """True when energy >= bound up to a relative rounding slack of ``RATIO_SLACK``."""
+        return self.energy >= self.bound * (1.0 - RATIO_SLACK)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -48,11 +56,3 @@ class BoundReport:
             "mean_omega": self.mean_omega,
             "meta": dict(self.meta),
         }
-
-
-RATIO_SLACK = 1e-12  # |energy/bound - 1| below this counts as satisfied
-
-
-def bound_satisfied(energy: float, bound: float) -> bool:
-    """True when energy >= bound up to a relative rounding slack."""
-    return energy >= bound * (1.0 - RATIO_SLACK)

@@ -1,10 +1,12 @@
 """One-shot acceptance harness.
 
-Each criterion below reruns one study of the package end-to-end against its
-frozen tolerance and reports a single normalised worst-case value; a
-criterion passes when ``value <= tolerance`` (a tolerance scale < 1
-tightens every check uniformly, which is how controlled failures are
-injected).  Criterion 10 checks the infrastructure itself: sweep output
+Each criterion below reruns one study of the package end-to-end and
+returns a single normalised worst-case value with its frozen tolerance; a
+criterion passes when ``value <= tolerance``, which ``CriterionResult``
+decides.  :func:`run_criteria` times each criterion and multiplies its
+tolerance by ``tolerance_scale`` (the CLI's ``--tolerance-scale``); a scale
+< 1 tightens every check uniformly, which is how controlled failures are
+injected.  Criterion 10 checks the infrastructure itself: sweep output
 must be byte-identical across parallelism settings.
 """
 
@@ -24,12 +26,17 @@ PI = math.pi
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """One criterion's worst-case value against its tolerance; it passes when value <= tolerance."""
+
     criterion: str
     value: float
     tolerance: float
-    passed: bool
     detail: str
-    runtime_s: float
+    runtime_s: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tolerance
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -49,30 +56,20 @@ def alpha_for_target_p(p: float) -> float:
     return PI / (2.0 * math.sqrt(beta_sq))
 
 
-def _result(name, parts, tolerance, detail, t0) -> CriterionResult:
-    value = max(parts)
-    return CriterionResult(
-        criterion=name,
-        value=value,
-        tolerance=tolerance,
-        passed=value <= tolerance,
-        detail=detail,
-        runtime_s=time.perf_counter() - t0,
-    )
+def _result(name, parts, tolerance, detail) -> CriterionResult:
+    return CriterionResult(criterion=name, value=max(parts), tolerance=tolerance, detail=detail)
 
 
-def criterion_1(scale: float = 1.0) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Always-on counterexample reaches p < 1e-10 for n = 1..6 at T = pi/(g n)."""
-    t0 = time.perf_counter()
     ps = [gate.counterexample_always_on(n, 1.0).failure_probability
           for n in range(1, 7)]
-    return _result("criterion-1-counterexample", ps, 1e-10 * scale,
-                   f"max p = {max(ps):.3e} over n=1..6", t0)
+    return _result("criterion-1-counterexample", ps, 1e-10,
+                   f"max p = {max(ps):.3e} over n=1..6")
 
 
-def criterion_2(scale: float = 1.0) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Perturbative estimate tracks the exact p; exact p tracks the oracle."""
-    t0 = time.perf_counter()
     targets = [(0.1, 0.3), (0.03, 0.1), (0.01, 0.05)]
     parts, details = [], []
     for p_target, allowed in targets:
@@ -87,13 +84,11 @@ def criterion_2(scale: float = 1.0) -> CriterionResult:
         parts.append(rel / allowed)
         parts.append(oracle_diff / 1e-8)
         details.append(f"p={exact:.4f}: rel={rel:.3f}/{allowed}, |dp_oracle|={oracle_diff:.1e}")
-    return _result("criterion-2-perturbative-vs-exact", parts, 1.0 * scale,
-                   "; ".join(details), t0)
+    return _result("criterion-2-perturbative-vs-exact", parts, 1.0, "; ".join(details))
 
 
-def criterion_3(scale: float = 1.0) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """p_exact * |alpha|^2 stays constant within 20% across alpha = 4, 8, 16."""
-    t0 = time.perf_counter()
     products = []
     for alpha in (4.0, 8.0, 16.0):
         drive = gate.pi_phase_drive(raised_cosine(1.0), alpha)
@@ -102,18 +97,17 @@ def criterion_3(scale: float = 1.0) -> CriterionResult:
         products.append(p * alpha * alpha)
     ratios = [products[i + 1] / products[i] for i in range(len(products) - 1)]
     parts = [abs(r - 1.0) for r in ratios]
-    return _result("criterion-3-scaling-probe", parts, 0.2 * scale,
-                   f"p*|a|^2 = {[f'{x:.4f}' for x in products]}", t0)
+    return _result("criterion-3-scaling-probe", parts, 0.2,
+                   f"p*|a|^2 = {[f'{x:.4f}' for x in products]}")
 
 
-def criterion_4(scale: float = 1.0) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Photon-number bound: value, universality over random pulses, tightness.
 
     Universality is screened on 1000 random feasible pulses of 1-3 modes at
     eps = 0.01 in one call to :func:`pulses.random_feasible_ratios`, which
     scores them as arrays grouped by mode count; none may beat the bound.
     """
-    t0 = time.perf_counter()
     epsilon = 0.01
     mpn = pulses.min_photon_number(epsilon)
     part_value = abs(mpn - 246.74011002723395) / 0.01
@@ -128,15 +122,13 @@ def criterion_4(scale: float = 1.0) -> CriterionResult:
 
     return _result(
         "criterion-4-photon-bound",
-        [part_value, part_universal, part_tight], 1.0 * scale,
+        [part_value, part_universal, part_tight], 1.0,
         f"min_photon={mpn:.5f}, min_ratio={min_ratio:.9f}, equality_ratio={eq_ratio:.6f}",
-        t0,
     )
 
 
-def criterion_5(scale: float = 1.0) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """p = 1 reduction identical to the linear path; p = 2 bound exactly 4x."""
-    t0 = time.perf_counter()
     omega, g, window, epsilon = 1.3, 0.4 + 0.1j, (0.0, 1.0), 0.05
     alpha = 2.0 - 0.5j
     linear = pulses.PulseSpec(((omega, g, alpha),), window)
@@ -159,15 +151,13 @@ def criterion_5(scale: float = 1.0) -> CriterionResult:
 
     return _result(
         "criterion-5-nonlinear-reduction",
-        [part_consistency, part_factor], 1.0 * scale,
+        [part_consistency, part_factor], 1.0,
         f"max path diff = {max(diffs):.2e}, bound ratio = {ratio!r}",
-        t0,
     )
 
 
-def criterion_6(scale: float = 1.0) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Squeezing optimum at eps = 1e-4: r* and E_min, and the energy evaluated at r*."""
-    t0 = time.perf_counter()
     epsilon = 1e-4
     r_star, e_min = pulses.optimize_squeezing(epsilon, omega=1.0)
     e_at_r_star = pulses.squeezed_energy(r_star, epsilon, 1.0)
@@ -177,16 +167,14 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
         abs(e_at_r_star - e_min) / (1e-12 * e_min),
     ]
     return _result(
-        "criterion-6-squeezing-optimum", parts, 1.0 * scale,
+        "criterion-6-squeezing-optimum", parts, 1.0,
         f"r*={r_star:.9f}, E_min={e_min:.9f} hbar*omega, "
         f"|E(r*)-E_min|={abs(e_at_r_star - e_min):.2e}",
-        t0,
     )
 
 
-def criterion_7(scale: float = 1.0) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Free-collision chain: log-derivative, optimal wavepacket, 27-point grid."""
-    t0 = time.perf_counter()
     worst_logderiv = 0.0
     for n in (1.5, 2.0, 3.0, 4.0, 6.0):
         analytic, numeric = collision.powerlaw_log_derivative_pair(n, 2.0)
@@ -217,17 +205,14 @@ def criterion_7(scale: float = 1.0) -> CriterionResult:
     part_grid = 2.0 if failures else 0.0
 
     return _result(
-        "criterion-7-free-collision", [part_logderiv, part_objective, part_grid],
-        1.0 * scale,
+        "criterion-7-free-collision", [part_logderiv, part_objective, part_grid], 1.0,
         f"logderiv worst rel = {worst_logderiv:.2e}, objective diff = "
         f"{abs(objective - T_ / (2 * m_)):.2e}, grid {checked - failures}/{checked} ok",
-        t0,
     )
 
 
-def criterion_8(scale: float = 1.0) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Harmonic chain: dipole limit, sin-symmetry, return-mismatch linearity."""
-    t0 = time.perf_counter()
     cfg = collision.HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0,
                                             potential=collision.PotentialLaw(3.0))
     cfg = collision.calibrated_harmonic(cfg)
@@ -249,16 +234,14 @@ def criterion_8(scale: float = 1.0) -> CriterionResult:
 
     return _result(
         "criterion-8-harmonic-collision",
-        [part_dipole, part_sin, part_nonzero, part_halving], 1.0 * scale,
+        [part_dipole, part_sin, part_nonzero, part_halving], 1.0,
         f"b*R limit = {limit:.6f}, sin/cos = {sin_ratio:.1e}, "
         f"|mismatch| = {norm_full:.3e}, halving ratio = {norm_full / norm_half:.4f}",
-        t0,
     )
 
 
-def criterion_9(scale: float = 1.0) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Heuristic estimate: optimal mis-overlap, equality case, collision cross-check."""
-    t0 = time.perf_counter()
     cfg = heuristic.HeuristicConfig(m=1.3, L=0.9, T=1.7, epsilon=0.2)
     mis = heuristic.misoverlap(cfg)
     mis_closed = heuristic.misoverlap_optimal(cfg)
@@ -276,17 +259,15 @@ def criterion_9(scale: float = 1.0) -> CriterionResult:
 
     return _result(
         "criterion-9-heuristic",
-        [part_mis, part_equality, part_cross], 1.0 * scale,
+        [part_mis, part_equality, part_cross], 1.0,
         f"misoverlap rel diff = {abs(mis - mis_closed) / mis_closed:.2e}, "
         f"equality rel diff = {abs(report.energy - report.bound) / report.bound:.2e}, "
         f"cross-check ratio = {ratio:.3f}",
-        t0,
     )
 
 
-def criterion_10(scale: float = 1.0) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Sweep artifacts are byte-identical regardless of parallelism."""
-    t0 = time.perf_counter()
     from .cli import sweep_rows_csv_bytes
 
     base = {"epsilon": 0.01, "omega": 1.0}
@@ -295,9 +276,8 @@ def criterion_10(scale: float = 1.0) -> CriterionResult:
     parallel = sweep_rows_csv_bytes("squeeze-opt", base, "epsilon", values, parallelism=4, seed=11)
     mismatch = 0.0 if serial == parallel else 1.0
     return _result(
-        "criterion-10-infrastructure", [mismatch], 0.5 * scale,
+        "criterion-10-infrastructure", [mismatch], 0.5,
         f"sweep bytes {'identical' if not mismatch else 'DIFFER'} across parallelism 1 vs 4",
-        t0,
     )
 
 
@@ -316,10 +296,18 @@ CRITERIA = {
 
 
 def run_criteria(numbers=None, tolerance_scale: float = 1.0) -> list[CriterionResult]:
+    """Run the numbered criteria (all by default) in ascending order.
+
+    Each result carries its criterion's tolerance times ``tolerance_scale``
+    and the criterion's wall time in ``runtime_s``.
+    """
     numbers = sorted(CRITERIA) if numbers is None else sorted(numbers)
     results = []
     for k in numbers:
         if k not in CRITERIA:
             raise ValueError(f"unknown criterion {k}; valid: {sorted(CRITERIA)}")
-        results.append(CRITERIA[k](tolerance_scale))
+        t0 = time.perf_counter()
+        result = CRITERIA[k]()
+        results.append(replace(result, tolerance=result.tolerance * tolerance_scale,
+                               runtime_s=time.perf_counter() - t0))
     return results

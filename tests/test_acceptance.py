@@ -1,20 +1,32 @@
 """Acceptance suite: every criterion at its frozen tolerance, one line each."""
 
 import csv
+import dataclasses
 import time
 
 import pytest
 
 from gatebound import pulses
 from gatebound.cli import main
-from gatebound.verify import CRITERIA, criterion_4
+from gatebound.verify import CRITERIA, criterion_4, run_criteria
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
 def test_criterion(number):
-    result = CRITERIA[number]()
+    (result,) = run_criteria([number])  # times the criterion for its printed line
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_run_criteria_scales_each_tolerance_once():
+    # a criterion returns its frozen tolerance; run_criteria applies the scale
+    assert CRITERIA[1]().tolerance == 1e-10
+    (result,) = run_criteria([1], 1e-12)
+    assert result.tolerance == 1e-10 * 1e-12
+    assert result.passed == (result.value <= result.tolerance)
+    # passed is derived from value and tolerance, never stored beside them
+    assert not dataclasses.replace(result, value=1e-20).passed
+    assert dataclasses.replace(result, value=1e-20, tolerance=1e-10).passed
 
 
 def test_criterion_4_screen_is_pinned(monkeypatch):

@@ -579,6 +579,24 @@ def test_collision_free_accepts_any_exponent_above_one(tmp_path):
                  "--epsilon", "0.5", "--n", "1.0", "--output", str(tmp_path / "bad")]) == 2
 
 
+COLLISION_CHAINS = {
+    "collision-free": ["--m", "40", "--v", "2", "--b", "4", "--duration", "8"],
+    "collision-harmonic": ["--m", "1", "--omega", "1", "--amplitude", "100", "--gap", "30"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLISION_CHAINS))
+def test_collision_epsilon_above_one_is_flagged_not_rejected(tmp_path, name):
+    # any eps > 0 is a valid budget; eps >= 1 only makes the bound trivial
+    epsilon = next(p for p in COMMANDS[name].params if p.name == "epsilon")
+    assert "epsilon_unphysical" in epsilon.help
+    out = tmp_path / name
+    assert main([name, *COLLISION_CHAINS[name], "--epsilon", "2", "--output", str(out)]) == 0
+    assert read_csv(out / "result.csv")[0]["satisfied"] == "true"
+    report = json.loads((out / "report.json").read_text())
+    assert report["extra"]["report"]["meta"]["epsilon_unphysical"] is True
+
+
 NON_FINITE = [
     ["collision-free", "--m", "1", "--v", "1", "--b", "1", "--duration", "2", "--epsilon", "nan"],
     ["counterexample", "--g", "inf"],

@@ -372,7 +372,7 @@ def test_probe_quiet_for_unsqueezed_desk_config():
     cfg = calibrated_harmonic(harmonic_cfg(m=2.0))
     hv = error_variance_harmonic(cfg)
     assert hv.delta_sq <= 0.05
-    probe = squeezing_consistency_probe(cfg, epsilon=0.05)
+    probe = squeezing_consistency_probe(cfg)
     assert not probe.flagged
     assert probe.second_order_proxy == pytest.approx(probe.momentum_mismatch ** 2)
 
@@ -383,7 +383,7 @@ def test_probe_flags_extreme_position_squeezing():
     cfg = calibrated_harmonic(harmonic_cfg(m=12.7, r=r))
     hv = error_variance_harmonic(cfg)
     assert hv.delta_sq <= epsilon
-    probe = squeezing_consistency_probe(cfg, epsilon)
+    probe = squeezing_consistency_probe(cfg)
     assert probe.flagged
 
 

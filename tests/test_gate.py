@@ -493,7 +493,7 @@ def test_cutoff_regression_stability():
     base_cutoff = coherent_drive_scenario(alpha, drive).control.cutoff
     ps = []
     for cutoff in (base_cutoff, base_cutoff + 15):
-        scenario = coherent_drive_scenario(alpha, drive, cutoff=cutoff)
+        scenario = GateScenario(coherent_state(alpha, cutoff), drive)
         ps.append(failure_probability_exact(scenario, 1e-10).failure_probability)
     assert abs(ps[0] - ps[1]) < 1e-8
 
@@ -503,7 +503,7 @@ def test_undersized_cutoff_for_drive_excursion_raises():
     # of the driven state's population onto the top 10 of them
     drive = envelope_drive(raised_cosine(1.0), 4.0 / raised_cosine(1.0).integral)
     with pytest.raises(CutoffError):
-        failure_probability_exact(coherent_drive_scenario(0.0, drive, cutoff=20), 1e-9)
+        failure_probability_exact(GateScenario(coherent_state(0.0, 20), drive), 1e-9)
     exact = failure_probability_exact(coherent_drive_scenario(0.0, drive), 1e-9)
     oracle = displacement_oracle(0.0, drive)
     assert abs(exact.failure_probability - oracle.failure_probability) < 1e-8

@@ -10,7 +10,7 @@ from gatebound import (
     heuristic_energy_bound,
     misoverlap,
     misoverlap_optimal,
-    optimal_heuristic_wavepacket,
+    optimal_wavepacket,
 )
 
 PI = math.pi
@@ -45,7 +45,8 @@ def test_misoverlap_optimal_closed_form():
 
 def test_misoverlap_terms_equalised_at_optimum():
     cfg = HeuristicConfig(m=0.8, L=1.6, T=2.2, epsilon=0.1)
-    dx, dp = optimal_heuristic_wavepacket(cfg)
+    wp = optimal_wavepacket(cfg.m, cfg.T)
+    dx, dp = math.sqrt(wp.dx0_sq), math.sqrt(wp.dp0_sq)
     amp = (PI / cfg.L) ** 2
     term_x = amp * cfg.T ** 2 / (4.0 * cfg.m ** 2 * dx ** 2)
     term_p = amp / dp ** 2

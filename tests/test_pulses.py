@@ -267,7 +267,7 @@ def test_p2_coefficient_matches_refined_quadrature():
     from gatebound.envelopes import gaussian
 
     omega, weight, T = 2.1, 0.7, 1.0
-    envelope = gaussian(T, sigma=0.17, area=1.3)
+    envelope = gaussian(T)
     reduction = nonlinear_reduce(2, envelope, (0.0, T), [(omega, weight)])
     re, _ = quad(lambda t: envelope(t) * math.cos(omega * t), 0, T, epsabs=1e-14, epsrel=1e-12)
     im, _ = quad(lambda t: -envelope(t) * math.sin(omega * t), 0, T, epsabs=1e-14, epsrel=1e-12)
@@ -368,20 +368,31 @@ NON_FINITE_PULSES = [  # (omega, coupling or weight or amplitude, window)
     (1.0, math.nan, (0.0, 1.0)), (1.0, complex(1.0, math.inf), (0.0, 1.0)),
     (1.0, 1.0, (0.0, math.inf)), (1.0, 1.0, (-math.inf, 1.0)),
     (1.0, 1.0, (math.nan, 1.0)), (1.0, 1.0, (0.0, math.nan)),
+    (1.0, 1.0, (1.0, 0.0)),  # reversed: finite, but t_end < t_start
 ]
 
 
 @pytest.mark.parametrize("omega, value, window", NON_FINITE_PULSES,
                          ids=[f"{w}-{v}-{win}" for w, v, win in NON_FINITE_PULSES])
 def test_non_finite_pulse_inputs_are_rejected_before_sampling(omega, value, window):
+    match = "t_end > t_start" if window == (1.0, 0.0) else "finite"
     for spec in [((omega, value, 1.0),), ((omega, 1.0, value),)]:
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=match):
             PulseSpec(spec, window)
     counted, times = counted_raised_cosine()
     for p_power in (1, 2):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=match):
             nonlinear_reduce(p_power, counted, window, [(omega, value)])
     assert times == []
+    if window != (0.0, 1.0):
+        # the random pulses take a window only: it is checked before the first draw
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            random_feasible_pulse(rng, 0.1, 2, window)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match=match):
+            adversarial_pulse_search(0.1, 2, 10, 0, window)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +536,17 @@ def _perturb_pulse(rng: np.random.Generator, pulse: PulseSpec, epsilon: float,
         return None
     alphas = alphas * (PI / phase)
     return PulseSpec(tuple(zip(omegas, gs, alphas)), pulse.window)
+
+
+def test_bound_report_satisfied_within_ratio_slack():
+    # a rounding shortfall below RATIO_SLACK = 1e-12 still satisfies the bound
+    b = 7.3
+    inside = BoundReport(energy=b * (1 - 1e-13), bound=b)
+    outside = BoundReport(energy=b * (1 - 1e-11), bound=b)
+    assert inside.satisfied
+    assert not outside.satisfied
+    for report in (inside, outside):
+        assert report.to_dict()["satisfied"] == report.satisfied
 
 
 def assert_same_report(got: BoundReport, want: BoundReport):
