@@ -332,14 +332,20 @@ def _period_integral(cfg: HarmonicCollisionConfig, fn: Callable[[float], float],
 
 def _harmonic_action(cfg: HarmonicCollisionConfig) -> float:
     """int V(rho(t)) dt over one period."""
-    return _period_integral(cfg, lambda t: cfg.potential.value(cfg.rho(t)))
+    # C rho^-n with rho = 2A(1 + cos wt) + b in one closure: a node costs one call
+    c, e = cfg.potential.coupling, -cfg.potential.n
+    a2, b, w = 2.0 * cfg.A, cfg.b, cfg.omega
+    return _period_integral(cfg, lambda t: c * (a2 * (1.0 + math.cos(w * t)) + b) ** e)
 
 
 def _harmonic_force_integral(cfg: HarmonicCollisionConfig, weight: Callable[[float], float],
                              epsabs: float = 0.0) -> float:
     """int V'(rho(t)) weight(wt) dt over one period."""
+    # -n C rho^(-n-1) weight(wt) in one closure, as in _harmonic_action
+    k, e1 = -cfg.potential.n * cfg.potential.coupling, -cfg.potential.n - 1.0
+    a2, b, w = 2.0 * cfg.A, cfg.b, cfg.omega
     return _period_integral(
-        cfg, lambda t: cfg.potential.derivative(cfg.rho(t)) * weight(cfg.omega * t), epsabs)
+        cfg, lambda t: k * (a2 * (1.0 + math.cos(w * t)) + b) ** e1 * weight(w * t), epsabs)
 
 
 def harmonic_action_integrals(cfg: HarmonicCollisionConfig) -> tuple[float, float, float]:

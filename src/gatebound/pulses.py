@@ -46,19 +46,23 @@ def mode_window_integral(omega: float | np.ndarray, window: tuple[float, float])
     fixed-seed run reaches: random pulses are drawn at |x| >= 0.5, and
     ``verify-all`` and ``pulse-bound`` reach no |x| below 0.47, so they keep
     the bits of the difference form.  ``np.where`` picks the form per
-    element, so the value is the same bits whatever the array shape.
+    element, so the value is the same bits whatever the array shape; the
+    sin form is only built when some element needs it.
     """
     t0, t1 = window
     omega = np.asarray(omega, dtype=float)
     rate = -1j * omega
     wide = (np.exp(rate * t1) - np.exp(rate * t0)) / rate
+    use_narrow = np.abs(omega * (t1 - t0)) < NARROW_PHASE
+    if not use_narrow.any():
+        return wide[()]
     half = 0.5 * omega
     amplitude = np.sin(half * (t1 - t0)) / half
     mid = half * (t0 + t1)
     narrow = np.empty_like(wide)
     narrow.real = amplitude * np.cos(mid)
     narrow.imag = -amplitude * np.sin(mid)
-    return np.where(np.abs(omega * (t1 - t0)) < NARROW_PHASE, narrow, wide)[()]
+    return np.where(use_narrow, narrow, wide)[()]
 
 
 def _coefficients(omegas: Sequence[float] | np.ndarray, weights: Sequence[complex] | np.ndarray,
@@ -145,12 +149,12 @@ def min_photon_number(epsilon: float) -> float:
 
 def _phase(coeffs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Accumulated phase 2 Re sum_k c_k alpha_k over the last (mode) axis."""
-    return 2.0 * np.sum(coeffs * alphas, axis=-1).real
+    return 2.0 * (coeffs * alphas).sum(axis=-1).real
 
 
 def _error(coeffs: np.ndarray) -> np.ndarray:
     """Fluctuation error sum_k |c_k|^2 over the last (mode) axis."""
-    return np.sum(np.abs(coeffs) ** 2, axis=-1)
+    return (np.abs(coeffs) ** 2).sum(axis=-1)
 
 
 def _energy_terms(omegas: np.ndarray, alphas: np.ndarray, epsilon: float, p_power: int,
@@ -161,8 +165,8 @@ def _energy_terms(omegas: np.ndarray, alphas: np.ndarray, epsilon: float, p_powe
     (pi^2/4) p^2 hbar <omega> / eps; both are nan where there are no photons.
     """
     weights = np.abs(alphas) ** 2
-    n_photon = np.sum(weights, axis=-1)
-    weighted = np.sum(omegas * weights, axis=-1)
+    n_photon = weights.sum(axis=-1)
+    weighted = (omegas * weights).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         omega_bar = weighted / n_photon
     bound = (PI * PI / 4.0) * float(p_power) ** 2 * hbar * omega_bar / epsilon
@@ -514,11 +518,16 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     energy/bound ratio per restart.  Each restart draws from its own
     ``SeedSequence([seed, restart])`` generator, so its iterates do not
     depend on how many restarts run beside it; a restart past its budget
-    draws on but keeps no move.  A window that is not finite with
-    t_end > t_start raises ValueError before any draw, and a degenerate
-    start raises :class:`SamplingError`.  Kept moves strictly lower a
-    restart's ratio, so its last iterate is its best; the winner is the
-    first restart with the least ratio, and only it becomes a
+    draws on but keeps no move.  Each move draws ``integers(0, 3)`` and then
+    one ``normal`` call per restart: 2 * n_modes values (Re z, Im z) for a
+    coupling or amplitude move, n_modes (Re z) for a frequency move, the
+    values that two n_modes calls would give.  Every row is perturbed and
+    projected, and ``np.where`` selects the rows the move changes, the rows
+    whose couplings are rescaled and the rows kept.  A window that is not
+    finite with t_end > t_start raises ValueError before any draw, and a
+    degenerate start raises :class:`SamplingError`.  Kept moves strictly
+    lower a restart's ratio, so its last iterate is its best; the winner is
+    the first restart with the least ratio, and only it becomes a
     :class:`PulseSpec` and a report.
     """
     if not 0.0 < epsilon < 1.0:
@@ -544,49 +553,53 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     ratio = energy / bound
     step = np.full(n_restarts, 0.5)
     which = np.empty(n_restarts, dtype=int)
-    z_re = np.zeros((n_restarts, n_modes))
-    z_im = np.zeros((n_restarts, n_modes))
+    # one row of draws per restart: Re z, then Im z (stale after a frequency move)
+    z = np.zeros((n_restarts, 2 * n_modes))
+    z_re = z[:, :n_modes]
 
-    for k in range(int(moves[0])):
-        # a restart past its budget draws on, from its own stream, but keeps nothing
-        for r, rng in enumerate(rngs):
-            which[r] = rng.integers(0, 3)
-            z_re[r] = rng.normal(size=n_modes)
-            if which[r]:
-                z_im[r] = rng.normal(size=n_modes)
-        om, g, al = omegas.copy(), gs.copy(), alphas.copy()
-        s = step[:, None]
-        z = z_re + 1j * z_im
-        m = which == 0
-        om[m] = om[m] * np.exp(s[m] * z_re[m] * 0.3)
-        m = which == 1
-        g[m] = g[m] * (1.0 + s[m] * z[m] * 0.3)
-        m = which == 2
-        al[m] = al[m] + s[m] * z[m] * np.mean(np.abs(al[m]), axis=-1, keepdims=True)
+    # rows a move does not select, and rejected rows, may hold inf/nan that
+    # np.where discards
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(int(moves[0])):
+            # a restart past its budget draws on, from its own stream, but keeps nothing
+            for r, rng in enumerate(rngs):
+                which[r] = move = rng.integers(0, 3)
+                if move:
+                    z[r] = rng.normal(size=2 * n_modes)
+                else:
+                    z_re[r] = rng.normal(size=n_modes)
+            s = step[:, None]
+            dz = s * (z_re + 1j * z[:, n_modes:])
+            om = np.where((which == 0)[:, None], omegas * np.exp(s * z_re * 0.3), omegas)
+            g = np.where((which == 1)[:, None], gs * (1.0 + dz * 0.3), gs)
+            scale = np.abs(alphas).sum(axis=-1, keepdims=True) / n_modes
+            al = np.where((which == 2)[:, None], alphas + dz * scale, alphas)
 
-        # rejected rows are masked out by `ok`; their inf/nan stays there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (moves > k) & np.all(om > 0, axis=-1)
+            ok = (moves > k) & (om > 0).all(axis=-1)
             integral = mode_window_integral(om, window)
             coeffs = _weighted(g, integral)
             error = _error(coeffs)
             ok &= error != 0.0
             over = ok & (error > epsilon)
-            g[over] = g[over] * np.sqrt(epsilon / error[over])[:, None] * (1.0 - 1e-15)
-            coeffs[over] = _weighted(g[over], integral[over])
+            if over.any():
+                over = over[:, None]
+                g = np.where(over, g * np.sqrt(epsilon / error)[:, None] * (1.0 - 1e-15), g)
+                coeffs = np.where(over, _weighted(g, integral), coeffs)
             phase = _phase(coeffs, al)
             ok &= ~(np.abs(phase) < 1e-9)
             al = al * (PI / phase)[:, None]
             _, _, energy, bound = _energy_terms(om, al, epsilon, 1, hbar)
             candidate = energy / bound
 
-        kept = ok & (candidate < ratio)
-        step = np.where(kept, np.minimum(0.5, step * 1.3),
-                        np.where(ok, np.maximum(1e-4, step * 0.93), step))
-        ratio[kept] = candidate[kept]
-        omegas[kept] = om[kept]
-        gs[kept] = g[kept]
-        alphas[kept] = al[kept]
+            kept = ok & (candidate < ratio)
+            step = np.where(kept, np.minimum(0.5, step * 1.3),
+                            np.where(ok, np.maximum(1e-4, step * 0.93), step))
+            if kept.any():
+                ratio = np.where(kept, candidate, ratio)
+                kept = kept[:, None]
+                omegas = np.where(kept, om, omegas)
+                gs = np.where(kept, g, gs)
+                alphas = np.where(kept, al, alphas)
 
     best = int(np.argmin(ratio))
     winner = PulseSpec(tuple(zip(omegas[best], gs[best], alphas[best])), window)

@@ -597,6 +597,30 @@ def test_collision_epsilon_above_one_is_flagged_not_rejected(tmp_path, name):
     assert report["extra"]["report"]["meta"]["epsilon_unphysical"] is True
 
 
+# The error budgets each bound route takes: the pulse, power-p and heuristic
+# routes need eps in (0, 1), the squeezing optimum eps in (0, 1], and the
+# collision chains any eps > 0 (eps >= 1 flagged, see the test above).
+EPSILON_DOMAINS = {
+    "heuristic": (["--m", "1", "--length", "1", "--duration", "1"], {1: 2, 2: 2}),
+    "pulse-bound": (["--budget", "5"], {1: 2, 2: 2}),
+    "nonlinear-bound": (["--p-power", "2"], {1: 2, 2: 2}),
+    "squeeze-opt": ([], {1: 0, 2: 2}),
+    **{name: (args, {1: 0, 2: 0}) for name, args in COLLISION_CHAINS.items()},
+}
+
+
+@pytest.mark.parametrize("epsilon", [1, 2])
+@pytest.mark.parametrize("name", sorted(EPSILON_DOMAINS))
+def test_epsilon_domain_of_each_route(tmp_path, capsys, name, epsilon):
+    args, codes = EPSILON_DOMAINS[name]
+    out = tmp_path / "run"
+    code = main([name, *args, "--epsilon", str(epsilon), "--output", str(out)])
+    assert code == codes[epsilon]
+    if code == 2:
+        assert "epsilon must lie in (0, 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 NON_FINITE = [
     ["collision-free", "--m", "1", "--v", "1", "--b", "1", "--duration", "2", "--epsilon", "nan"],
     ["counterexample", "--g", "inf"],

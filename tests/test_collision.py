@@ -251,6 +251,24 @@ def test_trajectory_even_about_closest_approach():
         assert cfg.rho(mid - dt) == pytest.approx(cfg.rho(mid + dt), rel=1e-12)
 
 
+@pytest.mark.parametrize("cfg", [
+    harmonic_cfg(),
+    harmonic_cfg(A=1.0, b=0.3, C=2.5),
+    HarmonicCollisionConfig(m=1.0, omega=0.7, A=3.0, b=0.2, potential=PotentialLaw(2.5, 1.7)),
+])
+def test_harmonic_integrands_keep_the_bits_of_the_potential_on_the_trajectory(cfg):
+    # the period integrals inline C rho^-n and -n C rho^(-n-1) on
+    # rho(t) = 2A(1 + cos wt) + b; every node must give PotentialLaw's bits
+    pot, w = cfg.potential, cfg.omega
+    action = collision._period_integral(cfg, lambda t: pot.value(cfg.rho(t)))
+    cos_int = collision._period_integral(
+        cfg, lambda t: pot.derivative(cfg.rho(t)) * math.cos(w * t))
+    sin_int = collision._period_integral(
+        cfg, lambda t: pot.derivative(cfg.rho(t)) * math.sin(w * t),
+        max(1e-13 * abs(cos_int), 1e-300))
+    assert harmonic_action_integrals(cfg) == (action, cos_int, sin_int)
+
+
 def test_harmonic_integrals_match_closed_form():
     for b_over_a in (0.3, 1e-2, 1e-3):
         cfg = harmonic_cfg(b=100.0 * b_over_a)

@@ -135,6 +135,14 @@ def test_window_integral_keeps_its_imaginary_part_at_small_omega(omega, window):
     assert_close_componentwise(got, _series_integral(omega, window), 1e-15)
     assert np.array_equal(mode_window_integral(np.full((2, 3), omega), window),
                           np.full((2, 3), got))
+    # elements on both sides of the threshold: the array picks each element's
+    # form, and a scalar above it returns the difference form alone
+    span = window[1] - window[0]
+    mixed = np.array([[omega, 0.5 * NARROW_PHASE / span, 1.7],
+                      [NARROW_PHASE / span, 40.0, 3.0 * omega]])
+    scalars = np.array([[mode_window_integral(w, window) for w in row] for row in mixed])
+    both = mode_window_integral(mixed, window)
+    assert np.array_equal(both.real, scalars.real) and np.array_equal(both.imag, scalars.imag)
 
 
 @pytest.mark.parametrize("window", [(0.0, 1.0), (-0.7, 2.3)])
