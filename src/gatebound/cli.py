@@ -430,7 +430,7 @@ _register(Command(
 _register(Command(
     "pulse-bound", "field-pulse energy bound: equality construction + adversarial search",
     (
-        Param("epsilon", float, "error budget in (0,1)", required=True),
+        Param("epsilon", float, "error budget > 0", required=True),
         Param("n_modes", int, "modes in the adversarial search", default=1),
         Param("budget", int, "search evaluations", default=400),
         Param("omega", float, "frequency of the equality construction (rad/s)", default=1.0),
@@ -441,7 +441,7 @@ _register(Command(
 _register(Command(
     "squeeze-opt", "squeezed-field optimum and carrier-linewidth combination",
     (
-        Param("epsilon", float, "error budget in (0,1]", required=True),
+        Param("epsilon", float, "error budget > 0", required=True),
         Param("omega", float, "carrier frequency (rad/s)", default=1.0),
         Param("gate_time", float, "gate time for the linewidth combination (s)"),
     ),
@@ -452,7 +452,7 @@ _register(Command(
     "nonlinear-bound", "power-p coupling reduced to an effective linear problem",
     (
         Param("p_power", int, "coupling power p >= 1", required=True),
-        Param("epsilon", float, "error budget in (0,1)", required=True),
+        Param("epsilon", float, "error budget > 0", required=True),
         Param("omega", float, "mode frequency (rad/s)", default=1.0),
         Param("weight", str, "mode weight (complex ok)", default="1.0"),
         Param("alpha", str, "mode amplitude (complex ok)", default="1.0"),
@@ -509,7 +509,7 @@ _register(Command(
         Param("m", float, "particle mass", required=True),
         Param("length", float, "characteristic length L", required=True),
         Param("duration", float, "gate time T (s)", required=True),
-        Param("epsilon", float, "error budget in (0,1)", required=True),
+        Param("epsilon", float, "error budget > 0", required=True),
         Param("dx", float, "explicit position width (optional)"),
         Param("dp", float, "explicit momentum width (optional)"),
     ),

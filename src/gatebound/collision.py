@@ -34,7 +34,7 @@ from .errors import (
     UncertaintyError,
 )
 from .numerics import _dop853, quad
-from .report import BoundReport
+from .report import BoundReport, checked_epsilon
 
 PI = math.pi
 PHASE_CALIBRATION_TOL = 1e-6
@@ -106,7 +106,7 @@ class FreeCollisionConfig:
 
     def __post_init__(self):
         for name in ("m", "v", "b", "T", "hbar"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.b < self.v * self.T:
             raise ValueError("impact parameter must satisfy b < v T")
@@ -144,7 +144,7 @@ def calibrated(cfg: FreeCollisionConfig) -> FreeCollisionConfig:
 
 def error_variance_free(cfg: FreeCollisionConfig, dx0: float, dp0: float) -> float:
     """Phase variance (b^2/hbar^2) (int V'(rho)/rho dt)^2 (dx0^2 + T^2 dp0^2/4m^2)."""
-    if dx0 <= 0 or dp0 <= 0:
+    if not (dx0 > 0 and dp0 > 0):
         raise ValueError("wavepacket widths must be positive")
     if dx0 * dp0 < cfg.hbar / 2.0 - 1e-12:
         raise UncertaintyError(f"dx0*dp0 = {dx0 * dp0!r} violates the uncertainty relation")
@@ -166,7 +166,7 @@ def optimal_wavepacket(m: float, T: float, hbar: float = 1.0) -> OptimalWavepack
     The optimum equalises the two terms: dx0^2 = T hbar / 4m and
     dp0^2 = m hbar / T, with objective T hbar / 2m.
     """
-    if m <= 0 or T <= 0:
+    if not (m > 0 and T > 0):
         raise ValueError("m and T must be positive")
     return OptimalWavepacket(dx0_sq=T * hbar / (4.0 * m), dp0_sq=m * hbar / T)
 
@@ -202,7 +202,7 @@ def powerlaw_log_derivative(n: float, b: float) -> float:
     """d/db ln(int (y^2+b^2)^{-n/2} dy) = -(n-1)/b, since the integral scales as b^{1-n}."""
     if n <= 1:
         raise ValueError("power-law exponent must satisfy n > 1")
-    if b <= 0:
+    if not b > 0:
         raise ValueError("b must be positive")
     return -(n - 1.0) / b
 
@@ -244,8 +244,7 @@ def free_energy_bound(cfg: FreeCollisionConfig, epsilon: float) -> BoundReport:
     delta^2 = (pi^2 T hbar / 2m) ((n-1)/b)^2; whenever delta^2 <= eps and
     b < v T hold, the pair kinetic energy m v^2 must exceed hbar/(eps T).
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    checked_epsilon(epsilon)
     phase = phase_integral_free(cfg)
     off_calibration = abs(phase - PI) > PHASE_CALIBRATION_TOL
     log_deriv = powerlaw_log_derivative(cfg.potential.n, cfg.b)
@@ -300,7 +299,7 @@ class HarmonicCollisionConfig:
 
     def __post_init__(self):
         for name in ("m", "omega", "A", "b", "hbar"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     @property
@@ -427,8 +426,7 @@ def harmonic_energy_bound(cfg: HarmonicCollisionConfig, epsilon: float) -> Bound
     """Oscillator-pair energy m w^2 A^2 against hbar/(eps T) with T = 2 pi / w."""
     if cfg.potential.n != 3:
         raise ValueError("the harmonic chain is evaluated for the rho^-3 power law")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    checked_epsilon(epsilon)
     hv = error_variance_harmonic(cfg)
     T = cfg.period
     energy = cfg.m * cfg.omega ** 2 * cfg.A ** 2

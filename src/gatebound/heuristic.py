@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .collision import optimal_wavepacket, powerlaw_log_derivative
 from .errors import UncertaintyError
-from .report import BoundReport
+from .report import BoundReport, checked_epsilon
 
 PI = math.pi
 
@@ -39,14 +39,13 @@ class HeuristicConfig:
 
     def __post_init__(self):
         for name in ("m", "L", "T", "hbar"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        checked_epsilon(self.epsilon)
         if (self.dx is None) != (self.dp is None):
             raise ValueError("dx and dp must be given together")
         if self.dx is not None:
-            if self.dx <= 0 or self.dp <= 0:
+            if not (self.dx > 0 and self.dp > 0):
                 raise ValueError("dx and dp must be positive")
             if self.dx * self.dp < self.hbar / 2.0 - 1e-12:
                 raise UncertaintyError(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IntegrationError, SamplingError
 from .numerics import PANEL_NODES, PANEL_RTOL, _panel_rule, converged_panels, panel_nodes
-from .report import RATIO_SLACK, BoundReport
+from .report import RATIO_SLACK, BoundReport, checked_epsilon
 
 PI = math.pi
 PHASE_CALIBRATION_TOL = 1e-6
@@ -142,8 +142,7 @@ class PulseSpec:
 
 def min_photon_number(epsilon: float) -> float:
     """pi^2/(4 eps): least total photon number compatible with phase pi, error < eps."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    checked_epsilon(epsilon)
     return PI * PI / (4.0 * epsilon)
 
 
@@ -183,8 +182,7 @@ def _bound_report(omegas: np.ndarray, coeffs: np.ndarray, alphas: np.ndarray,
     its error is within eps/p^2; both conditions are flagged in ``meta``
     rather than raised.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    checked_epsilon(epsilon)
     n_photon, omega_bar, energy, bound = (
         float(x) for x in _energy_terms(omegas, alphas, epsilon, p_power, hbar))
     if n_photon == 0.0:
@@ -324,9 +322,8 @@ def squeezed_energy(r: float, epsilon: float, omega: float, hbar: float = 1.0) -
     e^{2r}, but the e^{2r} quanta carried by the squeezing itself are part
     of the field energy; this is the resulting requirement.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    if omega <= 0:
+    checked_epsilon(epsilon)
+    if not omega > 0:
         raise ValueError("omega must be positive")
     s = math.exp(2.0 * r)
     return hbar * omega * (1.0 / (s * epsilon) + s)
@@ -337,11 +334,11 @@ def optimize_squeezing(epsilon: float, omega: float = 1.0,
     """(r*, E_min) minimising the squeezed-field energy requirement.
 
     By AM-GM the two terms of :func:`squeezed_energy` balance at
-    e^{2r*} = 1/sqrt(eps), so r* = -ln(eps)/4 and E_min = 2 hbar omega / sqrt(eps).
+    e^{2r*} = 1/sqrt(eps), so r* = -ln(eps)/4 and E_min = 2 hbar omega / sqrt(eps);
+    r* < 0 for eps > 1, where the optimum widens the quadrature instead.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    if omega <= 0:
+    checked_epsilon(epsilon)
+    if not omega > 0:
         raise ValueError("omega must be positive")
     return -math.log(epsilon) / 4.0, 2.0 * hbar * omega / math.sqrt(epsilon)
 
@@ -361,10 +358,9 @@ class LinewidthBound:
 
 
 def linewidth_combined_bound(duration: float, epsilon: float, hbar: float = 1.0) -> LinewidthBound:
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError("duration must be positive")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
+    checked_epsilon(epsilon)
     omega_min = 1.0 / (duration * math.sqrt(epsilon))
     return LinewidthBound(
         omega_min=omega_min,
@@ -384,8 +380,7 @@ def single_mode_equality_pulse(epsilon: float, omega: float = 1.0,
     |g| is tuned so the error hits eps exactly and alpha is phase-matched
     with |alpha| = pi/(2 sqrt(eps)).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    checked_epsilon(epsilon)
     integral = mode_window_integral(omega, window)
     if abs(integral) < 1e-12:
         raise ValueError("window integral vanishes; choose a different omega or window")
@@ -445,8 +440,7 @@ def random_feasible_pulse(rng: np.random.Generator, epsilon: float, n_modes: int
     raises ValueError before any draw; a degenerate draw (zero error or zero
     phase) raises :class:`SamplingError`.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    checked_epsilon(epsilon)
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     window = _checked((), (), window)
@@ -473,8 +467,7 @@ def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int)
     draw (zero error or zero phase) raises :class:`SamplingError`, as
     :func:`random_feasible_pulse` does on the same draw.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    checked_epsilon(epsilon)
     if count < 0:
         raise ValueError("count must be >= 0")
     ns = np.empty(count, dtype=int)
@@ -530,8 +523,7 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     the first restart with the least ratio, and only it becomes a
     :class:`PulseSpec` and a report.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    checked_epsilon(epsilon)
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if budget < 1:

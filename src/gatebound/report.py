@@ -11,10 +11,21 @@ every route decides it by the same rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 RATIO_SLACK = 1e-12  # |energy/bound - 1| below this counts as satisfied
+
+
+def checked_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless ``epsilon`` is a finite error budget > 0.
+
+    Every closed-form bound is defined for all eps > 0; which budgets a
+    route calls unphysical is that route's flag, not a rejection.
+    """
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite error budget > 0, got {epsilon!r}")
 
 
 @dataclass(frozen=True)

@@ -296,12 +296,12 @@ CRITERIA = {
 
 
 def run_criteria(numbers=None, tolerance_scale: float = 1.0) -> list[CriterionResult]:
-    """Run the numbered criteria (all by default) in ascending order.
+    """Run the numbered criteria (all by default) in ascending order, each once.
 
     Each result carries its criterion's tolerance times ``tolerance_scale``
     and the criterion's wall time in ``runtime_s``.
     """
-    numbers = sorted(CRITERIA) if numbers is None else sorted(numbers)
+    numbers = sorted(CRITERIA) if numbers is None else sorted(set(numbers))
     results = []
     for k in numbers:
         if k not in CRITERIA:

@@ -27,6 +27,8 @@ def test_run_criteria_scales_each_tolerance_once():
     # passed is derived from value and tolerance, never stored beside them
     assert not dataclasses.replace(result, value=1e-20).passed
     assert dataclasses.replace(result, value=1e-20, tolerance=1e-10).passed
+    # a criterion named twice runs once (verify-all --criteria 1,1)
+    assert len(run_criteria([1, 1])) == 1
 
 
 def test_criterion_4_screen_is_pinned(monkeypatch):

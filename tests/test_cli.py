@@ -52,7 +52,7 @@ def test_unknown_command_exits_2():
 
 def test_invalid_epsilon_exits_2(tmp_path):
     out = tmp_path / "run"
-    assert main(["squeeze-opt", "--epsilon", "2.0", "--output", str(out)]) == 2
+    assert main(["squeeze-opt", "--epsilon", "-1", "--output", str(out)]) == 2
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -597,27 +597,28 @@ def test_collision_epsilon_above_one_is_flagged_not_rejected(tmp_path, name):
     assert report["extra"]["report"]["meta"]["epsilon_unphysical"] is True
 
 
-# The error budgets each bound route takes: the pulse, power-p and heuristic
-# routes need eps in (0, 1), the squeezing optimum eps in (0, 1], and the
-# collision chains any eps > 0 (eps >= 1 flagged, see the test above).
-EPSILON_DOMAINS = {
-    "heuristic": (["--m", "1", "--length", "1", "--duration", "1"], {1: 2, 2: 2}),
-    "pulse-bound": (["--budget", "5"], {1: 2, 2: 2}),
-    "nonlinear-bound": (["--p-power", "2"], {1: 2, 2: 2}),
-    "squeeze-opt": ([], {1: 0, 2: 2}),
-    **{name: (args, {1: 0, 2: 0}) for name, args in COLLISION_CHAINS.items()},
+# Every bound route takes any finite error budget eps > 0 (the collision
+# chains flag eps >= 1, see the test above) and rejects the rest with one message.
+BOUND_ROUTES = {
+    "heuristic": ["--m", "1", "--length", "1", "--duration", "1"],
+    "pulse-bound": ["--budget", "5"],
+    "nonlinear-bound": ["--p-power", "2"],
+    "squeeze-opt": [],
+    **COLLISION_CHAINS,
 }
 
 
-@pytest.mark.parametrize("epsilon", [1, 2])
-@pytest.mark.parametrize("name", sorted(EPSILON_DOMAINS))
+@pytest.mark.parametrize("epsilon", [1, 2, 0, -0.5])
+@pytest.mark.parametrize("name", sorted(BOUND_ROUTES))
 def test_epsilon_domain_of_each_route(tmp_path, capsys, name, epsilon):
-    args, codes = EPSILON_DOMAINS[name]
     out = tmp_path / "run"
-    code = main([name, *args, "--epsilon", str(epsilon), "--output", str(out)])
-    assert code == codes[epsilon]
-    if code == 2:
-        assert "epsilon must lie in (0, 1" in capsys.readouterr().err
+    code = main([name, *BOUND_ROUTES[name], "--epsilon", str(epsilon), "--output", str(out)])
+    if epsilon > 0:
+        assert code == 0
+        assert (out / "result.csv").exists()
+    else:
+        assert code == 2
+        assert "epsilon must be a finite error budget > 0" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,0 +1,89 @@
+"""One error-budget domain across the bound routes: any finite eps > 0."""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gatebound import (
+    FreeCollisionConfig,
+    HarmonicCollisionConfig,
+    HeuristicConfig,
+    PotentialLaw,
+    PulseSpec,
+    calibrated,
+    calibrated_harmonic,
+    energy_bound_check,
+    error_variance_free,
+    free_energy_bound,
+    harmonic_energy_bound,
+    heuristic_energy_bound,
+    linewidth_combined_bound,
+    min_photon_number,
+    nonlinear_bound_check,
+    nonlinear_reduce,
+    optimal_wavepacket,
+    optimize_squeezing,
+    powerlaw_log_derivative,
+    raised_cosine,
+    squeezed_energy,
+)
+
+NAN = math.nan
+FREE = calibrated(FreeCollisionConfig(m=40.0, v=2.0, b=4.0, T=8.0, potential=PotentialLaw(2.0)))
+HARMONIC = calibrated_harmonic(
+    HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0)))
+PULSE = PulseSpec(((1.3, 0.4 + 0.1j, 2.0 - 1.0j), (4.1, 0.2j, 0.5)), (0.0, 1.0))
+POWER_2 = nonlinear_reduce(2, raised_cosine(1.0), (0.0, 1.0), [(3.0, 1.0)])
+
+
+def _bounds(epsilon):
+    """Every route's bound at ``epsilon``, with its parameters other than eps fixed."""
+    return {
+        "free": free_energy_bound(FREE, epsilon).bound,
+        "harmonic": harmonic_energy_bound(HARMONIC, epsilon).bound,
+        "heuristic": heuristic_energy_bound(
+            HeuristicConfig(m=1.0, L=1.0, T=2.0, epsilon=epsilon)).bound,
+        "pulse": energy_bound_check(PULSE, epsilon).bound,
+        "power-2": nonlinear_bound_check(POWER_2, [1.0], epsilon).bound,
+        "photons": min_photon_number(epsilon),
+        "linewidth": linewidth_combined_bound(2.0, epsilon).bound,
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(epsilon=st.floats(1e-3, 1e3))
+def test_every_bound_scales_as_one_over_epsilon(epsilon):
+    # each closed form is defined for all eps > 0, not only below 1
+    at_one = _bounds(1.0)
+    for route, bound in _bounds(epsilon).items():
+        assert bound * epsilon == pytest.approx(at_one[route], rel=1e-14), route
+    r_star, e_min = optimize_squeezing(epsilon, 1.5)
+    assert e_min * math.sqrt(epsilon) == pytest.approx(3.0, rel=1e-14)
+    assert (r_star < 0) == (epsilon > 1)
+    assert squeezed_energy(r_star, epsilon, 1.5) == pytest.approx(e_min, rel=1e-14)
+
+
+NAN_INPUTS = {
+    "free-epsilon": lambda: free_energy_bound(FREE, NAN),
+    "harmonic-epsilon": lambda: harmonic_energy_bound(HARMONIC, NAN),
+    "free-config": lambda: FreeCollisionConfig(m=NAN, v=2.0, b=4.0, T=8.0,
+                                               potential=PotentialLaw(2.0)),
+    "harmonic-config": lambda: HarmonicCollisionConfig(m=1.0, omega=NAN, A=100.0, b=30.0,
+                                                       potential=PotentialLaw(3.0)),
+    "heuristic-config": lambda: HeuristicConfig(m=NAN, L=1.0, T=1.0, epsilon=0.1),
+    "heuristic-widths": lambda: HeuristicConfig(m=1.0, L=1.0, T=1.0, epsilon=0.1,
+                                                dx=NAN, dp=1.0),
+    "optimal-wavepacket": lambda: optimal_wavepacket(1.0, NAN),
+    "log-derivative": lambda: powerlaw_log_derivative(2.0, NAN),
+    "error-variance": lambda: error_variance_free(FREE, 1.0, NAN),
+    "squeezed-energy": lambda: squeezed_energy(0.0, 0.1, NAN),
+    "optimize-squeezing": lambda: optimize_squeezing(1.0, NAN),
+    "linewidth": lambda: linewidth_combined_bound(NAN, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_INPUTS))
+def test_nan_input_to_a_bound_route_raises(name):
+    with pytest.raises(ValueError, match="epsilon|positive"):
+        NAN_INPUTS[name]()

@@ -111,7 +111,7 @@ def test_crosscheck_against_collision_chain():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        HeuristicConfig(m=1.0, L=1.0, T=1.0, epsilon=1.5)
+        HeuristicConfig(m=1.0, L=1.0, T=1.0, epsilon=math.inf)
     with pytest.raises(ValueError):
         HeuristicConfig(m=-1.0, L=1.0, T=1.0, epsilon=0.1)
     with pytest.raises(ValueError):
