@@ -27,17 +27,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .errors import (
-    DegenerateConfigError,
-    IntegrationError,
-    NumericalInconsistencyError,
-    UncertaintyError,
-)
+from .errors import DegenerateConfigError, IntegrationError, NumericalInconsistencyError
 from .numerics import _dop853, quad
-from .report import BoundReport, checked_epsilon
+from .report import (PHASE_CALIBRATION_TOL, BoundReport, checked_epsilon, checked_positive,
+                     checked_uncertainty, within_budget)
 
 PI = math.pi
-PHASE_CALIBRATION_TOL = 1e-6
 QUAD_REL_TOL = 1e-10
 RETURN_RTOL = 1e-10  # DOP853 relative tolerance of the return-mismatch trajectory
 SIN_SYMMETRY_TOL = 1e-9
@@ -105,9 +100,7 @@ class FreeCollisionConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "v", "b", "T", "hbar"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        checked_positive(m=self.m, v=self.v, b=self.b, T=self.T, hbar=self.hbar)
         if not self.b < self.v * self.T:
             raise ValueError("impact parameter must satisfy b < v T")
 
@@ -144,10 +137,7 @@ def calibrated(cfg: FreeCollisionConfig) -> FreeCollisionConfig:
 
 def error_variance_free(cfg: FreeCollisionConfig, dx0: float, dp0: float) -> float:
     """Phase variance (b^2/hbar^2) (int V'(rho)/rho dt)^2 (dx0^2 + T^2 dp0^2/4m^2)."""
-    if not (dx0 > 0 and dp0 > 0):
-        raise ValueError("wavepacket widths must be positive")
-    if dx0 * dp0 < cfg.hbar / 2.0 - 1e-12:
-        raise UncertaintyError(f"dx0*dp0 = {dx0 * dp0!r} violates the uncertainty relation")
+    checked_uncertainty(dx0, dp0, cfg.hbar)
     integrand = lambda t: cfg.potential.derivative(cfg.rho(t)) / cfg.rho(t)
     val = _quad(integrand, 0.0, cfg.T / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
     j = 2.0 * val
@@ -166,8 +156,7 @@ def optimal_wavepacket(m: float, T: float, hbar: float = 1.0) -> OptimalWavepack
     The optimum equalises the two terms: dx0^2 = T hbar / 4m and
     dp0^2 = m hbar / T, with objective T hbar / 2m.
     """
-    if not (m > 0 and T > 0):
-        raise ValueError("m and T must be positive")
+    checked_positive(m=m, T=T, hbar=hbar)
     return OptimalWavepacket(dx0_sq=T * hbar / (4.0 * m), dp0_sq=m * hbar / T)
 
 
@@ -200,10 +189,9 @@ def _line_integral_power_law(n: float, b: float) -> float:
 
 def powerlaw_log_derivative(n: float, b: float) -> float:
     """d/db ln(int (y^2+b^2)^{-n/2} dy) = -(n-1)/b, since the integral scales as b^{1-n}."""
-    if n <= 1:
+    if not n > 1:
         raise ValueError("power-law exponent must satisfy n > 1")
-    if not b > 0:
-        raise ValueError("b must be positive")
+    checked_positive(b=b)
     return -(n - 1.0) / b
 
 
@@ -246,7 +234,6 @@ def free_energy_bound(cfg: FreeCollisionConfig, epsilon: float) -> BoundReport:
     """
     checked_epsilon(epsilon)
     phase = phase_integral_free(cfg)
-    off_calibration = abs(phase - PI) > PHASE_CALIBRATION_TOL
     log_deriv = powerlaw_log_derivative(cfg.potential.n, cfg.b)
     delta_sq = (PI * PI * cfg.T * cfg.hbar / (2.0 * cfg.m)) * log_deriv * log_deriv
     wp = optimal_wavepacket(cfg.m, cfg.T, cfg.hbar)
@@ -255,8 +242,8 @@ def free_energy_bound(cfg: FreeCollisionConfig, epsilon: float) -> BoundReport:
     meta = {
         "epsilon": epsilon,
         "epsilon_unphysical": epsilon >= 1.0,
-        "off_calibration": off_calibration,
-        "error_within_epsilon": delta_sq <= epsilon,
+        "off_calibration": abs(phase - PI) > PHASE_CALIBRATION_TOL,
+        "error_within_epsilon": within_budget(delta_sq, epsilon),
         "dx0_sq": wp.dx0_sq,
         "dp0_sq": wp.dp0_sq,
         # 2 m hbar / T: the momentum variance obtained if the uncertainty
@@ -298,9 +285,7 @@ class HarmonicCollisionConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "omega", "A", "b", "hbar"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        checked_positive(m=self.m, omega=self.omega, A=self.A, b=self.b, hbar=self.hbar)
 
     @property
     def period(self) -> float:
@@ -434,7 +419,7 @@ def harmonic_energy_bound(cfg: HarmonicCollisionConfig, epsilon: float) -> Bound
     meta = {
         "epsilon": epsilon,
         "epsilon_unphysical": epsilon >= 1.0,
-        "error_within_epsilon": hv.delta_sq <= epsilon,
+        "error_within_epsilon": within_budget(hv.delta_sq, epsilon),
         "amplitude_exceeds_gap": cfg.amplitude_exceeds_gap,
         "per_oscillator_energy": energy / 2.0,
         "delta_sq": hv.delta_sq,

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .report import checked_positive
+
 
 @dataclass(frozen=True)
 class Envelope:
@@ -23,7 +25,6 @@ class Envelope:
 
     fn: Callable[[float], float]
     duration: float
-    integral: float
     breakpoints: tuple[float, ...] = ()
 
     def __call__(self, t: float) -> float:
@@ -34,33 +35,30 @@ class Envelope:
 
 def raised_cosine(duration: float) -> Envelope:
     """(1 - cos(2 pi t / T)) / 2 scaled to unit area."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    checked_positive(duration=duration)
     amp = 1.0 / (duration / 2.0)
 
     def fn(t, _w=2.0 * math.pi / duration, _a=amp):
         return _a * 0.5 * (1.0 - math.cos(_w * t))
 
-    return Envelope(fn, duration, 1.0)
+    return Envelope(fn, duration)
 
 
 def triangle(duration: float) -> Envelope:
     """Symmetric unit-area triangle peaking at T/2."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    checked_positive(duration=duration)
     peak = 2.0 / duration
 
     def fn(t, _T=duration, _p=peak):
         return _p * (1.0 - abs(2.0 * t / _T - 1.0))
 
-    return Envelope(fn, duration, 1.0, breakpoints=(duration / 2.0,))
+    return Envelope(fn, duration, breakpoints=(duration / 2.0,))
 
 
 def gaussian(duration: float) -> Envelope:
     """Unit-area Gaussian bump of width sigma = T/10 centred at T/2, minus its
     endpoint value so it is exactly zero at t = 0, T."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    checked_positive(duration=duration)
     sigma = duration / 10.0
     half = duration / 2.0
     base = math.exp(-half * half / (2.0 * sigma * sigma))
@@ -71,7 +69,7 @@ def gaussian(duration: float) -> Envelope:
     def fn(t, _c=half, _s2=2.0 * sigma * sigma, _b=base, _a=amp):
         return _a * (math.exp(-(t - _c) ** 2 / _s2) - _b)
 
-    return Envelope(fn, duration, 1.0)
+    return Envelope(fn, duration)
 
 
 ENVELOPES = {
@@ -94,8 +92,7 @@ class LinearDrive:
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(f"duration must be finite and positive, got {self.duration}")
+        checked_positive(duration=self.duration)
         outside = [bp for bp in self.breakpoints if not 0.0 < bp < self.duration]
         if outside:
             raise ValueError(f"breakpoints {outside} lie outside the window (0, {self.duration})")

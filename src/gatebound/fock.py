@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CutoffError, DimensionMismatchError, IntegrationError
+from .report import checked_positive
 
 
 def __getattr__(name: str):
@@ -381,8 +382,7 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
         On step-size underflow or when the step budget is exhausted;
         diagnostics carry the reached time and the last step/error.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    checked_positive(tol=tol)
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     if t1 == t0:

@@ -21,6 +21,7 @@ Natural units (hbar = 1) throughout.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .envelopes import LinearDrive, envelope_drive
-from .errors import CutoffError
+from .errors import CutoffError, NumericalInconsistencyError
 from .fock import (
     COHERENT_TAIL,
     ControlState,
@@ -40,6 +41,7 @@ from .fock import (
     overlap,
 )
 from .numerics import MAX_PANELS, PANEL_RTOL, _panel_rule, converged_panels, panel_nodes
+from .report import checked_positive
 
 PHASE_TARGET = math.pi  # accumulated conditional phase for a perfect sign flip
 EDGE_LEVELS = 10        # top levels whose population the truncation check bounds
@@ -86,6 +88,8 @@ class GateOutcome:
     @staticmethod
     def from_inner(inner: complex, phase_integral: float,
                    switch_start: float, switch_end: float) -> "GateOutcome":
+        if not cmath.isfinite(inner):  # the clamp below would read NaN as p = 0
+            raise NumericalInconsistencyError(f"gate amplitude inner = {inner!r} is not finite")
         p = 1.0 - abs(1.0 - inner) ** 2 / 4.0
         p = min(1.0, max(0.0, p))
         return GateOutcome(
@@ -100,13 +104,13 @@ class GateOutcome:
 def pi_phase_drive(envelope, alpha: complex) -> LinearDrive:
     """Scale an envelope so a coherent control |alpha> accumulates phase pi.
 
-    The mean coupling on |alpha> is <V_I(t)> = 2 Re(f(t) conj(alpha)); a
-    coefficient pi e^{i arg alpha} / (2 |alpha| * integral) makes its time
-    integral exactly pi.
+    The mean coupling on |alpha> is <V_I(t)> = 2 Re(f(t) conj(alpha)); the
+    envelope has unit area, so a coefficient pi e^{i arg alpha} / (2 |alpha|)
+    makes its time integral exactly pi.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero to accumulate phase")
-    coeff = PHASE_TARGET * np.exp(1j * np.angle(alpha)) / (2.0 * abs(alpha) * envelope.integral)
+    coeff = PHASE_TARGET * np.exp(1j * np.angle(alpha)) / (2.0 * abs(alpha))
     return envelope_drive(envelope, coeff)
 
 
@@ -232,8 +236,7 @@ def failure_probability_exact(scenario: GateScenario, tol: float = 1e-9) -> Gate
     ``EDGE_LEVELS`` levels, else the cutoff was too small for the drive and
     :class:`CutoffError` is raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    checked_positive(tol=tol)
     psi0 = scenario.control
     drive = scenario.drive
     T = scenario.duration
@@ -272,8 +275,7 @@ def counterexample_always_on(n: int, g: float) -> GateOutcome:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if g <= 0:
-        raise ValueError("g must be positive")
+    checked_positive(g=g)
     gn = g * n
     T = math.pi / gn
     return GateOutcome.from_inner(np.exp(-1j * gn * T), gn * T, gn * gn, gn * gn)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .collision import optimal_wavepacket, powerlaw_log_derivative
-from .errors import UncertaintyError
-from .report import BoundReport, checked_epsilon
+from .report import (BoundReport, checked_epsilon, checked_positive, checked_uncertainty,
+                     within_budget)
 
 PI = math.pi
 
@@ -38,19 +38,12 @@ class HeuristicConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "L", "T", "hbar"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        checked_positive(m=self.m, L=self.L, T=self.T, hbar=self.hbar)
         checked_epsilon(self.epsilon)
         if (self.dx is None) != (self.dp is None):
             raise ValueError("dx and dp must be given together")
         if self.dx is not None:
-            if not (self.dx > 0 and self.dp > 0):
-                raise ValueError("dx and dp must be positive")
-            if self.dx * self.dp < self.hbar / 2.0 - 1e-12:
-                raise UncertaintyError(
-                    f"dx*dp = {self.dx * self.dp!r} violates the uncertainty relation"
-                )
+            checked_uncertainty(self.dx, self.dp, self.hbar)
 
 
 class Displacements(NamedTuple):
@@ -93,9 +86,9 @@ def misoverlap_optimal(cfg: HeuristicConfig) -> float:
 def heuristic_energy_bound(cfg: HeuristicConfig) -> BoundReport:
     """Kinetic energy (1/2) m (L/T)^2 against pi^2 hbar / (eps T).
 
-    The bound retains its epsilon: demanding misoverlap <= eps is exactly
-    equivalent to energy >= pi^2 hbar/(eps T).  The epsilon-free variant
-    pi^2 hbar / T is recorded in ``meta`` rather than silently substituted.
+    The bound retains its epsilon: misoverlap <= eps is exactly energy >=
+    pi^2 hbar/(eps T), one rounding slack deciding both.  The epsilon-free
+    variant pi^2 hbar / T is recorded in ``meta``, not silently substituted.
     """
     v = cfg.L / cfg.T
     energy = 0.5 * cfg.m * v * v
@@ -106,7 +99,7 @@ def heuristic_energy_bound(cfg: HeuristicConfig) -> BoundReport:
         "speed": v,
         "misoverlap_optimal": mis_opt,
         "misoverlap": misoverlap(cfg),
-        "error_within_epsilon": mis_opt <= cfg.epsilon,
+        "error_within_epsilon": within_budget(mis_opt, cfg.epsilon),
         "bound_epsilon_free": PI * PI * cfg.hbar / cfg.T,
     }
     return BoundReport(
@@ -129,6 +122,8 @@ def collision_crosscheck(v: float, T: float, epsilon: float,
     i.e. (1/2) m v^2 >= (pi^2/4) hbar/(eps T) at n = 2; the heuristic
     demands (1/2) m v^2 >= pi^2 hbar/(eps T).  Their ratio is 4.
     """
+    checked_positive(v=v, T=T, hbar=hbar)
+    checked_epsilon(epsilon)
     n = 2.0
     b = v * T
     log_deriv = powerlaw_log_derivative(n, b)

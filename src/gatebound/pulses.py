@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import IntegrationError, SamplingError
 from .numerics import PANEL_NODES, PANEL_RTOL, _panel_rule, converged_panels, panel_nodes
-from .report import RATIO_SLACK, BoundReport, checked_epsilon
+from .report import (PHASE_CALIBRATION_TOL, BoundReport, checked_epsilon, checked_positive,
+                     within_budget)
 
 PI = math.pi
-PHASE_CALIBRATION_TOL = 1e-6
 NARROW_PHASE = 0.1  # |omega (t1 - t0)| below which mode_window_integral uses the sin form
 
 
@@ -97,10 +97,9 @@ def _checked(omegas: Sequence[float], values: Sequence[complex],
     weights or amplitudes in ``values`` finite, and the window finite with
     t_end > t_start.
     """
-    if not (all(map(math.isfinite, omegas)) and all(map(cmath.isfinite, values))):
-        raise ValueError("mode frequencies, couplings, weights and amplitudes must be finite")
-    if any(w <= 0 for w in omegas):
-        raise ValueError("all mode frequencies must be positive")
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError("couplings, weights and amplitudes must be finite")
+    checked_positive(**{f"omegas[{k}]": w for k, w in enumerate(omegas)})
     t0, t1 = (float(t) for t in window)
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("window bounds must be finite")
@@ -161,13 +160,12 @@ def _energy_terms(omegas: np.ndarray, alphas: np.ndarray, epsilon: float, p_powe
     """(photon number, <omega>, energy, bound) over the last (mode) axis.
 
     <omega> is the photon-number-weighted mean frequency and the bound
-    (pi^2/4) p^2 hbar <omega> / eps; both are nan where there are no photons.
+    (pi^2/4) p^2 hbar <omega> / eps; the caller guards rows with no photons.
     """
     weights = np.abs(alphas) ** 2
     n_photon = weights.sum(axis=-1)
     weighted = (omegas * weights).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        omega_bar = weighted / n_photon
+    omega_bar = weighted / n_photon
     bound = (PI * PI / 4.0) * float(p_power) ** 2 * hbar * omega_bar / epsilon
     return n_photon, omega_bar, hbar * weighted, bound
 
@@ -183,19 +181,17 @@ def _bound_report(omegas: np.ndarray, coeffs: np.ndarray, alphas: np.ndarray,
     rather than raised.
     """
     checked_epsilon(epsilon)
+    if not (np.abs(alphas) ** 2).any():  # the photon number is 0: no mean frequency
+        raise ValueError("mean frequency undefined for a pulse with no photons")
     n_photon, omega_bar, energy, bound = (
         float(x) for x in _energy_terms(omegas, alphas, epsilon, p_power, hbar))
-    if n_photon == 0.0:
-        raise ValueError("mean frequency undefined for a pulse with no photons")
     phase = float(_phase(coeffs, alphas))
     error = float(_error(coeffs))
-    p_sq = float(p_power) ** 2
     meta = {
         "epsilon": epsilon,
         "p_power": p_power,
         "off_calibration": abs(phase - PI) > PHASE_CALIBRATION_TOL,
-        # the same relative rounding slack BoundReport.satisfied grants the energy
-        "error_within_epsilon": error <= epsilon / p_sq * (1.0 + RATIO_SLACK),
+        "error_within_epsilon": within_budget(error, epsilon / float(p_power) ** 2),
     }
     return BoundReport(
         energy=energy,
@@ -323,8 +319,7 @@ def squeezed_energy(r: float, epsilon: float, omega: float, hbar: float = 1.0) -
     of the field energy; this is the resulting requirement.
     """
     checked_epsilon(epsilon)
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    checked_positive(omega=omega)
     s = math.exp(2.0 * r)
     return hbar * omega * (1.0 / (s * epsilon) + s)
 
@@ -338,8 +333,7 @@ def optimize_squeezing(epsilon: float, omega: float = 1.0,
     r* < 0 for eps > 1, where the optimum widens the quadrature instead.
     """
     checked_epsilon(epsilon)
-    if not omega > 0:
-        raise ValueError("omega must be positive")
+    checked_positive(omega=omega)
     return -math.log(epsilon) / 4.0, 2.0 * hbar * omega / math.sqrt(epsilon)
 
 
@@ -358,8 +352,7 @@ class LinewidthBound:
 
 
 def linewidth_combined_bound(duration: float, epsilon: float, hbar: float = 1.0) -> LinewidthBound:
-    if not duration > 0:
-        raise ValueError("duration must be positive")
+    checked_positive(duration=duration)
     checked_epsilon(epsilon)
     omega_min = 1.0 / (duration * math.sqrt(epsilon))
     return LinewidthBound(
@@ -484,7 +477,8 @@ def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int)
         log_om, g_re, g_im, a_re, a_im = modes[:, rows, :n]
         om, _, alphas, degenerate[rows] = _feasible(log_om, g_re, g_im, us[rows], a_re, a_im,
                                                     epsilon, SCREEN_WINDOW)
-        _, _, energy, bound = _energy_terms(om, alphas, epsilon, 1, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate row may lack photons
+            _, _, energy, bound = _energy_terms(om, alphas, epsilon, 1, 1.0)
         ratios[rows] = energy / bound
     if degenerate.any():
         raise SamplingError(f"degenerate random draw at pulse {np.argmax(degenerate)}: "

@@ -6,7 +6,9 @@ the fluctuation error it would incur, the energy actually invested and the
 minimum energy the corresponding inequality demands.  ``BoundReport`` holds
 them together with a free-form ``meta`` dict for study-specific flags, and
 derives the verdict ``satisfied`` from ``energy`` and ``bound`` alone, so
-every route decides it by the same rule.
+every route decides it by the same rule.  The input checks, the
+error-budget flag and the calibration tolerance that every route shares
+live here too, with one relative slack ``RATIO_SLACK`` in any units.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import UncertaintyError
+
 RATIO_SLACK = 1e-12  # |energy/bound - 1| below this counts as satisfied
+PHASE_CALIBRATION_TOL = 1e-6  # |phase - pi| above this flags (or rejects) a calibration
 
 
 def checked_epsilon(epsilon: float) -> None:
@@ -26,6 +31,26 @@ def checked_epsilon(epsilon: float) -> None:
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite error budget > 0, got {epsilon!r}")
+
+
+def checked_positive(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def checked_uncertainty(dx: float, dp: float, hbar: float) -> None:
+    """Check both widths with :func:`checked_positive`, then dx dp >= hbar/2 up to ``RATIO_SLACK``."""
+    checked_positive(dx=dx, dp=dp)
+    if dx * dp < hbar / 2.0 * (1.0 - RATIO_SLACK):
+        raise UncertaintyError(f"dx*dp = {dx * dp!r} violates the uncertainty relation "
+                               f"dx*dp >= hbar/2 = {hbar / 2.0!r}")
+
+
+def within_budget(error: float, budget: float) -> bool:
+    """error <= budget up to the relative rounding slack ``satisfied`` grants the energy."""
+    return error <= budget * (1.0 + RATIO_SLACK)
 
 
 @dataclass(frozen=True)

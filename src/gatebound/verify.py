@@ -20,6 +20,7 @@ import numpy as np
 
 from . import collision, gate, heuristic, pulses
 from .envelopes import raised_cosine
+from .report import within_budget
 
 PI = math.pi
 
@@ -198,7 +199,7 @@ def criterion_7() -> CriterionResult:
                 )
                 cfg = collision.calibrated(cfg)
                 report = collision.free_energy_bound(cfg, epsilon)
-                if report.error <= epsilon:
+                if within_budget(report.error, epsilon):
                     checked += 1
                     if not report.satisfied:
                         failures += 1

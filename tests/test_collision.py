@@ -145,6 +145,10 @@ def test_error_variance_against_refined_quadrature():
 def test_error_variance_rejects_unphysical_wavepacket():
     with pytest.raises(UncertaintyError):
         error_variance_free(free_cfg(), 0.1, 0.1)
+    si = FreeCollisionConfig(m=1e-26, v=1.0, b=1.0, T=8.0, potential=PotentialLaw(2.0),
+                             hbar=1.054571817e-34)
+    with pytest.raises(UncertaintyError):  # dx0*dp0 = 1e-40 < hbar/2 = 5.3e-35
+        error_variance_free(si, 1e-20, 1e-20)
 
 
 def test_optimal_wavepacket_values():

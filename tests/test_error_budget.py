@@ -1,21 +1,29 @@
-"""One error-budget domain across the bound routes: any finite eps > 0."""
+"""One error-budget domain across the bound routes, and one rule per input check and flag."""
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gatebound import (
     FreeCollisionConfig,
+    GateScenario,
     HarmonicCollisionConfig,
     HeuristicConfig,
     PotentialLaw,
     PulseSpec,
     calibrated,
     calibrated_harmonic,
+    coherent_state,
+    collision_crosscheck,
+    counterexample_always_on,
     energy_bound_check,
+    envelope_drive,
     error_variance_free,
+    evolve,
+    failure_probability_exact,
     free_energy_bound,
+    gaussian,
     harmonic_energy_bound,
     heuristic_energy_bound,
     linewidth_combined_bound,
@@ -27,9 +35,11 @@ from gatebound import (
     powerlaw_log_derivative,
     raised_cosine,
     squeezed_energy,
+    triangle,
 )
 
 NAN = math.nan
+INF = math.inf
 FREE = calibrated(FreeCollisionConfig(m=40.0, v=2.0, b=4.0, T=8.0, potential=PotentialLaw(2.0)))
 HARMONIC = calibrated_harmonic(
     HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0)))
@@ -64,6 +74,8 @@ def test_every_bound_scales_as_one_over_epsilon(epsilon):
     assert squeezed_energy(r_star, epsilon, 1.5) == pytest.approx(e_min, rel=1e-14)
 
 
+# each physical input must be finite and > 0, so NaN and inf are both rejected
+SCENARIO = GateScenario(coherent_state(0.0, 30), envelope_drive(raised_cosine(1.0), 1.0))
 NAN_INPUTS = {
     "free-epsilon": lambda: free_energy_bound(FREE, NAN),
     "harmonic-epsilon": lambda: harmonic_energy_bound(HARMONIC, NAN),
@@ -80,10 +92,37 @@ NAN_INPUTS = {
     "squeezed-energy": lambda: squeezed_energy(0.0, 0.1, NAN),
     "optimize-squeezing": lambda: optimize_squeezing(1.0, NAN),
     "linewidth": lambda: linewidth_combined_bound(NAN, 0.1),
+    "raised-cosine": lambda: raised_cosine(NAN),
+    "triangle": lambda: triangle(NAN),
+    "gaussian": lambda: gaussian(NAN),
+    "evolve-tol": lambda: evolve(SCENARIO.control, SCENARIO.drive, 0.0, 1.0, NAN),
+    "exact-tol": lambda: failure_probability_exact(SCENARIO, NAN),
+    "counterexample-g": lambda: counterexample_always_on(1, NAN),
+    "log-derivative-exponent": lambda: powerlaw_log_derivative(NAN, 1.0),
+    "crosscheck-epsilon": lambda: collision_crosscheck(2.0, 3.0, -1.0),
+    "crosscheck-speed": lambda: collision_crosscheck(NAN, 3.0, 0.05),
+    "free-config-inf": lambda: FreeCollisionConfig(m=INF, v=2.0, b=4.0, T=8.0,
+                                                   potential=PotentialLaw(2.0)),
+    "harmonic-config-inf": lambda: HarmonicCollisionConfig(m=1.0, omega=1.0, A=INF, b=30.0,
+                                                           potential=PotentialLaw(3.0)),
+    "heuristic-config-inf": lambda: HeuristicConfig(m=1.0, L=INF, T=1.0, epsilon=0.1),
+    "heuristic-widths-inf": lambda: HeuristicConfig(m=1.0, L=1.0, T=1.0, epsilon=0.1,
+                                                    dx=INF, dp=1.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NAN_INPUTS))
 def test_nan_input_to_a_bound_route_raises(name):
-    with pytest.raises(ValueError, match="epsilon|positive"):
+    with pytest.raises(ValueError, match="epsilon|positive|n > 1"):
         NAN_INPUTS[name]()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(epsilon=st.floats(1e-3, 0.5), L=st.floats(0.1, 3.0), T=st.floats(0.1, 3.0))
+@example(epsilon=0.01, L=1.2, T=1.5)  # m = 2056.1675835602828, misoverlap = eps + 1 ulp
+def test_heuristic_flag_agrees_with_satisfied_at_equality(epsilon, L, T):
+    # misoverlap <= eps is exactly energy >= bound, and at the equality mass
+    # both sides land within rounding of equality: one slack decides both
+    m = 2.0 * math.pi ** 2 * T / (epsilon * L * L)
+    report = heuristic_energy_bound(HeuristicConfig(m=m, L=L, T=T, epsilon=epsilon))
+    assert report.satisfied == report.meta["error_within_epsilon"]

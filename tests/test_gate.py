@@ -11,6 +11,7 @@ from scipy.integrate import dblquad, solve_ivp
 from gatebound import (
     ControlState,
     CutoffError,
+    GateOutcome,
     GateScenario,
     LinearDrive,
     coherent_drive_scenario,
@@ -31,7 +32,7 @@ from gatebound import (
     switch_off_check,
     triangle,
 )
-from gatebound.errors import IntegrationError
+from gatebound.errors import IntegrationError, NumericalInconsistencyError
 from gatebound.gate import MAX_PANELS, drive_excursion
 from gatebound.verify import alpha_for_target_p
 
@@ -74,6 +75,14 @@ def test_zero_interaction_always_fails():
     outcome = failure_probability_exact(_zero_drive_scenario(), 1e-12)
     assert abs(outcome.inner - 1.0) < 1e-12
     assert abs(outcome.failure_probability - 1.0) < 1e-12
+
+
+def test_a_nan_amplitude_is_not_a_perfect_gate():
+    # the clamp to [0, 1] reads max(0.0, nan) as p = 0
+    with pytest.raises(NumericalInconsistencyError, match="inner"):
+        GateOutcome.from_inner(complex("nan"), PI, 0.0, 0.0)
+    with pytest.raises(NumericalInconsistencyError, match="inner"):
+        displacement_oracle(complex("nan"), pi_phase_drive(raised_cosine(1.0), 2.0))
 
 
 def test_outcome_invariant_links_p_and_inner():
@@ -181,12 +190,11 @@ def _dop853_drive_integrals(drive, rtol=1e-13):
 @pytest.mark.parametrize("shape", [raised_cosine, triangle, gaussian])
 @pytest.mark.parametrize("alpha", [2.0, 6.0, 16.0, -3.2 + 2.2j])
 def test_drive_integrals_match_closed_form_on_envelopes(shape, alpha):
-    # a constant-phase drive c s(t) integrates to c * area, and its samples
-    # commute, so its commutator phase is 0
-    envelope = shape(1.0)
-    c = PI * cmath.exp(1j * cmath.phase(alpha)) / (2.0 * abs(alpha) * envelope.integral)
-    integrals = drive_integrals(envelope_drive(envelope, c))
-    assert abs(integrals.integral - c * envelope.integral) <= 1e-15
+    # every envelope has unit area, so a constant-phase drive c s(t)
+    # integrates to c, and its samples commute, so its commutator phase is 0
+    c = PI * cmath.exp(1j * cmath.phase(alpha)) / (2.0 * abs(alpha))
+    integrals = drive_integrals(envelope_drive(shape(1.0), c))
+    assert abs(integrals.integral - c) <= 1e-15
     assert abs(integrals.magnus_phase) <= 1e-15
 
 
@@ -501,7 +509,7 @@ def test_cutoff_regression_stability():
 def test_undersized_cutoff_for_drive_excursion_raises():
     # the vacuum fits in 20 levels, but a displacement |beta| = 4 moves most
     # of the driven state's population onto the top 10 of them
-    drive = envelope_drive(raised_cosine(1.0), 4.0 / raised_cosine(1.0).integral)
+    drive = envelope_drive(raised_cosine(1.0), 4.0)  # unit area: |beta| = 4
     with pytest.raises(CutoffError):
         failure_probability_exact(GateScenario(coherent_state(0.0, 20), drive), 1e-9)
     exact = failure_probability_exact(coherent_drive_scenario(0.0, drive), 1e-9)

@@ -118,3 +118,7 @@ def test_config_validation():
         HeuristicConfig(m=1.0, L=1.0, T=1.0, epsilon=0.1, dx=1.0)
     with pytest.raises(UncertaintyError):
         HeuristicConfig(m=1.0, L=1.0, T=1.0, epsilon=0.1, dx=0.1, dp=0.1)
+    # the slack is relative, so the relation holds in SI too: 1e-40 < hbar/2 = 5.3e-35
+    with pytest.raises(UncertaintyError):
+        HeuristicConfig(m=1.0, L=1.0, T=1.0, epsilon=0.1, dx=1e-20, dp=1e-20,
+                        hbar=1.054571817e-34)

@@ -349,7 +349,7 @@ def test_nonlinear_reduce_splits_the_window_at_declared_breakpoints():
         times.append(t)
         return shape.fn(t)
 
-    envelope = Envelope(counted, shape.duration, shape.integral, shape.breakpoints)
+    envelope = Envelope(counted, shape.duration, shape.breakpoints)
     reduction = nonlinear_reduce(2, envelope, (0.0, 0.7), [(1.0, 1.0)])
     # E = 4t up to 0.5 and 4(1 - t) after; A and B are antiderivatives of
     # t e^{-it} and e^{-it}
