@@ -82,8 +82,6 @@ from .pulses import (
     energy_bound_check,
     linewidth_combined_bound,
     min_photon_number,
-    nonlinear_bound_check,
-    nonlinear_reduce,
     optimize_squeezing,
     random_feasible_pulse,
     random_feasible_ratios,

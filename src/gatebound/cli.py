@@ -253,8 +253,8 @@ def cmd_pulse_bound(params, ctx: UnitContext, seed: int):
     epsilon = params["epsilon"]
     eq = pulses.single_mode_equality_pulse(epsilon, params["omega"])
     eq_report = pulses.energy_bound_check(eq, epsilon, ctx.hbar)
-    best = pulses.adversarial_pulse_search(
-        epsilon, params["n_modes"], params["budget"], seed, hbar=ctx.hbar)
+    winner = pulses.adversarial_pulse_search(epsilon, params["n_modes"], params["budget"], seed)
+    best = pulses.energy_bound_check(winner, epsilon, ctx.hbar)
     table = [
         [("kind", "construction", "single-mode-equality"), *_report_cells(eq_report, ctx)],
         [("kind", "construction", "adversarial-best"), *_report_cells(best, ctx)],
@@ -294,15 +294,14 @@ def cmd_nonlinear_bound(params, ctx: UnitContext, seed: int):
     epsilon = params["epsilon"]
     window = (0.0, params["duration"])
     envelope = ENVELOPES[params["envelope"]](params["duration"])
-    modes = [(params["omega"], parse_complex(str(params["weight"])))]
-    alphas = [parse_complex(str(params["alpha"]))]
-    reduction = pulses.nonlinear_reduce(params["p_power"], envelope, window, modes)
-    report = pulses.nonlinear_bound_check(reduction, alphas, epsilon, ctx.hbar)
-    linear = pulses.nonlinear_reduce(1, envelope, window, modes)
-    linear_report = pulses.nonlinear_bound_check(linear, alphas, epsilon, ctx.hbar)
+    modes = ((params["omega"], parse_complex(str(params["weight"])),
+              parse_complex(str(params["alpha"]))),)
+    pulse = pulses.PulseSpec(modes, window, params["p_power"], envelope)
+    report = pulses.energy_bound_check(pulse, epsilon, ctx.hbar)
+    linear_report = pulses.energy_bound_check(pulses.PulseSpec(modes, window), epsilon, ctx.hbar)
     row = [
         ("p_power", "p_power", params["p_power"]),
-        ("coeff_abs", "effective_coefficient_abs", abs(reduction.coefficients[0][1])),
+        ("coeff_abs", "effective_coefficient_abs", abs(pulse.coefficients[0])),
         *_report_cells(report, ctx),
         ("bound_over_linear", "bound_over_linear", report.bound / linear_report.bound),
     ]

@@ -110,33 +110,105 @@ def _checked(omegas: Sequence[float], values: Sequence[complex],
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Modes (omega, g, alpha) with a common time window.
+    """Modes (omega, g, alpha) with a common time window, coupled at power p.
 
-    ``omegas``, ``couplings``, ``alphas`` and the window coefficients
-    ``coefficients`` (c_k, see :func:`_coefficients`) are read-only arrays
-    set once at construction.
+    ``omegas``, ``couplings``, ``alphas`` and the effective linear
+    coefficients ``coefficients`` are read-only arrays set once at
+    construction.  At p = 1 the coefficients are the window integrals
+    (:func:`_coefficients`) and ``envelope`` is not read, since E^0 = 1; at
+    p > 1 a power-p coupling with mean field E(t) = ``envelope`` reduces to
+    c_k = g_k int E(t)^{p-1} e^{-i omega_k t} dt (:func:`_power_coefficients`).
+    The phase condition reads sum c_k alpha_k + c.c. = pi and the error
+    condition sum |c_k|^2 < eps/p^2.
     """
 
     modes: tuple[tuple[float, complex, complex], ...]
     window: tuple[float, float]
+    p_power: int = 1
+    envelope: Callable[[float], float] | None = None
     omegas: np.ndarray = field(init=False, compare=False, repr=False)
     couplings: np.ndarray = field(init=False, compare=False, repr=False)
     alphas: np.ndarray = field(init=False, compare=False, repr=False)
     coefficients: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.p_power < 1:
+            raise ValueError("p_power must be >= 1")
+        if self.p_power > 1 and self.envelope is None:
+            raise ValueError("a power-p coupling with p > 1 needs an envelope")
         modes = tuple((float(w), complex(g), complex(al)) for w, g, al in self.modes)
         if not modes:
             raise ValueError("pulse needs at least one mode")
         window = _checked([w for w, _, _ in modes], [z for _, g, al in modes for z in (g, al)],
                           self.window)
         omegas, couplings, alphas = (np.array(column) for column in zip(*modes))
+        if self.p_power == 1:
+            coefficients = _coefficients(omegas, couplings, window)
+        else:
+            coefficients = _power_coefficients(self.p_power, self.envelope, window,
+                                               omegas.tolist(), couplings.tolist())
         arrays = {"omegas": omegas, "couplings": couplings, "alphas": alphas,
-                  "coefficients": _coefficients(omegas, couplings, window)}
+                  "coefficients": coefficients}
         for arr in arrays.values():
             arr.flags.writeable = False
         for name, value in {"modes": modes, "window": window, **arrays}.items():
             object.__setattr__(self, name, value)
+
+
+REDUCE_RADIANS_PER_PANEL = 32.0  # most radians of the fastest mode on a first-level panel
+REDUCE_MAX_PANELS = 2 ** 16      # panels (2^20 envelope samples) before the reduction gives up
+
+
+def _power_coefficients(p_power: int, envelope: Callable[[float], float],
+                        window: tuple[float, float], omegas: list[float],
+                        weights: list[complex]) -> np.ndarray:
+    """c_k = w_k int E(t)^{p-1} e^{-i omega_k t} dt of a power-p coupling (p > 1).
+
+    The integrals run on Gauss-Legendre panels (:func:`converged_panels`).
+    The first level has the least power-of-two panel count that puts at
+    most ``REDUCE_RADIANS_PER_PANEL`` radians of the fastest mode on a
+    panel; the count doubles until two levels agree to ``PANEL_RTOL`` times
+    |w_k| int |E|^{p-1} in every coefficient.  Levels that still disagree
+    at ``REDUCE_MAX_PANELS`` panels raise :class:`IntegrationError`, and so
+    does, before any envelope sample, a mode whose first doubling would
+    pass that cap.  An :class:`~gatebound.envelopes.Envelope` splits the
+    window at its ``breakpoints``, and each segment runs its own doubling;
+    a bare callable declares none.
+    """
+    t0, t1 = window
+    edges = [t0, *sorted(t for t in getattr(envelope, "breakpoints", ()) if t0 < t < t1), t1]
+    fastest = max(omegas, default=0.0)
+    radians = fastest * max(hi - lo for lo, hi in zip(edges, edges[1:]))
+    if radians > REDUCE_RADIANS_PER_PANEL * REDUCE_MAX_PANELS / 2:
+        raise IntegrationError(
+            f"{REDUCE_MAX_PANELS * PANEL_NODES} samples cannot resolve the "
+            f"{radians:.3g} rad a mode turns through on the window",
+            {"radians": radians, "max_panels": REDUCE_MAX_PANELS})
+    _, w, _ = _panel_rule()
+
+    def segment(lo, hi):
+        def level(panels):
+            nodes, h = panel_nodes(lo, hi, panels)
+            nodes = nodes.ravel()
+            power = np.array([float(envelope(t)) for t in nodes.tolist()]) ** (p_power - 1)
+            weighted = h * np.tile(w, panels) * power
+            integrals = np.array([np.exp(-1j * omega * nodes) @ weighted for omega in omegas],
+                                 dtype=complex)
+            return _weighted(weights, integrals), np.abs(weights) * np.sum(np.abs(weighted))
+
+        def misfit(coarse, fine):
+            error = np.abs(fine[0] - coarse[0])
+            if not np.all(error <= PANEL_RTOL * fine[1]):
+                return {"window": (lo, hi), "error": float(np.max(error)), "rtol": PANEL_RTOL,
+                        "scale": float(np.max(fine[1]))}
+
+        panels = 1
+        while fastest * (hi - lo) > REDUCE_RADIANS_PER_PANEL * panels:
+            panels *= 2
+        return converged_panels(level, misfit, panels=panels, max_panels=REDUCE_MAX_PANELS,
+                                what="power-p coefficient integral")[0]
+
+    return np.sum([segment(lo, hi) for lo, hi in zip(edges, edges[1:])], axis=0)
 
 
 def min_photon_number(epsilon: float) -> float:
@@ -181,6 +253,7 @@ def _bound_report(omegas: np.ndarray, coeffs: np.ndarray, alphas: np.ndarray,
     rather than raised.
     """
     checked_epsilon(epsilon)
+    checked_positive(hbar=hbar)
     if not (np.abs(alphas) ** 2).any():  # the photon number is 0: no mean frequency
         raise ValueError("mean frequency undefined for a pulse with no photons")
     n_photon, omega_bar, energy, bound = (
@@ -205,106 +278,9 @@ def _bound_report(omegas: np.ndarray, coeffs: np.ndarray, alphas: np.ndarray,
 
 
 def energy_bound_check(pulse: PulseSpec, epsilon: float, hbar: float = 1.0) -> BoundReport:
-    """Bound report of a linearly coupled pulse (p = 1)."""
-    return _bound_report(pulse.omegas, pulse.coefficients, pulse.alphas, epsilon, 1, hbar)
-
-
-# ---------------------------------------------------------------------------
-# nonlinear (power-p) coupling reduction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NonlinearReduction:
-    """Effective linear coefficients of a power-p coupling.
-
-    ``coefficients[k]`` is (omega_k, c_k) with
-    c_k = w_k int E(t)^{p-1} e^{-i omega_k t} dt; the phase condition reads
-    sum alpha_k c_k + c.c. = pi and the error condition sum |c_k|^2 < eps/p^2.
-    """
-
-    p_power: int
-    coefficients: tuple[tuple[float, complex], ...]
-    window: tuple[float, float]
-
-
-REDUCE_RADIANS_PER_PANEL = 32.0  # most radians of the fastest mode on a first-level panel
-REDUCE_MAX_PANELS = 2 ** 16      # panels (2^20 envelope samples) before the reduction gives up
-
-
-def nonlinear_reduce(p_power: int, envelope: Callable[[float], float],
-                     window: tuple[float, float],
-                     modes: Sequence[tuple[float, complex]]) -> NonlinearReduction:
-    """Reduce a power-p coupling with mean field E(t) to linear coefficients.
-
-    p = 1 short-circuits to the exact window integrals (E^0 == 1), making
-    the reduction identical to the linear path.  For p > 1 the coefficient
-    integrals run on Gauss-Legendre panels (:func:`converged_panels`).  The
-    first level has the least power-of-two panel count that puts at most
-    ``REDUCE_RADIANS_PER_PANEL`` radians of the fastest mode on a panel;
-    the count doubles until two levels agree to ``PANEL_RTOL`` times
-    |w_k| int |E|^{p-1} in every coefficient.  Levels that still disagree
-    at ``REDUCE_MAX_PANELS`` panels raise :class:`IntegrationError`, and so
-    does, before any envelope sample, a mode whose first doubling would
-    pass that cap.  An :class:`~gatebound.envelopes.Envelope` splits the
-    window at its ``breakpoints``, and each segment runs its own doubling;
-    a bare callable declares none.
-    """
-    if p_power < 1:
-        raise ValueError("p_power must be >= 1")
-    modes = [(float(w), complex(wt)) for w, wt in modes]
-    omegas, weights = [w for w, _ in modes], [wt for _, wt in modes]
-    t0, t1 = _checked(omegas, weights, window)
-
-    if p_power == 1:
-        coeffs = _coefficients(omegas, weights, (t0, t1))
-        return NonlinearReduction(1, tuple(zip(omegas, coeffs)), (t0, t1))
-
-    edges = [t0, *sorted(t for t in getattr(envelope, "breakpoints", ()) if t0 < t < t1), t1]
-    fastest = max(omegas, default=0.0)
-    radians = fastest * max(hi - lo for lo, hi in zip(edges, edges[1:]))
-    if radians > REDUCE_RADIANS_PER_PANEL * REDUCE_MAX_PANELS / 2:
-        raise IntegrationError(
-            f"{REDUCE_MAX_PANELS * PANEL_NODES} samples cannot resolve the "
-            f"{radians:.3g} rad a mode turns through on the window",
-            {"radians": radians, "max_panels": REDUCE_MAX_PANELS})
-    _, w, _ = _panel_rule()
-
-    def segment(lo, hi):
-        def level(panels):
-            nodes, h = panel_nodes(lo, hi, panels)
-            nodes = nodes.ravel()
-            power = np.array([float(envelope(t)) for t in nodes.tolist()]) ** (p_power - 1)
-            weighted = h * np.tile(w, panels) * power
-            integrals = np.array([np.exp(-1j * omega * nodes) @ weighted for omega in omegas],
-                                 dtype=complex)
-            return _weighted(weights, integrals), np.abs(weights) * np.sum(np.abs(weighted))
-
-        def misfit(coarse, fine):
-            error = np.abs(fine[0] - coarse[0])
-            if not np.all(error <= PANEL_RTOL * fine[1]):
-                return {"window": (lo, hi), "error": float(np.max(error)), "rtol": PANEL_RTOL,
-                        "scale": float(np.max(fine[1]))}
-
-        panels = 1
-        while fastest * (hi - lo) > REDUCE_RADIANS_PER_PANEL * panels:
-            panels *= 2
-        return converged_panels(level, misfit, panels=panels, max_panels=REDUCE_MAX_PANELS,
-                                what="power-p coefficient integral")[0]
-
-    coeffs = np.sum([segment(lo, hi) for lo, hi in zip(edges, edges[1:])], axis=0)
-    return NonlinearReduction(p_power, tuple(zip(omegas, (complex(c) for c in coeffs))), (t0, t1))
-
-
-def nonlinear_bound_check(reduction: NonlinearReduction,
-                          alphas: Sequence[complex], epsilon: float,
-                          hbar: float = 1.0) -> BoundReport:
-    """Bound report for the reduced problem; bound gains the p^2 factor."""
-    alphas = np.array([complex(a) for a in alphas])
-    if alphas.shape[0] != len(reduction.coefficients):
-        raise ValueError("one alpha per mode required")
-    omegas = np.array([w for w, _ in reduction.coefficients])
-    coeffs = np.array([c for _, c in reduction.coefficients])
-    return _bound_report(omegas, coeffs, alphas, epsilon, reduction.p_power, hbar)
+    """Bound report of a pulse; at power p the bound gains the p^2 factor."""
+    return _bound_report(pulse.omegas, pulse.coefficients, pulse.alphas, epsilon, pulse.p_power,
+                         hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +295,9 @@ def squeezed_energy(r: float, epsilon: float, omega: float, hbar: float = 1.0) -
     of the field energy; this is the resulting requirement.
     """
     checked_epsilon(epsilon)
-    checked_positive(omega=omega)
+    checked_positive(omega=omega, hbar=hbar)
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
     s = math.exp(2.0 * r)
     return hbar * omega * (1.0 / (s * epsilon) + s)
 
@@ -333,7 +311,7 @@ def optimize_squeezing(epsilon: float, omega: float = 1.0,
     r* < 0 for eps > 1, where the optimum widens the quadrature instead.
     """
     checked_epsilon(epsilon)
-    checked_positive(omega=omega)
+    checked_positive(omega=omega, hbar=hbar)
     return -math.log(epsilon) / 4.0, 2.0 * hbar * omega / math.sqrt(epsilon)
 
 
@@ -352,7 +330,7 @@ class LinewidthBound:
 
 
 def linewidth_combined_bound(duration: float, epsilon: float, hbar: float = 1.0) -> LinewidthBound:
-    checked_positive(duration=duration)
+    checked_positive(duration=duration, hbar=hbar)
     checked_epsilon(epsilon)
     omega_min = 1.0 / (duration * math.sqrt(epsilon))
     return LinewidthBound(
@@ -487,8 +465,7 @@ def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int)
 
 
 def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: int,
-                             window: tuple[float, float] = (0.0, 1.0),
-                             hbar: float = 1.0) -> BoundReport:
+                             window: tuple[float, float] = (0.0, 1.0)) -> PulseSpec:
     """Randomised local search minimising energy/bound at phase pi, error <= eps.
 
     The budget is split into restarts of at most 120 evaluations: one
@@ -513,9 +490,10 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     whose couplings are rescaled and the rows kept.  A window that is not
     finite with t_end > t_start raises ValueError before any draw, and a
     degenerate start raises :class:`SamplingError`.  Kept moves strictly
-    lower a restart's ratio, so its last iterate is its best; the winner is
-    the first restart with the least ratio, and only it becomes a
-    :class:`PulseSpec` and a report.
+    lower a restart's ratio, so its last iterate is its best.  The ratios
+    are compared at hbar = 1, as in :func:`random_feasible_ratios`; the
+    winner is the first restart with the least ratio, and only it becomes
+    a :class:`PulseSpec`, which is returned.
     """
     checked_epsilon(epsilon)
     if n_modes < 1:
@@ -535,7 +513,7 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     if degenerate.any():
         raise SamplingError(f"degenerate random draw at restart {np.argmax(degenerate)}: "
                             "no feasible pulse (zero error or phase)")
-    _, _, energy, bound = _energy_terms(omegas, alphas, epsilon, 1, hbar)
+    _, _, energy, bound = _energy_terms(omegas, alphas, epsilon, 1, 1.0)
     ratio = energy / bound
     step = np.full(n_restarts, 0.5)
     which = np.empty(n_restarts, dtype=int)
@@ -574,7 +552,7 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
             phase = _phase(coeffs, al)
             ok &= ~(np.abs(phase) < 1e-9)
             al = al * (PI / phase)[:, None]
-            _, _, energy, bound = _energy_terms(om, al, epsilon, 1, hbar)
+            _, _, energy, bound = _energy_terms(om, al, epsilon, 1, 1.0)
             candidate = energy / bound
 
             kept = ok & (candidate < ratio)
@@ -588,5 +566,4 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
                 alphas = np.where(kept, al, alphas)
 
     best = int(np.argmin(ratio))
-    winner = PulseSpec(tuple(zip(omegas[best], gs[best], alphas[best])), window)
-    return energy_bound_check(winner, epsilon, hbar)
+    return PulseSpec(tuple(zip(omegas[best], gs[best], alphas[best])), window)

@@ -132,10 +132,10 @@ def criterion_5() -> CriterionResult:
     """p = 1 reduction identical to the linear path; p = 2 bound exactly 4x."""
     omega, g, window, epsilon = 1.3, 0.4 + 0.1j, (0.0, 1.0), 0.05
     alpha = 2.0 - 0.5j
-    linear = pulses.PulseSpec(((omega, g, alpha),), window)
-    linear_report = pulses.energy_bound_check(linear, epsilon)
-    reduction = pulses.nonlinear_reduce(1, lambda t: 1.0, window, [(omega, g)])
-    reduced_report = pulses.nonlinear_bound_check(reduction, [alpha], epsilon)
+    modes, envelope = ((omega, g, alpha),), raised_cosine(1.0)
+    linear_report = pulses.energy_bound_check(pulses.PulseSpec(modes, window), epsilon)
+    reduced_report = pulses.energy_bound_check(pulses.PulseSpec(modes, window, 1, envelope),
+                                               epsilon)
     diffs = [
         abs(linear_report.phase - reduced_report.phase),
         abs(linear_report.error - reduced_report.error),
@@ -144,9 +144,7 @@ def criterion_5() -> CriterionResult:
     ]
     part_consistency = max(diffs) / 1e-12
 
-    envelope = raised_cosine(1.0)
-    reduction2 = pulses.nonlinear_reduce(2, envelope, window, [(omega, g)])
-    report2 = pulses.nonlinear_bound_check(reduction2, [alpha], epsilon)
+    report2 = pulses.energy_bound_check(pulses.PulseSpec(modes, window, 2, envelope), epsilon)
     ratio = report2.bound / linear_report.bound
     part_factor = abs(ratio - 4.0) / (4.0 * 1e-12)
 

@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from gatebound import gate
-from gatebound.cli import COMMANDS, build_parser, main, sweep_rows_csv_bytes
+from gatebound.cli import COMMANDS, HBAR_SI, build_parser, main, sweep_rows_csv_bytes
 
 
 def read_csv(path):
@@ -406,6 +406,10 @@ def test_bad_parameter_values_exit_2(tmp_path, capsys):
                  "--output", str(tmp_path / "d")]) == 2
     assert "no photons" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+    assert main(["nonlinear-bound", "--p-power", "0", "--epsilon", "0.1",
+                 "--output", str(tmp_path / "p")]) == 2
+    assert "p_power must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
     # malformed complex text in a sweep's base parameters stops before any point runs
     assert main(["sweep", "--command", "gate-sim", "--axis", "duration", "--values", "1,2",
                  "--param", "alpha=abc", "--output", str(tmp_path / "f")]) == 2
@@ -646,6 +650,23 @@ def test_non_finite_input_exits_2_without_artifacts(tmp_path, capsys, argv):
     assert main([*[a.format(config=config) for a in argv], "--output", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+UNIT_FREE = ("photon_number", "mean_omega_rad_per_s", "phase_rad", "error_dimensionless")
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_adversarial_search_does_not_depend_on_units(tmp_path, seed):
+    # the search compares its ratios at hbar = 1; only the report carries units
+    rows = {}
+    for units in ("natural", "si"):
+        out = tmp_path / units
+        assert main(["pulse-bound", "--epsilon", "0.05", "--n-modes", "3", "--budget", "777",
+                     "--seed", seed, "--units", units, "--output", str(out)]) == 0
+        rows[units] = {r["construction"]: r for r in read_csv(out / "result.csv")}
+    natural, si = rows["natural"]["adversarial-best"], rows["si"]["adversarial-best"]
+    assert [natural[k] for k in UNIT_FREE] == [si[k] for k in UNIT_FREE]
+    assert float(si["energy_J"]) == HBAR_SI * float(natural["energy_hbar_rad_per_s"])
 
 
 def test_unresolvable_nonlinear_mode_exits_3_at_once(tmp_path, capsys):

@@ -28,8 +28,6 @@ from gatebound import (
     heuristic_energy_bound,
     linewidth_combined_bound,
     min_photon_number,
-    nonlinear_bound_check,
-    nonlinear_reduce,
     optimal_wavepacket,
     optimize_squeezing,
     powerlaw_log_derivative,
@@ -44,7 +42,7 @@ FREE = calibrated(FreeCollisionConfig(m=40.0, v=2.0, b=4.0, T=8.0, potential=Pot
 HARMONIC = calibrated_harmonic(
     HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0)))
 PULSE = PulseSpec(((1.3, 0.4 + 0.1j, 2.0 - 1.0j), (4.1, 0.2j, 0.5)), (0.0, 1.0))
-POWER_2 = nonlinear_reduce(2, raised_cosine(1.0), (0.0, 1.0), [(3.0, 1.0)])
+POWER_2 = PulseSpec(((3.0, 1.0, 1.0),), (0.0, 1.0), 2, raised_cosine(1.0))
 
 
 def _bounds(epsilon):
@@ -55,7 +53,7 @@ def _bounds(epsilon):
         "heuristic": heuristic_energy_bound(
             HeuristicConfig(m=1.0, L=1.0, T=2.0, epsilon=epsilon)).bound,
         "pulse": energy_bound_check(PULSE, epsilon).bound,
-        "power-2": nonlinear_bound_check(POWER_2, [1.0], epsilon).bound,
+        "power-2": energy_bound_check(POWER_2, epsilon).bound,
         "photons": min_photon_number(epsilon),
         "linewidth": linewidth_combined_bound(2.0, epsilon).bound,
     }
@@ -92,6 +90,14 @@ NAN_INPUTS = {
     "squeezed-energy": lambda: squeezed_energy(0.0, 0.1, NAN),
     "optimize-squeezing": lambda: optimize_squeezing(1.0, NAN),
     "linewidth": lambda: linewidth_combined_bound(NAN, 0.1),
+    # hbar enters the pulse route only through the bound report and the three squeezing
+    # closed forms; the CLI takes it from --units
+    "squeezed-energy-hbar": lambda: squeezed_energy(0.0, 0.1, 1.0, hbar=INF),
+    "squeezed-energy-r": lambda: squeezed_energy(NAN, 0.1, 1.0),
+    "optimize-squeezing-hbar": lambda: optimize_squeezing(0.1, 1.0, hbar=NAN),
+    "linewidth-hbar": lambda: linewidth_combined_bound(1.0, 0.1, hbar=-1.0),
+    "pulse-hbar": lambda: energy_bound_check(PULSE, 0.1, NAN),
+    "power-2-hbar": lambda: energy_bound_check(POWER_2, 0.1, -1.0),
     "raised-cosine": lambda: raised_cosine(NAN),
     "triangle": lambda: triangle(NAN),
     "gaussian": lambda: gaussian(NAN),
@@ -113,7 +119,7 @@ NAN_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(NAN_INPUTS))
 def test_nan_input_to_a_bound_route_raises(name):
-    with pytest.raises(ValueError, match="epsilon|positive|n > 1"):
+    with pytest.raises(ValueError, match="epsilon|positive|n > 1|r must be finite"):
         NAN_INPUTS[name]()
 
 
