@@ -195,12 +195,7 @@ def cmd_counterexample(params, ctx: UnitContext, seed: int):
             ("g", "g_rad_per_s", params["g"]),
             ("duration", "duration_s", math.pi / (params["g"] * n)),
             ("p", "failure_probability", outcome.failure_probability),
-            ("phase_residual", "phase_residual_hbar", outcome.phase_residual),
-            # <V^2> is in (rad/s)^2; hbar^2 makes it an energy squared
-            ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq",
-             ctx.hbar ** 2 * outcome.switch_residual_start),
-            ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq",
-             ctx.hbar ** 2 * outcome.switch_residual_end),
+            *_outcome_cells(outcome, ctx),
             # control energy reported relative to the H0 ground state (the zero
             # of energy is otherwise ambiguous)
             ("energy_above_ground", f"control_energy_above_ground_{ctx.energy_unit}",
@@ -217,6 +212,7 @@ def cmd_gate_sim(params, ctx: UnitContext, seed: int):
     exact = gate.failure_probability_exact(scenario, params["tol"])
     oracle = gate.displacement_oracle(alpha, drive)
     p_hat = gate.failure_probability_perturbative(scenario)
+    phase, *switch = _outcome_cells(exact, ctx)
     row = [
         ("alpha_abs", "alpha_abs", abs(alpha)),
         ("alpha_sq", "alpha_sq", abs(alpha) ** 2),
@@ -224,16 +220,24 @@ def cmd_gate_sim(params, ctx: UnitContext, seed: int):
         ("p_oracle", "p_oracle", oracle.failure_probability),
         ("p_perturbative", "p_perturbative", p_hat),
         ("p_times_alpha_sq", "p_times_alpha_sq", exact.failure_probability * abs(alpha) ** 2),
-        ("phase_residual", "phase_residual_hbar", exact.phase_residual),
+        phase,
         ("oracle_diff", "oracle_abs_diff",
          abs(exact.failure_probability - oracle.failure_probability)),
-        ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq",
-         ctx.hbar ** 2 * exact.switch_residual_start),
-        ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq",
-         ctx.hbar ** 2 * exact.switch_residual_end),
+        *switch,
     ]
     extra = {"inner": [exact.inner.real, exact.inner.imag], "cutoff": scenario.control.cutoff}
     return [row], extra
+
+
+def _outcome_cells(outcome: gate.GateOutcome, ctx: UnitContext):
+    """Phase and switch residuals; hbar^2 makes <V^2>, in (rad/s)^2, an energy squared."""
+    return [
+        ("phase_residual", "phase_residual_hbar", outcome.phase_residual),
+        ("sw_start", f"switch_residual_start_{ctx.energy_unit}_sq",
+         ctx.hbar ** 2 * outcome.switch_residual_start),
+        ("sw_end", f"switch_residual_end_{ctx.energy_unit}_sq",
+         ctx.hbar ** 2 * outcome.switch_residual_end),
+    ]
 
 
 def _report_cells(report, ctx: UnitContext):
@@ -332,8 +336,8 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
         potential=collision.PotentialLaw(3.0), squeeze_r=params["squeeze_r"], hbar=ctx.hbar)
     cfg = collision.calibrated_harmonic(cfg)
     hv = collision.error_variance_harmonic(cfg)
-    report = collision.harmonic_energy_bound(cfg, params["epsilon"])
-    probe = collision.squeezing_consistency_probe(cfg)
+    report = collision.harmonic_energy_bound(hv, params["epsilon"])
+    probe = collision.squeezing_consistency_probe(hv)
     ratio = collision.harmonic_constraint_ratio(cfg)
     row = [
         ("m", f"mass_{ctx.unit('kg')}", params["m"]),
@@ -384,9 +388,9 @@ def cmd_return_mismatch(params, ctx: UnitContext, seed: int):
 def cmd_heuristic(params, ctx: UnitContext, seed: int):
     cfg = heuristic.HeuristicConfig(
         m=params["m"], L=params["length"], T=params["duration"],
-        epsilon=params["epsilon"], dx=params["dx"], dp=params["dp"], hbar=ctx.hbar)
+        dx=params["dx"], dp=params["dp"], hbar=ctx.hbar)
     delta = heuristic.displacement_estimates(cfg)
-    report = heuristic.heuristic_energy_bound(cfg)
+    report = heuristic.heuristic_energy_bound(cfg, params["epsilon"])
     row = [
         ("delta_x", f"delta_x_{ctx.unit('m')}", delta.delta_x),
         ("delta_p", f"delta_p_{ctx.unit('kg_m_per_s')}", delta.delta_p),

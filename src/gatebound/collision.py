@@ -332,14 +332,6 @@ def _harmonic_force_integral(cfg: HarmonicCollisionConfig, weight: Callable[[flo
         cfg, lambda t: k * (a2 * (1.0 + math.cos(w * t)) + b) ** e1 * weight(w * t), epsabs)
 
 
-def harmonic_action_integrals(cfg: HarmonicCollisionConfig) -> tuple[float, float, float]:
-    """(int V dt, int V' cos(wt) dt, int V' sin(wt) dt) over one period."""
-    action = _harmonic_action(cfg)
-    cos_int = _harmonic_force_integral(cfg, math.cos)
-    sin_int = _harmonic_force_integral(cfg, math.sin, max(1e-13 * abs(cos_int), 1e-300))
-    return action, cos_int, sin_int
-
-
 def calibrated_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicCollisionConfig:
     """Copy with the coupling making (1/hbar) int V(rho(t)) dt over one period equal pi."""
     return _rescaled_to_pi(cfg, _harmonic_action(cfg) / cfg.hbar)
@@ -347,29 +339,37 @@ def calibrated_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicCollisionConfig
 
 @dataclass(frozen=True)
 class HarmonicVariance:
-    """Leading-order phase variance and its ingredient integrals."""
+    """One evaluation of a calibrated trapped chain; no error budget enters it.
 
-    delta_sq: float
+    ``action``, ``cos_integral`` and ``sin_integral`` integrate V, V' cos(wt)
+    and V' sin(wt) over one period; ``delta_sq`` is the variance at ``dx0_sq``.
+    """
+
+    cfg: HarmonicCollisionConfig
+    action: float
     cos_integral: float
     sin_integral: float
     dx0_sq: float
+    delta_sq: float
 
 
 def error_variance_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicVariance:
     """delta^2 = (2/hbar^2)(int V' cos wt dt)^2 dx0^2 with dx0^2 = e^{-2r} hbar/2 m w.
 
-    Requires the coupling calibrated to phase pi.  The sin-weighted integral
-    is computed alongside and must vanish (relative to the cos-weighted one)
-    by the symmetry of the unperturbed trajectory; its failure to do so
-    signals a broken trajectory and raises.
+    Requires the coupling calibrated to phase pi, which is checked before
+    the two force integrals run.  The sin-weighted integral must vanish
+    (relative to the cos-weighted one) by the symmetry of the unperturbed
+    trajectory; its failure to do so signals a broken trajectory and raises.
     """
-    action, cos_int, sin_int = harmonic_action_integrals(cfg)
+    action = _harmonic_action(cfg)
     phase = action / cfg.hbar
     if abs(phase - PI) > PHASE_CALIBRATION_TOL:
         raise ValueError(
             f"coupling not calibrated: accumulated phase {phase!r} (want pi); "
             "use calibrated_harmonic() first"
         )
+    cos_int = _harmonic_force_integral(cfg, math.cos)
+    sin_int = _harmonic_force_integral(cfg, math.sin, max(1e-13 * abs(cos_int), 1e-300))
     if abs(sin_int) > SIN_SYMMETRY_TOL * abs(cos_int):
         raise NumericalInconsistencyError(
             f"sin-weighted integral {sin_int!r} fails the symmetry contract "
@@ -377,7 +377,7 @@ def error_variance_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicVariance:
         )
     dx0_sq = math.exp(-2.0 * cfg.squeeze_r) * cfg.hbar / (2.0 * cfg.m * cfg.omega)
     delta_sq = (2.0 / (cfg.hbar * cfg.hbar)) * cos_int * cos_int * dx0_sq
-    return HarmonicVariance(delta_sq, cos_int, sin_int, dx0_sq)
+    return HarmonicVariance(cfg, action, cos_int, sin_int, dx0_sq, delta_sq)
 
 
 def harmonic_constraint_ratio(cfg: HarmonicCollisionConfig) -> float:
@@ -407,12 +407,12 @@ def dipole_leading_ratio(cfg: HarmonicCollisionConfig) -> float:
     return (100.0 * f32 - f21) / 99.0
 
 
-def harmonic_energy_bound(cfg: HarmonicCollisionConfig, epsilon: float) -> BoundReport:
+def harmonic_energy_bound(hv: HarmonicVariance, epsilon: float) -> BoundReport:
     """Oscillator-pair energy m w^2 A^2 against hbar/(eps T) with T = 2 pi / w."""
+    cfg = hv.cfg
     if cfg.potential.n != 3:
         raise ValueError("the harmonic chain is evaluated for the rho^-3 power law")
     checked_epsilon(epsilon)
-    hv = error_variance_harmonic(cfg)
     T = cfg.period
     energy = cfg.m * cfg.omega ** 2 * cfg.A ** 2
     bound = cfg.hbar / (epsilon * T)
@@ -497,9 +497,9 @@ class SqueezingProbe:
 SECOND_ORDER_FLAG_FRACTION = 0.1
 
 
-def squeezing_consistency_probe(cfg: HarmonicCollisionConfig) -> SqueezingProbe:
-    """:class:`SqueezingProbe` of a config calibrated by :func:`calibrated_harmonic`."""
-    hv = error_variance_harmonic(cfg)
+def squeezing_consistency_probe(hv: HarmonicVariance) -> SqueezingProbe:
+    """:class:`SqueezingProbe` of one evaluation of a calibrated trapped chain."""
+    cfg = hv.cfg
     mm = classical_return_mismatch(cfg)
     amplification = math.exp(2.0 * cfg.squeeze_r)
     momentum_mismatch = mm.dp ** 2 * amplification / (cfg.m * cfg.omega * cfg.hbar)

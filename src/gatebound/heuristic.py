@@ -23,7 +23,7 @@ PI = math.pi
 
 @dataclass(frozen=True)
 class HeuristicConfig:
-    """Mass, traversal length L, gate time T and error budget epsilon.
+    """Mass, traversal length L and gate time T; the error budget is the bound's argument.
 
     ``dx``/``dp`` pin an explicit wavepacket; left unset, the
     uncertainty-optimal one is used.
@@ -32,14 +32,12 @@ class HeuristicConfig:
     m: float
     L: float
     T: float
-    epsilon: float
     dx: float | None = None
     dp: float | None = None
     hbar: float = 1.0
 
     def __post_init__(self):
         checked_positive(m=self.m, L=self.L, T=self.T, hbar=self.hbar)
-        checked_epsilon(self.epsilon)
         if (self.dx is None) != (self.dp is None):
             raise ValueError("dx and dp must be given together")
         if self.dx is not None:
@@ -83,23 +81,24 @@ def misoverlap_optimal(cfg: HeuristicConfig) -> float:
     return 2.0 * PI * PI * cfg.hbar * cfg.T / (cfg.m * cfg.L * cfg.L)
 
 
-def heuristic_energy_bound(cfg: HeuristicConfig) -> BoundReport:
+def heuristic_energy_bound(cfg: HeuristicConfig, epsilon: float) -> BoundReport:
     """Kinetic energy (1/2) m (L/T)^2 against pi^2 hbar / (eps T).
 
     The bound retains its epsilon: misoverlap <= eps is exactly energy >=
     pi^2 hbar/(eps T), one rounding slack deciding both.  The epsilon-free
     variant pi^2 hbar / T is recorded in ``meta``, not silently substituted.
     """
+    checked_epsilon(epsilon)
     v = cfg.L / cfg.T
     energy = 0.5 * cfg.m * v * v
-    bound = PI * PI * cfg.hbar / (cfg.epsilon * cfg.T)
+    bound = PI * PI * cfg.hbar / (epsilon * cfg.T)
     mis_opt = misoverlap_optimal(cfg)
     meta = {
-        "epsilon": cfg.epsilon,
+        "epsilon": epsilon,
         "speed": v,
         "misoverlap_optimal": mis_opt,
         "misoverlap": misoverlap(cfg),
-        "error_within_epsilon": within_budget(mis_opt, cfg.epsilon),
+        "error_within_epsilon": within_budget(mis_opt, epsilon),
         "bound_epsilon_free": PI * PI * cfg.hbar / cfg.T,
     }
     return BoundReport(

@@ -242,29 +242,31 @@ def _energy_terms(omegas: np.ndarray, alphas: np.ndarray, epsilon: float, p_powe
     return n_photon, omega_bar, hbar * weighted, bound
 
 
-def _bound_report(omegas: np.ndarray, coeffs: np.ndarray, alphas: np.ndarray,
-                  epsilon: float, p_power: int, hbar: float) -> BoundReport:
+def energy_bound_check(pulse: PulseSpec, epsilon: float, hbar: float = 1.0) -> BoundReport:
     """Compare the field energy against (pi^2/4) p^2 hbar <omega> / eps.
 
     The phase is 2 Re sum c_k alpha_k and the error sum |c_k|^2; <omega> is
     the photon-number-weighted mean frequency, undefined without photons.
-    The bound only claims anything when the pulse is phase-calibrated and
-    its error is within eps/p^2; both conditions are flagged in ``meta``
-    rather than raised.
+    A photon number, mean frequency, energy or bound that overflows (or
+    underflows to 0) raises ValueError naming it.  The bound only claims
+    anything when the pulse is phase-calibrated and its error is within
+    eps/p^2; both conditions are flagged in ``meta`` rather than raised.
     """
     checked_epsilon(epsilon)
     checked_positive(hbar=hbar)
-    if not (np.abs(alphas) ** 2).any():  # the photon number is 0: no mean frequency
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        n_photon, omega_bar, energy, bound = (float(x) for x in _energy_terms(
+            pulse.omegas, pulse.alphas, epsilon, pulse.p_power, hbar))
+    if n_photon == 0.0:
         raise ValueError("mean frequency undefined for a pulse with no photons")
-    n_photon, omega_bar, energy, bound = (
-        float(x) for x in _energy_terms(omegas, alphas, epsilon, p_power, hbar))
-    phase = float(_phase(coeffs, alphas))
-    error = float(_error(coeffs))
+    checked_positive(photon_number=n_photon, mean_omega=omega_bar, energy=energy, bound=bound)
+    phase = float(_phase(pulse.coefficients, pulse.alphas))
+    error = float(_error(pulse.coefficients))
     meta = {
         "epsilon": epsilon,
-        "p_power": p_power,
+        "p_power": pulse.p_power,
         "off_calibration": abs(phase - PI) > PHASE_CALIBRATION_TOL,
-        "error_within_epsilon": within_budget(error, epsilon / float(p_power) ** 2),
+        "error_within_epsilon": within_budget(error, epsilon / float(pulse.p_power) ** 2),
     }
     return BoundReport(
         energy=energy,
@@ -275,12 +277,6 @@ def _bound_report(omegas: np.ndarray, coeffs: np.ndarray, alphas: np.ndarray,
         mean_omega=omega_bar,
         meta=meta,
     )
-
-
-def energy_bound_check(pulse: PulseSpec, epsilon: float, hbar: float = 1.0) -> BoundReport:
-    """Bound report of a pulse; at power p the bound gains the p^2 factor."""
-    return _bound_report(pulse.omegas, pulse.coefficients, pulse.alphas, epsilon, pulse.p_power,
-                         hbar)
 
 
 # ---------------------------------------------------------------------------

@@ -241,15 +241,15 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """Heuristic estimate: optimal mis-overlap, equality case, collision cross-check."""
-    cfg = heuristic.HeuristicConfig(m=1.3, L=0.9, T=1.7, epsilon=0.2)
+    cfg = heuristic.HeuristicConfig(m=1.3, L=0.9, T=1.7)
     mis = heuristic.misoverlap(cfg)
     mis_closed = heuristic.misoverlap_optimal(cfg)
     part_mis = (abs(mis - mis_closed) / mis_closed) / 1e-9
 
     epsilon, L, T = 0.03, 1.2, 0.8
     m_eq = 2.0 * PI * PI * T / (epsilon * L * L)
-    eq_cfg = heuristic.HeuristicConfig(m=m_eq, L=L, T=T, epsilon=epsilon)
-    report = heuristic.heuristic_energy_bound(eq_cfg)
+    eq_cfg = heuristic.HeuristicConfig(m=m_eq, L=L, T=T)
+    report = heuristic.heuristic_energy_bound(eq_cfg, epsilon)
     part_equality = (abs(report.energy - report.bound) / report.bound) / 1e-12
 
     cross = heuristic.collision_crosscheck(v=2.0, T=3.0, epsilon=0.05)

@@ -424,6 +424,11 @@ def test_bad_parameter_values_exit_2(tmp_path, capsys):
         (None, [*sweep, "--param", "epsilon"], "'epsilon'"),
         (None, ["sweep", "--command", "squeeze-opt", "--axis", "nosuch", "--values", "0.1"],
          "'nosuch'"),
+        (None, ["verify-all", "--criteria", "11"], "valid: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+        (None, ["gate-sim", "--alpha", "0"], "alpha must be nonzero"),
+        # omega T = 2 pi: the equality construction's window integral vanishes
+        (None, ["pulse-bound", "--epsilon", "0.01", "--omega", "6.283185307179586",
+                "--budget", "10"], "window integral vanishes"),
     ):
         out = tmp_path / "g"
         if config is not None:
@@ -634,6 +639,10 @@ NON_FINITE = [
     ["gate-sim", "--alpha", "1e200"],  # finite, but |alpha|^2 overflows the cutoff rule
     ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--duration", "inf"],
     ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--weight", "1+nanj"],
+    # finite, but the report's photon number (then its mean frequency) overflows
+    ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--alpha", "1e200"],
+    ["nonlinear-bound", "--p-power", "1", "--epsilon", "0.1", "--omega", "1e300",
+     "--alpha", "1e10"],
     ["verify-all", "--tolerance-scale", "nan"],
     ["sweep", "--command", "gate-sim", "--axis", "alpha", "--values", "2,inf"],
     ["sweep", "--command", "squeeze-opt", "--axis", "epsilon", "--values", "0.1",

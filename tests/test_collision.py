@@ -25,8 +25,8 @@ from gatebound import (
     squeezing_consistency_probe,
 )
 from gatebound import collision
+from gatebound.cli import main
 from gatebound.collision import (
-    harmonic_action_integrals,
     powerlaw_log_derivative_pair,
     wavepacket_objective,
 )
@@ -263,6 +263,7 @@ def test_trajectory_even_about_closest_approach():
 def test_harmonic_integrands_keep_the_bits_of_the_potential_on_the_trajectory(cfg):
     # the period integrals inline C rho^-n and -n C rho^(-n-1) on
     # rho(t) = 2A(1 + cos wt) + b; every node must give PotentialLaw's bits
+    cfg = calibrated_harmonic(cfg)
     pot, w = cfg.potential, cfg.omega
     action = collision._period_integral(cfg, lambda t: pot.value(cfg.rho(t)))
     cos_int = collision._period_integral(
@@ -270,17 +271,17 @@ def test_harmonic_integrands_keep_the_bits_of_the_potential_on_the_trajectory(cf
     sin_int = collision._period_integral(
         cfg, lambda t: pot.derivative(cfg.rho(t)) * math.sin(w * t),
         max(1e-13 * abs(cos_int), 1e-300))
-    assert harmonic_action_integrals(cfg) == (action, cos_int, sin_int)
+    hv = error_variance_harmonic(cfg)
+    assert (hv.action, hv.cos_integral, hv.sin_integral) == (action, cos_int, sin_int)
 
 
 def test_harmonic_integrals_match_closed_form():
     for b_over_a in (0.3, 1e-2, 1e-3):
-        cfg = harmonic_cfg(b=100.0 * b_over_a)
-        action, cos_int, sin_int = harmonic_action_integrals(cfg)
-        action_cf, cos_cf = _closed_form_integrals(cfg)
-        assert abs(action - action_cf) < 1e-8 * abs(action_cf)
-        assert abs(cos_int - cos_cf) < 1e-8 * abs(cos_cf)
-        assert abs(sin_int) < 1e-9 * abs(cos_int)
+        hv = error_variance_harmonic(calibrated_harmonic(harmonic_cfg(b=100.0 * b_over_a)))
+        action_cf, cos_cf = _closed_form_integrals(hv.cfg)
+        assert abs(hv.action - action_cf) < 1e-8 * abs(action_cf)
+        assert abs(hv.cos_integral - cos_cf) < 1e-8 * abs(cos_cf)
+        assert abs(hv.sin_integral) < 1e-9 * abs(hv.cos_integral)
 
 
 def test_error_variance_harmonic_closed_form_and_squeezing():
@@ -294,9 +295,43 @@ def test_error_variance_harmonic_closed_form_and_squeezing():
     assert hv_squeezed.delta_sq == pytest.approx(math.exp(-1.4) * hv.delta_sq, rel=1e-12)
 
 
-def test_error_variance_requires_calibration():
-    with pytest.raises(ValueError):
+def _counted_quads(monkeypatch):
+    """Calls to the ``quad`` name that the collision quadratures look up."""
+    calls = []
+    original = collision.quad
+
+    def counted(fn, a, b, **kwargs):
+        calls.append(fn)
+        return original(fn, a, b, **kwargs)
+
+    monkeypatch.setattr(collision, "quad", counted)
+    return calls
+
+
+def test_error_variance_requires_calibration(monkeypatch):
+    # the calibration is checked on the action, before the two force integrals run
+    calls = _counted_quads(monkeypatch)
+    with pytest.raises(ValueError, match="not calibrated"):
         error_variance_harmonic(harmonic_cfg())
+    assert len(calls) == 1
+
+
+def test_collision_harmonic_evaluates_the_chain_once(tmp_path, monkeypatch):
+    # calibration 1, chain evaluation 3 (read by the bound and the probe), ratio 2
+    calls = _counted_quads(monkeypatch)
+    assert main(["collision-harmonic", "--m", "1", "--omega", "1", "--amplitude", "100",
+                 "--gap", "30", "--epsilon", "0.1", "--output", str(tmp_path / "run")]) == 0
+    assert len(calls) == 6
+
+
+def test_harmonic_bound_reads_the_evaluation_at_any_epsilon(monkeypatch):
+    hv = error_variance_harmonic(calibrated_harmonic(harmonic_cfg(m=2.0)))
+    calls = _counted_quads(monkeypatch)
+    for epsilon in (1e-3, 0.1, 2.0):
+        report = harmonic_energy_bound(hv, epsilon)
+        assert report.error == hv.delta_sq == report.meta["delta_sq"]
+        assert report.bound * epsilon == pytest.approx(1.0 / hv.cfg.period, rel=1e-15)
+    assert calls == []
 
 
 def test_constraint_ratio_independent_of_coupling():
@@ -323,7 +358,7 @@ def test_dipole_ratio_at_finite_gap():
 def test_harmonic_energy_bound_chain():
     cfg = calibrated_harmonic(harmonic_cfg(m=2.0))
     hv = error_variance_harmonic(cfg)
-    report = harmonic_energy_bound(cfg, epsilon=max(hv.delta_sq * 1.5, 1e-6))
+    report = harmonic_energy_bound(hv, epsilon=max(hv.delta_sq * 1.5, 1e-6))
     assert report.satisfied
     assert report.meta["amplitude_exceeds_gap"]
     assert report.energy == pytest.approx(cfg.m * cfg.omega ** 2 * cfg.A ** 2)
@@ -332,8 +367,8 @@ def test_harmonic_energy_bound_chain():
 
 
 def test_harmonic_bound_trivial_for_large_epsilon():
-    cfg = calibrated_harmonic(harmonic_cfg(m=2.0))
-    report = harmonic_energy_bound(cfg, epsilon=2.0)
+    hv = error_variance_harmonic(calibrated_harmonic(harmonic_cfg(m=2.0)))
+    report = harmonic_energy_bound(hv, epsilon=2.0)
     assert report.satisfied
     assert report.meta["epsilon_unphysical"]
 
@@ -343,7 +378,7 @@ def test_harmonic_bound_slack_at_gap_equals_amplitude():
     cfg = calibrated_harmonic(harmonic_cfg(m=5000.0, A=30.0, b=30.0))
     hv = error_variance_harmonic(cfg)
     assert hv.delta_sq < 1.0
-    report = harmonic_energy_bound(cfg, epsilon=hv.delta_sq)
+    report = harmonic_energy_bound(hv, epsilon=hv.delta_sq)
     assert report.ratio >= (2.5 ** 2) * PI ** 2 / 2.0
 
 
@@ -381,7 +416,7 @@ def test_return_mismatch_nonzero_at_calibrated_coupling():
     norm = mismatch_norm(classical_return_mismatch(cfg), cfg)
     assert norm > 1e3 * 1e-10 * cfg.A
     # leading-order physics: |dp| ~ |int V' cos dt| = pi hbar R
-    _, cos_int, _ = harmonic_action_integrals(cfg)
+    cos_int = error_variance_harmonic(cfg).cos_integral
     mm = classical_return_mismatch(cfg)
     assert abs(abs(mm.dp) - abs(cos_int)) < 0.1 * abs(cos_int)
 
@@ -394,7 +429,7 @@ def test_probe_quiet_for_unsqueezed_desk_config():
     cfg = calibrated_harmonic(harmonic_cfg(m=2.0))
     hv = error_variance_harmonic(cfg)
     assert hv.delta_sq <= 0.05
-    probe = squeezing_consistency_probe(cfg)
+    probe = squeezing_consistency_probe(hv)
     assert not probe.flagged
     assert probe.second_order_proxy == pytest.approx(probe.momentum_mismatch ** 2)
 
@@ -405,7 +440,7 @@ def test_probe_flags_extreme_position_squeezing():
     cfg = calibrated_harmonic(harmonic_cfg(m=12.7, r=r))
     hv = error_variance_harmonic(cfg)
     assert hv.delta_sq <= epsilon
-    probe = squeezing_consistency_probe(cfg)
+    probe = squeezing_consistency_probe(hv)
     assert probe.flagged
 
 

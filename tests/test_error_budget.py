@@ -20,6 +20,7 @@ from gatebound import (
     energy_bound_check,
     envelope_drive,
     error_variance_free,
+    error_variance_harmonic,
     evolve,
     failure_probability_exact,
     free_energy_bound,
@@ -38,9 +39,11 @@ from gatebound import (
 
 NAN = math.nan
 INF = math.inf
+# each route built (and the trapped chain evaluated) once; every bound reads it at any eps
 FREE = calibrated(FreeCollisionConfig(m=40.0, v=2.0, b=4.0, T=8.0, potential=PotentialLaw(2.0)))
-HARMONIC = calibrated_harmonic(
-    HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0)))
+HARMONIC = error_variance_harmonic(calibrated_harmonic(
+    HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0))))
+HEURISTIC = HeuristicConfig(m=1.0, L=1.0, T=2.0)
 PULSE = PulseSpec(((1.3, 0.4 + 0.1j, 2.0 - 1.0j), (4.1, 0.2j, 0.5)), (0.0, 1.0))
 POWER_2 = PulseSpec(((3.0, 1.0, 1.0),), (0.0, 1.0), 2, raised_cosine(1.0))
 
@@ -50,8 +53,7 @@ def _bounds(epsilon):
     return {
         "free": free_energy_bound(FREE, epsilon).bound,
         "harmonic": harmonic_energy_bound(HARMONIC, epsilon).bound,
-        "heuristic": heuristic_energy_bound(
-            HeuristicConfig(m=1.0, L=1.0, T=2.0, epsilon=epsilon)).bound,
+        "heuristic": heuristic_energy_bound(HEURISTIC, epsilon).bound,
         "pulse": energy_bound_check(PULSE, epsilon).bound,
         "power-2": energy_bound_check(POWER_2, epsilon).bound,
         "photons": min_photon_number(epsilon),
@@ -77,13 +79,13 @@ SCENARIO = GateScenario(coherent_state(0.0, 30), envelope_drive(raised_cosine(1.
 NAN_INPUTS = {
     "free-epsilon": lambda: free_energy_bound(FREE, NAN),
     "harmonic-epsilon": lambda: harmonic_energy_bound(HARMONIC, NAN),
+    "heuristic-epsilon": lambda: heuristic_energy_bound(HEURISTIC, NAN),
     "free-config": lambda: FreeCollisionConfig(m=NAN, v=2.0, b=4.0, T=8.0,
                                                potential=PotentialLaw(2.0)),
     "harmonic-config": lambda: HarmonicCollisionConfig(m=1.0, omega=NAN, A=100.0, b=30.0,
                                                        potential=PotentialLaw(3.0)),
-    "heuristic-config": lambda: HeuristicConfig(m=NAN, L=1.0, T=1.0, epsilon=0.1),
-    "heuristic-widths": lambda: HeuristicConfig(m=1.0, L=1.0, T=1.0, epsilon=0.1,
-                                                dx=NAN, dp=1.0),
+    "heuristic-config": lambda: HeuristicConfig(m=NAN, L=1.0, T=1.0),
+    "heuristic-widths": lambda: HeuristicConfig(m=1.0, L=1.0, T=1.0, dx=NAN, dp=1.0),
     "optimal-wavepacket": lambda: optimal_wavepacket(1.0, NAN),
     "log-derivative": lambda: powerlaw_log_derivative(2.0, NAN),
     "error-variance": lambda: error_variance_free(FREE, 1.0, NAN),
@@ -111,9 +113,8 @@ NAN_INPUTS = {
                                                    potential=PotentialLaw(2.0)),
     "harmonic-config-inf": lambda: HarmonicCollisionConfig(m=1.0, omega=1.0, A=INF, b=30.0,
                                                            potential=PotentialLaw(3.0)),
-    "heuristic-config-inf": lambda: HeuristicConfig(m=1.0, L=INF, T=1.0, epsilon=0.1),
-    "heuristic-widths-inf": lambda: HeuristicConfig(m=1.0, L=1.0, T=1.0, epsilon=0.1,
-                                                    dx=INF, dp=1.0),
+    "heuristic-config-inf": lambda: HeuristicConfig(m=1.0, L=INF, T=1.0),
+    "heuristic-widths-inf": lambda: HeuristicConfig(m=1.0, L=1.0, T=1.0, dx=INF, dp=1.0),
 }
 
 
@@ -130,5 +131,5 @@ def test_heuristic_flag_agrees_with_satisfied_at_equality(epsilon, L, T):
     # misoverlap <= eps is exactly energy >= bound, and at the equality mass
     # both sides land within rounding of equality: one slack decides both
     m = 2.0 * math.pi ** 2 * T / (epsilon * L * L)
-    report = heuristic_energy_bound(HeuristicConfig(m=m, L=L, T=T, epsilon=epsilon))
+    report = heuristic_energy_bound(HeuristicConfig(m=m, L=L, T=T), epsilon)
     assert report.satisfied == report.meta["error_within_epsilon"]

@@ -222,6 +222,14 @@ def test_squeezed_r_zero_matches_coherent():
     assert np.max(np.abs(squeezed.amplitudes - coherent.amplitudes)) < 1e-10
 
 
+def test_squeezed_recursion_rescales_at_large_alpha():
+    # at |alpha| = 30 the unnormalised recursion passes 1e100 and divides by its peak,
+    # c0 = 1 included; the rescaled state is still the coherent one
+    assert fock._squeezed_amplitudes(30.0, 0.0, 1024)[0] < 1.0
+    state = squeezed_coherent_state(30.0, 0.0)
+    assert abs(overlap(state, coherent_state(30.0, state.cutoff))) >= 1.0 - 1e-12
+
+
 def test_squeezed_vacuum_mean_photon_number():
     state = squeezed_coherent_state(0.0, 1.0)
     assert abs(mean_photon_number(state) - math.sinh(1.0) ** 2) < 1e-6

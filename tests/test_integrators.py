@@ -20,7 +20,7 @@ from gatebound.collision import (
     _harmonic_quad_points,
     _line_integral_power_law,
     _quad,
-    harmonic_action_integrals,
+    error_variance_harmonic,
 )
 from gatebound.errors import IntegrationError
 from gatebound.numerics import _dop853, quad
@@ -75,9 +75,11 @@ def _harmonic_integrands(cfg):
 
 @pytest.mark.parametrize("b_over_a", [0.3, 1e-2, 1e-3, 1e-4])
 def test_harmonic_integrals_match_scipy(b_over_a):
-    cfg = HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=100.0 * b_over_a,
-                                  potential=PotentialLaw(3.0))
-    action, cos_int, sin_int = harmonic_action_integrals(cfg)
+    cfg = calibrated_harmonic(HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0,
+                                                      b=100.0 * b_over_a,
+                                                      potential=PotentialLaw(3.0)))
+    hv = error_variance_harmonic(cfg)
+    action, cos_int, sin_int = hv.action, hv.cos_integral, hv.sin_integral
     pts = _harmonic_quad_points(cfg)
     refs = [scipy_quad(fn, 0.0, cfg.period, epsabs=0.0, epsrel=1e-13, limit=800, points=pts)
             for fn in _harmonic_integrands(cfg)[:2]]

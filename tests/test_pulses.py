@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,25 @@ def test_bound_checks_reject_a_pulse_with_no_photons():
                     for p in (1, 2))):
         with pytest.raises(ValueError, match="no photons"):
             energy_bound_check(pulse, epsilon)
+
+
+OVERFLOWING = {  # the first report quantity to overflow: (modes, epsilon, hbar)
+    "photon_number": (((1.0, 1.0, 1e200),), 0.1, 1.0),
+    "mean_omega": (((1e300, 1.0, 1e10),), 0.1, 1.0),
+    "energy": (((1e10, 1.0, 1.0),), 0.1, 1e300),
+    "bound": (((1e10, 1.0, 1.0),), 1e-300, 1.0),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(OVERFLOWING))
+def test_bound_check_names_an_overflowing_quantity(quantity):
+    # finite inputs whose report would overflow: no bound to compare, and no RuntimeWarning
+    modes, epsilon, hbar = OVERFLOWING[quantity]
+    pulse = PulseSpec(modes, (0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{quantity} must be finite"):
+            energy_bound_check(pulse, epsilon, hbar)
 
 
 def test_power_pulse_needs_p_at_least_one_and_an_envelope():
