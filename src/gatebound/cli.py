@@ -338,7 +338,6 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
     hv = collision.error_variance_harmonic(cfg)
     report = collision.harmonic_energy_bound(hv, params["epsilon"])
     probe = collision.squeezing_consistency_probe(hv)
-    ratio = collision.harmonic_constraint_ratio(cfg)
     row = [
         ("m", f"mass_{ctx.unit('kg')}", params["m"]),
         ("omega", "trap_omega_rad_per_s", params["omega"]),
@@ -347,7 +346,9 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
         ("squeeze_r", "squeeze_r", params["squeeze_r"]),
         ("coupling", "calibrated_coupling", cfg.potential.coupling),
         ("sin_cos_ratio", "sin_over_cos_integral", abs(hv.sin_integral) / abs(hv.cos_integral)),
-        ("gap_times_ratio", "gap_times_constraint_ratio", cfg.b * ratio),
+        # harmonic_constraint_ratio(cfg), read from the evaluation
+        ("gap_times_ratio", "gap_times_constraint_ratio",
+         cfg.b * (abs(hv.cos_integral) / abs(hv.action))),
         ("second_order_flag", "second_order_flag", probe.flagged),
         *_report_cells(report, ctx),
     ]

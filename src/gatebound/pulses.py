@@ -248,20 +248,24 @@ def energy_bound_check(pulse: PulseSpec, epsilon: float, hbar: float = 1.0) -> B
     The phase is 2 Re sum c_k alpha_k and the error sum |c_k|^2; <omega> is
     the photon-number-weighted mean frequency, undefined without photons.
     A photon number, mean frequency, energy or bound that overflows (or
-    underflows to 0) raises ValueError naming it.  The bound only claims
-    anything when the pulse is phase-calibrated and its error is within
-    eps/p^2; both conditions are flagged in ``meta`` rather than raised.
+    underflows to 0), and then a phase or error that overflows, raises
+    ValueError naming it.  The bound only claims anything when the pulse is
+    phase-calibrated and its error is within eps/p^2; both conditions are
+    flagged in ``meta`` rather than raised.
     """
     checked_epsilon(epsilon)
     checked_positive(hbar=hbar)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         n_photon, omega_bar, energy, bound = (float(x) for x in _energy_terms(
             pulse.omegas, pulse.alphas, epsilon, pulse.p_power, hbar))
+        phase = float(_phase(pulse.coefficients, pulse.alphas))
+        error = float(_error(pulse.coefficients))
     if n_photon == 0.0:
         raise ValueError("mean frequency undefined for a pulse with no photons")
     checked_positive(photon_number=n_photon, mean_omega=omega_bar, energy=energy, bound=bound)
-    phase = float(_phase(pulse.coefficients, pulse.alphas))
-    error = float(_error(pulse.coefficients))
+    for name, value in (("phase", phase), ("error", error)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     meta = {
         "epsilon": epsilon,
         "p_power": pulse.p_power,
@@ -366,30 +370,38 @@ def _scaled(z: np.ndarray, factor) -> np.ndarray:
     return out
 
 
-def _draw(rng: np.random.Generator, n_modes: int, window: tuple[float, float]) -> tuple:
-    """One random pulse's draws, in stream order: ln omega, Re g, Im g, u, Re alpha, Im alpha.
+def _draw(rng: np.random.Generator, rows: int, n_modes: int, window: tuple[float, float]) -> tuple:
+    """Draws of ``rows`` random pulses: (ln omega, couplings, u, amplitudes).
 
-    The frequencies are log-uniform on [0.5, 20] / (t1 - t0), the coupling
-    and amplitude parts standard normal and the error fraction u uniform
-    on [0.2, 1).  The complex arrays are formed by :func:`_feasible`.
+    Four generator calls, in stream order: ``uniform`` for the (rows x
+    n_modes) ln omega, log-uniform on [0.5, 20] / (t1 - t0); ``normal`` of
+    (rows x 2 n_modes), Re g | Im g; ``uniform`` on [0.2, 1) for the error
+    fraction u of each row; ``normal`` of (rows x 2 n_modes), Re alpha |
+    Im alpha.  One ``normal`` call of 2n values gives the values that two
+    calls of n give, so at rows = 1 this is the one-pulse stream ln omega,
+    Re g, Im g, u, Re alpha, Im alpha.  The draws are projected by
+    :func:`_feasible`.
     """
     span = window[1] - window[0]
-    return (rng.uniform(math.log(0.5 / span), math.log(20.0 / span), n_modes),
-            rng.normal(size=n_modes), rng.normal(size=n_modes), rng.uniform(0.2, 1.0),
-            rng.normal(size=n_modes), rng.normal(size=n_modes))
+    log_omegas = rng.uniform(math.log(0.5 / span), math.log(20.0 / span), (rows, n_modes))
+    g = rng.normal(size=(rows, 2 * n_modes))
+    u = rng.uniform(0.2, 1.0, rows)
+    a = rng.normal(size=(rows, 2 * n_modes))
+    return (log_omegas, g[:, :n_modes] + 1j * g[:, n_modes:], u,
+            a[:, :n_modes] + 1j * a[:, n_modes:])
 
 
-def _feasible(log_omegas, g_re, g_im, u, a_re, a_im, epsilon: float, window: tuple[float, float]
+def _feasible(log_omegas, gs, u, alphas, epsilon: float, window: tuple[float, float]
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(omegas, couplings, amplitudes, degenerate) of drawn pulses (see :func:`_draw`).
 
-    The draws are one pulse's or a (rows x modes) stack of them, with one u
-    per row.  Each row's couplings are rescaled onto error eps*u, then its
-    amplitudes (by a real factor) onto phase pi.  A row with zero error or
-    |phase| < 1e-9 before the amplitude rescale is flagged degenerate; its
-    division by zero is left in the arrays.
+    The draws are a (rows x modes) stack of pulses with one u per row.  Each
+    row's couplings are rescaled onto error eps*u, then its amplitudes (by a
+    real factor) onto phase pi.  A row with zero error or |phase| < 1e-9
+    before the amplitude rescale is flagged degenerate; its division by
+    zero is left in the arrays.
     """
-    omegas, gs, alphas = np.exp(log_omegas), g_re + 1j * g_im, a_re + 1j * a_im
+    omegas = np.exp(log_omegas)
     error = _error(_coefficients(omegas, gs, window))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gs = _scaled(gs, np.sqrt(epsilon * u / error))
@@ -411,7 +423,8 @@ def random_feasible_pulse(rng: np.random.Generator, epsilon: float, n_modes: int
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     window = _checked((), (), window)
-    omegas, gs, alphas, degenerate = _feasible(*_draw(rng, n_modes, window), epsilon, window)
+    (omegas,), (gs,), (alphas,), (degenerate,) = _feasible(*_draw(rng, 1, n_modes, window),
+                                                           epsilon, window)
     if degenerate:
         raise SamplingError("degenerate random draw: no feasible pulse (zero error or phase)")
     return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
@@ -424,40 +437,31 @@ SCREEN_WINDOW = (0.0, 1.0)
 def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int) -> np.ndarray:
     """Energy/bound ratios of ``count`` random feasible pulses, screened as arrays.
 
-    Pulse j has ``rng.integers(1, SCREEN_MODES + 1)`` modes on
-    ``SCREEN_WINDOW`` and is the pulse :func:`random_feasible_pulse` would
-    draw next: the ratios are the same bits as ``energy_bound_check(
-    random_feasible_pulse(rng, epsilon, n), epsilon).ratio`` drawn one pulse
-    at a time, and ``rng`` ends in the same state.  A Python loop makes the
-    draws; the projection and the ratio then run as one array pass per mode
-    count, with no :class:`PulseSpec` or report per pulse.  A degenerate
-    draw (zero error or zero phase) raises :class:`SamplingError`, as
-    :func:`random_feasible_pulse` does on the same draw.
+    Five generator calls draw the whole screen: ``integers(1, SCREEN_MODES
+    + 1, size=count)`` gives pulse j its mode count n_j, and one
+    :func:`_draw` of (count x SCREEN_MODES) on ``SCREEN_WINDOW`` its modes.
+    The couplings and amplitudes of row j's modes past n_j are zeroed; such
+    a mode adds exact zeros to the error, the phase, the photon number and
+    the <omega> weights, so ratio j is the same bits as ``energy_bound_check(
+    PulseSpec(first n_j modes of row j), epsilon).ratio``.  One projection
+    and one ratio pass run over all rows, with no :class:`PulseSpec` or
+    report per pulse.  A degenerate row (zero error or zero phase) raises
+    :class:`SamplingError` naming the first such pulse.
     """
     checked_epsilon(epsilon)
     if count < 0:
         raise ValueError("count must be >= 0")
-    ns = np.empty(count, dtype=int)
-    us = np.empty(count)
-    modes = np.empty((5, count, SCREEN_MODES))  # ln omega, Re g, Im g, Re alpha, Im alpha
-    for j in range(count):
-        n = ns[j] = rng.integers(1, SCREEN_MODES + 1)
-        row = modes[:, j, :n]
-        row[0], row[1], row[2], us[j], row[3], row[4] = _draw(rng, n, SCREEN_WINDOW)
-    ratios = np.empty(count)
-    degenerate = np.empty(count, dtype=bool)
-    for n in range(1, SCREEN_MODES + 1):
-        rows = np.flatnonzero(ns == n)
-        log_om, g_re, g_im, a_re, a_im = modes[:, rows, :n]
-        om, _, alphas, degenerate[rows] = _feasible(log_om, g_re, g_im, us[rows], a_re, a_im,
-                                                    epsilon, SCREEN_WINDOW)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate row may lack photons
-            _, _, energy, bound = _energy_terms(om, alphas, epsilon, 1, 1.0)
-        ratios[rows] = energy / bound
+    ns = rng.integers(1, SCREEN_MODES + 1, size=count)
+    log_omegas, gs, u, alphas = _draw(rng, count, SCREEN_MODES, SCREEN_WINDOW)
+    unused = np.arange(SCREEN_MODES) >= ns[:, None]
+    gs[unused] = 0.0
+    alphas[unused] = 0.0
+    omegas, _, alphas, degenerate = _feasible(log_omegas, gs, u, alphas, epsilon, SCREEN_WINDOW)
     if degenerate.any():
         raise SamplingError(f"degenerate random draw at pulse {np.argmax(degenerate)}: "
                             "no feasible pulse (zero error or phase)")
-    return ratios
+    _, _, energy, bound = _energy_terms(omegas, alphas, epsilon, 1, 1.0)
+    return energy / bound
 
 
 def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: int,
@@ -477,19 +481,21 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     frequencies, couplings and amplitudes, with one step size and one
     energy/bound ratio per restart.  Each restart draws from its own
     ``SeedSequence([seed, restart])`` generator, so its iterates do not
-    depend on how many restarts run beside it; a restart past its budget
-    draws on but keeps no move.  Each move draws ``integers(0, 3)`` and then
-    one ``normal`` call per restart: 2 * n_modes values (Re z, Im z) for a
-    coupling or amplitude move, n_modes (Re z) for a frequency move, the
-    values that two n_modes calls would give.  Every row is perturbed and
-    projected, and ``np.where`` selects the rows the move changes, the rows
-    whose couplings are rescaled and the rows kept.  A window that is not
-    finite with t_end > t_start raises ValueError before any draw, and a
-    degenerate start raises :class:`SamplingError`.  Kept moves strictly
-    lower a restart's ratio, so its last iterate is its best.  The ratios
-    are compared at hbar = 1, as in :func:`random_feasible_ratios`; the
-    winner is the first restart with the least ratio, and only it becomes
-    a :class:`PulseSpec`, which is returned.
+    depend on how many restarts run beside it.  After its start (one
+    :func:`_draw` row) a restart draws all its moves in two calls:
+    ``integers(0, 3, size=M)`` for the kind of each move and ``normal(size=
+    (M, 2 * n_modes))`` for its values, Re z | Im z, with M the first
+    restart's move count; a frequency move reads Re z only.  A restart with
+    fewer moves (the last) keeps none past its own count.  Every row is
+    perturbed and projected, and ``np.where`` selects the rows the move
+    changes, the rows whose couplings are rescaled and the rows kept.  A
+    window that is not finite with t_end > t_start raises ValueError before
+    any draw, and a degenerate start raises :class:`SamplingError`.  Kept
+    moves strictly lower a restart's ratio, so its last iterate is its
+    best.  The ratios are compared at hbar = 1, as in
+    :func:`random_feasible_ratios`; the winner is the first restart with
+    the least ratio, and only it becomes a :class:`PulseSpec`, which is
+    returned.
     """
     checked_epsilon(epsilon)
     if n_modes < 1:
@@ -504,7 +510,8 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
                        budget - 1 - evals_per_restart * np.arange(n_restarts))
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, restart]))
             for restart in range(n_restarts)]
-    draws = (np.array(column) for column in zip(*(_draw(rng, n_modes, window) for rng in rngs)))
+    draws = (np.concatenate(column) for column in zip(*(_draw(rng, 1, n_modes, window)
+                                                         for rng in rngs)))
     omegas, gs, alphas, degenerate = _feasible(*draws, epsilon, window)
     if degenerate.any():
         raise SamplingError(f"degenerate random draw at restart {np.argmax(degenerate)}: "
@@ -512,28 +519,22 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
     _, _, energy, bound = _energy_terms(omegas, alphas, epsilon, 1, 1.0)
     ratio = energy / bound
     step = np.full(n_restarts, 0.5)
-    which = np.empty(n_restarts, dtype=int)
-    # one row of draws per restart: Re z, then Im z (stale after a frequency move)
-    z = np.zeros((n_restarts, 2 * n_modes))
-    z_re = z[:, :n_modes]
+    # each restart's moves, one row per move and one column per restart: the
+    # kind of move, and Re z | Im z
+    which = np.stack([rng.integers(0, 3, size=moves[0]) for rng in rngs], axis=1)
+    z = np.stack([rng.normal(size=(moves[0], 2 * n_modes)) for rng in rngs], axis=1)
 
     # rows a move does not select, and rejected rows, may hold inf/nan that
     # np.where discards
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(int(moves[0])):
-            # a restart past its budget draws on, from its own stream, but keeps nothing
-            for r, rng in enumerate(rngs):
-                which[r] = move = rng.integers(0, 3)
-                if move:
-                    z[r] = rng.normal(size=2 * n_modes)
-                else:
-                    z_re[r] = rng.normal(size=n_modes)
             s = step[:, None]
-            dz = s * (z_re + 1j * z[:, n_modes:])
-            om = np.where((which == 0)[:, None], omegas * np.exp(s * z_re * 0.3), omegas)
-            g = np.where((which == 1)[:, None], gs * (1.0 + dz * 0.3), gs)
+            z_re = z[k, :, :n_modes]
+            dz = s * (z_re + 1j * z[k, :, n_modes:])
+            om = np.where((which[k] == 0)[:, None], omegas * np.exp(s * z_re * 0.3), omegas)
+            g = np.where((which[k] == 1)[:, None], gs * (1.0 + dz * 0.3), gs)
             scale = np.abs(alphas).sum(axis=-1, keepdims=True) / n_modes
-            al = np.where((which == 2)[:, None], alphas + dz * scale, alphas)
+            al = np.where((which[k] == 2)[:, None], alphas + dz * scale, alphas)
 
             ok = (moves > k) & (om > 0).all(axis=-1)
             integral = mode_window_integral(om, window)

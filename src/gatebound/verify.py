@@ -107,7 +107,8 @@ def criterion_4() -> CriterionResult:
 
     Universality is screened on 1000 random feasible pulses of 1-3 modes at
     eps = 0.01 in one call to :func:`pulses.random_feasible_ratios`, which
-    scores them as arrays grouped by mode count; none may beat the bound.
+    draws them in one batch and scores them as (pulses x 3) arrays with the
+    modes past each pulse's count zeroed; none may beat the bound.
     """
     epsilon = 0.01
     mpn = pulses.min_photon_number(epsilon)

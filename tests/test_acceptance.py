@@ -44,8 +44,8 @@ def test_criterion_4_screen_is_pinned(monkeypatch):
     monkeypatch.setattr(pulses, "random_feasible_ratios", recorded)
     result = criterion_4()
     assert [len(ratios) for ratios in screens] == [1000]
-    assert repr(float(min(screens[0]))) == "1.0314676143508485"
-    assert result.detail == "min_photon=246.74011, min_ratio=1.031467614, equality_ratio=1.000000"
+    assert repr(float(min(screens[0]))) == "1.0431553669523255"
+    assert result.detail == "min_photon=246.74011, min_ratio=1.043155367, equality_ratio=1.000000"
 
 
 def test_verify_all_cli_end_to_end(tmp_path):

@@ -643,6 +643,9 @@ NON_FINITE = [
     ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--alpha", "1e200"],
     ["nonlinear-bound", "--p-power", "1", "--epsilon", "0.1", "--omega", "1e300",
      "--alpha", "1e10"],
+    # finite, but |c alpha| (the phase) and |c|^2 (the error) overflow
+    ["nonlinear-bound", "--p-power", "1", "--epsilon", "0.1", "--weight", "1e300",
+     "--alpha", "1e10"],
     ["verify-all", "--tolerance-scale", "nan"],
     ["sweep", "--command", "gate-sim", "--axis", "alpha", "--values", "2,inf"],
     ["sweep", "--command", "squeeze-opt", "--axis", "epsilon", "--values", "0.1",

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -317,11 +318,27 @@ def test_error_variance_requires_calibration(monkeypatch):
 
 
 def test_collision_harmonic_evaluates_the_chain_once(tmp_path, monkeypatch):
-    # calibration 1, chain evaluation 3 (read by the bound and the probe), ratio 2
+    # calibration 1, chain evaluation 3 (read by the bound, the probe and the ratio)
     calls = _counted_quads(monkeypatch)
     assert main(["collision-harmonic", "--m", "1", "--omega", "1", "--amplitude", "100",
                  "--gap", "30", "--epsilon", "0.1", "--output", str(tmp_path / "run")]) == 0
-    assert len(calls) == 6
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("squeeze_r", ["0", "0.5"])
+def test_collision_harmonic_ratio_cell_is_the_constraint_ratio(tmp_path, squeeze_r):
+    # the ratio read from the evaluation is the bits that harmonic_constraint_ratio
+    # integrates again, so the written cell is unchanged
+    out = tmp_path / "run"
+    assert main(["collision-harmonic", "--m", "1", "--omega", "1", "--amplitude", "100",
+                 "--gap", "30", "--epsilon", "0.1", "--squeeze-r", squeeze_r,
+                 "--output", str(out)]) == 0
+    with open(out / "result.csv", newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    cfg = calibrated_harmonic(HarmonicCollisionConfig(
+        m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0),
+        squeeze_r=float(squeeze_r)))
+    assert row["gap_times_constraint_ratio"] == repr(cfg.b * harmonic_constraint_ratio(cfg))
 
 
 def test_harmonic_bound_reads_the_evaluation_at_any_epsilon(monkeypatch):
