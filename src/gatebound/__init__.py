@@ -83,7 +83,6 @@ from .pulses import (
     linewidth_combined_bound,
     min_photon_number,
     optimize_squeezing,
-    random_feasible_pulse,
     random_feasible_ratios,
     single_mode_equality_pulse,
     squeezed_energy,

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -352,16 +352,7 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
         ("second_order_flag", "second_order_flag", probe.flagged),
         *_report_cells(report, ctx),
     ]
-    extra = {
-        "report": report.to_dict(),
-        "probe": {
-            "delta_sq_leading": probe.delta_sq_leading,
-            "momentum_mismatch": probe.momentum_mismatch,
-            "second_order_proxy": probe.second_order_proxy,
-            "flagged": probe.flagged,
-        },
-    }
-    return [row], extra
+    return [row], {"report": report.to_dict(), "probe": asdict(probe)}
 
 
 def cmd_return_mismatch(params, ctx: UnitContext, seed: int):
@@ -383,7 +374,7 @@ def cmd_return_mismatch(params, ctx: UnitContext, seed: int):
         ("dx_halving_ratio", "dx_ratio_full_over_half",
          full.dx / half.dx if half.dx != 0 else math.inf),
     ]
-    return [row], {"half": {"dx": half.dx, "dp": half.dp}}
+    return [row], {"half": half._asdict()}
 
 
 def cmd_heuristic(params, ctx: UnitContext, seed: int):

@@ -9,8 +9,9 @@ Cauchy-Schwarz yields the photon-number and energy lower bounds
     E >= (pi^2/4) hbar <omega> / eps,
 
 which a nonlinear (power-p) coupling tightens by p^2 and which squeezing
-relaxes only as far as E >= 2 hbar omega / sqrt(eps).  An adversarial
-random search is included to hammer on the linear bound empirically.
+relaxes only as far as E >= 2 hbar omega / sqrt(eps).  Random pulses on
+one ``WINDOW`` hammer on the linear bound through two entry points: the
+screen :func:`random_feasible_ratios` and :func:`adversarial_pulse_search`.
 """
 
 from __future__ import annotations
@@ -65,22 +66,15 @@ def mode_window_integral(omega: float | np.ndarray, window: tuple[float, float])
     return np.where(use_narrow, narrow, wide)[()]
 
 
-def _coefficients(omegas: Sequence[float] | np.ndarray, weights: Sequence[complex] | np.ndarray,
-                  window: tuple[float, float]) -> np.ndarray:
-    """c_k = w_k * int e^{-i omega_k t} dt elementwise; the error is sum_k |c_k|^2.
-
-    ``omegas`` and ``weights`` may carry any leading shape, e.g. one row of
-    modes per search restart.
-    """
-    return _weighted(weights, mode_window_integral(np.asarray(omegas, dtype=float), window))
-
-
 def _weighted(weights: Sequence[complex] | np.ndarray, integral: np.ndarray) -> np.ndarray:
     """weights * integral elementwise, the complex product written out in real arithmetic.
 
-    NumPy's vectorised complex multiply may fuse the multiply-adds and round
-    differently from a scalar product: written out, c_k is the same bits
-    whatever the shape of the array that holds it.
+    With ``integral`` the window integrals of the mode frequencies this is
+    c_k = w_k int e^{-i omega_k t} dt, whose error is sum_k |c_k|^2; the
+    arrays may carry any leading shape, e.g. one row of modes per search
+    restart.  NumPy's vectorised complex multiply may fuse the multiply-adds
+    and round differently from a scalar product: written out, c_k is the
+    same bits whatever the shape of the array that holds it.
     """
     w = np.asarray(weights, dtype=complex)
     out = np.empty_like(integral)
@@ -89,37 +83,20 @@ def _weighted(weights: Sequence[complex] | np.ndarray, integral: np.ndarray) -> 
     return out
 
 
-def _checked(omegas: Sequence[float], values: Sequence[complex],
-             window: tuple[float, float]) -> tuple[float, float]:
-    """``window`` as floats, after ValueError on any input no pulse can have.
-
-    The mode frequencies must be finite and positive, the couplings,
-    weights or amplitudes in ``values`` finite, and the window finite with
-    t_end > t_start.
-    """
-    if not all(map(cmath.isfinite, values)):
-        raise ValueError("couplings, weights and amplitudes must be finite")
-    checked_positive(**{f"omegas[{k}]": w for k, w in enumerate(omegas)})
-    t0, t1 = (float(t) for t in window)
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError("window bounds must be finite")
-    if not t1 > t0:
-        raise ValueError("window must satisfy t_end > t_start")
-    return t0, t1
-
-
 @dataclass(frozen=True)
 class PulseSpec:
     """Modes (omega, g, alpha) with a common time window, coupled at power p.
 
     ``omegas``, ``couplings``, ``alphas`` and the effective linear
     coefficients ``coefficients`` are read-only arrays set once at
-    construction.  At p = 1 the coefficients are the window integrals
-    (:func:`_coefficients`) and ``envelope`` is not read, since E^0 = 1; at
+    construction.  At p = 1 the coefficients are c_k = g_k int e^{-i omega_k
+    t} dt (:func:`_weighted`) and ``envelope`` is not read, since E^0 = 1; at
     p > 1 a power-p coupling with mean field E(t) = ``envelope`` reduces to
     c_k = g_k int E(t)^{p-1} e^{-i omega_k t} dt (:func:`_power_coefficients`).
     The phase condition reads sum c_k alpha_k + c.c. = pi and the error
-    condition sum |c_k|^2 < eps/p^2.
+    condition sum |c_k|^2 < eps/p^2.  Construction raises ValueError unless
+    every coupling and amplitude is finite, every frequency finite and
+    positive, and the window finite with t_end > t_start.
     """
 
     modes: tuple[tuple[float, complex, complex], ...]
@@ -139,11 +116,17 @@ class PulseSpec:
         modes = tuple((float(w), complex(g), complex(al)) for w, g, al in self.modes)
         if not modes:
             raise ValueError("pulse needs at least one mode")
-        window = _checked([w for w, _, _ in modes], [z for _, g, al in modes for z in (g, al)],
-                          self.window)
+        if not all(cmath.isfinite(z) for _, g, al in modes for z in (g, al)):
+            raise ValueError("couplings, weights and amplitudes must be finite")
+        checked_positive(**{f"omegas[{k}]": w for k, (w, _, _) in enumerate(modes)})
+        t0, t1 = window = tuple(float(t) for t in self.window)
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ValueError("window bounds must be finite")
+        if not t1 > t0:
+            raise ValueError("window must satisfy t_end > t_start")
         omegas, couplings, alphas = (np.array(column) for column in zip(*modes))
         if self.p_power == 1:
-            coefficients = _coefficients(omegas, couplings, window)
+            coefficients = _weighted(couplings, mode_window_integral(omegas, window))
         else:
             coefficients = _power_coefficients(self.p_power, self.envelope, window,
                                                omegas.tolist(), couplings.tolist())
@@ -162,7 +145,7 @@ REDUCE_MAX_PANELS = 2 ** 16      # panels (2^20 envelope samples) before the red
 def _power_coefficients(p_power: int, envelope: Callable[[float], float],
                         window: tuple[float, float], omegas: list[float],
                         weights: list[complex]) -> np.ndarray:
-    """c_k = w_k int E(t)^{p-1} e^{-i omega_k t} dt of a power-p coupling (p > 1).
+    """c_k = w_k int E(t)^{p-1} e^{-i omega_k t} dt of a power-p coupling, p >= 1.
 
     The integrals run on Gauss-Legendre panels (:func:`converged_panels`).
     The first level has the least power-of-two panel count that puts at
@@ -341,40 +324,33 @@ def linewidth_combined_bound(duration: float, epsilon: float, hbar: float = 1.0)
 
 
 # ---------------------------------------------------------------------------
-# constructions and adversarial search
+# constructions and random pulses
 # ---------------------------------------------------------------------------
 
-def single_mode_equality_pulse(epsilon: float, omega: float = 1.0,
-                               window: tuple[float, float] = (0.0, 1.0)) -> PulseSpec:
-    """Single-mode pulse saturating the energy bound (ratio = 1).
+WINDOW = (0.0, 1.0)  # the window of the equality pulse and of every random pulse
+
+
+def single_mode_equality_pulse(epsilon: float, omega: float = 1.0) -> PulseSpec:
+    """Single-mode pulse on ``WINDOW`` saturating the energy bound (ratio = 1).
 
     |g| is tuned so the error hits eps exactly and alpha is phase-matched
     with |alpha| = pi/(2 sqrt(eps)).
     """
     checked_epsilon(epsilon)
-    integral = mode_window_integral(omega, window)
+    integral = mode_window_integral(omega, WINDOW)
     if abs(integral) < 1e-12:
         raise ValueError("window integral vanishes; choose a different omega or window")
     g = math.sqrt(epsilon) / abs(integral)
     c = g * integral
     alpha = (np.conj(c) / abs(c)) * PI / (2.0 * math.sqrt(epsilon))
-    return PulseSpec(((omega, complex(g), complex(alpha)),), window)
+    return PulseSpec(((omega, complex(g), complex(alpha)),), WINDOW)
 
 
-def _scaled(z: np.ndarray, factor) -> np.ndarray:
-    """z times one real factor per row, written out in real arithmetic (see _weighted)."""
-    factor = np.asarray(factor)[..., None]
-    out = np.empty_like(z)
-    out.real = z.real * factor
-    out.imag = z.imag * factor
-    return out
-
-
-def _draw(rng: np.random.Generator, rows: int, n_modes: int, window: tuple[float, float]) -> tuple:
+def _draw(rng: np.random.Generator, rows: int, n_modes: int) -> tuple:
     """Draws of ``rows`` random pulses: (ln omega, couplings, u, amplitudes).
 
     Four generator calls, in stream order: ``uniform`` for the (rows x
-    n_modes) ln omega, log-uniform on [0.5, 20] / (t1 - t0); ``normal`` of
+    n_modes) ln omega, so omega is log-uniform on [0.5, 20]; ``normal`` of
     (rows x 2 n_modes), Re g | Im g; ``uniform`` on [0.2, 1) for the error
     fraction u of each row; ``normal`` of (rows x 2 n_modes), Re alpha |
     Im alpha.  One ``normal`` call of 2n values gives the values that two
@@ -382,8 +358,7 @@ def _draw(rng: np.random.Generator, rows: int, n_modes: int, window: tuple[float
     Re g, Im g, u, Re alpha, Im alpha.  The draws are projected by
     :func:`_feasible`.
     """
-    span = window[1] - window[0]
-    log_omegas = rng.uniform(math.log(0.5 / span), math.log(20.0 / span), (rows, n_modes))
+    log_omegas = rng.uniform(math.log(0.5), math.log(20.0), (rows, n_modes))
     g = rng.normal(size=(rows, 2 * n_modes))
     u = rng.uniform(0.2, 1.0, rows)
     a = rng.normal(size=(rows, 2 * n_modes))
@@ -391,47 +366,29 @@ def _draw(rng: np.random.Generator, rows: int, n_modes: int, window: tuple[float
             a[:, :n_modes] + 1j * a[:, n_modes:])
 
 
-def _feasible(log_omegas, gs, u, alphas, epsilon: float, window: tuple[float, float]
+def _feasible(log_omegas, gs, u, alphas, epsilon: float
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(omegas, couplings, amplitudes, degenerate) of drawn pulses (see :func:`_draw`).
 
-    The draws are a (rows x modes) stack of pulses with one u per row.  Each
-    row's couplings are rescaled onto error eps*u, then its amplitudes (by a
-    real factor) onto phase pi.  A row with zero error or |phase| < 1e-9
+    The draws are a (rows x modes) stack of pulses on ``WINDOW`` with one u
+    per row.  Each row's couplings are rescaled onto error eps*u, then its
+    amplitudes onto phase pi, each by a real factor, whose zero imaginary
+    part makes the complex product round as the real one; one window
+    integral per mode serves both.  A row with zero error or |phase| < 1e-9
     before the amplitude rescale is flagged degenerate; its division by
     zero is left in the arrays.
     """
     omegas = np.exp(log_omegas)
-    error = _error(_coefficients(omegas, gs, window))
+    integral = mode_window_integral(omegas, WINDOW)
+    error = _error(_weighted(gs, integral))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gs = _scaled(gs, np.sqrt(epsilon * u / error))
-        phase = _phase(_coefficients(omegas, gs, window), alphas)
-        alphas = _scaled(alphas, PI / phase)
+        gs = gs * np.sqrt(epsilon * u / error)[:, None]
+        phase = _phase(_weighted(gs, integral), alphas)
+        alphas = alphas * (PI / phase)[:, None]
     return omegas, gs, alphas, (error == 0.0) | (np.abs(phase) < 1e-9)
 
 
-def random_feasible_pulse(rng: np.random.Generator, epsilon: float, n_modes: int,
-                          window: tuple[float, float] = (0.0, 1.0)) -> PulseSpec:
-    """Random pulse projected onto phase = pi with error <= eps.
-
-    Draws one pulse with :func:`_draw` and projects it with
-    :func:`_feasible`.  A window that is not finite with t_end > t_start
-    raises ValueError before any draw; a degenerate draw (zero error or zero
-    phase) raises :class:`SamplingError`.
-    """
-    checked_epsilon(epsilon)
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    window = _checked((), (), window)
-    (omegas,), (gs,), (alphas,), (degenerate,) = _feasible(*_draw(rng, 1, n_modes, window),
-                                                           epsilon, window)
-    if degenerate:
-        raise SamplingError("degenerate random draw: no feasible pulse (zero error or phase)")
-    return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
-
-
 SCREEN_MODES = 3  # random_feasible_ratios draws 1..SCREEN_MODES modes per pulse
-SCREEN_WINDOW = (0.0, 1.0)
 
 
 def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int) -> np.ndarray:
@@ -439,24 +396,24 @@ def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int)
 
     Five generator calls draw the whole screen: ``integers(1, SCREEN_MODES
     + 1, size=count)`` gives pulse j its mode count n_j, and one
-    :func:`_draw` of (count x SCREEN_MODES) on ``SCREEN_WINDOW`` its modes.
-    The couplings and amplitudes of row j's modes past n_j are zeroed; such
-    a mode adds exact zeros to the error, the phase, the photon number and
-    the <omega> weights, so ratio j is the same bits as ``energy_bound_check(
-    PulseSpec(first n_j modes of row j), epsilon).ratio``.  One projection
-    and one ratio pass run over all rows, with no :class:`PulseSpec` or
-    report per pulse.  A degenerate row (zero error or zero phase) raises
-    :class:`SamplingError` naming the first such pulse.
+    :func:`_draw` of (count x SCREEN_MODES) its modes.  The couplings and
+    amplitudes of row j's modes past n_j are zeroed; such a mode adds exact
+    zeros to the error, the phase, the photon number and the <omega>
+    weights, so ratio j is the same bits as ``energy_bound_check(
+    PulseSpec(first n_j modes of row j, WINDOW), epsilon).ratio``.  One
+    projection and one ratio pass run over all rows, with no
+    :class:`PulseSpec` or report per pulse.  A degenerate row (zero error or
+    zero phase) raises :class:`SamplingError` naming the first such pulse.
     """
     checked_epsilon(epsilon)
     if count < 0:
         raise ValueError("count must be >= 0")
     ns = rng.integers(1, SCREEN_MODES + 1, size=count)
-    log_omegas, gs, u, alphas = _draw(rng, count, SCREEN_MODES, SCREEN_WINDOW)
+    log_omegas, gs, u, alphas = _draw(rng, count, SCREEN_MODES)
     unused = np.arange(SCREEN_MODES) >= ns[:, None]
     gs[unused] = 0.0
     alphas[unused] = 0.0
-    omegas, _, alphas, degenerate = _feasible(log_omegas, gs, u, alphas, epsilon, SCREEN_WINDOW)
+    omegas, _, alphas, degenerate = _feasible(log_omegas, gs, u, alphas, epsilon)
     if degenerate.any():
         raise SamplingError(f"degenerate random draw at pulse {np.argmax(degenerate)}: "
                             "no feasible pulse (zero error or phase)")
@@ -464,45 +421,42 @@ def random_feasible_ratios(rng: np.random.Generator, epsilon: float, count: int)
     return energy / bound
 
 
-def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: int,
-                             window: tuple[float, float] = (0.0, 1.0)) -> PulseSpec:
+def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: int) -> PulseSpec:
     """Randomised local search minimising energy/bound at phase pi, error <= eps.
 
     The budget is split into restarts of at most 120 evaluations: one
-    random feasible pulse (drawn and projected as in
-    :func:`random_feasible_pulse`) and then up to 119 perturbations of one
-    of frequencies, couplings or amplitudes.  A perturbation that lowers
-    energy/bound is kept and widens the step, otherwise the step narrows.
-    Feasibility is kept at every iterate by projection: couplings are
-    rescaled onto error <= eps and amplitudes rescaled (by a real factor)
-    onto phase = pi.
+    random feasible pulse on ``WINDOW`` (one :func:`_draw` row projected by
+    :func:`_feasible`; at budget 1 that pulse is the result) and then up to
+    119 perturbations of one of frequencies, couplings or amplitudes.  A
+    perturbation that lowers energy/bound is kept and widens the step,
+    otherwise the step narrows.  Feasibility is kept at every iterate by
+    projection: couplings are rescaled onto error <= eps and amplitudes
+    rescaled (by a real factor) onto phase = pi.
 
     All restarts advance in lockstep on (restarts x modes) arrays of
     frequencies, couplings and amplitudes, with one step size and one
     energy/bound ratio per restart.  Each restart draws from its own
     ``SeedSequence([seed, restart])`` generator, so its iterates do not
-    depend on how many restarts run beside it.  After its start (one
-    :func:`_draw` row) a restart draws all its moves in two calls:
-    ``integers(0, 3, size=M)`` for the kind of each move and ``normal(size=
-    (M, 2 * n_modes))`` for its values, Re z | Im z, with M the first
-    restart's move count; a frequency move reads Re z only.  A restart with
-    fewer moves (the last) keeps none past its own count.  Every row is
-    perturbed and projected, and ``np.where`` selects the rows the move
-    changes, the rows whose couplings are rescaled and the rows kept.  A
-    window that is not finite with t_end > t_start raises ValueError before
-    any draw, and a degenerate start raises :class:`SamplingError`.  Kept
-    moves strictly lower a restart's ratio, so its last iterate is its
-    best.  The ratios are compared at hbar = 1, as in
-    :func:`random_feasible_ratios`; the winner is the first restart with
-    the least ratio, and only it becomes a :class:`PulseSpec`, which is
-    returned.
+    depend on how many restarts run beside it.  After its start a restart
+    draws all its moves in two calls, each filling its row of a
+    preallocated array: ``integers(0, 3, size=M)`` for the kind of each
+    move and ``standard_normal`` of (M x 2 n_modes) for its values, Re z |
+    Im z, with M the first restart's move count; a frequency move reads
+    Re z only.  A restart with fewer moves (the last) keeps none past its
+    own count.  Every row is perturbed and projected, and ``np.where``
+    selects the rows the move changes, the rows whose couplings are
+    rescaled and the rows kept.  A degenerate start raises
+    :class:`SamplingError`.  Kept moves strictly lower a restart's ratio,
+    so its last iterate is its best.  The ratios are compared at hbar = 1,
+    as in :func:`random_feasible_ratios`; the winner is the first restart
+    with the least ratio, and only it becomes a :class:`PulseSpec`, which
+    is returned.
     """
     checked_epsilon(epsilon)
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    window = _checked((), (), window)
     evals_per_restart = 120
     n_restarts = math.ceil(budget / evals_per_restart)
     # perturbations per restart; only the last restart may get fewer
@@ -510,34 +464,36 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
                        budget - 1 - evals_per_restart * np.arange(n_restarts))
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, restart]))
             for restart in range(n_restarts)]
-    draws = (np.concatenate(column) for column in zip(*(_draw(rng, 1, n_modes, window)
-                                                         for rng in rngs)))
-    omegas, gs, alphas, degenerate = _feasible(*draws, epsilon, window)
+    draws = (np.concatenate(column) for column in zip(*(_draw(rng, 1, n_modes) for rng in rngs)))
+    omegas, gs, alphas, degenerate = _feasible(*draws, epsilon)
     if degenerate.any():
         raise SamplingError(f"degenerate random draw at restart {np.argmax(degenerate)}: "
                             "no feasible pulse (zero error or phase)")
     _, _, energy, bound = _energy_terms(omegas, alphas, epsilon, 1, 1.0)
     ratio = energy / bound
     step = np.full(n_restarts, 0.5)
-    # each restart's moves, one row per move and one column per restart: the
+    # each restart's moves, one row per restart and one column per move: the
     # kind of move, and Re z | Im z
-    which = np.stack([rng.integers(0, 3, size=moves[0]) for rng in rngs], axis=1)
-    z = np.stack([rng.normal(size=(moves[0], 2 * n_modes)) for rng in rngs], axis=1)
+    which = np.empty((n_restarts, moves[0]), dtype=np.int64)
+    z = np.empty((n_restarts, moves[0], 2 * n_modes))
+    for r, rng in enumerate(rngs):
+        which[r] = rng.integers(0, 3, size=moves[0])
+        rng.standard_normal(out=z[r])
 
     # rows a move does not select, and rejected rows, may hold inf/nan that
     # np.where discards
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(int(moves[0])):
             s = step[:, None]
-            z_re = z[k, :, :n_modes]
-            dz = s * (z_re + 1j * z[k, :, n_modes:])
-            om = np.where((which[k] == 0)[:, None], omegas * np.exp(s * z_re * 0.3), omegas)
-            g = np.where((which[k] == 1)[:, None], gs * (1.0 + dz * 0.3), gs)
+            z_re = z[:, k, :n_modes]
+            dz = s * (z_re + 1j * z[:, k, n_modes:])
+            om = np.where((which[:, k] == 0)[:, None], omegas * np.exp(s * z_re * 0.3), omegas)
+            g = np.where((which[:, k] == 1)[:, None], gs * (1.0 + dz * 0.3), gs)
             scale = np.abs(alphas).sum(axis=-1, keepdims=True) / n_modes
-            al = np.where((which[k] == 2)[:, None], alphas + dz * scale, alphas)
+            al = np.where((which[:, k] == 2)[:, None], alphas + dz * scale, alphas)
 
             ok = (moves > k) & (om > 0).all(axis=-1)
-            integral = mode_window_integral(om, window)
+            integral = mode_window_integral(om, WINDOW)
             coeffs = _weighted(g, integral)
             error = _error(coeffs)
             ok &= error != 0.0
@@ -563,4 +519,4 @@ def adversarial_pulse_search(epsilon: float, n_modes: int, budget: int, seed: in
                 alphas = np.where(kept, al, alphas)
 
     best = int(np.argmin(ratio))
-    return PulseSpec(tuple(zip(omegas[best], gs[best], alphas[best])), window)
+    return PulseSpec(tuple(zip(omegas[best], gs[best], alphas[best])), WINDOW)

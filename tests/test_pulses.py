@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,6 @@ from gatebound import (
     min_photon_number,
     optimize_squeezing,
     raised_cosine,
-    random_feasible_pulse,
     random_feasible_ratios,
     single_mode_equality_pulse,
     squeezed_energy,
@@ -25,7 +25,8 @@ from gatebound import (
 )
 from gatebound.cli import main
 from gatebound.errors import IntegrationError
-from gatebound.pulses import NARROW_PHASE, REDUCE_MAX_PANELS, _coefficients, mode_window_integral
+from gatebound.pulses import (NARROW_PHASE, REDUCE_MAX_PANELS, WINDOW, _weighted,
+                              mode_window_integral)
 from gatebound.report import BoundReport
 
 PI = math.pi
@@ -170,10 +171,10 @@ def test_min_photon_number_values():
             min_photon_number(bad)
 
 
-def test_cauchy_schwarz_witness_on_random_feasible_pulses():
-    rng = np.random.default_rng(123)
-    for _ in range(100):
-        report = report_of(random_feasible_pulse(rng, 0.05, int(rng.integers(1, 4))))
+def test_cauchy_schwarz_witness_on_random_pulses():
+    # at budget 1 the search returns its one random feasible pulse
+    for seed in range(100):
+        report = report_of(adversarial_pulse_search(0.05, 1 + seed % 3, 1, seed))
         n, err = report.photon_number, report.error
         assert n * err >= PI ** 2 / 4.0 - 1e-9
         # general chain: phase <= 2 sqrt(N * error)
@@ -185,7 +186,7 @@ def test_cauchy_schwarz_witness_on_random_feasible_pulses():
 def test_energy_bound_holds_for_feasible_pulses(seed, epsilon):
     # Two modes: a single mode's mean frequency can round 1 ulp outside
     # [min, max], which the exact containment check below would catch.
-    pulse = random_feasible_pulse(np.random.default_rng(seed), epsilon, 2)
+    pulse = adversarial_pulse_search(epsilon, 2, 1, seed)
     report = energy_bound_check(pulse, epsilon)
     assert report.error <= epsilon
     assert report.meta["error_within_epsilon"]
@@ -421,15 +422,6 @@ def test_non_finite_pulse_inputs_are_rejected_before_sampling(omega, value, wind
             with pytest.raises(ValueError, match=match):
                 PulseSpec(spec, window, p_power, counted)
     assert times == []
-    if window != (0.0, 1.0):
-        # the random pulses take a window only: it is checked before the first draw
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=match):
-            random_feasible_pulse(rng, 0.1, 2, window)
-        assert rng.bit_generator.state == state
-        with pytest.raises(ValueError, match=match):
-            adversarial_pulse_search(0.1, 2, 10, 0, window)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +506,7 @@ def test_search_is_deterministic():
     assert energy_bound_check(a, 0.02).ratio == energy_bound_check(b, 0.02).ratio
 
 
-def _sequential_search(epsilon: float, n_modes: int, budget: int, seed: int,
-                       window: tuple[float, float] = (0.0, 1.0)) -> PulseSpec:
+def _sequential_search(epsilon: float, n_modes: int, budget: int, seed: int) -> PulseSpec:
     """Reference: the one-restart-at-a-time search, one PulseSpec per candidate."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -529,7 +520,7 @@ def _sequential_search(epsilon: float, n_modes: int, budget: int, seed: int,
         if remaining <= 0:
             break
         rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
-        pulse = random_feasible_pulse(rng, epsilon, n_modes, window)
+        pulse = _sequential_pulse(rng, epsilon, n_modes)
         # every restart draws the first restart's moves: their kinds, then Re z | Im z
         kinds = rng.integers(0, 3, size=min(budget - 1, evals_per_restart - 1))
         zs = rng.normal(size=(len(kinds), 2 * n_modes))
@@ -569,13 +560,14 @@ def _perturb_pulse(pulse: PulseSpec, epsilon: float, step: float, which: int,
         alphas = alphas + step * (z[:n] + 1j * z[n:]) * np.mean(np.abs(alphas))
     if np.any(omegas <= 0):
         return None
-    coeffs = _coefficients(omegas, gs, pulse.window)
+    integral = mode_window_integral(omegas, pulse.window)
+    coeffs = _weighted(gs, integral)
     error = float(np.sum(np.abs(coeffs) ** 2))
     if error == 0.0:
         return None
     if error > epsilon:
         gs = gs * math.sqrt(epsilon / error) * (1.0 - 1e-15)
-        coeffs = _coefficients(omegas, gs, pulse.window)
+        coeffs = _weighted(gs, integral)
     phase = 2.0 * float(np.sum(coeffs * alphas).real)
     if abs(phase) < 1e-9:
         return None
@@ -602,20 +594,18 @@ def assert_same_pulse(got: PulseSpec, want: PulseSpec):
 
 # one restart is 120 evaluations; these budgets end a restart early, on its
 # first perturbation, exactly at its end, and one evaluation into the next
-@example(epsilon=0.03, n_modes=1, budget=1, seed=11, window=(0.0, 1.0))
-@example(epsilon=0.03, n_modes=2, budget=2, seed=11, window=(0.0, 1.0))
-@example(epsilon=0.03, n_modes=3, budget=119, seed=11, window=(0.0, 1.0))
-@example(epsilon=0.03, n_modes=1, budget=120, seed=11, window=(0.0, 1.0))
-@example(epsilon=0.03, n_modes=3, budget=121, seed=11, window=(0.0, 1.0))
-@example(epsilon=0.03, n_modes=9, budget=241, seed=11, window=(0.0, 1.0))
-@example(epsilon=0.05, n_modes=4, budget=300, seed=8, window=(-0.7, 2.3))
+@example(epsilon=0.03, n_modes=1, budget=1, seed=11)
+@example(epsilon=0.03, n_modes=2, budget=2, seed=11)
+@example(epsilon=0.03, n_modes=3, budget=119, seed=11)
+@example(epsilon=0.03, n_modes=1, budget=120, seed=11)
+@example(epsilon=0.03, n_modes=3, budget=121, seed=11)
+@example(epsilon=0.03, n_modes=9, budget=241, seed=11)
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(epsilon=st.floats(0.005, 5.0), n_modes=st.integers(1, 9),
-       budget=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
-       window=st.sampled_from([(0.0, 1.0), (-0.7, 2.3)]))
-def test_lockstep_search_matches_sequential_reference(epsilon, n_modes, budget, seed, window):
-    assert_same_pulse(adversarial_pulse_search(epsilon, n_modes, budget, seed, window),
-                      _sequential_search(epsilon, n_modes, budget, seed, window))
+       budget=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_lockstep_search_matches_sequential_reference(epsilon, n_modes, budget, seed):
+    assert_same_pulse(adversarial_pulse_search(epsilon, n_modes, budget, seed),
+                      _sequential_search(epsilon, n_modes, budget, seed))
 
 
 def test_lockstep_search_matches_reference_on_benchmark_case():
@@ -638,9 +628,23 @@ def test_search_builds_one_pulse_spec(monkeypatch):
     assert len(built) == 1
 
 
+def test_search_memory_is_bounded_by_its_move_draws():
+    # 834 restarts of 119 moves of 2 * 9 values: 14.3 MB of move draws,
+    # filled restart by restart into one array with no stacked copy beside it
+    n_modes, budget = 9, 100_000
+    draw_bytes = math.ceil(budget / 120) * 119 * 2 * n_modes * 8
+    tracemalloc.start()
+    try:
+        adversarial_pulse_search(0.01, n_modes, budget, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * draw_bytes
+
+
 def test_search_validates_before_drawing():
     for epsilon, n_modes, budget in ((0.0, 1, 10), (math.nan, 1, 10), (-0.1, 1, 10),
-                                     (0.1, 0, 10), (0.1, 1, 0)):
+                                     (math.inf, 1, 10), (0.1, 0, 10), (0.1, 1, 0)):
         with pytest.raises(ValueError):
             adversarial_pulse_search(epsilon, n_modes, budget, 0)
 
@@ -661,36 +665,35 @@ class _ZeroNormalGenerator:
         return np.zeros(size)
 
 
-def test_degenerate_stream_raises_sampling_error():
-    with pytest.raises(SamplingError, match="feasible pulse"):
-        random_feasible_pulse(_ZeroNormalGenerator(), 0.1, 2)
+def test_degenerate_stream_raises_sampling_error(monkeypatch):
     with pytest.raises(SamplingError, match="feasible pulse"):
         random_feasible_ratios(_ZeroNormalGenerator(), 0.1, 5)
+    monkeypatch.setattr(np.random, "default_rng", _ZeroNormalGenerator)
+    with pytest.raises(SamplingError, match="feasible pulse"):
+        adversarial_pulse_search(0.1, 2, 1, 0)
 
 
-def _sequential_pulse(rng, epsilon, n_modes, window=(0.0, 1.0)):
+def _sequential_pulse(rng, epsilon, n_modes):
     """Reference: one feasible pulse, projected with NumPy's complex products."""
-    t0, t1 = window
-    span = t1 - t0
-    omegas = np.exp(rng.uniform(math.log(0.5 / span), math.log(20.0 / span), n_modes))
+    omegas = np.exp(rng.uniform(math.log(0.5), math.log(20.0), n_modes))
     gs = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
     u = rng.uniform(0.2, 1.0)
     alphas = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-    return _projected_pulse(omegas, gs, u, alphas, epsilon, window)
+    return _projected_pulse(omegas, gs, u, alphas, epsilon)
 
 
-def _projected_pulse(omegas, gs, u, alphas, epsilon, window):
+def _projected_pulse(omegas, gs, u, alphas, epsilon):
     """Reference: couplings onto error eps*u, then amplitudes onto phase pi."""
-    error = float(np.sum(np.abs(_coefficients(omegas, gs, window)) ** 2))
+    error = float(np.sum(np.abs(_weighted(gs, mode_window_integral(omegas, WINDOW))) ** 2))
     if error == 0.0:
         raise SamplingError("degenerate draw")
     gs = gs * math.sqrt(epsilon * u / error)
-    coeffs = _coefficients(omegas, gs, window)
+    coeffs = _weighted(gs, mode_window_integral(omegas, WINDOW))
     phase = 2.0 * float(np.sum(coeffs * alphas).real)
     if abs(phase) < 1e-9:
         raise SamplingError("degenerate draw")
     alphas = alphas * (PI / phase)
-    return PulseSpec(tuple(zip(omegas, gs, alphas)), window)
+    return PulseSpec(tuple(zip(omegas, gs, alphas)), WINDOW)
 
 
 def _sequential_ratios(rng, epsilon, count):
@@ -708,19 +711,20 @@ def _sequential_ratios(rng, epsilon, count):
     ratios = []
     for j, n in enumerate(ns):
         pulse = _projected_pulse(np.exp(log_omegas[j, :n]), g[j, :n] + 1j * g[j, 3:3 + n], us[j],
-                                 a[j, :n] + 1j * a[j, 3:3 + n], epsilon, (0.0, 1.0))
+                                 a[j, :n] + 1j * a[j, 3:3 + n], epsilon)
         ratios.append(energy_bound_check(pulse, epsilon).ratio)
     return np.array(ratios)
 
 
-def test_random_feasible_pulse_matches_reference():
+def test_budget_one_search_matches_one_pulse_reference():
+    # the one-pulse stream: ln omega, Re g, Im g, u, Re alpha, Im alpha
     for seed in range(40):
-        for window in ((0.0, 1.0), (-0.7, 2.3)):
-            n_modes = 1 + seed % 5
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            pulse = random_feasible_pulse(a, 0.02, n_modes, window)
-            assert pulse.modes == _sequential_pulse(b, 0.02, n_modes, window).modes
-            assert a.bit_generator.state == b.bit_generator.state
+        n_modes = 1 + seed % 5
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        pulse = adversarial_pulse_search(0.02, n_modes, 1, seed)
+        want = _sequential_pulse(rng, 0.02, n_modes)
+        assert pulse.modes == want.modes
+        assert_same_pulse(pulse, want)
 
 
 @example(seed=0, epsilon=0.01, count=300)
@@ -778,16 +782,7 @@ def test_fixed_seed_streams_draw_no_degenerate_pulse():
     rng = np.random.default_rng(np.random.SeedSequence([20260809, 4]))
     assert random_feasible_ratios(rng, 0.01, 1000).shape == (1000,)
     for seed in (0, 7):
-        for restart in range(17):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, restart]))
-            random_feasible_pulse(rng, 0.01, 1)
-
-
-def test_random_feasible_pulse_rejects_an_invalid_epsilon():
-    # a negative epsilon would scale the couplings by sqrt(eps) = nan
-    for epsilon in (-0.1, 0.0, math.inf):
-        with pytest.raises(ValueError, match="epsilon"):
-            random_feasible_pulse(np.random.default_rng(0), epsilon, 2)
+        adversarial_pulse_search(0.01, 1, 2000, seed)
 
 
 def test_random_feasible_ratios_validate_before_drawing():
@@ -815,20 +810,19 @@ def test_coefficients_are_the_scalar_product_for_any_shape():
     # that fuses multiply-adds rounds differently, so it fails this test
     # on hosts where NumPy uses FMA for complex arrays.
     rng = np.random.default_rng(2026)
-    window = (0.0, 1.0)
     omegas = 10.0 ** rng.uniform(-2, 2, size=(40, 5))
     weights = (10.0 ** rng.uniform(-2, 2, size=(40, 5))
                * np.exp(2j * PI * rng.uniform(size=(40, 5))))
-    reference = np.array([[w * mode_window_integral(om, window) for om, w in zip(row_om, row_w)]
+    reference = np.array([[w * mode_window_integral(om, WINDOW) for om, w in zip(row_om, row_w)]
                           for row_om, row_w in zip(omegas, weights)])
 
     def same_bits(got, want):
         return np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
 
-    assert same_bits(_coefficients(omegas, weights, window), reference)
+    assert same_bits(_weighted(weights, mode_window_integral(omegas, WINDOW)), reference)
     for row_om, row_w, row_ref in zip(omegas, weights, reference):
-        assert same_bits(_coefficients(row_om, row_w, window), row_ref)
-        pulse = PulseSpec(tuple(zip(row_om, row_w, np.ones(5))), window)
+        assert same_bits(_weighted(row_w, mode_window_integral(row_om, WINDOW)), row_ref)
+        pulse = PulseSpec(tuple(zip(row_om, row_w, np.ones(5))), WINDOW)
         assert same_bits(pulse.coefficients, row_ref)
 
 
