@@ -17,6 +17,7 @@ from .collision import (
     dipole_leading_ratio,
     error_variance_free,
     error_variance_harmonic,
+    free_chain,
     free_energy_bound,
     harmonic_constraint_ratio,
     harmonic_energy_bound,

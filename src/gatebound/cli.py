@@ -313,29 +313,26 @@ def cmd_nonlinear_bound(params, ctx: UnitContext, seed: int):
 
 
 def cmd_collision_free(params, ctx: UnitContext, seed: int):
-    cfg = collision.FreeCollisionConfig(
+    chain = collision.free_chain(collision.FreeCollisionConfig(
         m=params["m"], v=params["v"], b=params["b"], T=params["duration"],
-        potential=collision.PotentialLaw(params["n"]), hbar=ctx.hbar)
-    cfg = collision.calibrated(cfg)
-    report = collision.free_energy_bound(cfg, params["epsilon"])
+        potential=collision.PotentialLaw(params["n"]), hbar=ctx.hbar))
+    report = collision.free_energy_bound(chain, params["epsilon"])
     row = [
         ("m", f"mass_{ctx.unit('kg')}", params["m"]),
         ("v", f"speed_{ctx.unit('m_per_s')}", params["v"]),
         ("b", f"impact_parameter_{ctx.unit('m')}", params["b"]),
         ("duration", "duration_s", params["duration"]),
         ("n", "power_law_n", params["n"]),
-        ("coupling", "calibrated_coupling", cfg.potential.coupling),
+        ("coupling", "calibrated_coupling", chain.cfg.potential.coupling),
         *_report_cells(report, ctx),
     ]
     return [row], {"report": report.to_dict()}
 
 
 def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
-    cfg = collision.HarmonicCollisionConfig(
+    hv = collision.error_variance_harmonic(collision.HarmonicCollisionConfig(
         m=params["m"], omega=params["omega"], A=params["amplitude"], b=params["gap"],
-        potential=collision.PotentialLaw(3.0), squeeze_r=params["squeeze_r"], hbar=ctx.hbar)
-    cfg = collision.calibrated_harmonic(cfg)
-    hv = collision.error_variance_harmonic(cfg)
+        potential=collision.PotentialLaw(3.0), squeeze_r=params["squeeze_r"], hbar=ctx.hbar))
     report = collision.harmonic_energy_bound(hv, params["epsilon"])
     probe = collision.squeezing_consistency_probe(hv)
     row = [
@@ -344,11 +341,11 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
         ("amplitude", f"amplitude_{ctx.unit('m')}", params["amplitude"]),
         ("gap", f"gap_{ctx.unit('m')}", params["gap"]),
         ("squeeze_r", "squeeze_r", params["squeeze_r"]),
-        ("coupling", "calibrated_coupling", cfg.potential.coupling),
+        ("coupling", "calibrated_coupling", hv.cfg.potential.coupling),
         ("sin_cos_ratio", "sin_over_cos_integral", abs(hv.sin_integral) / abs(hv.cos_integral)),
-        # harmonic_constraint_ratio(cfg), read from the evaluation
+        # harmonic_constraint_ratio(hv.cfg), read from the evaluation
         ("gap_times_ratio", "gap_times_constraint_ratio",
-         cfg.b * (abs(hv.cos_integral) / abs(hv.action))),
+         hv.cfg.b * (abs(hv.cos_integral) / abs(hv.action))),
         ("second_order_flag", "second_order_flag", probe.flagged),
         *_report_cells(report, ctx),
     ]

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 from .errors import DegenerateConfigError, IntegrationError, NumericalInconsistencyError
 from .numerics import _dop853, quad
 from .report import (PHASE_CALIBRATION_TOL, BoundReport, checked_epsilon, checked_positive,
-                     checked_uncertainty, within_budget)
+                     checked_uncertainty)
 
 PI = math.pi
 QUAD_REL_TOL = 1e-10
@@ -210,40 +210,49 @@ def powerlaw_log_derivative_pair(n: float, b: float) -> tuple[float, float]:
     return analytic, numeric
 
 
-def effective_duration_rms(cfg: FreeCollisionConfig, phase: float) -> float:
-    """2 * RMS width of V(rho(t)) over the window; diagnostic only.
+@dataclass(frozen=True)
+class FreeChain:
+    """One evaluation of a free chain at its calibrated ``cfg``; no error budget enters it."""
 
-    ``phase`` is :func:`phase_integral_free` of ``cfg``: hbar phase / 2 is
-    the normalising integral of V over the half window.
+    cfg: FreeCollisionConfig
+    phase: float
+    delta_sq: float
+    wavepacket: OptimalWavepacket
+    effective_duration_rms: float
+
+
+def free_chain(cfg: FreeCollisionConfig) -> FreeChain:
+    """Calibrate the raw ``cfg``, then integrate the phase and the RMS width of V.
+
+    The optimal-wavepacket error delta^2 = (pi^2 T hbar / 2m) ((n-1)/b)^2 is
+    the vT >> b limit, an unchecked premise: :func:`error_variance_free`,
+    which keeps the finite window, reads 1.39x it at vT/b = 4, n = 2.
     """
-    if phase == 0.0:
-        return 0.0
+    cfg = calibrated(cfg)
+    phase = phase_integral_free(cfg)
+    log_deriv = powerlaw_log_derivative(cfg.potential.n, cfg.b)
+    delta_sq = (PI * PI * cfg.T * cfg.hbar / (2.0 * cfg.m)) * log_deriv * log_deriv
+    # effective_duration_rms, a diagnostic: twice the RMS width of V over the
+    # window, which hbar phase / 2 normalises over its half
     c, e = cfg.potential.coupling, -0.5 * cfg.potential.n
     vv, bb = 4.0 * cfg.v * cfg.v, cfg.b * cfg.b
     second = _quad(lambda t: t * t * c * (vv * t * t + bb) ** e,
                    0.0, cfg.T / 2.0, epsabs=0.0, epsrel=1e-8, limit=400)
-    return 2.0 * math.sqrt(2.0 * second / (phase * cfg.hbar))
+    return FreeChain(cfg, phase, delta_sq, optimal_wavepacket(cfg.m, cfg.T, cfg.hbar),
+                     2.0 * math.sqrt(2.0 * second / (phase * cfg.hbar)))
 
 
-def free_energy_bound(cfg: FreeCollisionConfig, epsilon: float) -> BoundReport:
-    """Full free-collision chain at the optimal wavepacket.
+def free_energy_bound(chain: FreeChain, epsilon: float) -> BoundReport:
+    """Pair kinetic energy m v^2 against hbar/(eps T) at the optimal wavepacket.
 
-    With the coupling calibrated to phase pi, the optimal-wavepacket error is
-    delta^2 = (pi^2 T hbar / 2m) ((n-1)/b)^2; whenever delta^2 <= eps and
-    b < v T hold, the pair kinetic energy m v^2 must exceed hbar/(eps T).
+    Whenever delta^2 <= eps and b < v T hold, m v^2 must exceed
+    hbar/(eps T); delta^2 is the vT >> b closed form (:func:`free_chain`).
     """
     checked_epsilon(epsilon)
-    phase = phase_integral_free(cfg)
-    log_deriv = powerlaw_log_derivative(cfg.potential.n, cfg.b)
-    delta_sq = (PI * PI * cfg.T * cfg.hbar / (2.0 * cfg.m)) * log_deriv * log_deriv
-    wp = optimal_wavepacket(cfg.m, cfg.T, cfg.hbar)
-    energy = cfg.m * cfg.v * cfg.v
-    bound = cfg.hbar / (epsilon * cfg.T)
+    cfg, wp = chain.cfg, chain.wavepacket
     meta = {
-        "epsilon": epsilon,
         "epsilon_unphysical": epsilon >= 1.0,
-        "off_calibration": abs(phase - PI) > PHASE_CALIBRATION_TOL,
-        "error_within_epsilon": within_budget(delta_sq, epsilon),
+        "off_calibration": abs(chain.phase - PI) > PHASE_CALIBRATION_TOL,
         "dx0_sq": wp.dx0_sq,
         "dp0_sq": wp.dp0_sq,
         # 2 m hbar / T: the momentum variance obtained if the uncertainty
@@ -251,13 +260,15 @@ def free_energy_bound(cfg: FreeCollisionConfig, epsilon: float) -> BoundReport:
         # comparison, not used in the chain.
         "dp0_sq_alt": 2.0 * cfg.m * cfg.hbar / cfg.T,
         "b_over_vT": cfg.b / (cfg.v * cfg.T),
-        "effective_duration_rms": effective_duration_rms(cfg, phase),
+        "effective_duration_rms": chain.effective_duration_rms,
     }
     return BoundReport(
-        energy=energy,
-        bound=bound,
-        phase=phase,
-        error=delta_sq,
+        energy=cfg.m * cfg.v * cfg.v,
+        bound=cfg.hbar / (epsilon * cfg.T),
+        epsilon=epsilon,
+        error_budget=epsilon,
+        error=chain.delta_sq,
+        phase=chain.phase,
         meta=meta,
     )
 
@@ -356,18 +367,18 @@ class HarmonicVariance:
 def error_variance_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicVariance:
     """delta^2 = (2/hbar^2)(int V' cos wt dt)^2 dx0^2 with dx0^2 = e^{-2r} hbar/2 m w.
 
-    Requires the coupling calibrated to phase pi, which is checked before
-    the two force integrals run.  The sin-weighted integral must vanish
-    (relative to the cos-weighted one) by the symmetry of the unperturbed
-    trajectory; its failure to do so signals a broken trajectory and raises.
+    The raw ``cfg`` is calibrated to phase pi first, and the action is
+    integrated again at the calibrated coupling, where a phase off pi
+    raises.  The sin-weighted integral must vanish (relative to the
+    cos-weighted one) by the symmetry of the unperturbed trajectory; its
+    failure to do so signals a broken trajectory and raises.
     """
+    cfg = calibrated_harmonic(cfg)
     action = _harmonic_action(cfg)
-    phase = action / cfg.hbar
-    if abs(phase - PI) > PHASE_CALIBRATION_TOL:
-        raise ValueError(
-            f"coupling not calibrated: accumulated phase {phase!r} (want pi); "
-            "use calibrated_harmonic() first"
-        )
+    if abs(action / cfg.hbar - PI) > PHASE_CALIBRATION_TOL:
+        raise NumericalInconsistencyError(
+            f"calibrated phase {action / cfg.hbar!r} is off pi by more than "
+            f"{PHASE_CALIBRATION_TOL!r}")
     cos_int = _harmonic_force_integral(cfg, math.cos)
     sin_int = _harmonic_force_integral(cfg, math.sin, max(1e-13 * abs(cos_int), 1e-300))
     if abs(sin_int) > SIN_SYMMETRY_TOL * abs(cos_int):
@@ -415,11 +426,8 @@ def harmonic_energy_bound(hv: HarmonicVariance, epsilon: float) -> BoundReport:
     checked_epsilon(epsilon)
     T = cfg.period
     energy = cfg.m * cfg.omega ** 2 * cfg.A ** 2
-    bound = cfg.hbar / (epsilon * T)
     meta = {
-        "epsilon": epsilon,
         "epsilon_unphysical": epsilon >= 1.0,
-        "error_within_epsilon": within_budget(hv.delta_sq, epsilon),
         "amplitude_exceeds_gap": cfg.amplitude_exceeds_gap,
         "per_oscillator_energy": energy / 2.0,
         "delta_sq": hv.delta_sq,
@@ -427,9 +435,11 @@ def harmonic_energy_bound(hv: HarmonicVariance, epsilon: float) -> BoundReport:
     }
     return BoundReport(
         energy=energy,
-        bound=bound,
-        phase=PI,
+        bound=cfg.hbar / (epsilon * T),
+        epsilon=epsilon,
+        error_budget=epsilon,
         error=hv.delta_sq,
+        phase=PI,
         meta=meta,
     )
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .collision import optimal_wavepacket, powerlaw_log_derivative
-from .report import (BoundReport, checked_epsilon, checked_positive, checked_uncertainty,
-                     within_budget)
+from .report import BoundReport, checked_epsilon, checked_positive, checked_uncertainty
 
 PI = math.pi
 
@@ -90,21 +89,18 @@ def heuristic_energy_bound(cfg: HeuristicConfig, epsilon: float) -> BoundReport:
     """
     checked_epsilon(epsilon)
     v = cfg.L / cfg.T
-    energy = 0.5 * cfg.m * v * v
-    bound = PI * PI * cfg.hbar / (epsilon * cfg.T)
     mis_opt = misoverlap_optimal(cfg)
     meta = {
-        "epsilon": epsilon,
         "speed": v,
         "misoverlap_optimal": mis_opt,
         "misoverlap": misoverlap(cfg),
-        "error_within_epsilon": within_budget(mis_opt, epsilon),
         "bound_epsilon_free": PI * PI * cfg.hbar / cfg.T,
     }
     return BoundReport(
-        energy=energy,
-        bound=bound,
-        phase=None,
+        energy=0.5 * cfg.m * v * v,
+        bound=PI * PI * cfg.hbar / (epsilon * cfg.T),
+        epsilon=epsilon,
+        error_budget=epsilon,
         error=mis_opt,
         meta=meta,
     )

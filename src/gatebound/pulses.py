@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import IntegrationError, SamplingError
 from .numerics import PANEL_NODES, PANEL_RTOL, _panel_rule, converged_panels, panel_nodes
-from .report import (PHASE_CALIBRATION_TOL, BoundReport, checked_epsilon, checked_positive,
-                     within_budget)
+from .report import PHASE_CALIBRATION_TOL, BoundReport, checked_epsilon, checked_positive
 
 PI = math.pi
 NARROW_PHASE = 0.1  # |omega (t1 - t0)| below which mode_window_integral uses the sin form
@@ -233,8 +232,8 @@ def energy_bound_check(pulse: PulseSpec, epsilon: float, hbar: float = 1.0) -> B
     A photon number, mean frequency, energy or bound that overflows (or
     underflows to 0), and then a phase or error that overflows, raises
     ValueError naming it.  The bound only claims anything when the pulse is
-    phase-calibrated and its error is within eps/p^2; both conditions are
-    flagged in ``meta`` rather than raised.
+    phase-calibrated (``meta["off_calibration"]``) and its error is within
+    ``error_budget`` = eps/p^2; both are flagged rather than raised.
     """
     checked_epsilon(epsilon)
     checked_positive(hbar=hbar)
@@ -249,20 +248,16 @@ def energy_bound_check(pulse: PulseSpec, epsilon: float, hbar: float = 1.0) -> B
     for name, value in (("phase", phase), ("error", error)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    meta = {
-        "epsilon": epsilon,
-        "p_power": pulse.p_power,
-        "off_calibration": abs(phase - PI) > PHASE_CALIBRATION_TOL,
-        "error_within_epsilon": within_budget(error, epsilon / float(pulse.p_power) ** 2),
-    }
     return BoundReport(
         energy=energy,
         bound=bound,
-        phase=phase,
+        epsilon=epsilon,
+        error_budget=epsilon / float(pulse.p_power) ** 2,
         error=error,
+        phase=phase,
         photon_number=n_photon,
         mean_omega=omega_bar,
-        meta=meta,
+        meta={"p_power": pulse.p_power, "off_calibration": abs(phase - PI) > PHASE_CALIBRATION_TOL},
     )
 
 
@@ -339,7 +334,7 @@ def single_mode_equality_pulse(epsilon: float, omega: float = 1.0) -> PulseSpec:
     checked_epsilon(epsilon)
     integral = mode_window_integral(omega, WINDOW)
     if abs(integral) < 1e-12:
-        raise ValueError("window integral vanishes; choose a different omega or window")
+        raise ValueError("window integral vanishes; choose a different omega")
     g = math.sqrt(epsilon) / abs(integral)
     c = g * integral
     alpha = (np.conj(c) / abs(c)) * PI / (2.0 * math.sqrt(epsilon))

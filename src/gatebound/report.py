@@ -4,10 +4,19 @@ Every bound study in the package (field pulses, collisions, heuristic
 estimate) reports the same handful of numbers: the accumulated gate phase,
 the fluctuation error it would incur, the energy actually invested and the
 minimum energy the corresponding inequality demands.  ``BoundReport`` holds
-them together with a free-form ``meta`` dict for study-specific flags, and
-derives the verdict ``satisfied`` from ``energy`` and ``bound`` alone, so
-every route decides it by the same rule.  The input checks, the
-error-budget flag and the calibration tolerance that every route shares
+them with the budget ``epsilon``, the route's ``error_budget`` and a
+free-form ``meta`` dict for study-specific flags, and derives ``satisfied``
+from ``energy`` and ``bound`` and ``error_within_epsilon`` from ``error``
+and ``error_budget`` alone, so every route decides both by the same rule.
+Each route is an evaluation built once from raw inputs, which runs all its
+numerics, and a bound that reads it at any eps and runs none:
+
+    PulseSpec(...)                    -> pulses.energy_bound_check        eps/p^2
+    collision.free_chain(cfg)         -> collision.free_energy_bound      eps
+    collision.error_variance_harmonic -> collision.harmonic_energy_bound  eps
+    heuristic.HeuristicConfig(...)    -> heuristic.heuristic_energy_bound eps
+
+The input checks and the calibration tolerance that every route shares
 live here too, with one relative slack ``RATIO_SLACK`` in any units.
 """
 
@@ -48,11 +57,6 @@ def checked_uncertainty(dx: float, dp: float, hbar: float) -> None:
                                f"dx*dp >= hbar/2 = {hbar / 2.0!r}")
 
 
-def within_budget(error: float, budget: float) -> bool:
-    """error <= budget up to the relative rounding slack ``satisfied`` grants the energy."""
-    return error <= budget * (1.0 + RATIO_SLACK)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of one energy-bound evaluation.
@@ -60,12 +64,16 @@ class BoundReport:
     ``photon_number`` and ``mean_omega`` are only meaningful for field-mode
     studies and are ``None`` otherwise.  ``energy`` and ``bound`` carry the
     same unit (multiples of hbar*rad/s in natural units, joules in SI).
+    ``epsilon`` is the error budget the bound was read at and
+    ``error_budget`` the most ``error`` the route's premise allows under it.
     """
 
     energy: float
     bound: float
+    epsilon: float
+    error_budget: float
+    error: float
     phase: float | None = None
-    error: float | None = None
     photon_number: float | None = None
     mean_omega: float | None = None
     meta: dict[str, Any] = field(default_factory=dict)
@@ -80,6 +88,11 @@ class BoundReport:
         """True when energy >= bound up to a relative rounding slack of ``RATIO_SLACK``."""
         return self.energy >= self.bound * (1.0 - RATIO_SLACK)
 
+    @property
+    def error_within_epsilon(self) -> bool:
+        """error <= error_budget up to the relative slack ``satisfied`` grants the energy."""
+        return self.error <= self.error_budget * (1.0 + RATIO_SLACK)
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "energy": self.energy,
@@ -90,5 +103,6 @@ class BoundReport:
             "error": self.error,
             "photon_number": self.photon_number,
             "mean_omega": self.mean_omega,
-            "meta": dict(self.meta),
+            "meta": {**self.meta, "epsilon": self.epsilon,
+                     "error_within_epsilon": self.error_within_epsilon},
         }

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import collision, gate, heuristic, pulses
 from .envelopes import raised_cosine
-from .report import within_budget
 
 PI = math.pi
 
@@ -189,28 +188,17 @@ def criterion_7() -> CriterionResult:
     objective = collision.wavepacket_objective(m_, T_, wp.dx0_sq, wp.dp0_sq)
     part_objective = abs(objective - T_ / (2.0 * m_)) / 1e-12
 
-    epsilon = 0.5
-    failures = 0
-    checked = 0
-    for m in (20.0, 40.0, 80.0):
-        for v in (1.0, 2.0, 4.0):
-            for b in (2.0, 4.0, 8.0):
-                cfg = collision.FreeCollisionConfig(
-                    m=m, v=v, b=b, T=4.0 * b / v,
-                    potential=collision.PotentialLaw(2.0),
-                )
-                cfg = collision.calibrated(cfg)
-                report = collision.free_energy_bound(cfg, epsilon)
-                if within_budget(report.error, epsilon):
-                    checked += 1
-                    if not report.satisfied:
-                        failures += 1
+    reports = [collision.free_energy_bound(collision.free_chain(collision.FreeCollisionConfig(
+        m=m, v=v, b=b, T=4.0 * b / v, potential=collision.PotentialLaw(2.0))), 0.5)
+        for m in (20.0, 40.0, 80.0) for v in (1.0, 2.0, 4.0) for b in (2.0, 4.0, 8.0)]
+    checked = [r for r in reports if r.error_within_epsilon]
+    failures = sum(not r.satisfied for r in checked)
     part_grid = 2.0 if failures else 0.0
 
     return _result(
         "criterion-7-free-collision", [part_logderiv, part_objective, part_grid], 1.0,
         f"logderiv worst rel = {worst_logderiv:.2e}, objective diff = "
-        f"{abs(objective - T_ / (2 * m_)):.2e}, grid {checked - failures}/{checked} ok",
+        f"{abs(objective - T_ / (2 * m_)):.2e}, grid {len(checked) - failures}/{len(checked)} ok",
     )
 
 
@@ -218,12 +206,11 @@ def criterion_8() -> CriterionResult:
     """Harmonic chain: dipole limit, sin-symmetry, return-mismatch linearity."""
     cfg = collision.HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0,
                                             potential=collision.PotentialLaw(3.0))
-    cfg = collision.calibrated_harmonic(cfg)
-
     limit = collision.dipole_leading_ratio(cfg)
     part_dipole = abs(limit - 2.5) / 0.01
 
     hv = collision.error_variance_harmonic(cfg)
+    cfg = hv.cfg
     sin_ratio = abs(hv.sin_integral) / abs(hv.cos_integral)
     part_sin = sin_ratio / 1e-9
 

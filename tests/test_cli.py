@@ -244,9 +244,10 @@ def test_collision_sweep_on_the_pool_matches_the_serial_sweep(tmp_path):
 
 def test_package_exports_collision_names():
     import gatebound
-    from gatebound import calibrated
+    from gatebound import calibrated, free_chain
 
     assert calibrated is gatebound.collision.calibrated
+    assert free_chain is gatebound.collision.free_chain
     with pytest.raises(AttributeError, match="no_such_name"):
         gatebound.no_such_name
 

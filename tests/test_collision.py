@@ -16,6 +16,7 @@ from gatebound import (
     dipole_leading_ratio,
     error_variance_free,
     error_variance_harmonic,
+    free_chain,
     free_energy_bound,
     harmonic_constraint_ratio,
     harmonic_energy_bound,
@@ -31,7 +32,8 @@ from gatebound.collision import (
     powerlaw_log_derivative_pair,
     wavepacket_objective,
 )
-from gatebound.errors import DegenerateConfigError, IntegrationError
+from gatebound.errors import DegenerateConfigError, IntegrationError, NumericalInconsistencyError
+from gatebound.report import PHASE_CALIBRATION_TOL
 
 PI = math.pi
 
@@ -185,22 +187,37 @@ def test_free_energy_bound_boundary_ratio():
     # at b -> vT and epsilon = delta^2 the slack factor is pi^2 (n-1)^2 / 2
     n, m, v, T = 2.0, 400.0, 1.0, 4.0
     b = v * T * (1.0 - 1e-9)
-    cfg = calibrated(FreeCollisionConfig(m=m, v=v, b=b, T=T,
-                                         potential=PotentialLaw(n)))
-    probe = free_energy_bound(cfg, 0.5)
-    report = free_energy_bound(cfg, probe.error)
+    chain = free_chain(FreeCollisionConfig(m=m, v=v, b=b, T=T, potential=PotentialLaw(n)))
+    report = free_energy_bound(chain, chain.delta_sq)
     expected = PI ** 2 * (n - 1) ** 2 / 2.0 * (v * T / b) ** 2
     assert abs(report.ratio - expected) < 1e-6 * expected
     assert report.satisfied
 
 
 def test_free_energy_bound_metadata():
-    cfg = calibrated(free_cfg(n=2.0, m=50.0, v=2.0, b=3.0, T=6.0))
-    report = free_energy_bound(cfg, 0.4)
+    chain = free_chain(free_cfg(n=2.0, m=50.0, v=2.0, b=3.0, T=6.0))
+    cfg = chain.cfg
+    report = free_energy_bound(chain, 0.4)
     assert report.meta["dp0_sq_alt"] == pytest.approx(2.0 * cfg.m / cfg.T)
     assert report.meta["effective_duration_rms"] > 0.0
     assert not report.meta["off_calibration"]
     assert report.bound == pytest.approx(1.0 / (0.4 * cfg.T))
+
+
+@pytest.mark.parametrize("m, v, b", [(1.0, 1.0, 1.0), (40.0, 2.0, 4.0), (7.0, 0.3, 2.5)])
+def test_free_chain_error_is_its_wide_window_limit(m, v, b):
+    # delta^2 is the vT >> b closed form, while the phase keeps the finite
+    # window; the window's own quadrature at the optimal wavepacket reads
+    # more (1.39x at n = 2, vT/b = 4) and meets it as the window widens
+    for n in (1.5, 2.0, 3.0):
+        for window in (4.0, 40.0, 400.0):
+            chain = free_chain(free_cfg(n=n, m=m, v=v, b=b, T=window * b / v))
+            wp = chain.wavepacket
+            ratio = error_variance_free(chain.cfg, math.sqrt(wp.dx0_sq),
+                                        math.sqrt(wp.dp0_sq)) / chain.delta_sq
+            assert ratio >= 1.0, (n, window)
+            if (n, window) == (2.0, 400.0):
+                assert ratio <= 1.005
 
 
 def test_config_validation():
@@ -264,7 +281,8 @@ def test_trajectory_even_about_closest_approach():
 def test_harmonic_integrands_keep_the_bits_of_the_potential_on_the_trajectory(cfg):
     # the period integrals inline C rho^-n and -n C rho^(-n-1) on
     # rho(t) = 2A(1 + cos wt) + b; every node must give PotentialLaw's bits
-    cfg = calibrated_harmonic(cfg)
+    hv = error_variance_harmonic(cfg)
+    cfg = hv.cfg
     pot, w = cfg.potential, cfg.omega
     action = collision._period_integral(cfg, lambda t: pot.value(cfg.rho(t)))
     cos_int = collision._period_integral(
@@ -272,13 +290,12 @@ def test_harmonic_integrands_keep_the_bits_of_the_potential_on_the_trajectory(cf
     sin_int = collision._period_integral(
         cfg, lambda t: pot.derivative(cfg.rho(t)) * math.sin(w * t),
         max(1e-13 * abs(cos_int), 1e-300))
-    hv = error_variance_harmonic(cfg)
     assert (hv.action, hv.cos_integral, hv.sin_integral) == (action, cos_int, sin_int)
 
 
 def test_harmonic_integrals_match_closed_form():
     for b_over_a in (0.3, 1e-2, 1e-3):
-        hv = error_variance_harmonic(calibrated_harmonic(harmonic_cfg(b=100.0 * b_over_a)))
+        hv = error_variance_harmonic(harmonic_cfg(b=100.0 * b_over_a))
         action_cf, cos_cf = _closed_form_integrals(hv.cfg)
         assert abs(hv.action - action_cf) < 1e-8 * abs(action_cf)
         assert abs(hv.cos_integral - cos_cf) < 1e-8 * abs(cos_cf)
@@ -286,13 +303,12 @@ def test_harmonic_integrals_match_closed_form():
 
 
 def test_error_variance_harmonic_closed_form_and_squeezing():
-    cfg = calibrated_harmonic(harmonic_cfg())
-    hv = error_variance_harmonic(cfg)
+    hv = error_variance_harmonic(harmonic_cfg())
+    cfg = hv.cfg
     _, cos_cf = _closed_form_integrals(cfg)
     expected = 2.0 * cos_cf ** 2 * (1.0 / (2.0 * cfg.m * cfg.omega))
     assert abs(hv.delta_sq - expected) < 1e-8 * expected
-    squeezed = calibrated_harmonic(harmonic_cfg(r=0.7))
-    hv_squeezed = error_variance_harmonic(squeezed)
+    hv_squeezed = error_variance_harmonic(harmonic_cfg(r=0.7))
     assert hv_squeezed.delta_sq == pytest.approx(math.exp(-1.4) * hv.delta_sq, rel=1e-12)
 
 
@@ -309,12 +325,35 @@ def _counted_quads(monkeypatch):
     return calls
 
 
-def test_error_variance_requires_calibration(monkeypatch):
-    # the calibration is checked on the action, before the two force integrals run
+def test_error_variance_harmonic_calibrates_a_raw_config(monkeypatch):
+    # the raw coupling C = 7 is rescaled onto phase pi; the action integrated
+    # again at the calibrated coupling reads pi
+    raw = harmonic_cfg(C=7.0)
     calls = _counted_quads(monkeypatch)
-    with pytest.raises(ValueError, match="not calibrated"):
+    hv = error_variance_harmonic(raw)
+    assert len(calls) == 4
+    assert abs(hv.action / hv.cfg.hbar - PI) <= PHASE_CALIBRATION_TOL
+    assert hv.cfg == calibrated_harmonic(raw)
+
+
+def test_error_variance_harmonic_raises_on_a_calibration_off_pi(monkeypatch):
+    # a calibration that leaves the coupling alone is caught on the action,
+    # before the two force integrals run
+    monkeypatch.setattr(collision, "calibrated_harmonic", lambda cfg: cfg)
+    calls = _counted_quads(monkeypatch)
+    with pytest.raises(NumericalInconsistencyError, match="off pi"):
         error_variance_harmonic(harmonic_cfg())
     assert len(calls) == 1
+
+
+def test_free_chain_evaluates_the_chain_once(monkeypatch):
+    # calibration, phase at the calibrated coupling and RMS width, in that order
+    calls = _counted_quads(monkeypatch)
+    chain = free_chain(free_cfg(C=7.0))
+    assert [fn.__qualname__.split(".")[0] for fn in calls] == [
+        "phase_integral_free", "phase_integral_free", "free_chain"]
+    assert chain.cfg == calibrated(free_cfg(C=7.0))
+    assert chain.phase == phase_integral_free(chain.cfg)
 
 
 def test_collision_harmonic_evaluates_the_chain_once(tmp_path, monkeypatch):
@@ -342,7 +381,7 @@ def test_collision_harmonic_ratio_cell_is_the_constraint_ratio(tmp_path, squeeze
 
 
 def test_harmonic_bound_reads_the_evaluation_at_any_epsilon(monkeypatch):
-    hv = error_variance_harmonic(calibrated_harmonic(harmonic_cfg(m=2.0)))
+    hv = error_variance_harmonic(harmonic_cfg(m=2.0))
     calls = _counted_quads(monkeypatch)
     for epsilon in (1e-3, 0.1, 2.0):
         report = harmonic_energy_bound(hv, epsilon)
@@ -373,18 +412,18 @@ def test_dipole_ratio_at_finite_gap():
 
 
 def test_harmonic_energy_bound_chain():
-    cfg = calibrated_harmonic(harmonic_cfg(m=2.0))
-    hv = error_variance_harmonic(cfg)
+    hv = error_variance_harmonic(harmonic_cfg(m=2.0))
+    cfg = hv.cfg
     report = harmonic_energy_bound(hv, epsilon=max(hv.delta_sq * 1.5, 1e-6))
     assert report.satisfied
     assert report.meta["amplitude_exceeds_gap"]
     assert report.energy == pytest.approx(cfg.m * cfg.omega ** 2 * cfg.A ** 2)
     assert report.meta["per_oscillator_energy"] == pytest.approx(report.energy / 2.0)
-    assert report.bound == pytest.approx(1.0 / (report.meta["epsilon"] * cfg.period))
+    assert report.bound == pytest.approx(1.0 / (report.epsilon * cfg.period))
 
 
 def test_harmonic_bound_trivial_for_large_epsilon():
-    hv = error_variance_harmonic(calibrated_harmonic(harmonic_cfg(m=2.0)))
+    hv = error_variance_harmonic(harmonic_cfg(m=2.0))
     report = harmonic_energy_bound(hv, epsilon=2.0)
     assert report.satisfied
     assert report.meta["epsilon_unphysical"]
@@ -392,8 +431,7 @@ def test_harmonic_bound_trivial_for_large_epsilon():
 
 def test_harmonic_bound_slack_at_gap_equals_amplitude():
     # A = b with epsilon = delta^2: slack at least (5/2)^2 pi^2 / 2
-    cfg = calibrated_harmonic(harmonic_cfg(m=5000.0, A=30.0, b=30.0))
-    hv = error_variance_harmonic(cfg)
+    hv = error_variance_harmonic(harmonic_cfg(m=5000.0, A=30.0, b=30.0))
     assert hv.delta_sq < 1.0
     report = harmonic_energy_bound(hv, epsilon=hv.delta_sq)
     assert report.ratio >= (2.5 ** 2) * PI ** 2 / 2.0
@@ -429,11 +467,12 @@ def test_return_mismatch_scalings():
 
 
 def test_return_mismatch_nonzero_at_calibrated_coupling():
-    cfg = calibrated_harmonic(harmonic_cfg())
+    hv = error_variance_harmonic(harmonic_cfg())
+    cfg = hv.cfg
     norm = mismatch_norm(classical_return_mismatch(cfg), cfg)
     assert norm > 1e3 * 1e-10 * cfg.A
     # leading-order physics: |dp| ~ |int V' cos dt| = pi hbar R
-    cos_int = error_variance_harmonic(cfg).cos_integral
+    cos_int = hv.cos_integral
     mm = classical_return_mismatch(cfg)
     assert abs(abs(mm.dp) - abs(cos_int)) < 0.1 * abs(cos_int)
 
@@ -443,8 +482,7 @@ def test_return_mismatch_nonzero_at_calibrated_coupling():
 # ---------------------------------------------------------------------------
 
 def test_probe_quiet_for_unsqueezed_desk_config():
-    cfg = calibrated_harmonic(harmonic_cfg(m=2.0))
-    hv = error_variance_harmonic(cfg)
+    hv = error_variance_harmonic(harmonic_cfg(m=2.0))
     assert hv.delta_sq <= 0.05
     probe = squeezing_consistency_probe(hv)
     assert not probe.flagged
@@ -454,8 +492,7 @@ def test_probe_quiet_for_unsqueezed_desk_config():
 def test_probe_flags_extreme_position_squeezing():
     epsilon = 1e-4
     r = -0.5 * math.log(math.sqrt(epsilon))  # e^{-2r} = sqrt(eps)
-    cfg = calibrated_harmonic(harmonic_cfg(m=12.7, r=r))
-    hv = error_variance_harmonic(cfg)
+    hv = error_variance_harmonic(harmonic_cfg(m=12.7, r=r))
     assert hv.delta_sq <= epsilon
     probe = squeezing_consistency_probe(hv)
     assert probe.flagged

@@ -5,15 +5,15 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gatebound import collision, pulses
 from gatebound import (
+    BoundReport,
     FreeCollisionConfig,
     GateScenario,
     HarmonicCollisionConfig,
     HeuristicConfig,
     PotentialLaw,
     PulseSpec,
-    calibrated,
-    calibrated_harmonic,
     coherent_state,
     collision_crosscheck,
     counterexample_always_on,
@@ -23,6 +23,7 @@ from gatebound import (
     error_variance_harmonic,
     evolve,
     failure_probability_exact,
+    free_chain,
     free_energy_bound,
     gaussian,
     harmonic_energy_bound,
@@ -39,10 +40,10 @@ from gatebound import (
 
 NAN = math.nan
 INF = math.inf
-# each route built (and the trapped chain evaluated) once; every bound reads it at any eps
-FREE = calibrated(FreeCollisionConfig(m=40.0, v=2.0, b=4.0, T=8.0, potential=PotentialLaw(2.0)))
-HARMONIC = error_variance_harmonic(calibrated_harmonic(
-    HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0))))
+# each route evaluated once from raw inputs; every bound reads it at any eps
+FREE = free_chain(FreeCollisionConfig(m=40.0, v=2.0, b=4.0, T=8.0, potential=PotentialLaw(2.0)))
+HARMONIC = error_variance_harmonic(
+    HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0)))
 HEURISTIC = HeuristicConfig(m=1.0, L=1.0, T=2.0)
 PULSE = PulseSpec(((1.3, 0.4 + 0.1j, 2.0 - 1.0j), (4.1, 0.2j, 0.5)), (0.0, 1.0))
 POWER_2 = PulseSpec(((3.0, 1.0, 1.0),), (0.0, 1.0), 2, raised_cosine(1.0))
@@ -88,7 +89,7 @@ NAN_INPUTS = {
     "heuristic-widths": lambda: HeuristicConfig(m=1.0, L=1.0, T=1.0, dx=NAN, dp=1.0),
     "optimal-wavepacket": lambda: optimal_wavepacket(1.0, NAN),
     "log-derivative": lambda: powerlaw_log_derivative(2.0, NAN),
-    "error-variance": lambda: error_variance_free(FREE, 1.0, NAN),
+    "error-variance": lambda: error_variance_free(FREE.cfg, 1.0, NAN),
     "squeezed-energy": lambda: squeezed_energy(0.0, 0.1, NAN),
     "optimize-squeezing": lambda: optimize_squeezing(1.0, NAN),
     "linewidth": lambda: linewidth_combined_bound(NAN, 0.1),
@@ -132,4 +133,48 @@ def test_heuristic_flag_agrees_with_satisfied_at_equality(epsilon, L, T):
     # both sides land within rounding of equality: one slack decides both
     m = 2.0 * math.pi ** 2 * T / (epsilon * L * L)
     report = heuristic_energy_bound(HeuristicConfig(m=m, L=L, T=T), epsilon)
-    assert report.satisfied == report.meta["error_within_epsilon"]
+    assert report.satisfied == report.error_within_epsilon
+
+
+def test_each_route_is_evaluated_once_and_its_bound_runs_no_numerics(monkeypatch):
+    calls = []
+    for module, name in ((collision, "quad"), (collision, "_dop853"),
+                         (pulses, "_power_coefficients")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    routes = {
+        "free": (free_chain(FreeCollisionConfig(m=40.0, v=2.0, b=4.0, T=8.0,
+                                                potential=PotentialLaw(2.0))),
+                 free_energy_bound, 1.0),
+        "harmonic": (error_variance_harmonic(HarmonicCollisionConfig(
+            m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0))),
+            harmonic_energy_bound, 1.0),
+        "heuristic": (HeuristicConfig(m=1.0, L=1.0, T=2.0), heuristic_energy_bound, 1.0),
+        "power-2": (PulseSpec(((3.0, 1.0, 1.0),), (0.0, 1.0), 2, raised_cosine(1.0)),
+                    energy_bound_check, 0.25),
+    }
+    # the free chain's 3 quadratures, the trapped chain's 4, one power-p integral
+    assert calls == ["quad"] * 7 + ["_power_coefficients"]
+    calls.clear()
+    for route, (evaluation, bound, budget_per_epsilon) in routes.items():
+        for epsilon in (1e-3, 0.5, 2.0):
+            report = bound(evaluation, epsilon)
+            assert report.epsilon == epsilon, route
+            assert report.error_budget == budget_per_epsilon * epsilon, route
+    assert calls == []
+
+
+def test_error_flag_within_ratio_slack_and_written_to_meta():
+    # an error above its budget by less than RATIO_SLACK = 1e-12 is within it
+    budget = 0.3
+    inside = BoundReport(energy=1.0, bound=1.0, epsilon=1.2, error_budget=budget,
+                         error=budget * (1 + 1e-13))
+    outside = BoundReport(energy=1.0, bound=1.0, epsilon=1.2, error_budget=budget,
+                          error=budget * (1 + 1e-11))
+    assert inside.error_within_epsilon
+    assert not outside.error_within_epsilon
+    for report in (inside, outside):
+        meta = report.to_dict()["meta"]
+        assert meta == {"epsilon": 1.2, "error_within_epsilon": report.error_within_epsilon}

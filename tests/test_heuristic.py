@@ -102,7 +102,7 @@ def test_one_config_serves_every_budget():
     cfg = HeuristicConfig(m=1.3, L=0.9, T=1.7)
     reports = {epsilon: heuristic_energy_bound(cfg, epsilon) for epsilon in (1e-3, 0.2, 2.0)}
     for epsilon, report in reports.items():
-        assert report.meta["epsilon"] == epsilon
+        assert report.epsilon == report.error_budget == epsilon
         assert report.bound * epsilon == pytest.approx(
             report.meta["bound_epsilon_free"], rel=1e-15)
         assert (report.energy, report.error) == (reports[0.2].energy, reports[0.2].error)

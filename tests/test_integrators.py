@@ -75,10 +75,10 @@ def _harmonic_integrands(cfg):
 
 @pytest.mark.parametrize("b_over_a", [0.3, 1e-2, 1e-3, 1e-4])
 def test_harmonic_integrals_match_scipy(b_over_a):
-    cfg = calibrated_harmonic(HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0,
-                                                      b=100.0 * b_over_a,
-                                                      potential=PotentialLaw(3.0)))
-    hv = error_variance_harmonic(cfg)
+    hv = error_variance_harmonic(HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0,
+                                                         b=100.0 * b_over_a,
+                                                         potential=PotentialLaw(3.0)))
+    cfg = hv.cfg
     action, cos_int, sin_int = hv.action, hv.cos_integral, hv.sin_integral
     pts = _harmonic_quad_points(cfg)
     refs = [scipy_quad(fn, 0.0, cfg.period, epsabs=0.0, epsrel=1e-13, limit=800, points=pts)

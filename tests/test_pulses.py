@@ -189,7 +189,7 @@ def test_energy_bound_holds_for_feasible_pulses(seed, epsilon):
     pulse = adversarial_pulse_search(epsilon, 2, 1, seed)
     report = energy_bound_check(pulse, epsilon)
     assert report.error <= epsilon
-    assert report.meta["error_within_epsilon"]
+    assert report.error_within_epsilon
     assert report.satisfied
     assert report.ratio >= 1.0 - 1e-6
     assert min(m[0] for m in pulse.modes) <= report.mean_omega <= max(m[0] for m in pulse.modes)
@@ -213,15 +213,15 @@ def test_equality_pulse_meets_its_own_premise(epsilon):
     # its error is eps up to rounding (0.010000000000000002 at eps = 0.01),
     # which the same relative slack as the energy comparison absorbs
     report = energy_bound_check(single_mode_equality_pulse(epsilon), epsilon)
-    assert report.meta == {"epsilon": epsilon, "p_power": 1, "off_calibration": False,
-                           "error_within_epsilon": True}
+    assert report.to_dict()["meta"] == {"epsilon": epsilon, "p_power": 1,
+                                        "off_calibration": False, "error_within_epsilon": True}
     assert report.satisfied
 
 
 def test_bound_premise_unmet_is_flagged():
     pulse = single_mode_equality_pulse(0.1)
     report = energy_bound_check(pulse, 0.01)  # error 0.1 > epsilon 0.01
-    assert not report.meta["error_within_epsilon"]
+    assert not report.error_within_epsilon
     # a power-p coupling must keep its error below eps / p^2
     epsilon, envelope = 0.1, raised_cosine(1.0)
     unit = abs(power_pulse(1.0, envelope).coefficients[0])
@@ -229,7 +229,8 @@ def test_bound_premise_unmet_is_flagged():
                                 epsilon)
     assert report.error == pytest.approx(0.5 * epsilon, rel=1e-15)
     assert report.meta["p_power"] == 2
-    assert not report.meta["error_within_epsilon"]
+    assert report.error_budget == epsilon / 4.0
+    assert not report.error_within_epsilon
 
 
 def test_field_energy_units():
@@ -578,8 +579,8 @@ def _perturb_pulse(pulse: PulseSpec, epsilon: float, step: float, which: int,
 def test_bound_report_satisfied_within_ratio_slack():
     # a rounding shortfall below RATIO_SLACK = 1e-12 still satisfies the bound
     b = 7.3
-    inside = BoundReport(energy=b * (1 - 1e-13), bound=b)
-    outside = BoundReport(energy=b * (1 - 1e-11), bound=b)
+    inside = BoundReport(energy=b * (1 - 1e-13), bound=b, epsilon=0.1, error_budget=0.1, error=0.0)
+    outside = BoundReport(energy=b * (1 - 1e-11), bound=b, epsilon=0.1, error_budget=0.1, error=0.0)
     assert inside.satisfied
     assert not outside.satisfied
     for report in (inside, outside):
