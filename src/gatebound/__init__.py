@@ -11,15 +11,12 @@ from .collision import (
     FreeCollisionConfig,
     HarmonicCollisionConfig,
     PotentialLaw,
-    calibrated,
-    calibrated_harmonic,
     classical_return_mismatch,
     dipole_leading_ratio,
     error_variance_free,
     error_variance_harmonic,
     free_chain,
     free_energy_bound,
-    harmonic_constraint_ratio,
     harmonic_energy_bound,
     mismatch_norm,
     optimal_wavepacket,

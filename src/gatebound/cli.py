@@ -343,9 +343,7 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
         ("squeeze_r", "squeeze_r", params["squeeze_r"]),
         ("coupling", "calibrated_coupling", hv.cfg.potential.coupling),
         ("sin_cos_ratio", "sin_over_cos_integral", abs(hv.sin_integral) / abs(hv.cos_integral)),
-        # harmonic_constraint_ratio(hv.cfg), read from the evaluation
-        ("gap_times_ratio", "gap_times_constraint_ratio",
-         hv.cfg.b * (abs(hv.cos_integral) / abs(hv.action))),
+        ("gap_times_ratio", "gap_times_constraint_ratio", hv.cfg.b * hv.constraint_ratio),
         ("second_order_flag", "second_order_flag", probe.flagged),
         *_report_cells(report, ctx),
     ]
@@ -353,11 +351,10 @@ def cmd_collision_harmonic(params, ctx: UnitContext, seed: int):
 
 
 def cmd_return_mismatch(params, ctx: UnitContext, seed: int):
-    cfg = collision.HarmonicCollisionConfig(
+    hv = collision.error_variance_harmonic(collision.HarmonicCollisionConfig(
         m=params["m"], omega=params["omega"], A=params["amplitude"], b=params["gap"],
-        potential=collision.PotentialLaw(params["n"]), hbar=ctx.hbar)
-    cfg = collision.calibrated_harmonic(cfg)
-    full = collision.classical_return_mismatch(cfg)
+        potential=collision.PotentialLaw(params["n"]), hbar=ctx.hbar))
+    cfg, full = hv.cfg, hv.mismatch
     half_cfg = replace(cfg, potential=cfg.potential.scaled(0.5))
     half = collision.classical_return_mismatch(half_cfg)
     norm_full = collision.mismatch_norm(full, cfg)

@@ -69,14 +69,14 @@ def _quad(fn: Callable[[float], float], a: float, b: float, *,
 
 @dataclass(frozen=True)
 class PotentialLaw:
-    """Power-law interaction potential V(rho) = C * rho^-n with n > 1."""
+    """Power-law interaction potential V(rho) = C * rho^-n with finite n > 1."""
 
     n: float
     coupling: float = 1.0
 
     def __post_init__(self):
-        if not self.n > 1:
-            raise ValueError("power-law exponent must satisfy n > 1")
+        if not 1 < self.n < math.inf:
+            raise ValueError("power-law exponent must be finite and satisfy n > 1")
 
     def value(self, rho: float) -> float:
         return self.coupling * rho ** (-self.n)
@@ -128,11 +128,6 @@ def _rescaled_to_pi(cfg: FreeCollisionConfig | HarmonicCollisionConfig, phase: f
         raise DegenerateConfigError(f"phase at current coupling is {phase!r}; cannot calibrate")
     cstar = cfg.potential.coupling * PI / phase
     return replace(cfg, potential=cfg.potential.scaled(cstar / cfg.potential.coupling))
-
-
-def calibrated(cfg: FreeCollisionConfig) -> FreeCollisionConfig:
-    """Copy of the config with the coupling rescaled onto phase = pi."""
-    return _rescaled_to_pi(cfg, phase_integral_free(cfg))
 
 
 def error_variance_free(cfg: FreeCollisionConfig, dx0: float, dp0: float) -> float:
@@ -189,8 +184,8 @@ def _line_integral_power_law(n: float, b: float) -> float:
 
 def powerlaw_log_derivative(n: float, b: float) -> float:
     """d/db ln(int (y^2+b^2)^{-n/2} dy) = -(n-1)/b, since the integral scales as b^{1-n}."""
-    if not n > 1:
-        raise ValueError("power-law exponent must satisfy n > 1")
+    if not 1 < n < math.inf:
+        raise ValueError("power-law exponent must be finite and satisfy n > 1")
     checked_positive(b=b)
     return -(n - 1.0) / b
 
@@ -228,7 +223,7 @@ def free_chain(cfg: FreeCollisionConfig) -> FreeChain:
     the vT >> b limit, an unchecked premise: :func:`error_variance_free`,
     which keeps the finite window, reads 1.39x it at vT/b = 4, n = 2.
     """
-    cfg = calibrated(cfg)
+    cfg = _rescaled_to_pi(cfg, phase_integral_free(cfg))
     phase = phase_integral_free(cfg)
     log_deriv = powerlaw_log_derivative(cfg.potential.n, cfg.b)
     delta_sq = (PI * PI * cfg.T * cfg.hbar / (2.0 * cfg.m)) * log_deriv * log_deriv
@@ -297,6 +292,8 @@ class HarmonicCollisionConfig:
 
     def __post_init__(self):
         checked_positive(m=self.m, omega=self.omega, A=self.A, b=self.b, hbar=self.hbar)
+        if not math.isfinite(self.squeeze_r):
+            raise ValueError(f"squeeze_r must be finite, got {self.squeeze_r!r}")
 
     @property
     def period(self) -> float:
@@ -343,17 +340,13 @@ def _harmonic_force_integral(cfg: HarmonicCollisionConfig, weight: Callable[[flo
         cfg, lambda t: k * (a2 * (1.0 + math.cos(w * t)) + b) ** e1 * weight(w * t), epsabs)
 
 
-def calibrated_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicCollisionConfig:
-    """Copy with the coupling making (1/hbar) int V(rho(t)) dt over one period equal pi."""
-    return _rescaled_to_pi(cfg, _harmonic_action(cfg) / cfg.hbar)
-
-
 @dataclass(frozen=True)
 class HarmonicVariance:
     """One evaluation of a calibrated trapped chain; no error budget enters it.
 
     ``action``, ``cos_integral`` and ``sin_integral`` integrate V, V' cos(wt)
-    and V' sin(wt) over one period; ``delta_sq`` is the variance at ``dx0_sq``.
+    and V' sin(wt) over one period; ``delta_sq`` is the variance at ``dx0_sq``
+    and ``mismatch`` the classical return mismatch at the calibrated coupling.
     """
 
     cfg: HarmonicCollisionConfig
@@ -362,6 +355,12 @@ class HarmonicVariance:
     sin_integral: float
     dx0_sq: float
     delta_sq: float
+    mismatch: ReturnMismatch
+
+    @property
+    def constraint_ratio(self) -> float:
+        """R = |int V' cos(wt) dt| / |int V dt|; the coupling cancels."""
+        return abs(self.cos_integral) / abs(self.action)
 
 
 def error_variance_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicVariance:
@@ -371,9 +370,10 @@ def error_variance_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicVariance:
     integrated again at the calibrated coupling, where a phase off pi
     raises.  The sin-weighted integral must vanish (relative to the
     cos-weighted one) by the symmetry of the unperturbed trajectory; its
-    failure to do so signals a broken trajectory and raises.
+    failure to do so signals a broken trajectory and raises.  The classical
+    return mismatch is integrated last, once, at the calibrated coupling.
     """
-    cfg = calibrated_harmonic(cfg)
+    cfg = _rescaled_to_pi(cfg, _harmonic_action(cfg) / cfg.hbar)
     action = _harmonic_action(cfg)
     if abs(action / cfg.hbar - PI) > PHASE_CALIBRATION_TOL:
         raise NumericalInconsistencyError(
@@ -388,12 +388,8 @@ def error_variance_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicVariance:
         )
     dx0_sq = math.exp(-2.0 * cfg.squeeze_r) * cfg.hbar / (2.0 * cfg.m * cfg.omega)
     delta_sq = (2.0 / (cfg.hbar * cfg.hbar)) * cos_int * cos_int * dx0_sq
-    return HarmonicVariance(cfg, action, cos_int, sin_int, dx0_sq, delta_sq)
-
-
-def harmonic_constraint_ratio(cfg: HarmonicCollisionConfig) -> float:
-    """R = |int V' cos(wt) dt| / |int V dt|; the coupling cancels."""
-    return abs(_harmonic_force_integral(cfg, math.cos)) / abs(_harmonic_action(cfg))
+    return HarmonicVariance(cfg, action, cos_int, sin_int, dx0_sq, delta_sq,
+                            classical_return_mismatch(cfg))
 
 
 DIPOLE_RATIO_OFFSETS = (1e-2, 1e-3, 1e-4)
@@ -410,7 +406,8 @@ def dipole_leading_ratio(cfg: HarmonicCollisionConfig) -> float:
     vals = []
     for frac in DIPOLE_RATIO_OFFSETS:
         probe = replace(cfg, b=frac * cfg.A)
-        vals.append(probe.b * harmonic_constraint_ratio(probe))
+        ratio = abs(_harmonic_force_integral(probe, math.cos)) / abs(_harmonic_action(probe))
+        vals.append(probe.b * ratio)
     if not abs(vals[2] - vals[1]) < abs(vals[1] - vals[0]):
         raise NumericalInconsistencyError(f"dipole ratio sequence not converging: {vals}")
     f21 = (10.0 * vals[1] - vals[0]) / 9.0
@@ -474,9 +471,8 @@ def classical_return_mismatch(cfg: HarmonicCollisionConfig) -> ReturnMismatch:
         return [v1, -w * w * (x1 + eq) - f_int / m, v2, -w * w * (x2 - eq) + f_int / m]
 
     y0 = [-(2.0 * A + b / 2.0), 0.0, 2.0 * A + b / 2.0, 0.0]
-    scale = max(A, 1.0)
-    yT = _dop853(rhs, 0.0, cfg.period, y0, RETURN_RTOL,
-                 [scale * 1e-13, scale * w * 1e-13] * 2)
+    # absolute floors in units of A and A w, so the solve is the same in any units
+    yT = _dop853(rhs, 0.0, cfg.period, y0, RETURN_RTOL, [A * 1e-13, A * w * 1e-13] * 2)
     return ReturnMismatch(dx=yT[2] - y0[2], dp=m * yT[3])
 
 
@@ -510,9 +506,8 @@ SECOND_ORDER_FLAG_FRACTION = 0.1
 def squeezing_consistency_probe(hv: HarmonicVariance) -> SqueezingProbe:
     """:class:`SqueezingProbe` of one evaluation of a calibrated trapped chain."""
     cfg = hv.cfg
-    mm = classical_return_mismatch(cfg)
     amplification = math.exp(2.0 * cfg.squeeze_r)
-    momentum_mismatch = mm.dp ** 2 * amplification / (cfg.m * cfg.omega * cfg.hbar)
+    momentum_mismatch = hv.mismatch.dp ** 2 * amplification / (cfg.m * cfg.omega * cfg.hbar)
     proxy = momentum_mismatch ** 2
     return SqueezingProbe(
         delta_sq_leading=hv.delta_sq,

@@ -16,6 +16,9 @@ numerics, and a bound that reads it at any eps and runs none:
     collision.error_variance_harmonic -> collision.harmonic_energy_bound  eps
     heuristic.HeuristicConfig(...)    -> heuristic.heuristic_energy_bound eps
 
+The trapped evaluation also solves the classical return mismatch once, so
+``collision.squeezing_consistency_probe`` reads it and runs no numerics.
+
 The input checks and the calibration tolerance that every route shares
 live here too, with one relative slack ``RATIO_SLACK`` in any units.
 """

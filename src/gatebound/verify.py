@@ -214,11 +214,10 @@ def criterion_8() -> CriterionResult:
     sin_ratio = abs(hv.sin_integral) / abs(hv.cos_integral)
     part_sin = sin_ratio / 1e-9
 
-    mm_full = collision.classical_return_mismatch(cfg)
-    norm_full = collision.mismatch_norm(mm_full, cfg)
+    norm_full = collision.mismatch_norm(hv.mismatch, cfg)
     half = replace(cfg, potential=cfg.potential.scaled(0.5))
     norm_half = collision.mismatch_norm(collision.classical_return_mismatch(half), half)
-    threshold = 1e3 * 1e-10 * cfg.A
+    threshold = 1e3 * collision.RETURN_RTOL * cfg.A
     part_nonzero = threshold / norm_full
     part_halving = abs(norm_full / norm_half - 2.0) / 0.1
 

@@ -244,10 +244,13 @@ def test_collision_sweep_on_the_pool_matches_the_serial_sweep(tmp_path):
 
 def test_package_exports_collision_names():
     import gatebound
-    from gatebound import calibrated, free_chain
+    from gatebound import error_variance_harmonic, free_chain
 
-    assert calibrated is gatebound.collision.calibrated
+    assert error_variance_harmonic is gatebound.collision.error_variance_harmonic
     assert free_chain is gatebound.collision.free_chain
+    # the calibration lives inside the two chain evaluations
+    for name in ("calibrated", "calibrated_harmonic", "harmonic_constraint_ratio"):
+        assert not hasattr(gatebound, name) and not hasattr(gatebound.collision, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         gatebound.no_such_name
 

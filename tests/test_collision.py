@@ -10,15 +10,12 @@ from gatebound import (
     HarmonicCollisionConfig,
     PotentialLaw,
     UncertaintyError,
-    calibrated,
-    calibrated_harmonic,
     classical_return_mismatch,
     dipole_leading_ratio,
     error_variance_free,
     error_variance_harmonic,
     free_chain,
     free_energy_bound,
-    harmonic_constraint_ratio,
     harmonic_energy_bound,
     mismatch_norm,
     optimal_wavepacket,
@@ -34,6 +31,7 @@ from gatebound.collision import (
 )
 from gatebound.errors import DegenerateConfigError, IntegrationError, NumericalInconsistencyError
 from gatebound.report import PHASE_CALIBRATION_TOL
+from gatebound.verify import CRITERIA
 
 PI = math.pi
 
@@ -75,18 +73,17 @@ def test_even_integrand_identity():
 
 
 def test_calibration_reaches_pi():
-    cfg = free_cfg(n=2.0)
-    cal = calibrated(cfg)
+    cal = free_chain(free_cfg(n=2.0)).cfg
     assert abs(phase_integral_free(cal) - PI) < 1e-9
     # linearity: calibrating from a different starting coupling lands on the same C*
-    assert abs(calibrated(free_cfg(C=3.0)).potential.coupling
+    assert abs(free_chain(free_cfg(C=3.0)).cfg.potential.coupling
                - cal.potential.coupling) < 1e-9
 
 
 def test_calibration_closed_form_n2():
     cfg = free_cfg(n=2.0, v=1.4, b=0.6, T=5.0)
     expected = PI * cfg.v * cfg.b / math.atan(cfg.v * cfg.T / cfg.b)
-    assert abs(calibrated(cfg).potential.coupling - expected) < 1e-9 * expected
+    assert abs(free_chain(cfg).cfg.potential.coupling - expected) < 1e-9 * expected
 
 
 def test_phase_times_speed_invariant_under_window_rescaling():
@@ -99,9 +96,9 @@ def test_phase_times_speed_invariant_under_window_rescaling():
 
 def test_degenerate_calibration_raises():
     with pytest.raises(DegenerateConfigError):
-        calibrated(free_cfg(C=0.0))
+        free_chain(free_cfg(C=0.0))
     with pytest.raises(DegenerateConfigError):
-        calibrated_harmonic(harmonic_cfg(C=0.0))
+        error_variance_harmonic(harmonic_cfg(C=0.0))
 
 
 def test_unconverged_quadrature_raises_with_diagnostics(monkeypatch):
@@ -164,7 +161,7 @@ def test_optimal_wavepacket_values():
 
 
 def test_optimal_wavepacket_minimises_measured_variance():
-    cfg = calibrated(free_cfg(n=2.0, m=30.0, v=1.0, b=2.0, T=10.0))
+    cfg = free_chain(free_cfg(n=2.0, m=30.0, v=1.0, b=2.0, T=10.0)).cfg
     wp = optimal_wavepacket(cfg.m, cfg.T)
     best = error_variance_free(cfg, math.sqrt(wp.dx0_sq), math.sqrt(wp.dp0_sq))
     for s in (0.5, 0.8, 1.3, 2.0):
@@ -325,25 +322,47 @@ def _counted_quads(monkeypatch):
     return calls
 
 
+def _counted_odes(monkeypatch):
+    """Calls to the ``_dop853`` name that the return-mismatch trajectory looks up."""
+    calls = []
+    original = collision._dop853
+
+    def counted(rhs, *args):
+        calls.append(rhs)
+        return original(rhs, *args)
+
+    monkeypatch.setattr(collision, "_dop853", counted)
+    return calls
+
+
+def _constraint_ratio(cfg):
+    """R = |int V' cos(wt) dt| / |int V dt| integrated at ``cfg``'s own coupling."""
+    return (abs(collision._harmonic_force_integral(cfg, math.cos))
+            / abs(collision._harmonic_action(cfg)))
+
+
 def test_error_variance_harmonic_calibrates_a_raw_config(monkeypatch):
     # the raw coupling C = 7 is rescaled onto phase pi; the action integrated
-    # again at the calibrated coupling reads pi
+    # again at the calibrated coupling reads pi, and the return mismatch is
+    # solved once, at that coupling
     raw = harmonic_cfg(C=7.0)
-    calls = _counted_quads(monkeypatch)
+    calls, odes = _counted_quads(monkeypatch), _counted_odes(monkeypatch)
     hv = error_variance_harmonic(raw)
-    assert len(calls) == 4
+    assert (len(calls), len(odes)) == (4, 1)
     assert abs(hv.action / hv.cfg.hbar - PI) <= PHASE_CALIBRATION_TOL
-    assert hv.cfg == calibrated_harmonic(raw)
+    assert hv.cfg == collision._rescaled_to_pi(raw, collision._harmonic_action(raw) / raw.hbar)
+    assert hv.mismatch == classical_return_mismatch(hv.cfg)
+    assert hv.constraint_ratio == _constraint_ratio(hv.cfg)
 
 
 def test_error_variance_harmonic_raises_on_a_calibration_off_pi(monkeypatch):
     # a calibration that leaves the coupling alone is caught on the action,
-    # before the two force integrals run
-    monkeypatch.setattr(collision, "calibrated_harmonic", lambda cfg: cfg)
-    calls = _counted_quads(monkeypatch)
+    # before the two force integrals and the trajectory run
+    monkeypatch.setattr(collision, "_rescaled_to_pi", lambda cfg, phase: cfg)
+    calls, odes = _counted_quads(monkeypatch), _counted_odes(monkeypatch)
     with pytest.raises(NumericalInconsistencyError, match="off pi"):
         error_variance_harmonic(harmonic_cfg())
-    assert len(calls) == 1
+    assert (len(calls), len(odes)) == (2, 0)
 
 
 def test_free_chain_evaluates_the_chain_once(monkeypatch):
@@ -352,32 +371,64 @@ def test_free_chain_evaluates_the_chain_once(monkeypatch):
     chain = free_chain(free_cfg(C=7.0))
     assert [fn.__qualname__.split(".")[0] for fn in calls] == [
         "phase_integral_free", "phase_integral_free", "free_chain"]
-    assert chain.cfg == calibrated(free_cfg(C=7.0))
+    assert chain.cfg == collision._rescaled_to_pi(free_cfg(C=7.0),
+                                                  phase_integral_free(free_cfg(C=7.0)))
     assert chain.phase == phase_integral_free(chain.cfg)
 
 
+HARMONIC_ARGS = ["--m", "1", "--omega", "1", "--amplitude", "100", "--gap", "30"]
+
+
 def test_collision_harmonic_evaluates_the_chain_once(tmp_path, monkeypatch):
-    # calibration 1, chain evaluation 3 (read by the bound, the probe and the ratio)
-    calls = _counted_quads(monkeypatch)
-    assert main(["collision-harmonic", "--m", "1", "--omega", "1", "--amplitude", "100",
-                 "--gap", "30", "--epsilon", "0.1", "--output", str(tmp_path / "run")]) == 0
-    assert len(calls) == 4
+    # calibration 1, chain evaluation 3 and its trajectory, read by the bound,
+    # the probe and the ratio cell
+    calls, odes = _counted_quads(monkeypatch), _counted_odes(monkeypatch)
+    assert main(["collision-harmonic", *HARMONIC_ARGS, "--epsilon", "0.1",
+                 "--output", str(tmp_path / "run")]) == 0
+    assert (len(calls), len(odes)) == (4, 1)
+
+
+@pytest.mark.parametrize("caller, quads, odes", [
+    # the collision-harmonic evaluation, plus the trajectory at half the coupling
+    (["return-mismatch", *HARMONIC_ARGS], 4, 2),
+    # three dipole-ratio probes of 2 quadratures each, then as return-mismatch
+    (8, 10, 2),
+    # 27 free chains of 3 quadratures each and 5 log-derivative pairs of 2
+    (7, 91, 0),
+])
+def test_numerics_per_caller(tmp_path, monkeypatch, caller, quads, odes):
+    calls, solves = _counted_quads(monkeypatch), _counted_odes(monkeypatch)
+    if isinstance(caller, int):
+        assert CRITERIA[caller]().passed
+    else:
+        assert main([*caller, "--output", str(tmp_path / "run")]) == 0
+    assert (len(calls), len(solves)) == (quads, odes)
+
+
+def test_return_mismatch_and_collision_harmonic_write_one_coupling(tmp_path):
+    rows = []
+    for command in (["collision-harmonic", "--epsilon", "0.1"], ["return-mismatch"]):
+        out = tmp_path / command[0]
+        assert main([*command, *HARMONIC_ARGS, "--output", str(out)]) == 0
+        with open(out / "result.csv", newline="", encoding="utf-8") as fh:
+            rows.append(next(csv.DictReader(fh)))
+    assert rows[0]["calibrated_coupling"] == rows[1]["calibrated_coupling"]
 
 
 @pytest.mark.parametrize("squeeze_r", ["0", "0.5"])
 def test_collision_harmonic_ratio_cell_is_the_constraint_ratio(tmp_path, squeeze_r):
-    # the ratio read from the evaluation is the bits that harmonic_constraint_ratio
-    # integrates again, so the written cell is unchanged
+    # the ratio read from the evaluation is the bits that the two integrals
+    # give again at the calibrated coupling
     out = tmp_path / "run"
     assert main(["collision-harmonic", "--m", "1", "--omega", "1", "--amplitude", "100",
                  "--gap", "30", "--epsilon", "0.1", "--squeeze-r", squeeze_r,
                  "--output", str(out)]) == 0
     with open(out / "result.csv", newline="", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
-    cfg = calibrated_harmonic(HarmonicCollisionConfig(
+    cfg = error_variance_harmonic(HarmonicCollisionConfig(
         m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0),
-        squeeze_r=float(squeeze_r)))
-    assert row["gap_times_constraint_ratio"] == repr(cfg.b * harmonic_constraint_ratio(cfg))
+        squeeze_r=float(squeeze_r))).cfg
+    assert row["gap_times_constraint_ratio"] == repr(cfg.b * _constraint_ratio(cfg))
 
 
 def test_harmonic_bound_reads_the_evaluation_at_any_epsilon(monkeypatch):
@@ -391,8 +442,8 @@ def test_harmonic_bound_reads_the_evaluation_at_any_epsilon(monkeypatch):
 
 
 def test_constraint_ratio_independent_of_coupling():
-    r1 = harmonic_constraint_ratio(harmonic_cfg(C=1.0))
-    r7 = harmonic_constraint_ratio(harmonic_cfg(C=7.0))
+    r1 = _constraint_ratio(harmonic_cfg(C=1.0))
+    r7 = _constraint_ratio(harmonic_cfg(C=7.0))
     assert r1 == pytest.approx(r7, rel=1e-12)
 
 
@@ -406,8 +457,8 @@ def test_dipole_leading_ratio_limit(A, omega, m):
 
 
 def test_dipole_ratio_at_finite_gap():
-    cfg = harmonic_cfg(b=1.0)  # b/A = 1e-2
-    value = cfg.b * harmonic_constraint_ratio(cfg)
+    hv = error_variance_harmonic(harmonic_cfg(b=1.0))  # b/A = 1e-2
+    value = hv.cfg.b * hv.constraint_ratio
     assert abs(value - 2.5) < 0.05 * 2.5
 
 
@@ -449,10 +500,10 @@ def test_return_mismatch_vanishes_without_interaction():
 
 
 def test_return_mismatch_scalings():
-    cfg = calibrated_harmonic(harmonic_cfg())
+    hv = error_variance_harmonic(harmonic_cfg())
+    cfg, mm1 = hv.cfg, hv.mismatch
     half = harmonic_cfg(C=cfg.potential.coupling / 2.0)
     quarter = harmonic_cfg(C=cfg.potential.coupling / 4.0)
-    mm1 = classical_return_mismatch(cfg)
     mm2 = classical_return_mismatch(half)
     mm4 = classical_return_mismatch(quarter)
     # momentum deviation is first order in the coupling
@@ -469,12 +520,25 @@ def test_return_mismatch_scalings():
 def test_return_mismatch_nonzero_at_calibrated_coupling():
     hv = error_variance_harmonic(harmonic_cfg())
     cfg = hv.cfg
-    norm = mismatch_norm(classical_return_mismatch(cfg), cfg)
-    assert norm > 1e3 * 1e-10 * cfg.A
+    norm = mismatch_norm(hv.mismatch, cfg)
+    assert norm > 1e3 * collision.RETURN_RTOL * cfg.A
     # leading-order physics: |dp| ~ |int V' cos dt| = pi hbar R
     cos_int = hv.cos_integral
-    mm = classical_return_mismatch(cfg)
-    assert abs(abs(mm.dp) - abs(cos_int)) < 0.1 * abs(cos_int)
+    assert abs(abs(hv.mismatch.dp) - abs(cos_int)) < 0.1 * abs(cos_int)
+
+
+REFERENCE_MISMATCH = error_variance_harmonic(harmonic_cfg()).mismatch
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_return_mismatch_is_the_same_at_any_length_scale(scale):
+    # (m, A, b) -> (m/s^2, s A, s b) is the same dimensionless config, so dx/A
+    # and dp/(m w A) must not move; the ODE tolerances scale with A
+    hv = error_variance_harmonic(harmonic_cfg(m=1.0 / scale ** 2, A=100.0 * scale,
+                                              b=30.0 * scale))
+    cfg, mm, ref = hv.cfg, hv.mismatch, REFERENCE_MISMATCH
+    assert mm.dx / cfg.A == pytest.approx(ref.dx / 100.0, rel=1e-4)
+    assert mm.dp / (cfg.m * cfg.omega * cfg.A) == pytest.approx(ref.dp / 100.0, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from gatebound import (
     powerlaw_log_derivative,
     raised_cosine,
     squeezed_energy,
+    squeezing_consistency_probe,
     triangle,
 )
 
@@ -116,6 +117,18 @@ NAN_INPUTS = {
                                                            potential=PotentialLaw(3.0)),
     "heuristic-config-inf": lambda: HeuristicConfig(m=1.0, L=INF, T=1.0),
     "heuristic-widths-inf": lambda: HeuristicConfig(m=1.0, L=1.0, T=1.0, dx=INF, dp=1.0),
+    # squeeze_r may be any real number, but a NaN error would read as within budget
+    "harmonic-squeeze": lambda: HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0,
+                                                        potential=PotentialLaw(3.0),
+                                                        squeeze_r=NAN),
+    "harmonic-squeeze-inf": lambda: HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0,
+                                                            potential=PotentialLaw(3.0),
+                                                            squeeze_r=INF),
+    "harmonic-squeeze-minus-inf": lambda: HarmonicCollisionConfig(
+        m=1.0, omega=1.0, A=100.0, b=30.0, potential=PotentialLaw(3.0), squeeze_r=-INF),
+    "potential-exponent": lambda: PotentialLaw(NAN),
+    "potential-exponent-inf": lambda: PotentialLaw(INF),
+    "log-derivative-exponent-inf": lambda: powerlaw_log_derivative(INF, 2.0),
 }
 
 
@@ -155,14 +168,16 @@ def test_each_route_is_evaluated_once_and_its_bound_runs_no_numerics(monkeypatch
         "power-2": (PulseSpec(((3.0, 1.0, 1.0),), (0.0, 1.0), 2, raised_cosine(1.0)),
                     energy_bound_check, 0.25),
     }
-    # the free chain's 3 quadratures, the trapped chain's 4, one power-p integral
-    assert calls == ["quad"] * 7 + ["_power_coefficients"]
+    # the free chain's 3 quadratures, the trapped chain's 4 and its trajectory,
+    # one power-p integral
+    assert calls == ["quad"] * 7 + ["_dop853", "_power_coefficients"]
     calls.clear()
     for route, (evaluation, bound, budget_per_epsilon) in routes.items():
         for epsilon in (1e-3, 0.5, 2.0):
             report = bound(evaluation, epsilon)
             assert report.epsilon == epsilon, route
             assert report.error_budget == budget_per_epsilon * epsilon, route
+    squeezing_consistency_probe(routes["harmonic"][0])
     assert calls == []
 
 

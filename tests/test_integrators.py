@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad, solve_ivp
 
-from gatebound import HarmonicCollisionConfig, PotentialLaw, calibrated_harmonic
+from gatebound import HarmonicCollisionConfig, PotentialLaw
 from gatebound import collision, numerics
 from gatebound.collision import (
     SIN_SYMMETRY_TOL,
@@ -162,8 +162,8 @@ def test_quad_error_estimate_of_nan_fails_the_check():
 @pytest.mark.parametrize("m, omega, A, b", [(1.0, 1.0, 100.0, 30.0), (2.0, 3.0, 1.0, 0.3),
                                             (5.0, 0.5, 10.0, 1.0)])
 def test_dop853_matches_scipy_on_the_collision_trajectory(monkeypatch, m, omega, A, b):
-    cfg = calibrated_harmonic(HarmonicCollisionConfig(m=m, omega=omega, A=A, b=b,
-                                                      potential=PotentialLaw(3.0)))
+    cfg = error_variance_harmonic(HarmonicCollisionConfig(m=m, omega=omega, A=A, b=b,
+                                                          potential=PotentialLaw(3.0))).cfg
     seen = {}
 
     def recorded(rhs, t0, t1, y0, rtol, atol):
@@ -194,9 +194,9 @@ def test_dop853_on_a_closed_form_oscillator():
 
 
 def test_dop853_step_cap_raises_with_diagnostics(monkeypatch):
+    cfg = error_variance_harmonic(HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0,
+                                                          potential=PotentialLaw(3.0))).cfg
     monkeypatch.setattr(numerics, "MAX_ODE_STEPS", 3)
-    cfg = calibrated_harmonic(HarmonicCollisionConfig(m=1.0, omega=1.0, A=100.0, b=30.0,
-                                                      potential=PotentialLaw(3.0)))
     with pytest.raises(IntegrationError, match="step cap") as info:
         collision.classical_return_mismatch(cfg)
     diag = info.value.diagnostics
