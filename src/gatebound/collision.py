@@ -294,6 +294,11 @@ class HarmonicCollisionConfig:
         checked_positive(m=self.m, omega=self.omega, A=self.A, b=self.b, hbar=self.hbar)
         if not math.isfinite(self.squeeze_r):
             raise ValueError(f"squeeze_r must be finite, got {self.squeeze_r!r}")
+        try:
+            math.exp(2.0 * abs(self.squeeze_r))
+        except OverflowError:
+            raise ValueError(
+                f"e^(2|squeeze_r|) overflows at squeeze_r = {self.squeeze_r!r}") from None
 
     @property
     def period(self) -> float:
@@ -388,6 +393,10 @@ def error_variance_harmonic(cfg: HarmonicCollisionConfig) -> HarmonicVariance:
         )
     dx0_sq = math.exp(-2.0 * cfg.squeeze_r) * cfg.hbar / (2.0 * cfg.m * cfg.omega)
     delta_sq = (2.0 / (cfg.hbar * cfg.hbar)) * cos_int * cos_int * dx0_sq
+    if not math.isfinite(delta_sq):
+        raise NumericalInconsistencyError(
+            f"error variance delta_sq = {delta_sq!r} is not finite "
+            f"(dx0_sq = {dx0_sq!r}, squeeze_r = {cfg.squeeze_r!r})")
     return HarmonicVariance(cfg, action, cos_int, sin_int, dx0_sq, delta_sq,
                             classical_return_mismatch(cfg))
 
@@ -507,8 +516,13 @@ def squeezing_consistency_probe(hv: HarmonicVariance) -> SqueezingProbe:
     """:class:`SqueezingProbe` of one evaluation of a calibrated trapped chain."""
     cfg = hv.cfg
     amplification = math.exp(2.0 * cfg.squeeze_r)
-    momentum_mismatch = hv.mismatch.dp ** 2 * amplification / (cfg.m * cfg.omega * cfg.hbar)
-    proxy = momentum_mismatch ** 2
+    momentum_mismatch = hv.mismatch.dp * hv.mismatch.dp * amplification / (
+        cfg.m * cfg.omega * cfg.hbar)
+    proxy = momentum_mismatch * momentum_mismatch
+    if not math.isfinite(proxy):
+        raise NumericalInconsistencyError(
+            f"squeezing probe second_order_proxy = {proxy!r} is not finite "
+            f"(momentum_mismatch = {momentum_mismatch!r}, squeeze_r = {cfg.squeeze_r!r})")
     return SqueezingProbe(
         delta_sq_leading=hv.delta_sq,
         momentum_mismatch=momentum_mismatch,

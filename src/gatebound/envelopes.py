@@ -85,11 +85,15 @@ class LinearDrive:
 
     ``breakpoints`` mark interior discontinuities (piecewise drives); the
     propagator and the closed-form displacement check both split there.
+    ``separable = (c, s)`` declares f(t) = c s(t) with s real, so that every
+    sample has the phase of c; :func:`~gatebound.fock.evolve` then
+    propagates the drive as one scalar phase, sampling s alone.
     """
 
     f: Callable[[float], complex]
     duration: float
     breakpoints: tuple[float, ...] = ()
+    separable: tuple[complex, Callable[[float], float]] | None = None
 
     def __post_init__(self):
         checked_positive(duration=self.duration)
@@ -106,13 +110,17 @@ class LinearDrive:
 
 
 def envelope_drive(envelope: Envelope, coefficient: complex = 1.0) -> LinearDrive:
-    """f(t) = coefficient * envelope(t)."""
+    """f(t) = coefficient * envelope(t), declared ``separable``."""
+    c = complex(coefficient)
 
     # Envelope.__call__'s window test, inline: one Python call fewer per sample
-    def f(t, _c=complex(coefficient), _fn=envelope.fn, _T=envelope.duration):
+    def f(t, _c=c, _fn=envelope.fn, _T=envelope.duration):
         return _c * (0.0 if t < 0.0 or t > _T else _fn(t))
 
-    return LinearDrive(f, envelope.duration, envelope.breakpoints)
+    def s(t, _fn=envelope.fn, _T=envelope.duration):
+        return 0.0 if t < 0.0 or t > _T else _fn(t)
+
+    return LinearDrive(f, envelope.duration, envelope.breakpoints, separable=(c, s))
 
 
 def multi_envelope_drive(terms: list[tuple[complex, Envelope]]) -> LinearDrive:

@@ -272,19 +272,20 @@ def _real_matmul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
-# A drive-propagated state is held as coefficients in a frame: ``None`` is the
-# number basis, a pair (theta, phi) the vector e^{-i phi lam} c in the basis
-# U_theta W (U_theta = diag(e^{i n theta}), X = a + a† = W diag(lam) W^T).  A
-# drive sample g a† + conj(g) a with g = r e^{i theta}, r real, equals
-# r U_theta X U_theta†, so it is diagonal in frame theta, and every factor
-# e^{-i h r lam} of that frame only adds h r to the accumulated phase phi.
-# Frames are canonical, theta in (-pi/2, pi/2]; a sample in the opposite
-# half-plane is read as theta with a negative r.
+# A drive sample g a† + conj(g) a with g = r e^{i theta}, r real, equals
+# r U_theta X U_theta† (U_theta = diag(e^{i n theta}), X = a + a† = W diag(lam)
+# W^T), so it is diagonal in the frame U_theta W, where its factor is
+# e^{-i h r lam}.  A frame (theta, phi) holds coefficients v of the
+# number-basis vector U_theta W e^{-i phi lam} v; ``None`` is the number basis.
+# Only a drive that declares one phase stays in a frame: its factors commute
+# there and add up to the one Python float phi.  Frame angles are canonical,
+# theta in (-pi/2, pi/2]; a sample in the opposite half-plane is read as theta
+# with a negative r.
 _Frame = tuple[float, float] | None
 
 
-# The full step, the half step and a retry all enter the same angle, and the
-# exit reuses it too; a few entries serve a constant-phase propagation.
+# Entering and leaving a frame share its angle; a few entries serve a drive
+# whose samples keep one phase.
 @lru_cache(maxsize=4)
 def _number_phases(theta: float, cutoff: int) -> np.ndarray:
     """diag(U_theta) = e^{i n theta}, n = 0 .. cutoff-1."""
@@ -293,8 +294,12 @@ def _number_phases(theta: float, cutoff: int) -> np.ndarray:
     return u
 
 
-def _angle(frame: _Frame) -> float | None:
-    return None if frame is None else frame[0]
+def _polar(g: complex) -> tuple[float, float]:
+    """(theta, r) with g = r e^{i theta}, r real and theta canonical."""
+    r = abs(g)
+    if g.real < 0 or (g.real == 0 and g.imag < 0):
+        g, r = -g, -r
+    return math.atan2(g.imag, g.real), r
 
 
 def _change_frame(psi: np.ndarray, frame: _Frame, theta: float | None) -> np.ndarray:
@@ -308,42 +313,107 @@ def _change_frame(psi: np.ndarray, frame: _Frame, theta: float | None) -> np.nda
     return psi
 
 
-def _to_number_basis(psi: np.ndarray, frame: _Frame) -> np.ndarray:
-    return psi if frame is None else _change_frame(psi, frame, None)
-
-
-def _apply_factor(h: float, g: complex, psi: np.ndarray,
-                  frame: _Frame) -> tuple[np.ndarray, _Frame]:
-    """exp(-i h (g a† + conj(g) a)) on a state held in ``frame``.
-
-    Returns (coefficients, frame).  A sample whose phase matches the frame
-    only adds h r to the frame's phase and returns the same array, a zero
-    sample is the identity; any other sample changes frame first.
-    """
+def _apply_factor(h: float, g: complex, psi: np.ndarray) -> np.ndarray:
+    """exp(-i h (g a† + conj(g) a)) psi in the number basis: into the sample's
+    frame and out again, two real N x N products; a zero sample is the identity."""
     if g == 0:
-        return psi, frame
-    r = abs(g)
-    if g.real < 0 or (g.real == 0 and g.imag < 0):
-        g, r = -g, -r
-    theta = math.atan2(g.imag, g.real)
-    if frame is not None and theta == frame[0]:  # an exact test: equal phases keep the frame
-        return psi, (theta, frame[1] + h * r)
-    return _change_frame(psi, frame, theta), (theta, h * r)
+        return psi
+    theta, r = _polar(g)
+    return _change_frame(_change_frame(psi, None, theta), (theta, h * r), None)
 
 
-def _phase_distance(a: np.ndarray, phi_a: float, b: np.ndarray, phi_b: float,
-                    magnitude: np.ndarray | None = None) -> float:
-    """||e^{-i phi_a lam} a - e^{-i phi_b lam} b|| for coefficients of one frame angle.
+def _phase_distance(magnitude: np.ndarray, phi_a: float, phi_b: float) -> float:
+    """||e^{-i phi_a lam} c - e^{-i phi_b lam} c|| for |c| = ``magnitude``.
 
-    ``magnitude`` is |a| when the caller holds it; it serves only ``a is b``.
+    Computed as 2 || |c| sin((phi_a - phi_b) lam / 2) ||, free of cancellation.
     """
-    lam, _ = _quadrature_eigh(a.size)
-    if a is b:  # 2 || |a| sin((phi_a - phi_b) lam / 2) ||, free of cancellation
-        if magnitude is None:
-            magnitude = np.abs(a)
-        v = magnitude * np.sin(0.5 * (phi_a - phi_b) * lam)
-        return 2.0 * math.sqrt(v @ v)  # np.linalg.norm of a real vector, same bits
-    return float(np.linalg.norm(np.exp(-1j * (phi_a - phi_b) * lam) * a - b))
+    lam, _ = _quadrature_eigh(magnitude.size)
+    v = magnitude * np.sin(0.5 * (phi_a - phi_b) * lam)
+    return 2.0 * math.sqrt(v @ v)  # np.linalg.norm of a real vector, same bits
+
+
+# One step attempt of evolve: a full CF4 step and two half steps from y at t,
+# each two factors of two drive samples.  It returns the two-half-step result
+# and the norm distance between the two results.
+_Attempt = Callable[[object, float, float], tuple[object, float]]
+
+
+def _sampled_attempt(drive: Callable[[float], complex]) -> _Attempt:
+    """Attempts on a number-basis state, one exact factor per CF4 exponential."""
+    def attempt(psi, t, h):
+        half_h = 0.5 * h
+        mid = t + half_h
+        g1, g2 = drive(t + _GAUSS_C1 * h), drive(t + _GAUSS_C2 * h)
+        g3, g4 = drive(t + _GAUSS_C1 * half_h), drive(t + _GAUSS_C2 * half_h)
+        g5, g6 = drive(mid + _GAUSS_C1 * half_h), drive(mid + _GAUSS_C2 * half_h)
+        full = _apply_factor(h, _CF4_Q * g1 + _CF4_P * g2, psi)
+        full = _apply_factor(h, _CF4_P * g1 + _CF4_Q * g2, full)
+        half = _apply_factor(half_h, _CF4_Q * g3 + _CF4_P * g4, psi)
+        half = _apply_factor(half_h, _CF4_P * g3 + _CF4_Q * g4, half)
+        half = _apply_factor(half_h, _CF4_Q * g5 + _CF4_P * g6, half)
+        half = _apply_factor(half_h, _CF4_P * g5 + _CF4_Q * g6, half)
+        return half, float(np.linalg.norm(half - full))
+
+    return attempt
+
+
+def _phase_attempt(shape: Callable[[float], float], scale: float,
+                   magnitude: np.ndarray) -> _Attempt:
+    """Attempts on the frame phase phi of a drive scale * shape(t), shape real.
+
+    Every factor of such a drive only adds h r to phi, so an attempt is
+    float arithmetic on six real samples r and one error estimate over the
+    frame's fixed coefficients, of modulus ``magnitude``.
+    """
+    def attempt(phi, t, h):
+        half_h = 0.5 * h
+        mid = t + half_h
+        r1, r2 = scale * shape(t + _GAUSS_C1 * h), scale * shape(t + _GAUSS_C2 * h)
+        r3, r4 = scale * shape(t + _GAUSS_C1 * half_h), scale * shape(t + _GAUSS_C2 * half_h)
+        r5, r6 = scale * shape(mid + _GAUSS_C1 * half_h), scale * shape(mid + _GAUSS_C2 * half_h)
+        full = phi + h * (_CF4_Q * r1 + _CF4_P * r2) + h * (_CF4_P * r1 + _CF4_Q * r2)
+        half = (phi + half_h * (_CF4_Q * r3 + _CF4_P * r4) + half_h * (_CF4_P * r3 + _CF4_Q * r4)
+                + half_h * (_CF4_Q * r5 + _CF4_P * r6) + half_h * (_CF4_P * r5 + _CF4_Q * r6))
+        return half, _phase_distance(magnitude, half, full)
+
+    return attempt
+
+
+def _controlled(attempt: _Attempt, y, t0: float, t1: float, tol: float):
+    """``y`` carried over [t0, t1] by step-doubled ``attempt``s under ``tol``."""
+    total = t1 - t0
+    t = t0
+    h = total
+    n_steps = 0
+    while t < t1 - 1e-15 * total:
+        if n_steps >= MAX_STEPS:
+            raise IntegrationError(
+                "step budget exhausted",
+                {"t": t, "h": h, "steps": n_steps, "tol": tol},
+            )
+        h = min(h, t1 - t)
+        trial, err = attempt(y, t, h)
+        err /= 15.0  # Richardson: 2^4 - 1
+        if not math.isfinite(err):
+            raise IntegrationError(
+                "non-finite state during propagation",
+                {"t": t, "h": h, "steps": n_steps},
+            )
+        budget = tol * h / total
+        if err <= budget:
+            y = trial
+            t += h
+        elif h <= 1e-14 * total:
+            raise IntegrationError(
+                "step-size underflow",
+                {"t": t, "h": h, "error_estimate": err, "tol": tol, "steps": n_steps},
+            )
+        n_steps += 1
+        if err > 0.0:
+            h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * (budget / err) ** 0.25))
+        else:
+            h *= _MAX_GROW
+    return y
 
 
 def evolve(state: ControlState, drive: Callable[[float], complex],
@@ -361,20 +431,19 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
     Steps are sized so the summed local errors stay below ``tol`` (global
     norm-distance contract); at most ``MAX_STEPS`` are taken.
 
-    The state is held in the frame U_theta W of the last sample's phase
-    theta = arg g (mod pi), where U_theta = diag(e^{i n theta}) and W is the
-    eigenbasis of the quadrature X = a + a† (built once per cutoff from the
-    SVD of X's half-size bidiagonal block).  Factors of one phase commute and
-    are diagonal there, so the frame carries them as one accumulated phase phi
-    (the state is e^{-i phi lam} c) and a factor of the frame's phase only
-    adds h |g| to phi, with no array work.  The array exponential
-    e^{-i phi lam} and two real N x N products are paid only when the state
-    leaves the frame: at a change of phase or at the end of the
-    propagation.  A constant-phase drive thus enters the frame in its first
-    step and leaves it once.  The step-doubling error is measured in the
-    frame both results share (the frames are unitary; for one coefficient
-    array it is 2 || |c| sin((phi_h - phi_f) lam / 2) ||, and |c| is reused
-    while the frame holds that array), else in the number basis.
+    A :class:`~gatebound.envelopes.LinearDrive` that declares
+    f(t) = c s(t) with s real (its ``separable``) keeps one phase, so the
+    state enters the frame U_theta W of c's canonical phase theta once,
+    where U_theta = diag(e^{i n theta}) and W is the eigenbasis of the
+    quadrature X = a + a† (built once per cutoff from the SVD of X's
+    half-size bidiagonal block).  Every factor is diagonal there and only
+    adds h r, r = +-|c| s, to one float phase phi (the state is
+    e^{-i phi lam} v), so the steps sample s and do no array work beyond
+    the error estimate 2 || |v| sin((phi_h - phi_f) lam / 2) ||, with the
+    modulus |v| of the frame's coefficients taken once.  The state leaves the frame
+    once, at t1.  Any other drive is sampled as a callable and each factor
+    is applied in the number basis (two real N x N products), with the
+    error measured there.
 
     Raises
     ------
@@ -388,70 +457,16 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
     if t1 == t0:
         return state
 
-    total = t1 - t0
-    t = t0
-    h = total
-    psi, frame = state.amplitudes.copy(), None
-    in_norm_sq = float(np.vdot(psi, psi).real)
-    n_steps = 0
-    held = magnitude = None  # the coefficient array of the last one-array error, and its |c|
-
-    while t < t1 - 1e-15 * total:
-        if n_steps >= MAX_STEPS:
-            raise IntegrationError(
-                "step budget exhausted",
-                {"t": t, "h": h, "steps": n_steps, "tol": tol},
-            )
-        h = min(h, t1 - t)
-        # one full step and two half steps, each two CF4 factors of two samples
-        half_h = 0.5 * h
-        mid = t + half_h
-        g1, g2 = drive(t + _GAUSS_C1 * h), drive(t + _GAUSS_C2 * h)
-        g3, g4 = drive(t + _GAUSS_C1 * half_h), drive(t + _GAUSS_C2 * half_h)
-        g5, g6 = drive(mid + _GAUSS_C1 * half_h), drive(mid + _GAUSS_C2 * half_h)
-        full, full_frame = _apply_factor(h, _CF4_Q * g1 + _CF4_P * g2, psi, frame)
-        full, full_frame = _apply_factor(h, _CF4_P * g1 + _CF4_Q * g2, full, full_frame)
-        half, half_frame = _apply_factor(half_h, _CF4_Q * g3 + _CF4_P * g4, psi, frame)
-        half, half_frame = _apply_factor(half_h, _CF4_P * g3 + _CF4_Q * g4, half, half_frame)
-        half, half_frame = _apply_factor(half_h, _CF4_Q * g5 + _CF4_P * g6, half, half_frame)
-        half, half_frame = _apply_factor(half_h, _CF4_P * g5 + _CF4_Q * g6, half, half_frame)
-        if _angle(half_frame) != _angle(full_frame):
-            full, full_frame = _to_number_basis(full, full_frame), None
-            half, half_frame = _to_number_basis(half, half_frame), None
-        if half_frame is None:
-            err = float(np.linalg.norm(half - full))
-        elif half is full:  # within a frame only phi moves, so |c| lasts as long as c
-            if half is not held:
-                held, magnitude = half, np.abs(half)
-            err = _phase_distance(half, half_frame[1], full, full_frame[1], magnitude)
-        else:
-            err = _phase_distance(half, half_frame[1], full, full_frame[1])
-        err /= 15.0  # Richardson: 2^4 - 1
-        if not math.isfinite(err):
-            raise IntegrationError(
-                "non-finite state during propagation",
-                {"t": t, "h": h, "steps": n_steps},
-            )
-        budget = tol * h / total
-        if err <= budget:
-            psi, frame = half, half_frame
-            t += h
-        elif h <= 1e-14 * total:
-            raise IntegrationError(
-                "step-size underflow",
-                {"t": t, "h": h, "error_estimate": err, "tol": tol, "steps": n_steps},
-            )
-        elif _angle(half_frame) != _angle(frame):  # retry from the frame both results ended in
-            theta = _angle(half_frame)
-            psi = _change_frame(psi, frame, theta)
-            frame = None if theta is None else (theta, 0.0)
-        n_steps += 1
-        if err > 0.0:
-            h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * (budget / err) ** 0.25))
-        else:
-            h *= _MAX_GROW
-
-    psi = _to_number_basis(psi, frame)
+    in_norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    separable = getattr(drive, "separable", None)  # declared by a LinearDrive
+    if separable is None:
+        psi = _controlled(_sampled_attempt(drive), state.amplitudes.copy(), t0, t1, tol)
+    else:
+        c, shape = separable
+        theta, scale = _polar(complex(c))
+        coefficients = _change_frame(state.amplitudes, None, theta)
+        phi = _controlled(_phase_attempt(shape, scale, np.abs(coefficients)), 0.0, t0, t1, tol)
+        psi = _change_frame(coefficients, (theta, phi), None)
     out_norm_sq = float(np.vdot(psi, psi).real)
     if abs(out_norm_sq - in_norm_sq) > tol:
         raise IntegrationError(

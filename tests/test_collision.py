@@ -431,6 +431,27 @@ def test_collision_harmonic_ratio_cell_is_the_constraint_ratio(tmp_path, squeeze
     assert row["gap_times_constraint_ratio"] == repr(cfg.b * _constraint_ratio(cfg))
 
 
+@pytest.mark.parametrize("squeeze_r, code, message", [
+    ("200", 3, "second_order_proxy"),   # e^{2r} is finite, its square in the proxy is not
+    ("300", 3, "second_order_proxy"),
+    ("400", 2, "overflows"),            # e^{2r} itself overflows
+    ("-400", 2, "overflows"),           # and so does e^{-2r} in dx0^2
+])
+def test_collision_harmonic_overflowing_squeeze_exits_without_artifacts(
+        tmp_path, capsys, squeeze_r, code, message):
+    out = tmp_path / "run"
+    assert main(["collision-harmonic", *HARMONIC_ARGS, "--epsilon", "0.1",
+                 "--squeeze-r", squeeze_r, "--output", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_non_finite_error_variance_raises():
+    # e^{-2r} hbar / (2 m w) overflows at a tiny mass although e^{-2r} does not
+    with pytest.raises(NumericalInconsistencyError, match="delta_sq"):
+        error_variance_harmonic(harmonic_cfg(m=1e-30, A=1.0, b=0.01, r=-354.0))
+
+
 def test_harmonic_bound_reads_the_evaluation_at_any_epsilon(monkeypatch):
     hv = error_variance_harmonic(harmonic_cfg(m=2.0))
     calls = _counted_quads(monkeypatch)

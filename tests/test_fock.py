@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -13,6 +14,7 @@ from gatebound import (
     DimensionMismatchError,
     coherent_required_cutoff,
     coherent_state,
+    envelope_drive,
     evolve,
     mean_photon_number,
     multi_envelope_drive,
@@ -24,7 +26,7 @@ from gatebound import (
     triangle,
 )
 from gatebound import fock
-from gatebound.envelopes import ENVELOPES
+from gatebound.envelopes import ENVELOPES, Envelope
 from gatebound.fock import IntegrationError
 from gatebound.gate import pi_phase_drive
 
@@ -301,17 +303,39 @@ def test_overlap_dimension_mismatch():
         overlap(number_state(0, 4), number_state(0, 5))
 
 
-def _dense_factor(h, g, psi, frame):
+def _dense_factor(h, g, psi):
     """Reference for ``fock._apply_factor``: expm of the dense generator, number basis."""
-    assert frame is None  # nothing else enters a frame when this replaces the factor
     a, adag = _dense_ladder(psi.size)
-    return expm(-1j * h * (g * adag + np.conj(g) * a)) @ psi, None
+    return expm(-1j * h * (g * adag + np.conj(g) * a)) @ psi
 
 
 def _propagate_per_segment(state, sample, drive, tol):
     for t0, t1 in drive.segments():  # a kink splits the window
         state = evolve(state, sample, t0, t1, tol)
     return state
+
+
+def _counted(drive):
+    samples = []
+
+    def sample(t):
+        samples.append(t)
+        return drive(t)
+
+    return sample, samples
+
+
+def _counting_shape(drive):
+    """``drive`` with its declared shape counting its samples, and the sample list."""
+    c, shape = drive.separable
+    sample, samples = _counted(shape)
+    return dataclasses.replace(drive, separable=(c, sample)), samples
+
+
+def _sign_changing_drive(c, T):
+    # one phase arg(c), and a real shape that changes sign: the -|c| samples
+    rc, tri = raised_cosine(T), triangle(T / 2.0)
+    return envelope_drive(Envelope(lambda t: rc(t) - 2.0 * tri(t), T, (T / 4.0, T / 2.0)), c)
 
 
 def test_evolve_zero_hamiltonian_is_identity():
@@ -381,13 +405,12 @@ def test_evolve_raises_on_step_size_underflow():
 
 
 def test_evolve_raises_on_norm_drift(monkeypatch):
-    # rounding alone may leave |psi|^2 exactly 1, so a stand-in doubles the
-    # exit state; a zero drive never leaves the number basis inside the loop
-    to_number_basis = fock._to_number_basis
-    monkeypatch.setattr(fock, "_to_number_basis",
-                        lambda psi, frame: 2.0 * to_number_basis(psi, frame))
+    # rounding alone may leave |psi|^2 exactly 1, so a stand-in frame change
+    # keeps the coefficients on entering the frame and doubles them on leaving it
+    monkeypatch.setattr(fock, "_change_frame",
+                        lambda psi, frame, theta: psi if frame is None else 2.0 * psi)
     with pytest.raises(IntegrationError, match="norm drift exceeded tolerance") as err:
-        evolve(number_state(1, 8), lambda t: 0j, 0.0, 1.0, 1e-8)
+        evolve(number_state(1, 8), envelope_drive(raised_cosine(1.0), 0.0), 0.0, 1.0, 1e-8)
     assert err.value.diagnostics == {"in_norm_sq": 1.0, "out_norm_sq": 4.0, "tol": 1e-8}
 
 
@@ -398,25 +421,17 @@ def test_drive_sample_exponential_matches_dense_expm(cutoff, g, h, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
     psi /= np.linalg.norm(psi)
-    exact = fock._to_number_basis(*fock._apply_factor(h, g, psi, None))
-    assert np.linalg.norm(exact - _dense_factor(h, g, psi, None)[0]) <= 1e-12
+    exact = fock._apply_factor(h, g, psi)
+    assert np.linalg.norm(exact - _dense_factor(h, g, psi)) <= 1e-12
 
 
-def _fast_and_dense(drive, state):
-    """[(state, drive samples)] of per-segment propagations with the exact
-    factor and with ``_dense_factor``, both under ``evolve``'s step control."""
-    results = []
-    for factor in (fock._apply_factor, _dense_factor):
-        samples = []
-
-        def sample(t, samples=samples):
-            samples.append(t)
-            return drive(t)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fock, "_apply_factor", factor)
-            results.append((_propagate_per_segment(state, sample, drive, 1e-9), len(samples)))
-    return results
+def _dense_sampled(drive, state):
+    """(state, drive samples) of a per-segment propagation of ``drive`` as a plain
+    callable, each factor the expm of the dense generator, under ``evolve``'s step control."""
+    sample, samples = _counted(drive)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_apply_factor", _dense_factor)
+        return _propagate_per_segment(state, sample, drive, 1e-9), len(samples)
 
 
 @PROPERTY
@@ -425,80 +440,69 @@ def _fast_and_dense(drive, state):
 def test_evolve_drive_sample_matches_dense_sampler(c1, c2, alpha, T, cutoff):
     drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
     state = _truncated_coherent(alpha, cutoff)
-    (fast, fast_samples), (reference, dense_samples) = _fast_and_dense(drive, state)
+    sample, fast_samples = _counted(drive)
+    fast = _propagate_per_segment(state, sample, drive, 1e-9)
+    reference, dense_samples = _dense_sampled(drive, state)
     assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
-    assert fast_samples == dense_samples
-
-
-def _sign_changing_drive(c, T):
-    # one phase arg(c), and a real envelope that changes sign: the -g samples
-    return multi_envelope_drive([(c, raised_cosine(T)), (-2.0 * c, triangle(T / 2.0))])
+    assert len(fast_samples) == dense_samples
 
 
 @PROPERTY
 @given(c=complex_unit, alpha=complex_unit, T=st.floats(0.5, 1.5), cutoff=st.integers(2, 60))
 def test_evolve_constant_phase_drive_matches_dense_sampler(c, alpha, T, cutoff):
-    drive = _sign_changing_drive(c, T)
+    # the declared drive propagates as one phase; the reference samples it as a callable
+    drive, fast_samples = _counting_shape(_sign_changing_drive(c, T))
     state = _truncated_coherent(alpha, cutoff)
-    (fast, fast_samples), (reference, dense_samples) = _fast_and_dense(drive, state)
+    fast = _propagate_per_segment(state, drive, drive, 1e-9)
+    reference, dense_samples = _dense_sampled(drive, state)
     assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
-    assert fast_samples == dense_samples
+    assert len(fast_samples) == dense_samples
 
 
-def _reference_step(drive, t, h, psi, frame):
-    """One CF4 step through ``fock._apply_factor``: two factors, two samples."""
-    g1 = drive(t + fock._GAUSS_C1 * h)
-    g2 = drive(t + fock._GAUSS_C2 * h)
-    psi, frame = fock._apply_factor(h, fock._CF4_Q * g1 + fock._CF4_P * g2, psi, frame)
-    return fock._apply_factor(h, fock._CF4_P * g1 + fock._CF4_Q * g2, psi, frame)
+@PROPERTY
+@given(c=st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)), alpha=complex_unit,
+       envelope=st.sampled_from(sorted(ENVELOPES)), cutoff=st.integers(2, 200))
+def test_declared_drive_matches_the_same_drive_as_a_callable(c, alpha, envelope, cutoff):
+    drive = envelope_drive(ENVELOPES[envelope](1.0), c)
+    state = _truncated_coherent(alpha, cutoff)
+    declared = _propagate_per_segment(state, drive, drive, 1e-9)
+    sampled = _propagate_per_segment(state, drive.f, drive, 1e-9)
+    assert np.max(np.abs(declared.amplitudes - sampled.amplitudes)) <= 1e-12
+
+
+def _reference_step(shape, scale, t, h, phi):
+    """One CF4 step on the frame phase: two factors, two samples."""
+    r1 = scale * shape(t + fock._GAUSS_C1 * h)
+    r2 = scale * shape(t + fock._GAUSS_C2 * h)
+    phi = phi + h * (fock._CF4_Q * r1 + fock._CF4_P * r2)
+    return phi + h * (fock._CF4_P * r1 + fock._CF4_Q * r2)
 
 
 def _reference_evolve(state, drive, t0, t1, tol):
-    """``evolve``'s step control written with a per-step helper, a fresh |c|
+    """``evolve``'s declared loop written with a per-step helper, a fresh |c|
     and ``np.linalg.norm`` in every error estimate (no failure checks)."""
+    c, shape = drive.separable
+    theta, scale = fock._polar(c)
+    coefficients = fock._change_frame(state.amplitudes, None, theta)
+    lam, _ = fock._quadrature_eigh(state.cutoff)
     total = t1 - t0
-    t, h = t0, total
-    psi, frame = state.amplitudes.copy(), None
+    t, h, phi = t0, total, 0.0
     while t < t1 - 1e-15 * total:
         h = min(h, t1 - t)
-        full, full_frame = _reference_step(drive, t, h, psi, frame)
-        half, half_frame = _reference_step(drive, t + 0.5 * h, 0.5 * h,
-                                           *_reference_step(drive, t, 0.5 * h, psi, frame))
-        if fock._angle(half_frame) != fock._angle(full_frame):
-            full, full_frame = fock._to_number_basis(full, full_frame), None
-            half, half_frame = fock._to_number_basis(half, half_frame), None
-        if half_frame is None:
-            err = float(np.linalg.norm(half - full))
-        elif half is full:
-            lam, _ = fock._quadrature_eigh(half.size)
-            shift = 0.5 * (half_frame[1] - full_frame[1]) * lam
-            err = 2.0 * float(np.linalg.norm(np.abs(half) * np.sin(shift)))
-        else:
-            err = fock._phase_distance(half, half_frame[1], full, full_frame[1])
-        err /= 15.0
+        full = _reference_step(shape, scale, t, h, phi)
+        half = _reference_step(shape, scale, t + 0.5 * h, 0.5 * h,
+                               _reference_step(shape, scale, t, 0.5 * h, phi))
+        shift = 0.5 * (half - full) * lam
+        err = 2.0 * float(np.linalg.norm(np.abs(coefficients) * np.sin(shift))) / 15.0
         budget = tol * h / total
         if err <= budget:
-            psi, frame = half, half_frame
+            phi = half
             t += h
-        elif fock._angle(half_frame) != fock._angle(frame):
-            theta = fock._angle(half_frame)
-            psi = fock._change_frame(psi, frame, theta)
-            frame = None if theta is None else (theta, 0.0)
         if err > 0.0:
             h *= min(fock._MAX_GROW, max(fock._MIN_SHRINK, fock._SAFETY * (budget / err) ** 0.25))
         else:
             h *= fock._MAX_GROW
-    return fock._to_number_basis(psi, frame)
-
-
-def _counted(drive):
-    samples = []
-
-    def sample(t):
-        samples.append(t)
-        return drive(t)
-
-    return sample, samples
+    return fock._change_frame(coefficients, (theta, phi), None)
 
 
 BIT_IDENTITY_CASES = [(name, alpha) for name in ENVELOPES
@@ -507,67 +511,64 @@ BIT_IDENTITY_CASES = [(name, alpha) for name in ENVELOPES
 
 @pytest.mark.parametrize("envelope, alpha", BIT_IDENTITY_CASES)
 def test_evolve_is_bit_identical_to_the_per_step_reference(envelope, alpha):
-    # -3.2+2.2j makes pi_phase_drive's rounded phase move, so most factors
-    # change frame; the real alphas and the sign-changing drive keep one frame
+    # every declared drive keeps one frame, the complex alphas and the
+    # sign-changing shape (negative r) included
     if envelope == "sign-changing":
         drive = _sign_changing_drive(0.6 + 0.6j, 1.0)
     else:
         drive = pi_phase_drive(ENVELOPES[envelope](1.0), alpha)
+    reference_drive, reference_samples = _counting_shape(drive)
+    drive, fast_samples = _counting_shape(drive)
     state = coherent_state(alpha)
-    sample, fast_samples = _counted(drive)
-    ref_sample, reference_samples = _counted(drive)
     for t0, t1 in drive.segments():
         tol = 1e-9 * (t1 - t0) / drive.duration
-        reference = _reference_evolve(state, ref_sample, t0, t1, tol)
-        fast = evolve(state, sample, t0, t1, tol).amplitudes
+        reference = _reference_evolve(state, reference_drive, t0, t1, tol)
+        fast = evolve(state, drive, t0, t1, tol).amplitudes
         assert np.array_equal(fast, reference)
         state = ControlState(state.cutoff, reference)
-    assert len(fast_samples) == len(reference_samples)
+    assert len(fast_samples) == len(reference_samples) > 0
 
 
-def _count_frame_changes(monkeypatch, drive, tol, cutoff=40):
-    """(frame changes, drive samples) of one propagation of ``drive``."""
+def _count_frame_changes(monkeypatch, sample, drive, tol, cutoff=40):
+    """(frame changes, drive samples) of one propagation of ``drive`` through ``sample``."""
     original = fock._change_frame
-    counts = {"changes": 0, "samples": 0}
+    changes = []
 
     def counted(*args):
-        counts["changes"] += 1
+        changes.append(args[2])
         return original(*args)
-
-    def sample(t):
-        counts["samples"] += 1
-        return drive(t)
 
     monkeypatch.setattr(fock, "_change_frame", counted)
     _propagate_per_segment(coherent_state(1.5, cutoff), sample, drive, tol)
-    return counts["changes"], counts["samples"]
+    return len(changes)
 
 
 def test_constant_phase_drive_changes_frame_a_fixed_number_of_times(monkeypatch):
-    # 0.6 + 0.6j has the same rounded phase at every real multiple, so every
-    # sample either matches the frame or matches it with a negative amplitude
-    drive = _sign_changing_drive(0.6 + 0.6j, 1.0)
-    coarse, coarse_samples = _count_frame_changes(monkeypatch, drive, 1e-6)
-    fine, fine_samples = _count_frame_changes(monkeypatch, drive, 1e-10)
-    assert fine_samples > 2 * coarse_samples
-    assert coarse == fine
-    # per segment: enter (once for the full, once for the half step, or the
-    # state itself after a rejected first step), then leave
-    assert fine <= 4 * len(drive.segments())
+    # per segment the state enters the frame of c's phase once and leaves it once,
+    # whatever the tolerance and the sign of the shape
+    drive, samples = _counting_shape(_sign_changing_drive(0.6 + 0.6j, 1.0))
+    coarse = _count_frame_changes(monkeypatch, drive, drive, 1e-6)
+    coarse_samples = len(samples)
+    fine = _count_frame_changes(monkeypatch, drive, drive, 1e-10)
+    assert len(samples) - coarse_samples > 2 * coarse_samples
+    assert coarse == fine == 2 * len(drive.segments())
 
 
 def test_mixed_phase_drive_changes_frame_every_factor(monkeypatch):
+    # an undeclared drive applies each factor, one per sample, through the
+    # number basis: into the sample's frame and out again
     drive = multi_envelope_drive([(1.0, raised_cosine(1.0)), (1.0j, triangle(1.0))])
-    coarse, coarse_samples = _count_frame_changes(monkeypatch, drive, 1e-6)
-    fine, fine_samples = _count_frame_changes(monkeypatch, drive, 1e-10)
-    # one CF4 factor per drive sample, each of a new phase
-    assert coarse >= coarse_samples
-    assert fine >= fine_samples > 2 * coarse_samples
+    coarse_sample, coarse_samples = _counted(drive)
+    coarse = _count_frame_changes(monkeypatch, coarse_sample, drive, 1e-6)
+    fine_sample, fine_samples = _counted(drive)
+    fine = _count_frame_changes(monkeypatch, fine_sample, drive, 1e-10)
+    assert coarse == 2 * len(coarse_samples)
+    assert fine == 2 * len(fine_samples) > 4 * len(coarse_samples)
 
 
 def test_phase_distance_sin_form_matches_the_materialised_difference():
-    # ||e^{-i phi_h lam} c - e^{-i phi_f lam} c|| for one array c; the phases
-    # differ by at least 1/4, where the materialised difference has no cancellation
+    # ||e^{-i phi_h lam} c - e^{-i phi_f lam} c||; the phases differ by at
+    # least 1/4, where the materialised difference has no cancellation
     rng = np.random.default_rng(7)
     for _ in range(300):
         cutoff = int(rng.integers(2, 201))
@@ -576,9 +577,7 @@ def test_phase_distance_sin_form_matches_the_materialised_difference():
         phi_f = rng.uniform(-1.0, 1.0)
         phi_h = phi_f + rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 1.0)
         materialised = np.linalg.norm(np.exp(-1j * phi_h * lam) * c - np.exp(-1j * phi_f * lam) * c)
-        assert abs(fock._phase_distance(c, phi_h, c, phi_f) - materialised) <= 1e-15 * materialised
-        # two arrays of one frame angle take the materialised route
-        assert abs(fock._phase_distance(c, phi_h, c.copy(), phi_f) - materialised) \
+        assert abs(fock._phase_distance(np.abs(c), phi_h, phi_f) - materialised) \
             <= 1e-15 * materialised
 
 
@@ -594,7 +593,7 @@ def test_phase_distance_sin_form_is_exact_for_close_phases():
         exact = mpmath.sqrt(mpmath.fsum(
             abs(mpmath.mpc(ci)) ** 2 * (2 * mpmath.sin(mpmath.mpf(delta) * mpmath.mpf(li) / 2)) ** 2
             for ci, li in zip(c, lam)))
-    distance = fock._phase_distance(c, phi_h, c, phi_f)
+    distance = fock._phase_distance(np.abs(c), phi_h, phi_f)
     assert abs(distance - float(exact)) <= 1e-15 * float(exact)
 
 
@@ -614,32 +613,26 @@ class _CountingNumpy:
 
 
 def _count_vector_exponentials(monkeypatch, drive, tol, cutoff=40):
-    """(complex exponentials over N-vectors, drive samples) in one propagation."""
+    """Complex exponentials over N-vectors in one propagation."""
     state = coherent_state(1.5, cutoff)
     counting = _CountingNumpy(cutoff)
-    samples = []
-
-    def sample(t):
-        samples.append(t)
-        return drive(t)
-
     fock._number_phases.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(fock, "np", counting)
-        _propagate_per_segment(state, sample, drive, tol)
-    return counting.calls, len(samples)
+        _propagate_per_segment(state, drive, drive, tol)
+    return counting.calls
 
 
 def test_constant_phase_drive_exponentiates_a_fixed_number_of_times(monkeypatch):
-    # one frame angle: factors only add to the frame's phase; only the frame's
-    # diagonal U_theta (once per angle), the first step's error estimate (two
-    # arrays in one angle) and leaving the frame (e^{-i phi lam}) exponentiate
-    # a vector.  Before the frame carried a phase, every factor did.
-    drive = _sign_changing_drive(0.6 + 0.6j, 1.0)
-    coarse, coarse_samples = _count_vector_exponentials(monkeypatch, drive, 1e-6)
-    fine, fine_samples = _count_vector_exponentials(monkeypatch, drive, 1e-10)
-    assert fine_samples > 2 * coarse_samples
-    assert coarse == fine <= 4 * len(drive.segments())
+    # one frame angle: the steps only add to the frame's phase; the frame's
+    # diagonal U_theta (once for the angle) and leaving the frame (e^{-i phi
+    # lam}, once per segment) exponentiate a vector, whatever the tolerance
+    drive, samples = _counting_shape(_sign_changing_drive(0.6 + 0.6j, 1.0))
+    coarse = _count_vector_exponentials(monkeypatch, drive, 1e-6)
+    coarse_samples = len(samples)
+    fine = _count_vector_exponentials(monkeypatch, drive, 1e-10)
+    assert len(samples) - coarse_samples > 2 * coarse_samples
+    assert coarse == fine == len(drive.segments()) + 1
 
 
 def test_state_norm_validation():

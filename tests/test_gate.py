@@ -32,6 +32,7 @@ from gatebound import (
     switch_off_check,
     triangle,
 )
+from gatebound import fock
 from gatebound.errors import IntegrationError, NumericalInconsistencyError
 from gatebound.gate import MAX_PANELS, drive_excursion
 from gatebound.verify import alpha_for_target_p
@@ -151,6 +152,37 @@ def test_exact_matches_oracle_at_target_p():
     oracle = displacement_oracle(alpha, drive)
     assert abs(exact.failure_probability - oracle.failure_probability) < 1e-8
     assert exact.phase_residual < 1e-10
+
+
+OFF_AXIS_ALPHAS = [-3.7, -3.2 + 2.2j, 16.0 * cmath.exp(0.7j)]
+
+
+@pytest.mark.parametrize("shape", [raised_cosine, triangle, gaussian])
+@pytest.mark.parametrize("alpha", OFF_AXIS_ALPHAS)
+def test_exact_matches_oracle_at_negative_and_complex_alpha(alpha, shape):
+    drive = pi_phase_drive(shape(1.0), alpha)
+    exact = failure_probability_exact(coherent_drive_scenario(alpha, drive))
+    oracle = displacement_oracle(alpha, drive)
+    assert abs(exact.failure_probability - oracle.failure_probability) <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [raised_cosine, triangle, gaussian])
+@pytest.mark.parametrize("alpha", OFF_AXIS_ALPHAS + [16.0])
+def test_pi_phase_drive_changes_frame_twice_per_segment(monkeypatch, alpha, shape):
+    # the declared phase of c enters once and leaves once, however it rounds
+    original, thetas = fock._change_frame, []
+
+    def counted(psi, frame, theta):
+        thetas.append(theta)
+        return original(psi, frame, theta)
+
+    drive = pi_phase_drive(shape(1.0), alpha)
+    scenario = coherent_drive_scenario(alpha, drive)
+    monkeypatch.setattr(fock, "_change_frame", counted)
+    failure_probability_exact(scenario)
+    segments = len(drive.segments())
+    assert len(thetas) == 2 * segments
+    assert thetas[1::2] == [None] * segments and len(set(thetas[0::2])) == 1
 
 
 def test_oracle_equivalence_randomized_family():
