@@ -86,8 +86,9 @@ class LinearDrive:
     ``breakpoints`` mark interior discontinuities (piecewise drives); the
     propagator and the closed-form displacement check both split there.
     ``separable = (c, s)`` declares f(t) = c s(t) with s real, so that every
-    sample has the phase of c; :func:`~gatebound.fock.evolve` then
-    propagates the drive as one scalar phase, sampling s alone.
+    sample has the phase of c and the couplings commute;
+    :func:`~gatebound.fock.evolve` then propagates the drive as the one
+    phase |c| int s, from an adaptive Gauss-Kronrod quadrature of s.
     """
 
     f: Callable[[float], complex]
@@ -123,8 +124,23 @@ def envelope_drive(envelope: Envelope, coefficient: complex = 1.0) -> LinearDriv
     return LinearDrive(f, envelope.duration, envelope.breakpoints, separable=(c, s))
 
 
+def _common_phase(coefficients: tuple[complex, ...]
+                  ) -> tuple[complex, tuple[float, ...]] | None:
+    """(c0, [w_i]) with c_i = w_i c0, w_i real, when every c_i has the phase of the
+    first nonzero c0 up to sign (c_i conj(c0) real, exactly); else None."""
+    c0 = next((c for c in coefficients if c != 0), None)
+    if c0 is None or any((c * c0.conjugate()).imag != 0.0 for c in coefficients):
+        return None
+    norm_sq = abs(c0) ** 2
+    return c0, tuple((c * c0.conjugate()).real / norm_sq for c in coefficients)
+
+
 def multi_envelope_drive(terms: list[tuple[complex, Envelope]]) -> LinearDrive:
-    """f(t) = sum_i c_i * envelope_i(t); duration is the longest window."""
+    """f(t) = sum_i c_i * envelope_i(t); duration is the longest window.
+
+    Declared ``separable`` as c0 sum_i w_i envelope_i(t) when every c_i has
+    the phase of the first nonzero c0 up to sign.
+    """
     if not terms:
         raise ValueError("need at least one term")
     duration = max(env.duration for _, env in terms)
@@ -135,11 +151,25 @@ def multi_envelope_drive(terms: list[tuple[complex, Envelope]]) -> LinearDrive:
     def f(t, _terms=frozen):
         return sum(c * env(t) for c, env in _terms)
 
-    return LinearDrive(f, duration, tuple(breaks))
+    separable = None
+    common = _common_phase(tuple(c for c, _ in frozen))
+    if common is not None:
+        c0, weights = common
+        weighted = tuple(zip(weights, (env for _, env in frozen)))
+
+        def s(t, _terms=weighted):
+            return sum(w * env(t) for w, env in _terms)
+
+        separable = (c0, s)
+    return LinearDrive(f, duration, tuple(breaks), separable)
 
 
 def piecewise_constant_drive(values: list[complex], duration: float) -> LinearDrive:
-    """Equal-length constant segments spanning [0, duration]."""
+    """Equal-length constant segments spanning [0, duration].
+
+    Declared ``separable`` as c0 w_k on segment k when every value has the
+    phase of the first nonzero c0 up to sign.
+    """
     if not values:
         raise ValueError("need at least one segment")
     vals = tuple(complex(v) for v in values)
@@ -149,5 +179,10 @@ def piecewise_constant_drive(values: list[complex], duration: float) -> LinearDr
         k = min(int(t / _seg), len(_v) - 1) if t >= 0 else 0
         return _v[k]
 
+    separable = None
+    common = _common_phase(vals)
+    if common is not None:
+        c0, weights = common
+        separable = (c0, lambda t, _w=weights: f(t, _w))  # f's lookup on the weights
     breaks = tuple(seg * k for k in range(1, len(vals)))
-    return LinearDrive(f, duration, breaks)
+    return LinearDrive(f, duration, breaks, separable)

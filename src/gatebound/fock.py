@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CutoffError, DimensionMismatchError, IntegrationError
+from .numerics import _gauss_kronrod
 from .report import checked_positive
 
 
@@ -277,10 +278,10 @@ def _real_matmul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 # W^T), so it is diagonal in the frame U_theta W, where its factor is
 # e^{-i h r lam}.  A frame (theta, phi) holds coefficients v of the
 # number-basis vector U_theta W e^{-i phi lam} v; ``None`` is the number basis.
-# Only a drive that declares one phase stays in a frame: its factors commute
-# there and add up to the one Python float phi.  Frame angles are canonical,
-# theta in (-pi/2, pi/2]; a sample in the opposite half-plane is read as theta
-# with a negative r.
+# Only a drive that declares one phase stays in a frame: its couplings commute
+# there, and its whole propagator is the one Python float phi.  Frame angles
+# are canonical, theta in (-pi/2, pi/2]; a sample in the opposite half-plane
+# is read as theta with a negative r.
 _Frame = tuple[float, float] | None
 
 
@@ -322,65 +323,15 @@ def _apply_factor(h: float, g: complex, psi: np.ndarray) -> np.ndarray:
     return _change_frame(_change_frame(psi, None, theta), (theta, h * r), None)
 
 
-def _phase_distance(magnitude: np.ndarray, phi_a: float, phi_b: float) -> float:
-    """||e^{-i phi_a lam} c - e^{-i phi_b lam} c|| for |c| = ``magnitude``.
+def _sampled(drive: Callable[[float], complex], psi: np.ndarray, t0: float, t1: float,
+             tol: float) -> np.ndarray:
+    """``psi`` carried over [t0, t1] under a drive sampled as a callable.
 
-    Computed as 2 || |c| sin((phi_a - phi_b) lam / 2) ||, free of cancellation.
+    Each step attempt is a full CF4 step and two half steps from t, each two
+    factors of two drive samples applied in the number basis; the steps are
+    sized so the Richardson estimate of the norm distance between the two
+    results sums to at most ``tol``.
     """
-    lam, _ = _quadrature_eigh(magnitude.size)
-    v = magnitude * np.sin(0.5 * (phi_a - phi_b) * lam)
-    return 2.0 * math.sqrt(v @ v)  # np.linalg.norm of a real vector, same bits
-
-
-# One step attempt of evolve: a full CF4 step and two half steps from y at t,
-# each two factors of two drive samples.  It returns the two-half-step result
-# and the norm distance between the two results.
-_Attempt = Callable[[object, float, float], tuple[object, float]]
-
-
-def _sampled_attempt(drive: Callable[[float], complex]) -> _Attempt:
-    """Attempts on a number-basis state, one exact factor per CF4 exponential."""
-    def attempt(psi, t, h):
-        half_h = 0.5 * h
-        mid = t + half_h
-        g1, g2 = drive(t + _GAUSS_C1 * h), drive(t + _GAUSS_C2 * h)
-        g3, g4 = drive(t + _GAUSS_C1 * half_h), drive(t + _GAUSS_C2 * half_h)
-        g5, g6 = drive(mid + _GAUSS_C1 * half_h), drive(mid + _GAUSS_C2 * half_h)
-        full = _apply_factor(h, _CF4_Q * g1 + _CF4_P * g2, psi)
-        full = _apply_factor(h, _CF4_P * g1 + _CF4_Q * g2, full)
-        half = _apply_factor(half_h, _CF4_Q * g3 + _CF4_P * g4, psi)
-        half = _apply_factor(half_h, _CF4_P * g3 + _CF4_Q * g4, half)
-        half = _apply_factor(half_h, _CF4_Q * g5 + _CF4_P * g6, half)
-        half = _apply_factor(half_h, _CF4_P * g5 + _CF4_Q * g6, half)
-        return half, float(np.linalg.norm(half - full))
-
-    return attempt
-
-
-def _phase_attempt(shape: Callable[[float], float], scale: float,
-                   magnitude: np.ndarray) -> _Attempt:
-    """Attempts on the frame phase phi of a drive scale * shape(t), shape real.
-
-    Every factor of such a drive only adds h r to phi, so an attempt is
-    float arithmetic on six real samples r and one error estimate over the
-    frame's fixed coefficients, of modulus ``magnitude``.
-    """
-    def attempt(phi, t, h):
-        half_h = 0.5 * h
-        mid = t + half_h
-        r1, r2 = scale * shape(t + _GAUSS_C1 * h), scale * shape(t + _GAUSS_C2 * h)
-        r3, r4 = scale * shape(t + _GAUSS_C1 * half_h), scale * shape(t + _GAUSS_C2 * half_h)
-        r5, r6 = scale * shape(mid + _GAUSS_C1 * half_h), scale * shape(mid + _GAUSS_C2 * half_h)
-        full = phi + h * (_CF4_Q * r1 + _CF4_P * r2) + h * (_CF4_P * r1 + _CF4_Q * r2)
-        half = (phi + half_h * (_CF4_Q * r3 + _CF4_P * r4) + half_h * (_CF4_P * r3 + _CF4_Q * r4)
-                + half_h * (_CF4_Q * r5 + _CF4_P * r6) + half_h * (_CF4_P * r5 + _CF4_Q * r6))
-        return half, _phase_distance(magnitude, half, full)
-
-    return attempt
-
-
-def _controlled(attempt: _Attempt, y, t0: float, t1: float, tol: float):
-    """``y`` carried over [t0, t1] by step-doubled ``attempt``s under ``tol``."""
     total = t1 - t0
     t = t0
     h = total
@@ -392,8 +343,18 @@ def _controlled(attempt: _Attempt, y, t0: float, t1: float, tol: float):
                 {"t": t, "h": h, "steps": n_steps, "tol": tol},
             )
         h = min(h, t1 - t)
-        trial, err = attempt(y, t, h)
-        err /= 15.0  # Richardson: 2^4 - 1
+        half_h = 0.5 * h
+        mid = t + half_h
+        g1, g2 = drive(t + _GAUSS_C1 * h), drive(t + _GAUSS_C2 * h)
+        g3, g4 = drive(t + _GAUSS_C1 * half_h), drive(t + _GAUSS_C2 * half_h)
+        g5, g6 = drive(mid + _GAUSS_C1 * half_h), drive(mid + _GAUSS_C2 * half_h)
+        full = _apply_factor(h, _CF4_Q * g1 + _CF4_P * g2, psi)
+        full = _apply_factor(h, _CF4_P * g1 + _CF4_Q * g2, full)
+        half = _apply_factor(half_h, _CF4_Q * g3 + _CF4_P * g4, psi)
+        half = _apply_factor(half_h, _CF4_P * g3 + _CF4_Q * g4, half)
+        half = _apply_factor(half_h, _CF4_Q * g5 + _CF4_P * g6, half)
+        half = _apply_factor(half_h, _CF4_P * g5 + _CF4_Q * g6, half)
+        err = float(np.linalg.norm(half - full)) / 15.0  # Richardson: 2^4 - 1
         if not math.isfinite(err):
             raise IntegrationError(
                 "non-finite state during propagation",
@@ -401,7 +362,7 @@ def _controlled(attempt: _Attempt, y, t0: float, t1: float, tol: float):
             )
         budget = tol * h / total
         if err <= budget:
-            y = trial
+            psi = half
             t += h
         elif h <= 1e-14 * total:
             raise IntegrationError(
@@ -413,43 +374,70 @@ def _controlled(attempt: _Attempt, y, t0: float, t1: float, tol: float):
             h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * (budget / err) ** 0.25))
         else:
             h *= _MAX_GROW
-    return y
+    return psi
+
+
+def _declared(drive, psi: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
+    """``psi`` carried over [t0, t1] under a drive that declares f = c s, s real.
+
+    An error d in the frame phase |c| int s moves the state by
+    ||e^{-i d lam} v - v|| <= |d| ||lam v||, so int s to within
+    tol / (|c| ||lam v||) keeps the norm-distance contract ``tol``.
+    """
+    c, shape = drive.separable
+    theta, scale = _polar(complex(c))
+    coefficients = _change_frame(psi, None, theta)
+    lam, _ = _quadrature_eigh(psi.size)
+    weight = abs(scale) * float(np.linalg.norm(lam * coefficients))
+    inside = [bp for bp in drive.breakpoints if t0 < bp < t1]
+    area, err, subintervals = _gauss_kronrod(
+        shape, t0, t1, tol / weight if weight > 0.0 else math.inf, 0.0, points=inside)
+    if not (math.isfinite(area) and weight * err <= tol):
+        raise IntegrationError(
+            "phase quadrature did not converge",
+            {"t0": t0, "t1": t1, "error_estimate": weight * err, "tol": tol,
+             "subintervals": subintervals},
+        )
+    return _change_frame(coefficients, (theta, scale * area), None)
 
 
 def evolve(state: ControlState, drive: Callable[[float], complex],
            t0: float, t1: float, tol: float) -> ControlState:
     """Propagate ``state`` under the linear drive f(t) a† + conj(f(t)) a.
 
-    ``drive`` maps t to the complex coefficient f(t).  The time-ordered
-    propagator over [t0, t1] is applied by adaptive sub-stepping.  Each
-    sub-step is a fourth-order commutator-free Magnus step (Alvermann &
-    Fehske, J. Comput. Phys. 230, 5930 (2011)): two exponentials of
-    g a† + conj(g) a, each g a real-weighted sum of two drive samples, each
-    exact on the truncated space, so every step is exactly unitary there.
-    Step doubling supplies the local error estimate: one step attempt is a
-    full step and two half steps, i.e. six drive samples and six factors.
-    Steps are sized so the summed local errors stay below ``tol`` (global
-    norm-distance contract); at most ``MAX_STEPS`` are taken.
+    ``drive`` maps t to the complex coefficient f(t); the result is within
+    norm distance ``tol`` of the time-ordered propagator's action.
 
     A :class:`~gatebound.envelopes.LinearDrive` that declares
-    f(t) = c s(t) with s real (its ``separable``) keeps one phase, so the
-    state enters the frame U_theta W of c's canonical phase theta once,
-    where U_theta = diag(e^{i n theta}) and W is the eigenbasis of the
-    quadrature X = a + a† (built once per cutoff from the SVD of X's
-    half-size bidiagonal block).  Every factor is diagonal there and only
-    adds h r, r = +-|c| s, to one float phase phi (the state is
-    e^{-i phi lam} v), so the steps sample s and do no array work beyond
-    the error estimate 2 || |v| sin((phi_h - phi_f) lam / 2) ||, with the
-    modulus |v| of the frame's coefficients taken once.  The state leaves the frame
-    once, at t1.  Any other drive is sampled as a callable and each factor
-    is applied in the number basis (two real N x N products), with the
-    error measured there.
+    f(t) = c s(t) with s real (its ``separable``) has commuting couplings,
+    so its propagator is exactly e^{-i |c| S X_theta}, S = int_{t0}^{t1} s
+    and X_theta = U_theta X U_theta† with U_theta = diag(e^{i n theta}),
+    theta c's canonical phase and X = a + a† = W diag(lam) W^T (built once
+    per cutoff from the SVD of X's half-size bidiagonal block).  The state
+    enters the frame U_theta W once, takes the phase e^{-i |c| S lam} there
+    and leaves once.  S is one adaptive Gauss-Kronrod quadrature of s, split
+    at the drive's breakpoints inside (t0, t1), to an absolute error of
+    tol / (|c| ||lam v||), v the frame's coefficients, which bounds the
+    norm distance by ``tol``.  The drive's own f is never sampled.
+
+    Any other drive is sampled as a callable by adaptive sub-stepping.
+    Each sub-step is a fourth-order commutator-free Magnus step (Alvermann &
+    Fehske, J. Comput. Phys. 230, 5930 (2011)): two exponentials of
+    g a† + conj(g) a, each g a real-weighted sum of two drive samples, each
+    exact on the truncated space (two real N x N products in the sample's
+    frame), so every step is exactly unitary there.  Step doubling supplies
+    the local error estimate: one step attempt is a full step and two half
+    steps, i.e. six drive samples and six factors.  Steps are sized so the
+    summed local errors stay below ``tol``; at most ``MAX_STEPS`` are taken.
 
     Raises
     ------
     IntegrationError
-        On step-size underflow or when the step budget is exhausted;
-        diagnostics carry the reached time and the last step/error.
+        On step-size underflow or when the step budget is exhausted
+        (diagnostics carry the reached time and the last step/error), when
+        a declared drive's phase quadrature misses its tolerance (the
+        interval, the error estimate in norm units and the subintervals),
+        or when the norm drifts by more than ``tol``.
     """
     checked_positive(tol=tol)
     if t1 < t0:
@@ -458,15 +446,10 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
         return state
 
     in_norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    separable = getattr(drive, "separable", None)  # declared by a LinearDrive
-    if separable is None:
-        psi = _controlled(_sampled_attempt(drive), state.amplitudes.copy(), t0, t1, tol)
+    if getattr(drive, "separable", None) is None:  # declared by a LinearDrive
+        psi = _sampled(drive, state.amplitudes, t0, t1, tol)
     else:
-        c, shape = separable
-        theta, scale = _polar(complex(c))
-        coefficients = _change_frame(state.amplitudes, None, theta)
-        phi = _controlled(_phase_attempt(shape, scale, np.abs(coefficients)), 0.0, t0, t1, tol)
-        psi = _change_frame(coefficients, (theta, phi), None)
+        psi = _declared(drive, state.amplitudes, t0, t1, tol)
     out_norm_sq = float(np.vdot(psi, psi).real)
     if abs(out_norm_sq - in_norm_sq) > tol:
         raise IntegrationError(

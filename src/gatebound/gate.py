@@ -184,9 +184,11 @@ def drive_integrals(drive: LinearDrive) -> DriveIntegrals:
     the time-ordered exponential is exactly e^{i phi} D(-i F).  Each drive
     segment is integrated by :func:`_segment_integrals`: F at the panel
     nodes from the spectral integration matrix, phi as the weighted sum of
-    Im(f conj F).  The drive is sampled only here, never at ``evolve``'s
-    steps, so the oracle stays independent of the propagation.  The panel
-    sums are cached per (frozen) drive.
+    Im(f conj F).  These panels sample f and no propagation reads them:
+    :func:`evolve` integrates a declared drive's real shape s by its own
+    adaptive Gauss-Kronrod rule and samples any other drive at its steps,
+    so the oracle stays independent of the propagation.  The panel sums
+    are cached per (frozen) drive.
     """
     F, phi = 0j, 0.0
     for dF, dphi, _ in _drive_panels(drive):

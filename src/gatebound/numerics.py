@@ -1,6 +1,7 @@
 """The package's integrators: Gauss-Legendre panels with one doubling loop
 (the drive integrals and the power-p reduction), adaptive Gauss-Kronrod
-quadrature (the collision chains) and DOP853 (the return mismatch).
+quadrature (the collision chains and the phase of a declared drive in
+``fock.evolve``) and DOP853 (the return mismatch).
 """
 
 from __future__ import annotations
@@ -135,6 +136,13 @@ def quad(fn: Callable[[float], float], a: float, b: float, *, epsabs: float,
     QUADPACK's heuristic rescaling and no extrapolation; a caller judges
     convergence from the returned estimate.
     """
+    value, error, _ = _gauss_kronrod(fn, a, b, epsabs, epsrel, limit, points)
+    return value, error
+
+
+def _gauss_kronrod(fn: Callable[[float], float], a: float, b: float, epsabs: float,
+                   epsrel: float, limit: int = 50, points=()) -> tuple[float, float, int]:
+    """:func:`quad`'s (value, error estimate) and the number of subintervals it ended with."""
     edges = [a, *sorted(points), b]
     heap = []
     for lo, hi in zip(edges, edges[1:]):
@@ -154,7 +162,8 @@ def quad(fn: Callable[[float], float], a: float, b: float, *, epsabs: float,
         heapq.heappush(heap, (-e2, mid, hi, v2))
         total += v1 + v2 - val
         error += e1 + e2 + neg_err
-    return math.fsum(item[3] for item in heap), math.fsum(-item[0] for item in heap)
+    return (math.fsum(item[3] for item in heap), math.fsum(-item[0] for item in heap),
+            len(heap))
 
 
 # ---------------------------------------------------------------------------

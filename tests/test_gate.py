@@ -20,6 +20,7 @@ from gatebound import (
     displacement_oracle,
     drive_integrals,
     envelope_drive,
+    evolve,
     failure_probability_exact,
     failure_probability_perturbative,
     gaussian,
@@ -32,7 +33,7 @@ from gatebound import (
     switch_off_check,
     triangle,
 )
-from gatebound import fock
+from gatebound import fock, gate
 from gatebound.errors import IntegrationError, NumericalInconsistencyError
 from gatebound.gate import MAX_PANELS, drive_excursion
 from gatebound.verify import alpha_for_target_p
@@ -164,6 +165,38 @@ def test_exact_matches_oracle_at_negative_and_complex_alpha(alpha, shape):
     exact = failure_probability_exact(coherent_drive_scenario(alpha, drive))
     oracle = displacement_oracle(alpha, drive)
     assert abs(exact.failure_probability - oracle.failure_probability) <= 1e-8
+
+
+# the sweep grid at seed 0, five jittered amplitudes in [a - 0.25, a + 0.25],
+# the large gate and the off-axis phases
+SWEEP_GRID_ALPHAS = [2, 3, 4, 5, 6, 2.1433, 2.8122, 4.2219, 5.0777, 5.7603, 16, -3.7,
+                     -3.2 + 2.2j]
+
+
+@pytest.mark.parametrize("shape", [raised_cosine, triangle, gaussian])
+@pytest.mark.parametrize("alpha", SWEEP_GRID_ALPHAS)
+def test_exact_matches_oracle_to_rounding_on_the_sweep_grid(alpha, shape):
+    # a declared drive's propagator is one phase on the quadrature eigenbasis,
+    # so the exact route leaves only rounding against the oracle
+    drive = pi_phase_drive(shape(1.0), alpha)
+    exact = failure_probability_exact(coherent_drive_scenario(alpha, drive))
+    oracle = displacement_oracle(alpha, drive)
+    assert abs(exact.failure_probability - oracle.failure_probability) <= 1e-13
+
+
+def test_declared_drive_propagates_without_the_oracle(monkeypatch):
+    # the exact route never reads the oracle's panel integrals
+    drive = pi_phase_drive(triangle(1.0), 2.0 + 1.0j)
+    state = coherent_state(2.0 + 1.0j)
+
+    def oracle(*args):
+        raise AssertionError("evolve read the oracle's drive integrals")
+
+    monkeypatch.setattr(gate, "_drive_panels", oracle)
+    monkeypatch.setattr(gate, "drive_integrals", oracle)
+    for t0, t1 in drive.segments():
+        state = evolve(state, drive, t0, t1, 1e-9)
+    assert state.cutoff == coherent_state(2.0 + 1.0j).cutoff
 
 
 @pytest.mark.parametrize("shape", [raised_cosine, triangle, gaussian])
