@@ -29,8 +29,6 @@ from .envelopes import (
     LinearDrive,
     envelope_drive,
     gaussian,
-    multi_envelope_drive,
-    piecewise_constant_drive,
     raised_cosine,
     triangle,
 )

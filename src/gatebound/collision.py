@@ -17,8 +17,11 @@ squeezing.
 
 All integrals carry explicit hbar (default 1.0: natural units).  The
 integrands run on :mod:`gatebound.numerics`' adaptive Gauss-Kronrod
-quadrature, whose error estimate ``_quad`` checks, and the trajectory on
-its DOP853, so the module needs no scipy.
+``quad``, which raises :class:`~gatebound.errors.IntegrationError` when its
+error estimate misses the requested tolerance, and the trajectory on its
+DOP853, so the module needs no scipy.  ``quad`` is called through this
+module's name, which perfbench/tracing.py wraps to count the collision
+quadratures.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .errors import DegenerateConfigError, IntegrationError, NumericalInconsistencyError
+from .errors import DegenerateConfigError, NumericalInconsistencyError
 from .numerics import _dop853, quad
 from .report import (PHASE_CALIBRATION_TOL, BoundReport, checked_epsilon, checked_positive,
                      checked_uncertainty)
@@ -47,24 +50,6 @@ def __getattr__(name: str):
         import scipy.integrate
         return scipy.integrate.solve_ivp
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _quad(fn: Callable[[float], float], a: float, b: float, *,
-          epsabs: float, epsrel: float, **kwargs) -> float:
-    """quad(fn, a, b) whose error estimate must meet the requested tolerance.
-
-    ``quad`` is looked up as this module's name, which perfbench/tracing.py
-    wraps to count the collision quadratures.
-    """
-    val, err = quad(fn, a, b, epsabs=epsabs, epsrel=epsrel, **kwargs)
-    tol = max(epsabs, epsrel * abs(val))
-    if not err <= tol:
-        raise IntegrationError(
-            "collision quadrature did not converge",
-            {"function": fn.__qualname__, "bounds": (a, b), "value": val,
-             "error_estimate": err, "tolerance": tol},
-        )
-    return val
 
 
 @dataclass(frozen=True)
@@ -113,8 +98,8 @@ def phase_integral_free(cfg: FreeCollisionConfig) -> float:
     # V(rho(t)) = C (4 v^2 t^2 + b^2)^(-n/2) in one closure: a node costs one call
     c, e = cfg.potential.coupling, -0.5 * cfg.potential.n
     vv, bb = 4.0 * cfg.v * cfg.v, cfg.b * cfg.b
-    val = _quad(lambda t: c * (vv * t * t + bb) ** e,
-                0.0, cfg.T / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
+    val = quad(lambda t: c * (vv * t * t + bb) ** e,
+               0.0, cfg.T / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
     return 2.0 * val / cfg.hbar
 
 
@@ -134,7 +119,7 @@ def error_variance_free(cfg: FreeCollisionConfig, dx0: float, dp0: float) -> flo
     """Phase variance (b^2/hbar^2) (int V'(rho)/rho dt)^2 (dx0^2 + T^2 dp0^2/4m^2)."""
     checked_uncertainty(dx0, dp0, cfg.hbar)
     integrand = lambda t: cfg.potential.derivative(cfg.rho(t)) / cfg.rho(t)
-    val = _quad(integrand, 0.0, cfg.T / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
+    val = quad(integrand, 0.0, cfg.T / 2.0, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
     j = 2.0 * val
     spread = dx0 * dx0 + cfg.T * cfg.T * dp0 * dp0 / (4.0 * cfg.m * cfg.m)
     return (cfg.b * cfg.b / (cfg.hbar * cfg.hbar)) * j * j * spread
@@ -178,8 +163,8 @@ def _line_integral_power_law(n: float, b: float) -> float:
         c = math.cos(phi)
         return p * u ** (p - 1.0) * s ** (n - 2.0) * (c * c + b * b * s * s) ** (-0.5 * n)
 
-    return 2.0 * _quad(integrand, 0.0, (PI / 2.0) ** (1.0 / p),
-                       epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
+    return 2.0 * quad(integrand, 0.0, (PI / 2.0) ** (1.0 / p),
+                      epsabs=0.0, epsrel=QUAD_REL_TOL, limit=400)
 
 
 def powerlaw_log_derivative(n: float, b: float) -> float:
@@ -231,8 +216,8 @@ def free_chain(cfg: FreeCollisionConfig) -> FreeChain:
     # window, which hbar phase / 2 normalises over its half
     c, e = cfg.potential.coupling, -0.5 * cfg.potential.n
     vv, bb = 4.0 * cfg.v * cfg.v, cfg.b * cfg.b
-    second = _quad(lambda t: t * t * c * (vv * t * t + bb) ** e,
-                   0.0, cfg.T / 2.0, epsabs=0.0, epsrel=1e-8, limit=400)
+    second = quad(lambda t: t * t * c * (vv * t * t + bb) ** e,
+                  0.0, cfg.T / 2.0, epsabs=0.0, epsrel=1e-8, limit=400)
     return FreeChain(cfg, phase, delta_sq, optimal_wavepacket(cfg.m, cfg.T, cfg.hbar),
                      2.0 * math.sqrt(2.0 * second / (phase * cfg.hbar)))
 
@@ -323,8 +308,8 @@ def _harmonic_quad_points(cfg: HarmonicCollisionConfig) -> list[float]:
 def _period_integral(cfg: HarmonicCollisionConfig, fn: Callable[[float], float],
                      epsabs: float = 0.0) -> float:
     """int fn dt over one period, split around the closest approach."""
-    return _quad(fn, 0.0, cfg.period, epsabs=epsabs, epsrel=1e-11, limit=800,
-                 points=_harmonic_quad_points(cfg))
+    return quad(fn, 0.0, cfg.period, epsabs=epsabs, epsrel=1e-11, limit=800,
+                points=_harmonic_quad_points(cfg))
 
 
 def _harmonic_action(cfg: HarmonicCollisionConfig) -> float:

@@ -36,6 +36,7 @@ class Envelope:
 def raised_cosine(duration: float) -> Envelope:
     """(1 - cos(2 pi t / T)) / 2 scaled to unit area."""
     checked_positive(duration=duration)
+    checked_positive(**{"2 pi / duration": 2.0 * math.pi / duration})
     amp = 1.0 / (duration / 2.0)
 
     def fn(t, _w=2.0 * math.pi / duration, _a=amp):
@@ -48,6 +49,7 @@ def triangle(duration: float) -> Envelope:
     """Symmetric unit-area triangle peaking at T/2."""
     checked_positive(duration=duration)
     peak = 2.0 / duration
+    checked_positive(**{"the peak 2 / duration": peak})
 
     def fn(t, _T=duration, _p=peak):
         return _p * (1.0 - abs(2.0 * t / _T - 1.0))
@@ -60,6 +62,7 @@ def gaussian(duration: float) -> Envelope:
     endpoint value so it is exactly zero at t = 0, T."""
     checked_positive(duration=duration)
     sigma = duration / 10.0
+    checked_positive(**{"2 sigma^2": 2.0 * sigma * sigma})
     half = duration / 2.0
     base = math.exp(-half * half / (2.0 * sigma * sigma))
     raw_integral = math.sqrt(2.0 * math.pi) * sigma * math.erf(half / (math.sqrt(2.0) * sigma))
@@ -122,67 +125,3 @@ def envelope_drive(envelope: Envelope, coefficient: complex = 1.0) -> LinearDriv
         return 0.0 if t < 0.0 or t > _T else _fn(t)
 
     return LinearDrive(f, envelope.duration, envelope.breakpoints, separable=(c, s))
-
-
-def _common_phase(coefficients: tuple[complex, ...]
-                  ) -> tuple[complex, tuple[float, ...]] | None:
-    """(c0, [w_i]) with c_i = w_i c0, w_i real, when every c_i has the phase of the
-    first nonzero c0 up to sign (c_i conj(c0) real, exactly); else None."""
-    c0 = next((c for c in coefficients if c != 0), None)
-    if c0 is None or any((c * c0.conjugate()).imag != 0.0 for c in coefficients):
-        return None
-    norm_sq = abs(c0) ** 2
-    return c0, tuple((c * c0.conjugate()).real / norm_sq for c in coefficients)
-
-
-def multi_envelope_drive(terms: list[tuple[complex, Envelope]]) -> LinearDrive:
-    """f(t) = sum_i c_i * envelope_i(t); duration is the longest window.
-
-    Declared ``separable`` as c0 sum_i w_i envelope_i(t) when every c_i has
-    the phase of the first nonzero c0 up to sign.
-    """
-    if not terms:
-        raise ValueError("need at least one term")
-    duration = max(env.duration for _, env in terms)
-    frozen = tuple((complex(c), env) for c, env in terms)
-    breaks = sorted({bp for _, env in frozen for bp in env.breakpoints}
-                    | {env.duration for _, env in frozen if env.duration < duration})
-
-    def f(t, _terms=frozen):
-        return sum(c * env(t) for c, env in _terms)
-
-    separable = None
-    common = _common_phase(tuple(c for c, _ in frozen))
-    if common is not None:
-        c0, weights = common
-        weighted = tuple(zip(weights, (env for _, env in frozen)))
-
-        def s(t, _terms=weighted):
-            return sum(w * env(t) for w, env in _terms)
-
-        separable = (c0, s)
-    return LinearDrive(f, duration, tuple(breaks), separable)
-
-
-def piecewise_constant_drive(values: list[complex], duration: float) -> LinearDrive:
-    """Equal-length constant segments spanning [0, duration].
-
-    Declared ``separable`` as c0 w_k on segment k when every value has the
-    phase of the first nonzero c0 up to sign.
-    """
-    if not values:
-        raise ValueError("need at least one segment")
-    vals = tuple(complex(v) for v in values)
-    seg = duration / len(vals)
-
-    def f(t, _v=vals, _seg=seg):
-        k = min(int(t / _seg), len(_v) - 1) if t >= 0 else 0
-        return _v[k]
-
-    separable = None
-    common = _common_phase(vals)
-    if common is not None:
-        c0, weights = common
-        separable = (c0, lambda t, _w=weights: f(t, _w))  # f's lookup on the weights
-    breaks = tuple(seg * k for k in range(1, len(vals)))
-    return LinearDrive(f, duration, breaks, separable)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CutoffError, DimensionMismatchError, IntegrationError
-from .numerics import _gauss_kronrod
+from .numerics import quad
 from .report import checked_positive
 
 
@@ -390,14 +390,8 @@ def _declared(drive, psi: np.ndarray, t0: float, t1: float, tol: float) -> np.nd
     lam, _ = _quadrature_eigh(psi.size)
     weight = abs(scale) * float(np.linalg.norm(lam * coefficients))
     inside = [bp for bp in drive.breakpoints if t0 < bp < t1]
-    area, err, subintervals = _gauss_kronrod(
-        shape, t0, t1, tol / weight if weight > 0.0 else math.inf, 0.0, points=inside)
-    if not (math.isfinite(area) and weight * err <= tol):
-        raise IntegrationError(
-            "phase quadrature did not converge",
-            {"t0": t0, "t1": t1, "error_estimate": weight * err, "tol": tol,
-             "subintervals": subintervals},
-        )
+    area = quad(shape, t0, t1, epsabs=tol / weight if weight > 0.0 else math.inf, epsrel=0.0,
+                points=inside)
     return _change_frame(coefficients, (theta, scale * area), None)
 
 
@@ -435,9 +429,10 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
     IntegrationError
         On step-size underflow or when the step budget is exhausted
         (diagnostics carry the reached time and the last step/error), when
-        a declared drive's phase quadrature misses its tolerance (the
-        interval, the error estimate in norm units and the subintervals),
-        or when the norm drifts by more than ``tol``.
+        a declared drive's phase quadrature misses its tolerance (raised by
+        :func:`~gatebound.numerics.quad`, its diagnostics in units of
+        int s: the tolerance is tol / (|c| ||lam v||)), or when the norm
+        drifts by more than ``tol``.
     """
     checked_positive(tol=tol)
     if t1 < t0:

@@ -162,7 +162,7 @@ def _segment_integrals(drive: LinearDrive, a: float, b: float
     """
     def misfit(coarse, fine):
         scale, dF, dphi = fine[2], abs(fine[0] - coarse[0]), abs(fine[1] - coarse[1])
-        if not (dF <= PANEL_RTOL * scale and dphi <= PANEL_RTOL * scale ** 2):
+        if not (dF <= PANEL_RTOL * scale and dphi <= PANEL_RTOL * scale * scale):
             return {"segment": (a, b), "integral_error": dF, "phase_error": dphi,
                     "abs_integral": scale, "rtol": PANEL_RTOL}
 

@@ -53,6 +53,7 @@ def displacement_estimates(cfg: HeuristicConfig) -> Displacements:
 
     delta_p = pi hbar / L (independent of T); delta_x = pi hbar T / (2 m L).
     """
+    checked_positive(**{"L T": cfg.L * cfg.T})
     force = PI * cfg.hbar / (cfg.L * cfg.T)
     return Displacements(
         delta_x=force * cfg.T * cfg.T / (2.0 * cfg.m),
@@ -71,12 +72,14 @@ def misoverlap(cfg: HeuristicConfig) -> float:
     else:
         dx = math.sqrt(optimal_wavepacket(cfg.m, cfg.T, cfg.hbar).dx0_sq)
         dp = cfg.hbar / (2.0 * dx)
-    amp = (PI * cfg.hbar / cfg.L) ** 2
-    return amp * (cfg.T * cfg.T / (4.0 * cfg.m * cfg.m * dx * dx) + 1.0 / (dp * dp))
+    kick, position = PI * cfg.hbar / cfg.L, 4.0 * cfg.m * cfg.m * dx * dx
+    checked_positive(**{"(pi hbar / L)^2": kick * kick, "4 m^2 dx^2": position, "dp^2": dp * dp})
+    return kick * kick * (cfg.T * cfg.T / position + 1.0 / (dp * dp))
 
 
 def misoverlap_optimal(cfg: HeuristicConfig) -> float:
     """Closed form of the optimised mis-overlap: 2 pi^2 hbar T / (m L^2)."""
+    checked_positive(**{"m L^2": cfg.m * cfg.L * cfg.L})
     return 2.0 * PI * PI * cfg.hbar * cfg.T / (cfg.m * cfg.L * cfg.L)
 
 

@@ -1,7 +1,9 @@
 """The package's integrators: Gauss-Legendre panels with one doubling loop
 (the drive integrals and the power-p reduction), adaptive Gauss-Kronrod
 quadrature (the collision chains and the phase of a declared drive in
-``fock.evolve``) and DOP853 (the return mismatch).
+``fock.evolve``) and DOP853 (the return mismatch).  Each judges its own
+convergence: a caller gets a value or an :class:`IntegrationError` with
+diagnostics, never an estimate to check.
 """
 
 from __future__ import annotations
@@ -126,23 +128,18 @@ def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
 
 
 def quad(fn: Callable[[float], float], a: float, b: float, *, epsabs: float,
-         epsrel: float, limit: int = 50, points=()) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod quadrature of fn over [a, b]: (value, error estimate).
+         epsrel: float, limit: int = 50, points=()) -> float:
+    """Adaptive Gauss-Kronrod quadrature of fn over [a, b], checked against its tolerance.
 
     Starts from the subintervals between the ``points`` breakpoints and
     bisects the one with the largest |K - G| until the summed estimate meets
     max(epsabs, epsrel |value|) or ``limit`` subintervals are in use.  The
     estimate is the plain |K - G| of each subinterval, with none of
-    QUADPACK's heuristic rescaling and no extrapolation; a caller judges
-    convergence from the returned estimate.
+    QUADPACK's heuristic rescaling and no extrapolation.  Raises
+    :class:`IntegrationError` when the value is not finite or the estimate
+    misses the tolerance, with the function, bounds, value, error
+    estimate, tolerance and subintervals as diagnostics.
     """
-    value, error, _ = _gauss_kronrod(fn, a, b, epsabs, epsrel, limit, points)
-    return value, error
-
-
-def _gauss_kronrod(fn: Callable[[float], float], a: float, b: float, epsabs: float,
-                   epsrel: float, limit: int = 50, points=()) -> tuple[float, float, int]:
-    """:func:`quad`'s (value, error estimate) and the number of subintervals it ended with."""
     edges = [a, *sorted(points), b]
     heap = []
     for lo, hi in zip(edges, edges[1:]):
@@ -162,8 +159,16 @@ def _gauss_kronrod(fn: Callable[[float], float], a: float, b: float, epsabs: flo
         heapq.heappush(heap, (-e2, mid, hi, v2))
         total += v1 + v2 - val
         error += e1 + e2 + neg_err
-    return (math.fsum(item[3] for item in heap), math.fsum(-item[0] for item in heap),
-            len(heap))
+    value = math.fsum(item[3] for item in heap)
+    error = math.fsum(-item[0] for item in heap)
+    tolerance = max(epsabs, epsrel * abs(value))
+    if not (math.isfinite(value) and error <= tolerance):
+        raise IntegrationError(
+            "quadrature did not converge",
+            {"function": getattr(fn, "__qualname__", repr(fn)), "bounds": (a, b), "value": value,
+             "error_estimate": error, "tolerance": tolerance, "subintervals": len(heap)},
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +243,19 @@ def _dop853(rhs: Callable[[float, list[float]], list[float]], t0: float, t1: flo
 
     The error norm, step controller and initial step are those of SciPy's
     ``solve_ivp(method="DOP853")``; ``atol`` holds one tolerance per
-    component.  Raises :class:`IntegrationError` with the time reached when
-    the step size underflows or ``MAX_ODE_STEPS`` attempts do not reach t1.
+    component.  Raises :class:`IntegrationError` when the derivative at t0
+    is not finite, and with the time reached when the step size underflows
+    or ``MAX_ODE_STEPS`` attempts do not reach t1.
     """
     n = len(y0)
     y = list(y0)
     f = rhs(t0, y)
+    if not all(map(math.isfinite, f)):
+        raise IntegrationError(
+            "DOP853 integration stopped: non-finite derivative",
+            {"function": rhs.__qualname__, "t_reached": t0, "t_end": t1, "y": y,
+             "derivative": list(f)},
+        )
     # initial step for an error estimator of order 7 (Hairer et al., sec. II.4)
     scale = [a + abs(v) * rtol for a, v in zip(atol, y)]
     d0 = _rms([v / s for v, s in zip(y, scale)])

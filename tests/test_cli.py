@@ -641,6 +641,12 @@ NON_FINITE = [
     ["squeeze-opt", "--epsilon", "0.1", "--omega", "inf"],
     ["gate-sim", "--alpha", "inf"],
     ["gate-sim", "--alpha", "1e200"],  # finite, but |alpha|^2 overflows the cutoff rule
+    # finite, but the drive integral pi / (2 |alpha|) = 1.6e200 holds no finite cutoff
+    ["gate-sim", "--alpha", "1e-200"],
+    ["gate-sim", "--alpha", "2", "--duration", "1e-320"],  # 2 pi / duration overflows
+    # finite, but m L^2, and m^2 in the optimal wavepacket's 4 m^2 dx^2, underflow
+    ["heuristic", "--m", "1", "--length", "1e-200", "--duration", "1", "--epsilon", "0.1"],
+    ["heuristic", "--m", "1e-320", "--length", "1", "--duration", "1", "--epsilon", "0.1"],
     ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--duration", "inf"],
     ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--weight", "1+nanj"],
     # finite, but the report's photon number (then its mean frequency) overflows
@@ -665,6 +671,17 @@ def test_non_finite_input_exits_2_without_artifacts(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main([*[a.format(config=config) for a in argv], "--output", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["return-mismatch"],
+                                     ["collision-harmonic", "--epsilon", "0.1"]])
+def test_overflowing_trap_frequency_exits_3_without_artifacts(tmp_path, capsys, command):
+    # omega^2 overflows, so the trajectory's derivative at t = 0 is infinite
+    out = tmp_path / "run"
+    assert main([*command, "--m", "1", "--omega", "1e200", "--amplitude", "100", "--gap", "30",
+                 "--output", str(out)]) == 3
+    assert "non-finite derivative" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -23,7 +23,7 @@ from gatebound import (
     powerlaw_log_derivative,
     squeezing_consistency_probe,
 )
-from gatebound import collision
+from gatebound import collision, numerics
 from gatebound.cli import main
 from gatebound.collision import (
     powerlaw_log_derivative_pair,
@@ -102,20 +102,21 @@ def test_degenerate_calibration_raises():
 
 
 def test_unconverged_quadrature_raises_with_diagnostics(monkeypatch):
-    # a quad whose error estimate exceeds every tolerance stands in for an
-    # integrand it could not resolve
-    exact_quad = collision.quad
+    # a Gauss-Kronrod rule whose error estimate exceeds every tolerance
+    # stands in for an integrand the quadrature could not resolve
+    exact_gk15 = numerics._gk15
 
-    def unconverged_quad(fn, a, b, **kwargs):
-        val, err = exact_quad(fn, a, b, **kwargs)
+    def unconverged_gk15(fn, a, b):
+        val, err = exact_gk15(fn, a, b)
         return val, err + 1.0
 
-    monkeypatch.setattr(collision, "quad", unconverged_quad)
+    monkeypatch.setattr(numerics, "_gk15", unconverged_gk15)
     with pytest.raises(IntegrationError) as info:
         phase_integral_free(free_cfg())
     diag = info.value.diagnostics
     assert diag["function"].startswith("phase_integral_free")
     assert diag["bounds"] == (0.0, 4.0)
+    assert diag["subintervals"] == 400  # phase_integral_free's limit
     assert diag["error_estimate"] > diag["tolerance"] > 0.0
     assert math.isfinite(diag["value"])
 

@@ -19,10 +19,8 @@ from gatebound import (
     evolve,
     gaussian,
     mean_photon_number,
-    multi_envelope_drive,
     number_state,
     overlap,
-    piecewise_constant_drive,
     quadrature_variance,
     raised_cosine,
     squeezed_coherent_state,
@@ -32,6 +30,8 @@ from gatebound import fock
 from gatebound.envelopes import ENVELOPES, Envelope, LinearDrive
 from gatebound.fock import IntegrationError
 from gatebound.gate import pi_phase_drive
+
+from drives import envelope_sum, step_drive
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 unit_interval = st.floats(-1.0, 1.0)
@@ -371,7 +371,7 @@ def test_evolve_zero_hamiltonian_is_identity():
 @given(c1=complex_unit, c2=complex_unit, alpha=complex_unit, T=st.floats(0.5, 1.5),
        cutoff=st.integers(2, 60))
 def test_evolve_keeps_norm_on_random_drives(c1, c2, alpha, T, cutoff):
-    drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
+    drive = envelope_sum([(c1, raised_cosine(T)), (c2, triangle(T))])
     state = _truncated_coherent(alpha, cutoff)
     out = _propagate_per_segment(state, drive, drive, 1e-9)
     assert abs(_norm_sq(out) - 1.0) <= 1e-12
@@ -439,18 +439,23 @@ def test_evolve_raises_on_norm_drift(monkeypatch):
 
 def test_declared_phase_quadrature_raises_on_an_undeclared_jump():
     # 50 subintervals (quad's default limit) crowd the jump at 0.3, and the
-    # one holding it still misses tol / ||lam v|| on the area of s
+    # one holding it still misses tol / (|c| ||lam v||) on the area of s
     def sign_flip(t):
         return 1.0 if t < 0.3 else -1.0
 
     drive = LinearDrive(lambda t: complex(sign_flip(t)), 1.0, separable=(1.0, sign_flip))
-    with pytest.raises(IntegrationError, match="phase quadrature did not converge") as err:
+    with pytest.raises(IntegrationError, match="quadrature did not converge") as err:
         evolve(number_state(1, 8), drive, 0.0, 1.0, 1e-17)
     diagnostics = err.value.diagnostics
-    assert set(diagnostics) == {"t0", "t1", "error_estimate", "tol", "subintervals"}
-    assert (diagnostics["t0"], diagnostics["t1"], diagnostics["tol"]) == (0.0, 1.0, 1e-17)
+    assert set(diagnostics) == {"function", "bounds", "value", "error_estimate", "tolerance",
+                                "subintervals"}
+    assert diagnostics["function"].endswith("sign_flip")
+    assert diagnostics["bounds"] == (0.0, 1.0)
+    # in units of int s: |c| = 1, and |1>'s frame coefficients v have ||lam v|| = ||X|1>|| = sqrt(3)
+    assert diagnostics["tolerance"] == pytest.approx(1e-17 / math.sqrt(3.0), rel=1e-12)
     assert diagnostics["subintervals"] == 50
-    assert diagnostics["error_estimate"] > 1e-17
+    assert diagnostics["error_estimate"] > diagnostics["tolerance"]
+    assert diagnostics["value"] == pytest.approx(-0.4, abs=1e-9)
 
 
 @PROPERTY
@@ -477,7 +482,7 @@ def _dense_sampled(drive, state):
 @given(c1=complex_unit, c2=complex_unit, alpha=complex_unit, T=st.floats(0.5, 1.5),
        cutoff=st.integers(2, 60))
 def test_evolve_drive_sample_matches_dense_sampler(c1, c2, alpha, T, cutoff):
-    drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
+    drive = envelope_sum([(c1, raised_cosine(T)), (c2, triangle(T))])
     state = _truncated_coherent(alpha, cutoff)
     sample, fast_samples = _counted(drive)
     fast = _propagate_per_segment(state, sample, drive, 1e-9)
@@ -565,12 +570,21 @@ def test_constant_phase_drive_changes_frame_a_fixed_number_of_times(monkeypatch)
     assert coarse == fine == 2 * len(drive.segments())
 
 
-SAME_PHASE_DRIVES = {
+def _same_phase_envelopes():
     # the second term has the first's phase, negated: one frame, a shape that changes sign
-    "multi-envelope": lambda: multi_envelope_drive(
-        [(0.6 + 0.6j, raised_cosine(1.0)), (-1.2 - 1.2j, triangle(0.5))]),
-    "piecewise-constant": lambda: piecewise_constant_drive([0.3j, 0.0, -0.7j, 1.1j], 1.0),
-}
+    rc, tri = raised_cosine(1.0), triangle(0.5)
+    return envelope_sum([(0.6 + 0.6j, rc), (-1.2 - 1.2j, tri)],
+                        separable=(0.6 + 0.6j, lambda t: rc(t) - 2.0 * tri(t)))
+
+
+def _same_phase_steps():
+    steps = step_drive([0.3j, 0.0, -0.7j, 1.1j])
+    return dataclasses.replace(steps, separable=(1j, lambda t: steps(t).imag))
+
+
+# declared explicitly, as only envelope_drive declares on its own
+SAME_PHASE_DRIVES = {"multi-envelope": _same_phase_envelopes,
+                     "piecewise-constant": _same_phase_steps}
 
 
 @pytest.mark.parametrize("name", sorted(SAME_PHASE_DRIVES))
@@ -585,17 +599,10 @@ def test_same_phase_drives_declare_their_phase(monkeypatch, name):
     assert _count_frame_changes(monkeypatch, drive, drive, 1e-9) == 2 * len(drive.segments())
 
 
-def test_mixed_phase_drives_stay_undeclared():
-    assert multi_envelope_drive([(1.0, raised_cosine(1.0)), (1.0j, triangle(1.0))]).separable \
-        is None
-    assert piecewise_constant_drive([1.0, 1.0 + 1e-300j], 1.0).separable is None
-    assert piecewise_constant_drive([0.0, 0.0], 1.0).separable is None
-
-
 def test_mixed_phase_drive_changes_frame_every_factor(monkeypatch):
     # an undeclared drive applies each factor, one per sample, through the
     # number basis: into the sample's frame and out again
-    drive = multi_envelope_drive([(1.0, raised_cosine(1.0)), (1.0j, triangle(1.0))])
+    drive = envelope_sum([(1.0, raised_cosine(1.0)), (1.0j, triangle(1.0))])
     coarse_sample, coarse_samples = _counted(drive)
     coarse = _count_frame_changes(monkeypatch, coarse_sample, drive, 1e-6)
     fine_sample, fine_samples = _counted(drive)

@@ -24,10 +24,8 @@ from gatebound import (
     failure_probability_exact,
     failure_probability_perturbative,
     gaussian,
-    multi_envelope_drive,
     number_state,
     pi_phase_drive,
-    piecewise_constant_drive,
     raised_cosine,
     squeezed_coherent_state,
     switch_off_check,
@@ -37,6 +35,8 @@ from gatebound import fock, gate
 from gatebound.errors import IntegrationError, NumericalInconsistencyError
 from gatebound.gate import MAX_PANELS, drive_excursion
 from gatebound.verify import alpha_for_target_p
+
+from drives import envelope_sum, step_drive
 
 PI = math.pi
 
@@ -123,7 +123,7 @@ def _three_segment_drive():
     # 0 -> 2 -> 2 + i pi/1.8 -> 0.2: beta = 0.2 and commutator phase pi
     legs = [2.0 + 0j, 1j * PI / 1.8, 0.2 - 2.0 - 1j * PI / 1.8]
     values = [1j * leg * 3.0 for leg in legs]
-    return piecewise_constant_drive(values, 1.0)
+    return step_drive(values)
 
 
 def test_oracle_displacement_point_two_with_phase_pi():
@@ -225,7 +225,7 @@ def test_oracle_equivalence_randomized_family():
         alpha = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         c1 = 0.4 * complex(rng.normal(), rng.normal())
         c2 = 0.4 * complex(rng.normal(), rng.normal())
-        drive = multi_envelope_drive([(c1, raised_cosine(T)), (c2, triangle(T))])
+        drive = envelope_sum([(c1, raised_cosine(T)), (c2, triangle(T))])
         scenario = coherent_drive_scenario(alpha, drive)
         exact = failure_probability_exact(scenario, 1e-9)
         oracle = displacement_oracle(alpha, drive)
@@ -275,7 +275,7 @@ def test_drive_integrals_match_dop853_on_mixed_phase_drives(radii, turns, shapes
     # envelopes sharing one window would give a commutator phase of 0), with
     # the triangle's kink and the window ends as declared breakpoints
     phases = (0.0, turns[0], -turns[1])
-    drive = multi_envelope_drive([
+    drive = envelope_sum([
         (cmath.rect(r, theta), shape(T))
         for r, theta, shape, T in zip(radii, phases, shapes, durations)])
     F_ref, phi_ref = _dop853_drive_integrals(drive)
@@ -347,11 +347,13 @@ def _assert_sized_basis_matches_oracle(alpha, drive):
        durations=st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 1.5)), alpha=complex_unit)
 def test_drive_excursion_matches_trapezoid_sup_on_two_envelope_drives(
         coefficients, shapes, durations, alpha):
-    # real coefficients keep every drive sample on one quadrature, so the
-    # propagation never changes frame; the difference of two envelopes
-    # mostly changes sign, where sup |beta| falls below int |f|
+    # real coefficients keep every drive sample on one quadrature, which the
+    # drive declares, so the propagation takes the declared route; the difference
+    # of two envelopes mostly changes sign, where sup |beta| falls below int |f|
     (c1, c2), (T1, T2) = coefficients, durations
-    drive = multi_envelope_drive([(c1, shapes[0](T1)), (-c2, shapes[1](T2))])
+    first, second = shapes[0](T1), shapes[1](T2)
+    drive = envelope_sum([(c1, first), (-c2, second)],
+                         separable=(1.0, lambda t: c1 * first(t) - c2 * second(t)))
     sup, abs_integral, error = _trapezoid_excursion(drive)
     excursion = drive_excursion(drive)
     assert 0.99 * sup <= excursion <= sup + error
@@ -461,7 +463,7 @@ def _fluctuation_double_integral(scenario):
 @PROPERTY
 @given(c1=complex_unit, c2=complex_unit, alpha=complex_unit, T=st.floats(0.6, 1.4))
 def test_closed_form_perturbative_matches_double_quadrature(c1, c2, alpha, T):
-    drive = multi_envelope_drive([(0.6 * c1, raised_cosine(T)), (0.6 * c2, triangle(T))])
+    drive = envelope_sum([(0.6 * c1, raised_cosine(T)), (0.6 * c2, triangle(T))])
     scenario = coherent_drive_scenario(alpha, drive)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -532,6 +534,25 @@ def test_squeezed_control_matches_gaussian_closed_form(radius, angle, r, carrier
 # switch-off premise
 # ---------------------------------------------------------------------------
 
+ENVELOPE_SCALES = [
+    (raised_cosine, 1e-320, "2 pi / duration must be finite and positive, got inf"),
+    (triangle, 1e-320, "the peak 2 / duration must be finite and positive, got inf"),
+    (gaussian, 1e-200, "2 sigma^2 must be finite and positive, got 0.0"),
+    (gaussian, 1e300, "2 sigma^2 must be finite and positive, got inf"),
+]
+
+
+@pytest.mark.parametrize("shape, duration, message", ENVELOPE_SCALES,
+                         ids=[f"{shape.__name__}-{T}" for shape, T, _ in ENVELOPE_SCALES])
+def test_envelope_scale_out_of_float_range_is_named(shape, duration, message):
+    with pytest.raises(ValueError) as err:
+        shape(duration)
+    assert str(err.value) == message
+    # every envelope keeps its scales in range at 1e-100 and 1e100
+    for window in (1e-100, 1e100):
+        assert abs(drive_integrals(envelope_drive(shape(window))).integral - 1.0) <= 1e-12
+
+
 def test_switch_off_envelope_drive_is_exactly_zero():
     # every envelope, the Gaussian minus its endpoint value included
     alpha = 2.0
@@ -550,7 +571,7 @@ def test_switch_off_counterexample_certifies_violation():
     # a drive that is never switched off fails the same check
     alpha, c = 1.5, 0.4 - 0.3j
     start, end = switch_off_check(
-        coherent_drive_scenario(alpha, piecewise_constant_drive([c], 1.0)))
+        coherent_drive_scenario(alpha, step_drive([c])))
     expected = (2.0 * (c * np.conj(alpha)).real) ** 2 + abs(c) ** 2
     assert start == pytest.approx(expected, rel=1e-12)
     assert end == pytest.approx(expected, rel=1e-12)

@@ -133,3 +133,19 @@ def test_config_validation():
     with pytest.raises(UncertaintyError):
         HeuristicConfig(m=1.0, L=1.0, T=1.0, dx=1e-20, dp=1e-20,
                         hbar=1.054571817e-34)
+
+
+def test_scales_out_of_float_range_are_named():
+    # m L^2 underflows to 0 in the closed form's denominator
+    with pytest.raises(ValueError, match=r"^m L\^2 must be finite and positive, got 0\.0$"):
+        misoverlap_optimal(HeuristicConfig(m=1.0, L=1e-200, T=1.0))
+    # m^2 underflows to 0 while the optimal dx^2 = T hbar / 4m overflows
+    with pytest.raises(ValueError, match=r"^4 m\^2 dx\^2 must be finite and positive, got nan$"):
+        misoverlap(HeuristicConfig(m=1e-320, L=1.0, T=1.0))
+    # dropping a term that overflowed would halve the mis-overlap silently
+    with pytest.raises(ValueError, match=r"^4 m\^2 dx\^2 .* got inf$"):
+        misoverlap(HeuristicConfig(m=1e200, L=1.0, T=1.0))
+    with pytest.raises(ValueError, match=r"^\(pi hbar / L\)\^2 .* got inf$"):
+        misoverlap(HeuristicConfig(m=1e300, L=1e-160, T=1.0))
+    with pytest.raises(ValueError, match=r"^L T .* got 0\.0$"):
+        displacement_estimates(HeuristicConfig(m=1.0, L=1e-200, T=1e-200))
