@@ -32,6 +32,7 @@ from . import collision, gate, heuristic, pulses
 from ._svg import line_plot
 from .envelopes import ENVELOPES
 from .errors import IntegrationError, NumericalInconsistencyError
+from .report import checked_positive
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 2, 3
 HBAR_SI = 1.054571817e-34  # J*s
@@ -190,6 +191,8 @@ def cmd_counterexample(params, ctx: UnitContext, seed: int):
     table = []
     for n in params["n"]:
         outcome = gate.counterexample_always_on(n, params["g"])
+        energy = ctx.hbar * params["omega"] * n
+        checked_positive(**{"the control energy hbar omega n": energy})
         table.append([
             ("n", "n", n),
             ("g", "g_rad_per_s", params["g"]),
@@ -198,8 +201,7 @@ def cmd_counterexample(params, ctx: UnitContext, seed: int):
             *_outcome_cells(outcome, ctx),
             # control energy reported relative to the H0 ground state (the zero
             # of energy is otherwise ambiguous)
-            ("energy_above_ground", f"control_energy_above_ground_{ctx.energy_unit}",
-             ctx.hbar * params["omega"] * n),
+            ("energy_above_ground", f"control_energy_above_ground_{ctx.energy_unit}", energy),
         ])
     return table, {}
 

@@ -86,12 +86,13 @@ ENVELOPES = {
 class LinearDrive:
     """Complex drive f(t) for an interaction f(t) a† + conj(f(t)) a.
 
-    ``breakpoints`` mark interior discontinuities (piecewise drives); the
-    propagator and the closed-form displacement check both split there.
+    ``breakpoints`` mark interior discontinuities (piecewise drives);
+    :func:`~gatebound.fock.evolve` and the closed-form displacement check
+    both split the window there, into its :meth:`segments`.
     ``separable = (c, s)`` declares f(t) = c s(t) with s real, so that every
-    sample has the phase of c and the couplings commute;
-    :func:`~gatebound.fock.evolve` then propagates the drive as the one
-    phase |c| int s, from an adaptive Gauss-Kronrod quadrature of s.
+    sample has the phase of c and the couplings commute; ``evolve`` then
+    propagates each segment as the one factor exp(-i S (c a† + conj(c) a)),
+    S = int s from an adaptive Gauss-Kronrod quadrature of s.
     """
 
     f: Callable[[float], complex]

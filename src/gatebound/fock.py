@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
+from .envelopes import LinearDrive
 from .errors import CutoffError, DimensionMismatchError, IntegrationError
 from .numerics import quad
 from .report import checked_positive
@@ -41,7 +41,7 @@ def __getattr__(name: str):
 NORM_TOL = 1e-10          # allowed |sum |c_n|^2 - 1| for constructed states
 COHERENT_TAIL = 1e-12     # Poisson tail mass guaranteed by the cutoff rule
 SQUEEZED_TAIL = 1e-10     # tail mass contract for squeezed-coherent states
-MAX_STEPS = 200_000       # adaptive sub-steps allowed per evolve call
+MAX_STEPS = 200_000       # adaptive sub-steps allowed per drive segment
 MAX_CUTOFF = 10_000       # largest basis; its N x N quadrature eigenbasis is 800 MB
 
 
@@ -273,20 +273,8 @@ def _real_matmul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
-# A drive sample g a† + conj(g) a with g = r e^{i theta}, r real, equals
-# r U_theta X U_theta† (U_theta = diag(e^{i n theta}), X = a + a† = W diag(lam)
-# W^T), so it is diagonal in the frame U_theta W, where its factor is
-# e^{-i h r lam}.  A frame (theta, phi) holds coefficients v of the
-# number-basis vector U_theta W e^{-i phi lam} v; ``None`` is the number basis.
-# Only a drive that declares one phase stays in a frame: its couplings commute
-# there, and its whole propagator is the one Python float phi.  Frame angles
-# are canonical, theta in (-pi/2, pi/2]; a sample in the opposite half-plane
-# is read as theta with a negative r.
-_Frame = tuple[float, float] | None
-
-
-# Entering and leaving a frame share its angle; a few entries serve a drive
-# whose samples keep one phase.
+# One entry per frame angle: a declared drive applies every segment's factor
+# at c's angle, and a few entries serve a drive whose samples keep one phase.
 @lru_cache(maxsize=4)
 def _number_phases(theta: float, cutoff: int) -> np.ndarray:
     """diag(U_theta) = e^{i n theta}, n = 0 .. cutoff-1."""
@@ -296,36 +284,33 @@ def _number_phases(theta: float, cutoff: int) -> np.ndarray:
 
 
 def _polar(g: complex) -> tuple[float, float]:
-    """(theta, r) with g = r e^{i theta}, r real and theta canonical."""
+    """(theta, r) with g = r e^{i theta}, r real and theta canonical, in (-pi/2, pi/2]."""
     r = abs(g)
     if g.real < 0 or (g.real == 0 and g.imag < 0):
         g, r = -g, -r
     return math.atan2(g.imag, g.real), r
 
 
-def _change_frame(psi: np.ndarray, frame: _Frame, theta: float | None) -> np.ndarray:
-    """Coefficients in frame (theta, 0) (number basis if None) of a state held in ``frame``."""
-    lam, w = _quadrature_eigh(psi.size)
-    if frame is not None:
-        angle, phi = frame
-        psi = _number_phases(angle, psi.size) * _real_matmul(w, np.exp(-1j * phi * lam) * psi)
-    if theta is not None:
-        psi = _real_matmul(w.T, _number_phases(theta, psi.size).conj() * psi)
-    return psi
-
-
 def _apply_factor(h: float, g: complex, psi: np.ndarray) -> np.ndarray:
-    """exp(-i h (g a† + conj(g) a)) psi in the number basis: into the sample's
-    frame and out again, two real N x N products; a zero sample is the identity."""
+    """exp(-i h (g a† + conj(g) a)) psi in the number basis; a zero g is the identity.
+
+    With g = r e^{i theta} (:func:`_polar`), g a† + conj(g) a = r U_theta X
+    U_theta† for U_theta = diag(e^{i n theta}) and X = a + a† = W diag(lam)
+    W^T (:func:`_quadrature_eigh`), so the factor is U_theta W e^{-i h r lam}
+    W^T U_theta†: into the frame U_theta W and out again, two real N x N products.
+    """
     if g == 0:
         return psi
     theta, r = _polar(g)
-    return _change_frame(_change_frame(psi, None, theta), (theta, h * r), None)
+    lam, w = _quadrature_eigh(psi.size)
+    u = _number_phases(theta, psi.size)
+    v = _real_matmul(w.T, u.conj() * psi)
+    return u * _real_matmul(w, np.exp(-1j * (h * r) * lam) * v)
 
 
-def _sampled(drive: Callable[[float], complex], psi: np.ndarray, t0: float, t1: float,
+def _sampled(drive: LinearDrive, psi: np.ndarray, t0: float, t1: float,
              tol: float) -> np.ndarray:
-    """``psi`` carried over [t0, t1] under a drive sampled as a callable.
+    """``psi`` carried over [t0, t1] under a drive sampled at its steps.
 
     Each step attempt is a full CF4 step and two half steps from t, each two
     factors of two drive samples applied in the number basis; the steps are
@@ -377,52 +362,44 @@ def _sampled(drive: Callable[[float], complex], psi: np.ndarray, t0: float, t1: 
     return psi
 
 
-def _declared(drive, psi: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
+def _declared(drive: LinearDrive, psi: np.ndarray, t0: float, t1: float,
+              tol: float) -> np.ndarray:
     """``psi`` carried over [t0, t1] under a drive that declares f = c s, s real.
 
-    An error d in the frame phase |c| int s moves the state by
-    ||e^{-i d lam} v - v|| <= |d| ||lam v||, so int s to within
-    tol / (|c| ||lam v||) keeps the norm-distance contract ``tol``.
+    The couplings commute, so the propagator is the one factor with h = int s
+    and g = c.  An error d in int s moves the state by at most |d| times the
+    weight ||(c a† + conj(c) a) psi||, so int s to within tol / weight keeps
+    the norm-distance contract ``tol``.
     """
     c, shape = drive.separable
-    theta, scale = _polar(complex(c))
-    coefficients = _change_frame(psi, None, theta)
-    lam, _ = _quadrature_eigh(psi.size)
-    weight = abs(scale) * float(np.linalg.norm(lam * coefficients))
-    inside = [bp for bp in drive.breakpoints if t0 < bp < t1]
-    area = quad(shape, t0, t1, epsabs=tol / weight if weight > 0.0 else math.inf, epsrel=0.0,
-                points=inside)
-    return _change_frame(coefficients, (theta, scale * area), None)
+    weight = float(np.linalg.norm(drive_action(c, psi)))
+    area = quad(shape, t0, t1, epsabs=tol / weight if weight > 0.0 else math.inf, epsrel=0.0)
+    return _apply_factor(area, complex(c), psi)
 
 
-def evolve(state: ControlState, drive: Callable[[float], complex],
-           t0: float, t1: float, tol: float) -> ControlState:
-    """Propagate ``state`` under the linear drive f(t) a† + conj(f(t)) a.
+def evolve(state: ControlState, drive: LinearDrive, tol: float) -> ControlState:
+    """Propagate ``state`` under the linear drive f(t) a† + conj(f(t)) a over its window.
 
-    ``drive`` maps t to the complex coefficient f(t); the result is within
-    norm distance ``tol`` of the time-ordered propagator's action.
+    The window is split at the drive's breakpoints, and each segment
+    [t0, t1] is propagated to within norm distance tol (t1 - t0) / T of the
+    time-ordered propagator's action, T the drive's duration, so the result
+    is within ``tol`` of it.
 
-    A :class:`~gatebound.envelopes.LinearDrive` that declares
-    f(t) = c s(t) with s real (its ``separable``) has commuting couplings,
-    so its propagator is exactly e^{-i |c| S X_theta}, S = int_{t0}^{t1} s
-    and X_theta = U_theta X U_theta† with U_theta = diag(e^{i n theta}),
-    theta c's canonical phase and X = a + a† = W diag(lam) W^T (built once
-    per cutoff from the SVD of X's half-size bidiagonal block).  The state
-    enters the frame U_theta W once, takes the phase e^{-i |c| S lam} there
-    and leaves once.  S is one adaptive Gauss-Kronrod quadrature of s, split
-    at the drive's breakpoints inside (t0, t1), to an absolute error of
-    tol / (|c| ||lam v||), v the frame's coefficients, which bounds the
-    norm distance by ``tol``.  The drive's own f is never sampled.
+    A drive that declares f(t) = c s(t) with s real (its ``separable``) has
+    commuting couplings, so over a segment its propagator is exactly the one
+    factor (:func:`_apply_factor`) e^{-i S (c a† + conj(c) a)}, with
+    S = int_{t0}^{t1} s from one adaptive Gauss-Kronrod quadrature
+    (:func:`_declared`).  The drive's own f is never sampled.
 
-    Any other drive is sampled as a callable by adaptive sub-stepping.
-    Each sub-step is a fourth-order commutator-free Magnus step (Alvermann &
-    Fehske, J. Comput. Phys. 230, 5930 (2011)): two exponentials of
-    g a† + conj(g) a, each g a real-weighted sum of two drive samples, each
-    exact on the truncated space (two real N x N products in the sample's
-    frame), so every step is exactly unitary there.  Step doubling supplies
-    the local error estimate: one step attempt is a full step and two half
-    steps, i.e. six drive samples and six factors.  Steps are sized so the
-    summed local errors stay below ``tol``; at most ``MAX_STEPS`` are taken.
+    Any other drive is sampled by adaptive sub-stepping.  Each sub-step is a
+    fourth-order commutator-free Magnus step (Alvermann & Fehske, J. Comput.
+    Phys. 230, 5930 (2011)): two factors exp(-i h (g a† + conj(g) a)), each
+    g a real-weighted sum of two drive samples and each exact on the
+    truncated space, so every step is exactly unitary there.  Step doubling
+    supplies the local error estimate: one step attempt is a full step and
+    two half steps, i.e. six drive samples and six factors.  Steps are sized
+    so the summed local errors stay below the segment's share; at most
+    ``MAX_STEPS`` are taken per segment.
 
     Raises
     ------
@@ -431,24 +408,20 @@ def evolve(state: ControlState, drive: Callable[[float], complex],
         (diagnostics carry the reached time and the last step/error), when
         a declared drive's phase quadrature misses its tolerance (raised by
         :func:`~gatebound.numerics.quad`, its diagnostics in units of
-        int s: the tolerance is tol / (|c| ||lam v||)), or when the norm
-        drifts by more than ``tol``.
+        int s), or when the norm drifts over a segment by more than its
+        share of ``tol``.
     """
     checked_positive(tol=tol)
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    if t1 == t0:
-        return state
-
-    in_norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    if getattr(drive, "separable", None) is None:  # declared by a LinearDrive
-        psi = _sampled(drive, state.amplitudes, t0, t1, tol)
-    else:
-        psi = _declared(drive, state.amplitudes, t0, t1, tol)
-    out_norm_sq = float(np.vdot(psi, psi).real)
-    if abs(out_norm_sq - in_norm_sq) > tol:
-        raise IntegrationError(
-            "norm drift exceeded tolerance",
-            {"in_norm_sq": in_norm_sq, "out_norm_sq": out_norm_sq, "tol": tol},
-        )
+    propagate = _sampled if drive.separable is None else _declared
+    psi = state.amplitudes
+    for t0, t1 in drive.segments():
+        share = tol * (t1 - t0) / drive.duration
+        in_norm_sq = float(np.vdot(psi, psi).real)
+        psi = propagate(drive, psi, t0, t1, share)
+        out_norm_sq = float(np.vdot(psi, psi).real)
+        if abs(out_norm_sq - in_norm_sq) > share:
+            raise IntegrationError(
+                "norm drift exceeded tolerance",
+                {"in_norm_sq": in_norm_sq, "out_norm_sq": out_norm_sq, "tol": share},
+            )
     return ControlState(state.cutoff, psi)

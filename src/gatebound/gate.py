@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .envelopes import LinearDrive, envelope_drive
-from .errors import CutoffError, NumericalInconsistencyError
+from .errors import CutoffError, IntegrationError, NumericalInconsistencyError
 from .fock import (
     COHERENT_TAIL,
     ControlState,
@@ -138,18 +138,25 @@ def _panel_sums(drive: LinearDrive, a: float, b: float, panels: int
     """(int f, int Im(f conj G), int |f|, G at the nodes and panel ends) over [a, b].
 
     G(t) = int_a^t f.  Composite Gauss-Legendre rule on ``panels`` equal
-    panels, each sampling the drive at its ``PANEL_NODES`` nodes.
+    panels, each sampling the drive at its ``PANEL_NODES`` nodes.  A sum
+    that leaves the floats raises :class:`IntegrationError`.
     """
     _, w, S = _panel_rule()
     nodes, h = panel_nodes(a, b, panels)
     f = np.array([drive(t) for t in nodes.ravel().tolist()]).reshape(panels, -1)
-    sums = h * (f @ w)                                 # int f on each panel
-    ends = np.cumsum(sums)
-    starts = np.concatenate(([0.0], ends[:-1]))
-    G = starts[:, None] + h * (f @ S.T)                # int_a^t f at every node
-    phase = h * float(np.sum(w * (f * G.conj()).imag))
-    return (complex(np.sum(sums)), phase, float(np.sum(h * (np.abs(f) @ w))),
-            np.concatenate((G.ravel(), ends)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        sums = h * (f @ w)                             # int f on each panel
+        ends = np.cumsum(sums)
+        starts = np.concatenate(([0.0], ends[:-1]))
+        G = starts[:, None] + h * (f @ S.T)            # int_a^t f at every node
+        F = complex(np.sum(sums))
+        phase = h * float(np.sum(w * (f.imag * G.real - f.real * G.imag)))  # Im(f conj G)
+        abs_integral = float(np.sum(h * (np.abs(f) @ w)))
+    if not (cmath.isfinite(F) and math.isfinite(phase) and math.isfinite(abs_integral)):
+        raise IntegrationError("drive integral is not finite",
+                               {"segment": (a, b), "panels": panels, "integral": F,
+                                "phase": phase, "abs_integral": abs_integral})
+    return F, phase, abs_integral, np.concatenate((G.ravel(), ends))
 
 
 def _segment_integrals(drive: LinearDrive, a: float, b: float
@@ -232,19 +239,14 @@ def failure_probability_exact(scenario: GateScenario, tol: float = 1e-9) -> Gate
 
     The drive specifies V_I(t) in the interaction picture, so ``inner`` is
     the overlap of psi0 with psi0 propagated under V_I alone (the free
-    factors cancel identically in the overlap).  Each drive segment is
-    propagated by :func:`evolve` with its share of ``tol``.  The propagated
-    state must leave at most ``COHERENT_TAIL`` population on its top
-    ``EDGE_LEVELS`` levels, else the cutoff was too small for the drive and
-    :class:`CutoffError` is raised.
+    factors cancel identically in the overlap).  One :func:`evolve` call
+    propagates the whole window to within norm distance ``tol``.  The
+    propagated state must leave at most ``COHERENT_TAIL`` population on its
+    top ``EDGE_LEVELS`` levels, else the cutoff was too small for the drive
+    and :class:`CutoffError` is raised.
     """
-    checked_positive(tol=tol)
     psi0 = scenario.control
-    drive = scenario.drive
-    T = scenario.duration
-    state = psi0
-    for a, b in drive.segments():
-        state = evolve(state, drive, a, b, tol * (b - a) / T)
+    state = evolve(psi0, scenario.drive, tol)
     edge = float(np.sum(np.abs(state.amplitudes[-EDGE_LEVELS:]) ** 2))
     if edge > COHERENT_TAIL:
         raise CutoffError(
@@ -280,6 +282,7 @@ def counterexample_always_on(n: int, g: float) -> GateOutcome:
     checked_positive(g=g)
     gn = g * n
     T = math.pi / gn
+    checked_positive(**{"g n": gn, "T = pi / (g n)": T, "<V^2> = (g n)^2": gn * gn})
     return GateOutcome.from_inner(np.exp(-1j * gn * T), gn * T, gn * gn, gn * gn)
 
 

@@ -290,7 +290,9 @@ def optimize_squeezing(epsilon: float, omega: float = 1.0,
     """
     checked_epsilon(epsilon)
     checked_positive(omega=omega, hbar=hbar)
-    return -math.log(epsilon) / 4.0, 2.0 * hbar * omega / math.sqrt(epsilon)
+    e_min = 2.0 * hbar * omega / math.sqrt(epsilon)
+    checked_positive(**{"hbar omega": hbar * omega, "E_min = 2 hbar omega / sqrt(eps)": e_min})
+    return -math.log(epsilon) / 4.0, e_min
 
 
 @dataclass(frozen=True)
@@ -310,12 +312,16 @@ class LinewidthBound:
 def linewidth_combined_bound(duration: float, epsilon: float, hbar: float = 1.0) -> LinewidthBound:
     checked_positive(duration=duration, hbar=hbar)
     checked_epsilon(epsilon)
-    omega_min = 1.0 / (duration * math.sqrt(epsilon))
-    return LinewidthBound(
-        omega_min=omega_min,
+    checked_positive(**{"eps T": epsilon * duration})
+    lw = LinewidthBound(
+        omega_min=1.0 / (duration * math.sqrt(epsilon)),
         bound=2.0 * hbar / (epsilon * duration),
         bound_quoted=hbar / (epsilon * duration),
     )
+    checked_positive(**{"omega_min = 1 / (T sqrt(eps))": lw.omega_min,
+                        "the bound 2 hbar / (eps T)": lw.bound,
+                        "the quoted bound hbar / (eps T)": lw.bound_quoted})
+    return lw
 
 
 # ---------------------------------------------------------------------------

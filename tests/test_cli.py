@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import dataclasses
 
@@ -647,6 +648,15 @@ NON_FINITE = [
     # finite, but m L^2, and m^2 in the optimal wavepacket's 4 m^2 dx^2, underflow
     ["heuristic", "--m", "1", "--length", "1e-200", "--duration", "1", "--epsilon", "0.1"],
     ["heuristic", "--m", "1e-320", "--length", "1", "--duration", "1", "--epsilon", "0.1"],
+    # finite, but eps T, hbar omega underflow and omega_min, E_min overflow
+    ["squeeze-opt", "--epsilon", "1e-4", "--gate-time", "1e-320"],
+    ["squeeze-opt", "--epsilon", "1e-4", "--omega", "1e-300", "--units", "si"],
+    ["squeeze-opt", "--epsilon", "1e-4", "--gate-time", "1e-310"],
+    ["squeeze-opt", "--epsilon", "1e-300", "--omega", "1e300"],
+    # finite, but (g n)^2, the control energy and T = pi / (g n) overflow
+    ["counterexample", "--g", "1e300", "--n", "1..3"],
+    ["counterexample", "--omega", "1e308"],
+    ["counterexample", "--g", "1e-320"],
     ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--duration", "inf"],
     ["nonlinear-bound", "--p-power", "2", "--epsilon", "0.1", "--weight", "1+nanj"],
     # finite, but the report's photon number (then its mean frequency) overflows
@@ -682,6 +692,20 @@ def test_overflowing_trap_frequency_exits_3_without_artifacts(tmp_path, capsys, 
     assert main([*command, "--m", "1", "--omega", "1e200", "--amplitude", "100", "--gap", "30",
                  "--output", str(out)]) == 3
     assert "non-finite derivative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha, code", [("1e-200", 2), ("1e-200+1e-200j", 3)])
+def test_overflowing_drive_integral_exits_without_a_warning(tmp_path, capsys, alpha, code):
+    # the drive integral is 1.6e200; its phase int Im(f conj G) is 0 on a real
+    # alpha, whose cutoff rule then holds no basis, and overflows on a complex one
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["gate-sim", "--alpha", alpha, "--output", str(out)]) == code
+    assert caught == []
+    assert ("no finite cutoff" if code == 2 else "drive integral is not finite") in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

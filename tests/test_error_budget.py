@@ -105,7 +105,7 @@ NAN_INPUTS = {
     "raised-cosine": lambda: raised_cosine(NAN),
     "triangle": lambda: triangle(NAN),
     "gaussian": lambda: gaussian(NAN),
-    "evolve-tol": lambda: evolve(SCENARIO.control, SCENARIO.drive, 0.0, 1.0, NAN),
+    "evolve-tol": lambda: evolve(SCENARIO.control, SCENARIO.drive, NAN),
     "exact-tol": lambda: failure_probability_exact(SCENARIO, NAN),
     "counterexample-g": lambda: counterexample_always_on(1, NAN),
     "log-derivative-exponent": lambda: powerlaw_log_derivative(NAN, 1.0),

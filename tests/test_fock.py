@@ -312,20 +312,20 @@ def _dense_factor(h, g, psi):
     return expm(-1j * h * (g * adag + np.conj(g) * a)) @ psi
 
 
-def _propagate_per_segment(state, sample, drive, tol):
-    for t0, t1 in drive.segments():  # a kink splits the window
-        state = evolve(state, sample, t0, t1, tol)
-    return state
-
-
-def _counted(drive):
+def _counted(fn):
     samples = []
 
     def sample(t):
         samples.append(t)
-        return drive(t)
+        return fn(t)
 
     return sample, samples
+
+
+def _counting_drive(drive):
+    """``drive`` with its f counting its samples, and the sample list."""
+    sample, samples = _counted(drive.f)
+    return dataclasses.replace(drive, f=sample), samples
 
 
 def _counting_shape(drive):
@@ -363,7 +363,7 @@ def _dense_reference(state, drive):
 
 def test_evolve_zero_hamiltonian_is_identity():
     state = coherent_state(1.0)
-    out = evolve(state, lambda t: 0j, 0.0, 3.0, 1e-10)
+    out = evolve(state, LinearDrive(lambda t: 0j, 3.0), 1e-10)
     assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
 
@@ -373,12 +373,11 @@ def test_evolve_zero_hamiltonian_is_identity():
 def test_evolve_keeps_norm_on_random_drives(c1, c2, alpha, T, cutoff):
     drive = envelope_sum([(c1, raised_cosine(T)), (c2, triangle(T))])
     state = _truncated_coherent(alpha, cutoff)
-    out = _propagate_per_segment(state, drive, drive, 1e-9)
+    out = evolve(state, drive, 1e-9)
     assert abs(_norm_sq(out) - 1.0) <= 1e-12
 
 
-def _wiggly_drive(t):
-    return 2.0 * math.cos(7.0 * t) + 1.1 * math.sin(3.0 * t)
+WIGGLY = LinearDrive(lambda t: 2.0 * math.cos(7.0 * t) + 1.1 * math.sin(3.0 * t), 2.0)
 
 
 def test_evolve_self_convergence_under_tol_halving():
@@ -387,10 +386,10 @@ def test_evolve_self_convergence_under_tol_halving():
     # (adaptive step quantisation), so the bound is what must shrink.
     state = number_state(1, 16)
     tols = [1e-4 / 2 ** k for k in range(5)]
-    reference = evolve(state, _wiggly_drive, 0.0, 2.0, tols[-1] / 100).amplitudes
+    reference = evolve(state, WIGGLY, tols[-1] / 100).amplitudes
     deviations = []
     for tol in tols:
-        out = evolve(state, _wiggly_drive, 0.0, 2.0, tol).amplitudes
+        out = evolve(state, WIGGLY, tol).amplitudes
         deviations.append(np.linalg.norm(out - reference))
     for tol, dev in zip(tols, deviations):
         assert dev <= tol
@@ -398,23 +397,20 @@ def test_evolve_self_convergence_under_tol_halving():
 
 
 def test_evolve_argument_validation():
-    state = number_state(0, 4)
     with pytest.raises(ValueError):
-        evolve(state, _wiggly_drive, 1.0, 0.0, 1e-8)
-    with pytest.raises(ValueError):
-        evolve(state, _wiggly_drive, 0.0, 1.0, -1e-8)
+        evolve(number_state(0, 4), WIGGLY, -1e-8)
 
 
 def test_evolve_step_budget_failure_carries_diagnostics(monkeypatch):
     monkeypatch.setattr(fock, "MAX_STEPS", 3)
     with pytest.raises(IntegrationError) as err:
-        evolve(number_state(1, 8), _wiggly_drive, 0.0, 2.0, 1e-10)
+        evolve(number_state(1, 8), WIGGLY, 1e-10)
     assert "steps" in err.value.diagnostics
 
 
 def test_evolve_rejects_a_non_finite_state():
     with pytest.raises(IntegrationError, match="non-finite state during propagation") as err:
-        evolve(number_state(1, 8), lambda t: complex(math.nan), 0.0, 1.0, 1e-8)
+        evolve(number_state(1, 8), LinearDrive(lambda t: complex(math.nan), 1.0), 1e-8)
     assert set(err.value.diagnostics) == {"t", "h", "steps"}
 
 
@@ -422,36 +418,34 @@ def test_evolve_raises_on_step_size_underflow():
     # a drive whose phase turns has a nonzero step-doubling error, which no
     # step above 1e-14 of the window brings below tol = 1e-300
     with pytest.raises(IntegrationError, match="step-size underflow") as err:
-        evolve(number_state(1, 8), lambda t: 1 + 0.5j * t, 0.0, 1.0, 1e-300)
+        evolve(number_state(1, 8), LinearDrive(lambda t: 1 + 0.5j * t, 1.0), 1e-300)
     assert set(err.value.diagnostics) == {"t", "h", "error_estimate", "tol", "steps"}
     assert err.value.diagnostics["h"] <= 1e-14
 
 
 def test_evolve_raises_on_norm_drift(monkeypatch):
-    # rounding alone may leave |psi|^2 exactly 1, so a stand-in frame change
-    # keeps the coefficients on entering the frame and doubles them on leaving it
-    monkeypatch.setattr(fock, "_change_frame",
-                        lambda psi, frame, theta: psi if frame is None else 2.0 * psi)
+    # rounding alone may leave |psi|^2 exactly 1, so a stand-in factor doubles the state
+    monkeypatch.setattr(fock, "_apply_factor", lambda h, g, psi: 2.0 * psi)
     with pytest.raises(IntegrationError, match="norm drift exceeded tolerance") as err:
-        evolve(number_state(1, 8), envelope_drive(raised_cosine(1.0), 0.0), 0.0, 1.0, 1e-8)
+        evolve(number_state(1, 8), envelope_drive(raised_cosine(1.0), 0.5 + 0.5j), 1e-8)
     assert err.value.diagnostics == {"in_norm_sq": 1.0, "out_norm_sq": 4.0, "tol": 1e-8}
 
 
 def test_declared_phase_quadrature_raises_on_an_undeclared_jump():
     # 50 subintervals (quad's default limit) crowd the jump at 0.3, and the
-    # one holding it still misses tol / (|c| ||lam v||) on the area of s
+    # one holding it still misses tol / ||(c a† + conj(c) a) psi|| on the area of s
     def sign_flip(t):
         return 1.0 if t < 0.3 else -1.0
 
     drive = LinearDrive(lambda t: complex(sign_flip(t)), 1.0, separable=(1.0, sign_flip))
     with pytest.raises(IntegrationError, match="quadrature did not converge") as err:
-        evolve(number_state(1, 8), drive, 0.0, 1.0, 1e-17)
+        evolve(number_state(1, 8), drive, 1e-17)
     diagnostics = err.value.diagnostics
     assert set(diagnostics) == {"function", "bounds", "value", "error_estimate", "tolerance",
                                 "subintervals"}
     assert diagnostics["function"].endswith("sign_flip")
     assert diagnostics["bounds"] == (0.0, 1.0)
-    # in units of int s: |c| = 1, and |1>'s frame coefficients v have ||lam v|| = ||X|1>|| = sqrt(3)
+    # in units of int s: c = 1 and ||X|1>|| = || |0> + sqrt(2)|2> || = sqrt(3)
     assert diagnostics["tolerance"] == pytest.approx(1e-17 / math.sqrt(3.0), rel=1e-12)
     assert diagnostics["subintervals"] == 50
     assert diagnostics["error_estimate"] > diagnostics["tolerance"]
@@ -470,12 +464,12 @@ def test_drive_sample_exponential_matches_dense_expm(cutoff, g, h, seed):
 
 
 def _dense_sampled(drive, state):
-    """(state, drive samples) of a per-segment propagation of ``drive`` as a plain
-    callable, each factor the expm of the dense generator, under ``evolve``'s step control."""
-    sample, samples = _counted(drive)
+    """(state, drive samples) of a propagation of the undeclared ``drive``, each
+    factor the expm of the dense generator, under ``evolve``'s step control."""
+    counted, samples = _counting_drive(drive)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fock, "_apply_factor", _dense_factor)
-        return _propagate_per_segment(state, sample, drive, 1e-9), len(samples)
+        return evolve(state, counted, 1e-9), len(samples)
 
 
 @PROPERTY
@@ -484,8 +478,8 @@ def _dense_sampled(drive, state):
 def test_evolve_drive_sample_matches_dense_sampler(c1, c2, alpha, T, cutoff):
     drive = envelope_sum([(c1, raised_cosine(T)), (c2, triangle(T))])
     state = _truncated_coherent(alpha, cutoff)
-    sample, fast_samples = _counted(drive)
-    fast = _propagate_per_segment(state, sample, drive, 1e-9)
+    counted, fast_samples = _counting_drive(drive)
+    fast = evolve(state, counted, 1e-9)
     reference, dense_samples = _dense_sampled(drive, state)
     assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= 1e-11
     assert len(fast_samples) == dense_samples
@@ -498,7 +492,7 @@ def test_evolve_constant_phase_drive_matches_dense_sampler(c, alpha, T, cutoff):
     # exponential of the segment's integrated generator
     drive = _sign_changing_drive(c, T)
     state = _truncated_coherent(alpha, cutoff)
-    declared = _propagate_per_segment(state, drive, drive, 1e-9)
+    declared = evolve(state, drive, 1e-9)
     assert np.max(np.abs(declared.amplitudes - _dense_reference(state, drive))) <= 1e-12
 
 
@@ -506,15 +500,15 @@ def test_evolve_constant_phase_drive_matches_dense_sampler(c, alpha, T, cutoff):
 @given(c=st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)), alpha=complex_unit,
        envelope=st.sampled_from(sorted(ENVELOPES)), cutoff=st.integers(2, 200))
 def test_declared_drive_matches_the_same_drive_as_a_callable(c, alpha, envelope, cutoff):
-    # the declared route is exact up to rounding; the sampled route meets its
-    # norm-distance contract, tol per segment
+    # the declared route is exact up to rounding; the same drive undeclared is
+    # sampled and meets its norm-distance contract tol over the window
     drive = envelope_drive(ENVELOPES[envelope](1.0), c)
     state = _truncated_coherent(alpha, cutoff)
     reference = _dense_reference(state, drive)
-    declared = _propagate_per_segment(state, drive, drive, 1e-9)
-    sampled = _propagate_per_segment(state, drive.f, drive, 1e-9)
+    declared = evolve(state, drive, 1e-9)
+    sampled = evolve(state, dataclasses.replace(drive, separable=None), 1e-9)
     assert np.max(np.abs(declared.amplitudes - reference)) <= 1e-12
-    assert np.linalg.norm(sampled.amplitudes - reference) <= 1e-9 * len(drive.segments())
+    assert np.linalg.norm(sampled.amplitudes - reference) <= 1e-9
 
 
 def _unsampled(t):
@@ -528,7 +522,7 @@ BIT_IDENTITY_CASES = [(name, alpha) for name in ENVELOPES
 @pytest.mark.parametrize("envelope, alpha", BIT_IDENTITY_CASES)
 def test_evolve_is_bit_identical_to_the_per_step_reference(envelope, alpha):
     # An accuracy check despite the name: the declared route on the gates the
-    # lab runs, each segment at its share of tol, against the dense
+    # lab runs, over the whole window at tol = 1e-9, against the dense
     # exponential of the integrated generator.  Every declared drive keeps one
     # frame, the complex alphas and the sign-changing shape (negative r)
     # included, and its own f is never sampled.
@@ -539,35 +533,35 @@ def test_evolve_is_bit_identical_to_the_per_step_reference(envelope, alpha):
     counted, samples = _counting_shape(dataclasses.replace(drive, f=_unsampled))
     state = coherent_state(alpha)
     reference = _dense_reference(state, drive)
-    for t0, t1 in drive.segments():
-        state = evolve(state, counted, t0, t1, 1e-9 * (t1 - t0) / drive.duration)
+    state = evolve(state, counted, 1e-9)
     assert np.max(np.abs(state.amplitudes - reference)) <= 1e-12
     assert len(samples) > 0
 
 
-def _count_frame_changes(monkeypatch, sample, drive, tol, cutoff=40):
-    """(frame changes, drive samples) of one propagation of ``drive`` through ``sample``."""
-    original = fock._change_frame
-    changes = []
+def _count_factors(monkeypatch, drive, tol, cutoff=40):
+    """Factors exp(-i h (g a† + conj(g) a)) applied in one propagation of ``drive``;
+    each enters its frame once and leaves it once."""
+    original = fock._apply_factor
+    factors = []
 
     def counted(*args):
-        changes.append(args[2])
+        factors.append(args[1])
         return original(*args)
 
-    monkeypatch.setattr(fock, "_change_frame", counted)
-    _propagate_per_segment(coherent_state(1.5, cutoff), sample, drive, tol)
-    return len(changes)
+    monkeypatch.setattr(fock, "_apply_factor", counted)
+    evolve(coherent_state(1.5, cutoff), drive, tol)
+    return len(factors)
 
 
 def test_constant_phase_drive_changes_frame_a_fixed_number_of_times(monkeypatch):
-    # per segment the state enters the frame of c's phase once and leaves it once,
-    # whatever the tolerance and the sign of the shape
+    # per segment one factor: the state enters the frame of c's phase once and
+    # leaves it once, whatever the tolerance and the sign of the shape
     drive, samples = _counting_shape(_sign_changing_drive(0.6 + 0.6j, 1.0))
-    coarse = _count_frame_changes(monkeypatch, drive, drive, 1e-6)
+    coarse = _count_factors(monkeypatch, drive, 1e-6)
     coarse_samples = len(samples)
-    fine = _count_frame_changes(monkeypatch, drive, drive, 1e-10)
+    fine = _count_factors(monkeypatch, drive, 1e-10)
     assert len(samples) - coarse_samples > coarse_samples
-    assert coarse == fine == 2 * len(drive.segments())
+    assert coarse == fine == len(drive.segments())
 
 
 def _same_phase_envelopes():
@@ -594,21 +588,36 @@ def test_same_phase_drives_declare_their_phase(monkeypatch, name):
     for t in np.linspace(0.0, 1.0, 97):
         assert abs(c0 * shape(t) - drive(t)) <= 1e-15 * max(1.0, abs(drive(t)))
     state = coherent_state(1.5, 40)
-    declared = _propagate_per_segment(state, drive, drive, 1e-9)
+    declared = evolve(state, drive, 1e-9)
     assert np.max(np.abs(declared.amplitudes - _dense_reference(state, drive))) <= 1e-12
-    assert _count_frame_changes(monkeypatch, drive, drive, 1e-9) == 2 * len(drive.segments())
+    assert _count_factors(monkeypatch, drive, 1e-9) == len(drive.segments())
 
 
 def test_mixed_phase_drive_changes_frame_every_factor(monkeypatch):
-    # an undeclared drive applies each factor, one per sample, through the
-    # number basis: into the sample's frame and out again
+    # an undeclared drive applies one factor per sample, six per step attempt,
+    # each through the number basis: into its frame and out again
     drive = envelope_sum([(1.0, raised_cosine(1.0)), (1.0j, triangle(1.0))])
-    coarse_sample, coarse_samples = _counted(drive)
-    coarse = _count_frame_changes(monkeypatch, coarse_sample, drive, 1e-6)
-    fine_sample, fine_samples = _counted(drive)
-    fine = _count_frame_changes(monkeypatch, fine_sample, drive, 1e-10)
-    assert coarse == 2 * len(coarse_samples)
-    assert fine == 2 * len(fine_samples) > 4 * len(coarse_samples)
+    coarse_drive, coarse_samples = _counting_drive(drive)
+    coarse = _count_factors(monkeypatch, coarse_drive, 1e-6)
+    fine_drive, fine_samples = _counting_drive(drive)
+    fine = _count_factors(monkeypatch, fine_drive, 1e-10)
+    assert coarse == len(coarse_samples)
+    assert fine == len(fine_samples) > 2 * len(coarse_samples)
+
+
+def test_undeclared_step_drive_takes_one_step_attempt_per_segment():
+    # each segment is constant, so its first attempt, a full step over the
+    # whole segment, meets its share of tol: six samples per segment.  The
+    # reference is the dense exponential of each segment's constant generator.
+    values = [0.3j, 0.0, -0.7 + 0.2j, 1.1]
+    drive, samples = _counting_drive(step_drive(values))
+    state = coherent_state(1.5, 40)
+    out = evolve(state, drive, 1e-9)
+    assert len(samples) == 6 * len(values)
+    reference = state.amplitudes
+    for v in values:
+        reference = _dense_factor(1.0 / len(values), v, reference)
+    assert np.linalg.norm(out.amplitudes - reference) <= 1e-9
 
 
 class _CountingNumpy:
@@ -633,14 +642,14 @@ def _count_vector_exponentials(monkeypatch, drive, tol, cutoff=40):
     fock._number_phases.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(fock, "np", counting)
-        _propagate_per_segment(state, drive, drive, tol)
+        evolve(state, drive, tol)
     return counting.calls
 
 
 def test_constant_phase_drive_exponentiates_a_fixed_number_of_times(monkeypatch):
-    # one frame angle: the quadrature only sets the frame's phase; the frame's
-    # diagonal U_theta (once for the angle) and leaving the frame (e^{-i phi
-    # lam}, once per segment) exponentiate a vector, whatever the tolerance
+    # one frame angle: the quadrature only sets each factor's h; the frame's
+    # diagonal U_theta (once for the angle) and each segment's factor
+    # (e^{-i h r lam}) exponentiate a vector, whatever the tolerance
     drive, samples = _counting_shape(_sign_changing_drive(0.6 + 0.6j, 1.0))
     coarse = _count_vector_exponentials(monkeypatch, drive, 1e-6)
     coarse_samples = len(samples)

@@ -194,28 +194,26 @@ def test_declared_drive_propagates_without_the_oracle(monkeypatch):
 
     monkeypatch.setattr(gate, "_drive_panels", oracle)
     monkeypatch.setattr(gate, "drive_integrals", oracle)
-    for t0, t1 in drive.segments():
-        state = evolve(state, drive, t0, t1, 1e-9)
+    state = evolve(state, drive, 1e-9)
     assert state.cutoff == coherent_state(2.0 + 1.0j).cutoff
 
 
 @pytest.mark.parametrize("shape", [raised_cosine, triangle, gaussian])
 @pytest.mark.parametrize("alpha", OFF_AXIS_ALPHAS + [16.0])
 def test_pi_phase_drive_changes_frame_twice_per_segment(monkeypatch, alpha, shape):
-    # the declared phase of c enters once and leaves once, however it rounds
-    original, thetas = fock._change_frame, []
+    # one factor per segment, each entering c's frame once and leaving it once,
+    # all at the one coefficient c however the gate rounds
+    original, coefficients = fock._apply_factor, []
 
-    def counted(psi, frame, theta):
-        thetas.append(theta)
-        return original(psi, frame, theta)
+    def counted(h, g, psi):
+        coefficients.append(g)
+        return original(h, g, psi)
 
     drive = pi_phase_drive(shape(1.0), alpha)
     scenario = coherent_drive_scenario(alpha, drive)
-    monkeypatch.setattr(fock, "_change_frame", counted)
+    monkeypatch.setattr(fock, "_apply_factor", counted)
     failure_probability_exact(scenario)
-    segments = len(drive.segments())
-    assert len(thetas) == 2 * segments
-    assert thetas[1::2] == [None] * segments and len(set(thetas[0::2])) == 1
+    assert coefficients == [drive.separable[0]] * len(drive.segments())
 
 
 def test_oracle_equivalence_randomized_family():

@@ -1,6 +1,7 @@
 """The package's integrators against their references: the Gauss-Legendre
 panel rule against numpy.polynomial's, the collision chains' quadrature and
-ODE solver against scipy's.
+ODE solver against scipy's, and the quadrature on smooth integrands against
+their exact integrals in mpmath.
 
 numpy.polynomial and scipy.integrate are only references here: gatebound
 itself loads neither.
@@ -8,6 +9,7 @@ itself loads neither.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,10 +129,15 @@ def test_line_integral_closed_form(n):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(a=st.floats(-3.0, 3.0), width=st.floats(0.1, 10.0),
        k=st.floats(-2.0, 2.0), w=st.floats(0.0, 20.0))
-def test_quad_matches_scipy_on_smooth_integrands(a, width, k, w):
+def test_quad_matches_the_exact_integral_on_smooth_integrands(a, width, k, w):
     fn = lambda x: math.exp(k * x) * math.cos(w * x)
     val = quad(fn, a, a + width, epsabs=1e-14, epsrel=1e-11, limit=200)
-    ref, _ = scipy_quad(fn, a, a + width, epsabs=1e-13, epsrel=1e-12, limit=200)
+    # int e^{kx} cos(wx) = Re(e^{za} expm1(z width) / z), z = k + iw, at 40 digits;
+    # expm1 keeps every digit as z -> 0, where the integral tends to the width
+    with mpmath.workdps(40):
+        z = mpmath.mpc(k, w)
+        exact = mpmath.re(mpmath.exp(z * a) * mpmath.expm1(z * width) / z) if z else width
+        ref = float(exact)
     assert abs(val - ref) <= max(2e-13, 1e-10 * abs(ref))
 
 
